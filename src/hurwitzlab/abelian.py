@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InternalCheckError, ValidationError
 from .intmat import divisor_chain
+from .ntheory import factorize, is_power_of, is_prime_power, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,10 @@ class AbelianStructure:
             f = int(f)
             if f < 2:
                 continue
-            if len(_prime_factors(f)) != 1:
+            if not is_prime_power(f):
                 raise ValidationError(f"factor {f} is not a prime power")
             fs.append(f)
-        fs.sort(key=lambda q: (_prime_factors(q)[0], -q))
+        fs.sort(key=lambda q: (prime_divisors(q)[0], -q))
         object.__setattr__(self, "factors", tuple(fs))
 
     @staticmethod
@@ -40,7 +41,7 @@ class AbelianStructure:
         fs = []
         for d in orders:
             d = int(d)
-            for p, e in _factorize(d).items():
+            for p, e in factorize(d).items():
                 fs.append(p ** e)
         return AbelianStructure(tuple(fs))
 
@@ -92,23 +93,6 @@ class AbelianStructure:
         return " x ".join(f"Z/{d}" for d in self.chain)
 
 
-def _factorize(n: int) -> dict:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _prime_factors(n: int) -> list:
-    return sorted(_factorize(n))
-
-
 # ---------------------------------------------------------------------------
 # structure of a concrete abelian group given by a multiplication rule
 # ---------------------------------------------------------------------------
@@ -139,8 +123,8 @@ class AbelianGroupData:
         basis: list = []
         basis_orders: list[int] = []
         # primary decomposition, one prime at a time
-        for p in _prime_factors(n) if n > 1 else []:
-            ppart = [x for x in elems if _is_ppower(orders[x], p)]
+        for p in prime_divisors(n):
+            ppart = [x for x in elems if is_power_of(orders[x], p)]
             b, bo = self._p_basis(ppart, p)
             basis.extend(b)
             basis_orders.extend(bo)
@@ -233,12 +217,6 @@ def _pow(mul, x, k, identity):
         y = mul(y, y)
         k >>= 1
     return r
-
-
-def _is_ppower(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def structure_of_members(group, members) -> AbelianGroupData:

@@ -2,8 +2,8 @@
 hyperelliptic Jacobians (Cantor arithmetic, L-polynomial point counts) and
 imaginary quadratic number fields through reduced binary quadratic forms.
 
-Polynomials over F_p are coefficient tuples, low degree first, normalized
-(no trailing zeros).  v1 restricts to odd prime q and genus <= 3.
+Polynomials over F_p are the coefficient tuples of `ntheory` (low degree
+first, no trailing zeros).  v1 restricts to odd prime q and genus <= 3.
 """
 
 from __future__ import annotations
@@ -15,129 +15,10 @@ from typing import Iterator, Optional, Sequence
 
 from .abelian import AbelianGroupData, AbelianStructure
 from .errors import CapacityError, InternalCheckError, ValidationError
+from .ntheory import (is_prime, is_squarefree, monic, padd, pdeg, pdivmod,
+                      peval, pmod, pmul, pnorm, ppowmod, prime_divisors,
+                      pscale, psub, pxgcd, valuation)
 from .rng import CounterRng, substream
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-# ---------------------------------------------------------------------------
-# F_p[x]
-# ---------------------------------------------------------------------------
-
-def pnorm(c) -> tuple:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def pdeg(a) -> int:
-    return len(a) - 1
-
-
-def padd(a, b, p):
-    n = max(len(a), len(b))
-    return pnorm([( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def psub(a, b, p):
-    n = max(len(a), len(b))
-    return pnorm([( (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return pnorm(out)
-
-
-def pscale(a, s, p):
-    return pnorm([(x * s) % p for x in a])
-
-
-def pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    binv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        s = (a[-1] * binv) % p
-        off = len(a) - len(b)
-        q[off] = s
-        for i in range(len(b)):
-            a[off + i] = (a[off + i] - s * b[i]) % p
-        a.pop()
-    return pnorm(q), pnorm(a)
-
-
-def pmod(a, b, p):
-    return pdivmod(a, b, p)[1]
-
-
-def pgcd(a, b, p):
-    a, b = pnorm(a), pnorm(b)
-    while b:
-        a, b = b, pmod(a, b, p)
-    if a:
-        a = pscale(a, pow(a[-1], -1, p), p)
-    return a
-
-
-def pxgcd(a, b, p):
-    """(g, s, t) with s a + t b = g, g monic (or zero)."""
-    r0, r1 = pnorm(a), pnorm(b)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
-        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
-    if r0:
-        lead = pow(r0[-1], -1, p)
-        r0, s0, t0 = pscale(r0, lead, p), pscale(s0, lead, p), pscale(t0, lead, p)
-    return r0, s0, t0
-
-
-def pderiv(a, p):
-    return pnorm([(i * a[i]) % p for i in range(1, len(a))])
-
-
-def peval(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def is_squarefree(f, p) -> bool:
-    return pdeg(pgcd(f, pderiv(f, p), p)) <= 0
-
-
-def monic(f, p):
-    if not f:
-        return f
-    return pscale(f, pow(f[-1], -1, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +55,7 @@ class ExtField:
         x = (0, 1)
         acc = x
         for d in range(1, k + 1):
-            acc = _fppow(acc, p, f, p)
+            acc = ppowmod(acc, p, f, p)
             if d < k and k % d == 0:
                 if psub(acc, x, p) == ():
                     return False
@@ -220,17 +101,6 @@ class ExtField:
         return acc
 
 
-def _fppow(a, e, modpoly, p):
-    out = (1,)
-    base = pmod(a, modpoly, p)
-    while e:
-        if e & 1:
-            out = pmod(pmul(out, base, p), modpoly, p)
-        base = pmod(pmul(base, base, p), modpoly, p)
-        e >>= 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # hyperelliptic models
 # ---------------------------------------------------------------------------
@@ -242,7 +112,7 @@ class HyperellipticModel:
     f: tuple
 
     def __post_init__(self):
-        if self.q % 2 == 0 or not _is_prime(self.q):
+        if self.q % 2 == 0 or not is_prime(self.q):
             raise ValidationError("q must be an odd prime in v1")
         f = pnorm(self.f)
         object.__setattr__(self, "f", f)
@@ -274,7 +144,7 @@ def enumerate_imaginary(q: int, d: int) -> Iterator[HyperellipticModel]:
     twist each), in a fixed deterministic order."""
     if d % 2 == 0:
         raise ValidationError("even degree is the real/inert case; not supported")
-    if q % 2 == 0 or not _is_prime(q):
+    if q % 2 == 0 or not is_prime(q):
         raise ValidationError("q must be an odd prime in v1")
     import itertools
     ns = nonsquare(q)
@@ -394,18 +264,6 @@ class DivisorClass:
 
 def divisor_identity() -> DivisorClass:
     return DivisorClass(u=(1,), v=())
-
-
-def check_divisor(model: HyperellipticModel, d: DivisorClass) -> None:
-    p = model.q
-    if not d.u or d.u[-1] != 1:
-        raise ValidationError("u must be monic")
-    if pdeg(d.u) > model.genus:
-        raise ValidationError("deg u exceeds the genus")
-    if d.v and pdeg(d.v) >= pdeg(d.u):
-        raise ValidationError("deg v must be below deg u")
-    if pmod(psub(pmul(d.v, d.v, p), model.f, p), d.u, p) != ():
-        raise ValidationError("u does not divide v^2 - f")
 
 
 def divclass_add(model: HyperellipticModel, a: DivisorClass,
@@ -555,11 +413,7 @@ def sylow_structure(model: HyperellipticModel, ell: int, seed: int = 0,
     if ell == model.q:
         raise ValidationError("ell must differ from the field characteristic")
     h = jacobian_order(model)
-    e = 0
-    hh = h
-    while hh % ell == 0:
-        hh //= ell
-        e += 1
+    e = valuation(h, ell)
     if e == 0:
         return SylowResult(prime=ell, structure=AbelianStructure(()),
                            certified=True, attempts=0)
@@ -642,8 +496,7 @@ class MomentReport:
 
 
 def empirical_moment(q: int, d_max: int, target_orders: Sequence[int],
-                     mode: str = "plain", seed: int = 0,
-                     sample_floor: int = 10) -> MomentReport:
+                     mode: str = "plain", seed: int = 0) -> MomentReport:
     """Average of #Sur(Cl(K), H) over imaginary models of degree <= d_max.
 
     Gamma-equivariance is automatic for the inversion action on abelian
@@ -662,14 +515,10 @@ def empirical_moment(q: int, d_max: int, target_orders: Sequence[int],
     else:
         if H.order == 1 or any(f % 2 for f in H.factors):
             raise ValidationError("gerth mode expects a nontrivial 2-group")
-        v = 0
-        x = q - 1
-        while x % 2 == 0:
-            x //= 2
-            v += 1
+        v = valuation(q - 1, 2)
         wedge = _wedge_square(H)
         prediction = Fraction(wedge.torsion_count(2 ** (v - 1)))
-    ells = sorted({f for f in _prime_divisors(H.order)})
+    ells = prime_divisors(H.order)
     rows = []
     total_sur = Fraction(0)
     total_weight = Fraction(0)
@@ -726,8 +575,6 @@ def empirical_moment(q: int, d_max: int, target_orders: Sequence[int],
                               sur_sum=int(sur_sum) if mode == "plain" else sur_sum,
                               cumulative_average=avg, prediction=prediction,
                               se_proxy=se))
-    if mode == "gerth" and total_fields < sample_floor:
-        pass  # report carries the sample size; verdicts are the caller's job
     return MomentReport(q=q, target=tuple(target_orders), mode=mode,
                         rows=tuple(rows),
                         weighted_total=total_weight if mode == "gerth" else None)
@@ -749,20 +596,6 @@ def _wedge_square(H: AbelianStructure) -> AbelianStructure:
     return AbelianStructure.from_cyclic_orders(fs)
 
 
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # binary quadratic forms (number-field comparison)
 # ---------------------------------------------------------------------------
@@ -778,7 +611,7 @@ def fundamental_discriminant(d: int) -> int:
     """Fundamental discriminant of Q(sqrt(-d)) for squarefree positive d."""
     if d <= 0:
         raise ValidationError("d must be positive")
-    for p in _prime_divisors(d):
+    for p in prime_divisors(d):
         if d % (p * p) == 0:
             raise ValidationError("d must be squarefree")
     if (-d) % 4 == 1:

@@ -3,8 +3,8 @@ reproducible seeds, and machine-readable reports.
 
 Exit codes: 0 success, 2 capacity, 3 validation, 4 internal invariant
 violation.  Reports are byte-identical for identical (config, seed,
-version) regardless of worker count; wall-clock time is printed to the
-console only, never into the report payload.
+version); wall-clock time is printed to the console only, never into the
+report payload.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from pathlib import Path
 from . import __version__
 from .abelian import AbelianStructure
 from .errors import CapacityError, InternalCheckError, ValidationError
-from .groups import (FiniteGroup, GammaGroup, Subgroup, abelian, alternating4,
-                     cyclic, dicyclic, dihedral, inversion_action,
-                     parse_group_file, symmetric, trivial_action)
+from .groups import (FiniteGroup, GammaGroup, alternating4, cyclic, dicyclic,
+                     dihedral, inversion_action, parse_group_file, symmetric,
+                     trivial_action)
 
 EXIT_OK = 0
 EXIT_CAPACITY = 2
@@ -33,7 +33,7 @@ EXIT_INTERNAL = 4
 
 KNOWN_KEYS = {
     "kind", "group", "c", "g_inf", "n", "n_min", "n_max", "q", "h", "gamma",
-    "gamma_inf", "exponent", "trials", "seed", "workers", "out", "format",
+    "gamma_inf", "exponent", "trials", "seed", "out", "format",
     "dmax", "target", "mode", "suite", "quick", "m_min", "m_max", "tolerance",
     "cache_dir",
 }
@@ -137,7 +137,8 @@ def resolve_gamma_inf(gamma: FiniteGroup, spec: str) -> list:
 
 class Report:
     def __init__(self, config: dict, rows: list, columns: list):
-        self.config = {k: config[k] for k in sorted(config)}
+        # where the cover cache lives does not change the result
+        self.config = {k: config[k] for k in sorted(config) if k != "cache_dir"}
         self.version = __version__
         self.rows = rows
         self.columns = columns
@@ -185,9 +186,8 @@ def run_orbits(cfg: dict) -> Report:
     c = resolve_c(group, cfg.get("c", "all"))
     g_inf = resolve_g_inf(group, cfg.get("g_inf", "auto"), c)
     n = int(cfg["n"])
-    workers = int(cfg.get("workers", 1))
     ctx = build_u(group, c, cache_dir=cfg.get("cache_dir"))
-    orbs = orbits(group, c, g_inf, n, ctx=ctx, workers=workers)
+    orbs = orbits(group, c, g_inf, n, ctx=ctx)
     rows = []
     for i, o in enumerate(orbs):
         rows.append([i, "-".join(str(x) for x in o.representative.entries),
@@ -197,10 +197,6 @@ def run_orbits(cfg: dict) -> Report:
                      ";".join(str(x) for x in o.shape)])
     return Report(cfg, rows, ["orbit", "representative", "size",
                               "invariant_torsion", "invariant_vector", "shape"])
-
-
-def run_invariants(cfg: dict) -> Report:
-    return run_orbits(cfg)
 
 
 def run_frob_count(cfg: dict) -> Report:
@@ -248,8 +244,7 @@ def run_randgrp_sample(cfg: dict) -> Report:
     ginf = resolve_gamma_inf(gamma, cfg.get("gamma_inf", "full"))
     trials = int(cfg["trials"])
     seed = int(cfg["seed"])
-    workers = int(cfg.get("workers", 1))
-    rep = monte_carlo(free, ginf, trials, seed, workers=workers)
+    rep = monte_carlo(free, ginf, trials, seed)
     rows = []
     for label, cnt in sorted(rep.counts.items(), key=lambda kv: str(kv[0])):
         rows.append([json.dumps(label), cnt])
@@ -259,9 +254,12 @@ def run_randgrp_sample(cfg: dict) -> Report:
 def run_randgrp_measure(cfg: dict) -> Report:
     from .randgrp import abelian_exponent_variety, mu_n
     gamma = resolve_group(cfg.get("gamma", "C2"))
+    if gamma.order != 2:
+        raise ValidationError(
+            "randgrp measure takes H with the inversion action, so Gamma "
+            f"must have order 2; got order {gamma.order}")
     spec = abelian_exponent_variety(gamma, int(cfg.get("exponent", 3)))
-    h = resolve_gamma_group(cfg["h"], cfg.get("gamma_action", "inversion")
-                            if "gamma_action" in cfg else "inversion")
+    h = resolve_gamma_group(cfg["h"], "inversion")
     ginf = resolve_gamma_inf(gamma, cfg.get("gamma_inf", "full"))
     rows = []
     for n in range(int(cfg.get("n_min", cfg.get("n", 1))),
@@ -301,6 +299,7 @@ def run_ff_moment(cfg: dict) -> Report:
 
 def run_nf_moment(cfg: dict) -> Report:
     from .arith import nf_class_group
+    from .ntheory import factorize
     dmax = int(cfg["dmax"])
     target = [int(x) for x in str(cfg.get("target", cfg.get("h", "3"))).replace(
         ",", " ").split()]
@@ -310,9 +309,8 @@ def run_nf_moment(cfg: dict) -> Report:
     rows = []
     last_d = None
     for d in range(1, dmax + 1):
-        squarefree = all(d % (p * p) for p in range(2, int(d ** 0.5) + 1))
-        if not squarefree:
-            continue
+        if any(e > 1 for e in factorize(d).values()):
+            continue   # not squarefree
         cg = nf_class_group(d)
         count += 1
         last_d = d
@@ -340,7 +338,7 @@ def run_verify(cfg: dict) -> Report:
 
 KINDS = {
     "orbits": run_orbits,
-    "invariants": run_invariants,
+    "invariants": run_orbits,
     "frob-count": run_frob_count,
     "predict-moment": run_predict_moment,
     "randgrp-sample": run_randgrp_sample,
@@ -391,7 +389,6 @@ def load_config(path: str) -> dict:
 def _add_common(sp):
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", default="csv", choices=["csv", "json"])
-    sp.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,15 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "statistics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("orbits", help="braid orbits with invariants")
-    p.add_argument("--group", required=True)
-    p.add_argument("--c", default="all")
-    p.add_argument("--g-inf", dest="g_inf", default="auto")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cache-dir", dest="cache_dir", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("invariants", help="alias of orbits")
+    p = sub.add_parser("orbits", aliases=["invariants"],
+                       help="braid orbits with invariants")
     p.add_argument("--group", required=True)
     p.add_argument("--c", default="all")
     p.add_argument("--g-inf", dest="g_inf", default="auto")
@@ -509,7 +499,7 @@ def main(argv=None) -> int:
     try:
         if ns.command == "run":
             cfg = load_config(ns.config)
-            for key in ("out", "format", "workers"):
+            for key in ("out", "format"):
                 val = getattr(ns, key, None)
                 if val is not None and key not in cfg:
                     cfg[key] = val

@@ -10,15 +10,15 @@ inverse exponent."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .abelian import AbelianStructure
 from .errors import InternalCheckError, ValidationError
-from .groups import FiniteGroup, GammaGroup, Subgroup, semidirect
-from .homology import UContext, UElement, h2
+from .groups import GammaGroup, Subgroup, semidirect
+from .homology import UContext, h2
 from .hurwitz import LiftingInvariant, _vectors_with_sum
+from .ntheory import is_prime_power
 
 
 @dataclass(frozen=True)
@@ -38,21 +38,10 @@ class FrobeniusParams:
             raise ValidationError(
                 f"q must be 1 mod |G_inf|={self.ginf_order}: otherwise no "
                 "imaginary extensions exist for this congruence class")
-        if not _looks_prime_power(self.q):
+        if not is_prime_power(self.q):
             import warnings
             warnings.warn(f"q={self.q} is not a prime power; the congruence "
                           "formulas still apply but no field has this size")
-
-
-def _looks_prime_power(q: int) -> bool:
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            return q == 1
-        d += 1
-    return True
 
 
 def delta_correction(ctx: UContext, x: int, q: int):

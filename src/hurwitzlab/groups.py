@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ class FiniteGroup:
     Identity is element 0.  `table[a][b]` is the product a*b.
     """
 
-    __slots__ = ("order", "table", "inv", "_np", "_orders", "_hash", "name")
+    __slots__ = ("order", "table", "inv", "_orders", "_hash", "name")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "",
                  _validated: bool = False):
@@ -51,7 +50,6 @@ class FiniteGroup:
             if inv[g] is None:
                 raise ValidationError(f"element {g} has no inverse")
         self.inv = inv
-        self._np = None
         self._orders = None
         self._hash = None
 

@@ -28,6 +28,7 @@ from .groups import FiniteGroup, _small_generating_set
 from .intmat import (howell_form_mod, howell_residue, kernel_basis,
                      quotient_divisors_mod, quotient_with_reps_mod,
                      solve_linear_mod)
+from .ntheory import factorize, is_power_of, prime_divisors, valuation
 
 DEFAULT_H2_DIRECT_CAP = 32
 
@@ -158,12 +159,7 @@ def _d3_generator_chains(group: FiniteGroup):
 
 def sylow_subgroup(group: FiniteGroup, p: int) -> tuple:
     """Members of a Sylow p-subgroup (grown through normalizers)."""
-    v = 0
-    n = group.order
-    while n % p == 0:
-        v += 1
-        n //= p
-    target = p ** v
+    target = p ** valuation(group.order, p)
     members = (0,)
     while len(members) < target:
         mset = set(members)
@@ -171,27 +167,18 @@ def sylow_subgroup(group: FiniteGroup, p: int) -> tuple:
         for g in range(group.order):
             if g in mset:
                 continue
-            og = group.element_order(g)
-            while og % p == 0:
-                og //= p
-            if og != 1:
+            if not is_power_of(group.element_order(g), p):
                 continue
             if not all(group.conj(x, g) in mset for x in members):
                 continue
             cand = group.subgroup_closure(list(members) + [g])
-            if _is_p_order(len(cand), p):
+            if is_power_of(len(cand), p):
                 grown = cand
                 break
         if grown is None:
             raise InternalCheckError("Sylow growth stalled")
         members = grown
     return members
-
-
-def _is_p_order(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def h2(group: FiniteGroup, direct_cap: int = DEFAULT_H2_DIRECT_CAP) -> AbelianStructure:
@@ -210,9 +197,7 @@ def h2(group: FiniteGroup, direct_cap: int = DEFAULT_H2_DIRECT_CAP) -> AbelianSt
         _H2_CACHE[key] = out
         return out
     factors: list[int] = []
-    n = group.order
-    primes = sorted({p for p in _prime_list(n)})
-    for p in primes:
+    for p in prime_divisors(group.order):
         syl = sylow_subgroup(group, p)
         psub, to_parent = group.subgroup_as_group(syl)
         if psub.order > direct_cap:
@@ -271,20 +256,6 @@ def _invariant_subgroup_factors(group, syl, psub, to_parent, pdata):
         lambda a, b: tuple((x + y) % d for x, y, d in zip(a, b, orders)),
         tuple(0 for _ in orders))
     return list(data.structure.factors)
-
-
-def _prime_list(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +497,8 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
     """
     space = _CocycleSpace(group)
     rows = space.constraint_rows()
-    n = group.order
     factors = []
-    for p in _prime_list(n):
-        e = 0
-        nn = n
-        while nn % p == 0:
-            e += 1
-            nn //= p
+    for p, e in factorize(group.order).items():
         m = p ** e
         sol = _solution_space_mod(rows, space.nun, m) if space.nun else []
         sub = space.coboundary_vectors(m) + space.carry_vectors(m)
@@ -541,12 +506,7 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
             continue
         adapted = quotient_with_reps_mod(sol, sub, space.nun, m)
         for d, repv in adapted:
-            a = 0
-            dd = d
-            while dd % p == 0:
-                a += 1
-                dd //= p
-            if dd != 1 or p ** a != d:
+            if not is_power_of(d, p):
                 raise InternalCheckError("non-p-power divisor in p-part")
             scale = m // d
             if scale > 1:

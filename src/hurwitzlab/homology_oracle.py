@@ -11,7 +11,9 @@ Above a direct cap, p-parts come from Sylow subgroups: for a normal abelian
 Sylow the commutator pairing identifies cocycle classes with alternating
 forms, and the invariant forms under conjugation give the p-part.
 
-Shared with the main path are only the generic integer-matrix primitives.
+Shared with the main path are the generic integer-matrix primitives, the
+integer factorisation of `ntheory` and, above the direct cap,
+`homology.sylow_subgroup` and the generator-parametrized cocycle space.
 """
 
 from __future__ import annotations
@@ -25,32 +27,9 @@ from .abelian import AbelianGroupData, AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError
 from .groups import FiniteGroup, _small_generating_set
 from .intmat import kernel_basis, quotient_with_reps_mod
+from .ntheory import factorize, prime_divisors, valuation
 
 ORACLE_DIRECT_CAP = 25
-
-
-def _prime_powers(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, d ** e))
-        d += 1
-    if n > 1:
-        out.append((n, n))
-    return out
-
-
-def _val(p: int, n: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def _echelon_mod(rows: np.ndarray, m: int):
@@ -203,14 +182,15 @@ def oracle_h2(group: FiniteGroup, cap: int = ORACLE_DIRECT_CAP) -> AbelianStruct
     """H2(G, Z) through the cocycle quotient, one prime power at a time."""
     if group.order <= cap:
         factors = []
-        for p, m in _prime_powers(group.order):
+        for p, e in factorize(group.order).items():
+            m = p ** e
             oc = OracleCocycles(group, m)
             divisors, _ = oc.quotient_divisors()
             factors.extend(divisors)
         return AbelianStructure.from_cyclic_orders(factors)
     from .homology import sylow_subgroup
     factors = []
-    for p, m in _prime_powers(group.order):
+    for p in prime_divisors(group.order):
         syl = sylow_subgroup(group, p)
         psub, to_parent = group.subgroup_as_group(syl)
         if psub.order > cap:
@@ -247,7 +227,7 @@ def _pairing_tables(psub: FiniteGroup, m: int):
 
 
 def _invariant_pairing_factors(group, syl, psub, to_parent, p):
-    m = p ** _val(p, psub.order)
+    m = p ** valuation(psub.order, p)
     divisors, tabs = _pairing_tables(psub, m)
     if not divisors:
         return []
@@ -306,7 +286,8 @@ def oracle_h2_reduced(group: FiniteGroup, c,
     if group.order > cap:
         return _reduced_via_parametrized(group, pairs)
     factors = []
-    for p, m in _prime_powers(group.order):
+    for p, e in factorize(group.order).items():
+        m = p ** e
         oc = OracleCocycles(group, m)
         divisors, reps = oc.quotient_divisors()
         if not divisors:
@@ -356,7 +337,8 @@ def _reduced_via_parametrized(group: FiniteGroup, pairs):
     space = _CocycleSpace(group)
     rows = space.constraint_rows()
     factors = []
-    for p, m in _prime_powers(group.order):
+    for p, e in factorize(group.order).items():
+        m = p ** e
         sol = _solution_space_mod(rows, space.nun, m)
         sub = space.coboundary_vectors(m) + space.carry_vectors(m)
         adapted = quotient_with_reps_mod(sol, sub, space.nun, m)

@@ -13,10 +13,7 @@ components of the braid-move graph on canonical forms (union-find).
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import CapacityError, InternalCheckError, ValidationError
@@ -314,16 +311,12 @@ def shape_of_vector(ctx: UContext, v: Sequence[int]) -> tuple:
 
 
 def orbits(group: FiniteGroup, c: Sequence[int], g_inf: int, n: int,
-           ctx: Optional[UContext] = None, workers: int = 1,
+           ctx: Optional[UContext] = None,
            tuple_budget: int = DEFAULT_TUPLE_BUDGET,
            memory_budget: int = DEFAULT_MEMORY_BUDGET,
            verify_invariants: bool = False) -> list[BraidOrbit]:
     """Partition of the Nielsen tuples under braid moves and
-    <g_inf>-conjugation, sorted by lexicographic representative.
-
-    Deterministic for any worker count: neighbor computation is pure and
-    merges happen in fixed chunk order.
-    """
+    <g_inf>-conjugation, sorted by lexicographic representative."""
     cs = validate_c(group, c)
     codec = _TupleCodec(group, cs, g_inf, n)
     canon_index: dict[int, int] = {}
@@ -357,23 +350,9 @@ def orbits(group: FiniteGroup, c: Sequence[int], g_inf: int, n: int,
             else:
                 parent[ra] = rb
 
-    def neighbor_chunk(lo_hi):
-        lo, hi = lo_hi
-        nb = codec.neighbors
-        return [(i, nb(canon_list[i])) for i in range(lo, hi)]
-
-    chunksz = max(1, (m + max(1, workers) - 1) // max(1, workers))
-    ranges = [(lo, min(m, lo + chunksz)) for lo in range(0, m, chunksz)]
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(neighbor_chunk, ranges))
-    else:
-        results = [neighbor_chunk(r) for r in ranges]
-    for chunk in results:
-        for i, nbs in chunk:
-            idx = canon_index
-            for q in nbs:
-                union(i, idx[q])
+    for i, cp in enumerate(canon_list):
+        for q in codec.neighbors(cp):
+            union(i, canon_index[q])
     groups_: dict[int, list[int]] = {}
     for i in range(m):
         groups_.setdefault(find(i), []).append(i)
@@ -463,8 +442,7 @@ def _vectors_with_sum(k: int, total: int, minv: int):
 
 def stable_bijection_report(group: FiniteGroup, ginf_members: Sequence[int],
                             c: Sequence[int], n: int, min_mult: int,
-                            ctx: Optional[UContext] = None,
-                            workers: int = 1) -> StableBijectionReport:
+                            ctx: Optional[UContext] = None) -> StableBijectionReport:
     """Compare orbit invariants against K(G,c)_{n,>=M} for every generator
     of the distinguished cyclic inertia subgroup.  A report, not an
     assertion: failures come back as witness lists."""
@@ -476,7 +454,7 @@ def stable_bijection_report(group: FiniteGroup, ginf_members: Sequence[int],
         ctx = UContext(group, c)
     entries = []
     for g_inf in sub.generators_of_cyclic():
-        orbs = orbits(group, c, g_inf, n, ctx=ctx, workers=workers)
+        orbs = orbits(group, c, g_inf, n, ctx=ctx)
         inv_list = [(o.invariant.h, o.invariant.v) for o in orbs
                     if min(o.invariant.v) >= min_mult]
         kset = [hv for hv in k_set(ctx, n, min_mult)]

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InternalCheckError
+from .ntheory import factorize
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +226,6 @@ def hnf_basis(rows: Iterable[Sequence[int]], ncols: int):
         basis.append(pivs[0])
         mat.remove(pivs[0])
     return basis
-
-
-def in_lattice(basis, v) -> bool:
-    """Membership test against a triangular hnf_basis output."""
-    return coords_in_basis(basis, v) is not None
 
 
 def coords_in_basis(basis, v):
@@ -546,20 +542,8 @@ def divisor_chain(factors: Iterable[int]):
     """
     ppow: dict[int, list[int]] = {}
     for f in factors:
-        f = int(f)
-        if f <= 1:
-            continue
-        d = 2
-        while d * d <= f:
-            if f % d == 0:
-                e = 0
-                while f % d == 0:
-                    f //= d
-                    e += 1
-                ppow.setdefault(d, []).append(d ** e)
-            d += 1
-        if f > 1:
-            ppow.setdefault(f, []).append(f)
+        for p, e in factorize(int(f)).items():
+            ppow.setdefault(p, []).append(p ** e)
     if not ppow:
         return []
     k = max(len(v) for v in ppow.values())

@@ -14,18 +14,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .abelian import AbelianStructure
+from .abelian import AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError, ValidationError
-from .groups import (FiniteGroup, GammaGroup, Subgroup, cyclic,
-                     inversion_action)
+from .groups import FiniteGroup, GammaGroup, Subgroup
 from .intmat import (divisor_chain, howell_form_mod, howell_residue,
                      quotient_divisors_mod, quotient_with_reps_mod,
                      solve_linear_mod)
+from .ntheory import pdivmod, pnorm, ppowmod, prime_divisors
 from .rng import CounterRng, substream
 
 DEFAULT_ORDER_CAP = 3 ** 8
@@ -155,6 +154,7 @@ class FreeAdmissible:
                     mat[nontriv.index(g1)][j] -= 1
             mats.append(mat)
         self._block_mats = mats  # column-action: (M v)_i = sum_j M[i][j] v[j]
+        self.is_inversion = _is_inversion_variety(self)
         # variety constraint: N = intersection of kernels of module maps to
         # each generator target
         self._nhowell = self._variety_kernel()
@@ -184,14 +184,12 @@ class FreeAdmissible:
         """Howell form of N = the joint kernel of all module maps to the
         variety generators; elements of the free object are residues mod N."""
         m = self.m
-        gamma = self.gamma
         rows = []
         for target in self.spec.generators:
-            homs = _module_hom_basis(self, target)
-            for phi in homs:
+            tdata = _TargetData(target)
+            for phi in _module_hom_basis(self, tdata):
                 # phi: list over basis slots of target-element images
                 # kernel rows: one per target coordinate basis
-                tdata = _target_data(target)
                 for ci in range(len(tdata.orders)):
                     d = tdata.orders[ci]
                     row = []
@@ -288,14 +286,8 @@ class FreeAdmissible:
         return self.canonical(acc)
 
 
-def _target_data(target: GammaGroup):
-    from .abelian import structure_of_members
-    return _TargetData(target)
-
-
 class _TargetData:
     def __init__(self, target: GammaGroup):
-        from .abelian import structure_of_members
         data = structure_of_members(target.base, range(target.base.order))
         self.data = data
         self.orders = list(data.basis_orders)
@@ -309,11 +301,10 @@ class _TargetData:
             self.mats.append(cols)
 
 
-def _module_hom_basis(free: FreeAdmissible, target: GammaGroup):
+def _module_hom_basis(free: FreeAdmissible, td: "_TargetData"):
     """Generators of Hom_Gamma(I^n, target) as lists: phi[j] = image coords
     of the j-th free basis vector."""
     m = free.m
-    td = _target_data(target)
     tdim = len(td.orders)
     if tdim == 0:
         return []
@@ -343,7 +334,6 @@ def _module_hom_basis(free: FreeAdmissible, target: GammaGroup):
     homs = []
     for s in sols:
         phi = []
-        ok = True
         for j in range(free.dim):
             co = []
             for ci in range(tdim):
@@ -426,7 +416,7 @@ def quotient_outcome(free: FreeAdmissible, xs) -> SampleOutcome:
     nrows = [list(r) for r in free._nhowell if any(v % m for v in r)]
     divisors = quotient_divisors_mod(rel + nrows, free.dim, m)
     chain = tuple(divisor_chain(divisors))
-    label = ("ab-inv", chain) if _is_inversion_variety(free) else \
+    label = ("ab-inv", chain) if free.is_inversion else \
         ("ab", chain, free.gamma.order)
     return SampleOutcome(label=label, divisors=chain, witnesses=tuple(xs))
 
@@ -435,7 +425,6 @@ def _is_inversion_variety(free: FreeAdmissible) -> bool:
     """Gamma = Z/2 acting by inversion on the module model."""
     if free.gamma.order != 2:
         return False
-    one = [0] * free.dim
     for j in range(free.dim):
         basis = [0] * free.dim
         basis[j] = 1
@@ -478,36 +467,18 @@ class IrreducibleModule:
 
 def _factor_cyclotomic(k: int, p: int):
     """Irreducible monic factors of x^k - 1 over F_p (brute trial division)."""
-    target = [(-1) % p] + [0] * (k - 1) + [1]   # x^k - 1 coefficients
-
-    def polmod(a, b):
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            q = (a[-1] * pow(b[-1], -1, p)) % p
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] = (a[off + i] - q * b[i]) % p
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    rem = target[:]
+    rem = pnorm([(-1) % p] + [0] * (k - 1) + [1])   # x^k - 1
     factors = []
     deg = 1
     while len(rem) > 1:
         found = False
         for coeffs in itertools.product(range(p), repeat=deg):
-            cand = list(coeffs) + [1]
+            cand = coeffs + (1,)
             if len(cand) > len(rem):
                 break
-            if not polmod(rem[:], cand):
-                # divides; do the division
-                quo = _poldiv(rem, cand, p)
-                factors.append(tuple(cand))
+            quo, r = pdivmod(rem, cand, p)
+            if not r:
+                factors.append(cand)
                 rem = quo
                 found = True
                 break
@@ -518,62 +489,11 @@ def _factor_cyclotomic(k: int, p: int):
     return factors
 
 
-def _poldiv(a, b, p):
-    a = a[:]
-    out = [0] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = (a[-1] * pow(b[-1], -1, p)) % p
-        off = len(a) - len(b)
-        out[off] = q
-        for i in range(len(b)):
-            a[off + i] = (a[off + i] - q * b[i]) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    if a:
-        raise InternalCheckError("inexact polynomial division")
-    return out
-
-
-def _polpow_mod(base_deg_shift, f, p, e):
-    """x^e mod f over F_p."""
-    # base = x
-    r = [0, 1]
-    if len(f) == 2:
-        r = [(-f[0]) % p]
-
-    def mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        # reduce mod f
-        while len(out) >= len(f):
-            if out[-1] == 0:
-                out.pop()
-                continue
-            q = (out[-1] * pow(f[-1], -1, p)) % p
-            off = len(out) - len(f)
-            for i in range(len(f)):
-                out[off + i] = (out[off + i] - q * f[i]) % p
-            out.pop()
-        return out or [0]
-
-    result = [1]
-    base = [0, 1]
-    while len(base) >= len(f):
-        base = mul(base, [1])
-    k = e
-    while k:
-        if k & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        k >>= 1
-    return result
+def _inv_ginf(f: tuple, p: int, s: int) -> int:
+    """|A^{Gamma_inf}| for A = F_p[x]/(f) with the cyclic generator acting
+    as x and Gamma_inf = <generator^s>: A is a field, so either x^s = 1 and
+    every vector is fixed, or only 0 is."""
+    return p ** (len(f) - 1) if ppowmod((0, 1), s, f, p) == (1,) else 1
 
 
 def irreducible_modules_cyclic(gamma: FiniteGroup,
@@ -595,13 +515,9 @@ def irreducible_modules_cyclic(gamma: FiniteGroup,
         order = p ** deg
         # A^Gamma is nonzero exactly for the trivial module, f = x - 1
         inv_gamma = p if (deg == 1 and f[0] == (p - 1) % p) else 1
-        if len(sub) == 1:
-            inv_ginf = order
-        else:
-            xs = _polpow_mod(None, list(f), p, s)
-            inv_ginf = order if xs == [1] else 1
-        out.append(IrreducibleModule(p=p, poly=tuple(f), order=order,
-                                     inv_gamma=inv_gamma, inv_ginf=inv_ginf,
+        out.append(IrreducibleModule(p=p, poly=f, order=order,
+                                     inv_gamma=inv_gamma,
+                                     inv_ginf=_inv_ginf(f, p, s),
                                      end_size=p ** deg))
     return out
 
@@ -650,7 +566,6 @@ def _surjection_tuples(h: GammaGroup, n: int, want: int):
     maxima = [set(s) for s in h.maximal_proper_stable_subgroups()]
     ys = [h.y_map(g) for g in range(order)]
     for tup in itertools.product(range(order), repeat=n):
-        cover = set(range(len(maxima)))
         allys = set()
         for g in tup:
             allys.update(ys[g])
@@ -664,7 +579,7 @@ def _surjection_tuples(h: GammaGroup, n: int, want: int):
 
 def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup):
     m = free.m
-    td = _target_data(h)
+    td = _TargetData(h)
     tdim = len(td.orders)
     gamma = free.gamma
     nontriv = [ge for ge in range(gamma.order) if ge != 0]
@@ -689,7 +604,7 @@ def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup):
         # works modulo N, so add N to the span
         rgens = rgens + nrows
     out = []
-    for p in _primes_of(m):
+    for p in prime_divisors(m):
         radical = [[(x * p) % m for x in g] for g in rgens]
         reps = quotient_with_reps_mod(rgens, radical + nrows, free.dim, m)
         basis = [v for d, v in reps]
@@ -792,20 +707,6 @@ def _nullity(mat, p, dim):
     return dim - rank
 
 
-def _primes_of(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def mu_n(h: GammaGroup, spec: VarietySpec, gamma_inf_members: Sequence[int],
          n: int) -> Fraction:
     """Exact probability that the level-n random group is isomorphic to H."""
@@ -822,21 +723,10 @@ def mu_n(h: GammaGroup, spec: VarietySpec, gamma_inf_members: Sequence[int],
     sub = Subgroup(h.gamma, tuple(gamma_inf_members))
     s = h.gamma.order // max(1, len(sub))
     for mod, mult in kernel_decomposition(n, h, spec):
-        data = _with_ginf(mod, h.gamma, s, len(sub))
-        prod *= prob_module_formula(data.order, data.inv_gamma, data.inv_ginf,
-                                    data.end_size, mult, n)
+        prod *= prob_module_formula(mod.order, mod.inv_gamma,
+                                    _inv_ginf(mod.poly, mod.p, s),
+                                    mod.end_size, mult, n)
     return lead * prod
-
-
-def _with_ginf(mod: IrreducibleModule, gamma, s: int, ginf_order: int):
-    if ginf_order == 1:
-        inv_ginf = mod.order
-    else:
-        xs = _polpow_mod(None, list(mod.poly), mod.p, s)
-        inv_ginf = mod.order if xs == [1] else 1
-    return IrreducibleModule(p=mod.p, poly=mod.poly, order=mod.order,
-                             inv_gamma=mod.inv_gamma, inv_ginf=inv_ginf,
-                             end_size=mod.end_size)
 
 
 @dataclass(frozen=True)
@@ -917,55 +807,27 @@ class MonteCarloReport:
 
 
 def monte_carlo(free: FreeAdmissible, gamma_inf_members: Sequence[int],
-                trials: int, seed: int, track: Sequence[AbelianStructure] = (),
-                workers: int = 1) -> MonteCarloReport:
-    """Seeded i.i.d. sampling of the random group with per-trial substreams;
-    deterministic for any worker count."""
+                trials: int, seed: int,
+                track: Sequence[AbelianStructure] = ()) -> MonteCarloReport:
+    """Seeded i.i.d. sampling of the random group with per-trial substreams."""
     if trials < 1:
         raise ValidationError("trials must be positive")
-    if not _is_inversion_variety(free):
-        track = list(track)
-        if track:
-            raise CapacityError(
-                "surjection tracking implemented for the inversion action")
+    if track and not free.is_inversion:
+        raise CapacityError(
+            "surjection tracking implemented for the inversion action")
     tracked = [t if isinstance(t, AbelianStructure) else
                AbelianStructure.from_cyclic_orders(t) for t in track]
-
-    def run_range(lo_hi):
-        lo, hi = lo_hi
-        counts: dict = {}
-        sur: dict = {}
-        for t in tracked:
-            sur[t.chain] = [0, 0.0]
-        for trial in range(lo, hi):
-            rng = substream(seed, trial)
-            outcome = sample_x(free, gamma_inf_members, rng)
-            counts[outcome.label] = counts.get(outcome.label, 0) + 1
-            xs = AbelianStructure.from_cyclic_orders(outcome.divisors)
-            for t in tracked:
-                cnt = xs.sur_count(t)
-                rec = sur[t.chain]
-                rec[0] += cnt
-                rec[1] += float(cnt) ** 2
-        return counts, sur
-
-    chunks = []
-    step = max(1, (trials + max(1, workers) - 1) // max(1, workers))
-    for lo in range(0, trials, step):
-        chunks.append((lo, min(trials, lo + step)))
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_range, chunks))
-    else:
-        parts = [run_range(ch) for ch in chunks]
     counts: dict = {}
-    sur_tot: dict = {t.chain: [0, 0.0] for t in tracked}
-    for c, s in parts:
-        for k, v in c.items():
-            counts[k] = counts.get(k, 0) + v
-        for k, v in s.items():
-            sur_tot[k][0] += v[0]
-            sur_tot[k][1] += v[1]
+    sur = {t.chain: [0, 0.0] for t in tracked}
+    for trial in range(trials):
+        outcome = sample_x(free, gamma_inf_members, substream(seed, trial))
+        counts[outcome.label] = counts.get(outcome.label, 0) + 1
+        xs = AbelianStructure.from_cyclic_orders(outcome.divisors)
+        for t in tracked:
+            cnt = xs.sur_count(t)
+            rec = sur[t.chain]
+            rec[0] += cnt
+            rec[1] += float(cnt) ** 2
     return MonteCarloReport(trials=trials, seed=seed, counts=counts,
-                            sur_totals={k: (v[0], v[1]) for k, v in sur_tot.items()},
+                            sur_totals={k: (v[0], v[1]) for k, v in sur.items()},
                             n=free.n)

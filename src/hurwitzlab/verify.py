@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from .abelian import AbelianStructure
 from .errors import HurwitzLabError
-from .groups import (FiniteGroup, GammaGroup, abelian, cyclic, dihedral,
-                     groups_up_to_16, inversion_action, semidirect, symmetric,
-                     trivial_group)
+from .groups import (abelian, cyclic, dihedral, groups_up_to_16,
+                     inversion_action, semidirect, symmetric, trivial_group)
 
 
 @dataclass
@@ -306,7 +305,7 @@ def suite_prediction_consistency(quick: bool = False) -> list:
 
 def suite_jacobian_groundtruth(quick: bool = False) -> list:
     from .arith import (HyperellipticModel, divclass_add, divclass_mul,
-                        divclass_neg, divisor_identity,
+                        divisor_identity,
                         enumerate_divisor_classes, enumerate_imaginary,
                         jacobian_order, random_divisor)
     from .rng import substream
@@ -368,7 +367,9 @@ def suite_ff_moment(quick: bool = False) -> list:
     _emit(results, "ff-moment",
           f"q=3 H=Z/5 deg<= {dmax}: cumulative average in [0.5, 1.5]",
           Fraction(1, 2) <= avg <= Fraction(3, 2),
-          f"average={float(avg):.4f} prediction=1 ({time.time()-t0:.0f}s)")
+          f"average={float(avg):.4f} prediction=1")
+    print(f"# ff-moment: deg <= {dmax} took {time.time() - t0:.0f}s",
+          file=sys.stderr)
     cfg = {"kind": "arith-ff-moment", "q": 3, "dmax": 3, "target": "5",
            "seed": 1}
     from .cli import run_config
@@ -386,7 +387,6 @@ def suite_ff_moment(quick: bool = False) -> list:
 
 def suite_bridge(quick: bool = False) -> list:
     from .frob import sur_hur_bridge
-    from .groups import GammaGroup
     from .rng import substream
     results = []
     z3 = inversion_action(cyclic(3))

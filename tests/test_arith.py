@@ -10,7 +10,7 @@ from hurwitzlab.arith import (DivisorClass, HyperellipticModel,
                               empirical_moment, enumerate_divisor_classes,
                               enumerate_imaginary, fundamental_discriminant,
                               is_squarefree, jacobian_order, l_polynomial,
-                              nf_class_group, nonsquare, pgcd, pmul, pxgcd,
+                              nf_class_group, nonsquare, pmul, pxgcd,
                               random_divisor, reduced_forms, sylow_structure)
 from hurwitzlab.errors import ValidationError
 from hurwitzlab.rng import substream

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -86,11 +87,37 @@ def test_report_reproducible():
     assert r1.fingerprint == r2.fingerprint
     assert r1.to_csv() == r2.to_csv()
     assert r1.to_json() == r2.to_json()
-    cfg2 = dict(cfg)
-    cfg2["workers"] = 3
-    r3 = run_config(cfg2)
-    # rows identical for any worker count (config echo differs)
-    assert r3.rows == r1.rows
+    # the worker-count option is gone: the key is unknown now
+    with pytest.raises(ValidationError):
+        run_config(dict(cfg, workers=3))
+
+
+def test_workers_config_key_exits_3(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text("kind = randgrp-moment\nh = C3\nn = 1\nworkers = 2\n")
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+
+
+def test_cache_dir_outside_fingerprint(tmp_path, capsys):
+    argv = ["orbits", "--group", "S3", "--c", "involutions", "--n", "4",
+            "--format", "json"]
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    prints = []
+    # without the cache, then building it, then loading from it
+    for k, extra in enumerate(([], cache, cache)):
+        out = tmp_path / f"r{k}.json"
+        assert main(argv + extra + ["--out", str(out)]) == EXIT_OK
+        data = json.loads(out.read_text())
+        assert "cache_dir" not in data["config"]
+        prints.append(data["fingerprint"])
+    assert len(set(prints)) == 1
+
+
+def test_randgrp_measure_needs_gamma_of_order_2(capsys):
+    assert main(["randgrp", "measure", "--gamma", "C3", "--h", "C7",
+                 "--n-min", "1", "--n-max", "1"]) == EXIT_VALIDATION
+    assert main(["randgrp", "measure", "--gamma", "C2", "--h", "C7",
+                 "--n-min", "1", "--n-max", "1"]) == EXIT_OK
 
 
 def test_run_config_cli(tmp_path):
@@ -119,3 +146,13 @@ def test_arith_ff_moment_cli(tmp_path):
                          "prediction,se_proxy")
     # 36 imaginary models of degree 3 over F_3, average 2/3 against 1
     assert lines[header + 1].startswith("3,36,0,24,2/3,1/1,")
+
+
+def test_verify_ff_moment_detail_has_no_run_time(capsys):
+    # the detail is part of the fingerprinted report, so the run time, which
+    # changes from run to run, goes to stderr instead
+    from hurwitzlab.verify import suite_ff_moment
+    first = suite_ff_moment(quick=True)[0]
+    assert first.passed
+    assert re.fullmatch(r"average=\d+\.\d{4} prediction=1", first.detail)
+    assert "took" in capsys.readouterr().err

@@ -1,0 +1,54 @@
+"""Golden report fingerprints: one quick CLI run per experiment kind.
+
+The fingerprint hashes the config echo, the code version, the columns and
+every row, so a match means the whole report is byte-identical.  The
+expected values were recorded with `run_config` on the same configs before
+the `workers` option was removed; a change that moves any exact result, or
+what the config echo holds, moves one of them."""
+import json
+
+import pytest
+
+from hurwitzlab.cli import EXIT_OK, main
+
+GOLDEN = [
+    (["orbits", "--group", "S3", "--c", "involutions", "--n", "4"],
+     "53693e477ecefa07af141ad43499b1701cc72f7d0642c7fe82133a6f7ba65d12"),
+    (["invariants", "--group", "S3", "--c", "involutions", "--n", "4"],
+     "c16229d57574ba7f98f16df2ce3e716bba0574299fa4624d3ed65d01736578b1"),
+    (["orbits", "--group", "D5", "--c", "all", "--g-inf", "involution",
+      "--n", "5"],
+     "848d970ba4b65ee9a30344538cf96bf03288ea23736fcb0a10dec6376df76f62"),
+    (["frob-count", "--group", "D5", "--c", "involutions", "--q", "3",
+      "--n-min", "2", "--n-max", "6"],
+     "a61768c6358a1fbf99df159267f1e7e4cabc3457bdaa01fc85abdc6f247de5ef"),
+    (["predict-moment", "--h", "C3", "--q", "7"],
+     "f561974e63906ca821ebb294315ebe99d5d77a537b5f9a557d6835b3ccf4b297"),
+    (["randgrp", "sample", "--n", "4", "--trials", "500", "--seed", "9"],
+     "d360a826518eb33e21c7ea37db17a9d757d158adeef890222d3d2337080ce8a1"),
+    (["randgrp", "measure", "--h", "C3xC3", "--gamma-inf", "trivial",
+      "--n-min", "1", "--n-max", "3"],
+     "9f7c7eda368b32dabe1c7134ee523fb047bcf61b5d2df464b0c01b71bca28877"),
+    (["randgrp", "moment", "--h", "C3", "--n-min", "1", "--n-max", "3"],
+     "de0b3cdd3807479e5cc78cadedb86784ebe09ca216d06cfa679f0430ce54d30e"),
+    (["arith", "ff-moment", "--q", "3", "--dmax", "5", "--H", "5",
+      "--seed", "1"],
+     "f742e8fb188d27b8295008aa8065e2f838a7460eb96385af0aba9522b7f12189"),
+    (["arith", "nf-moment", "--dmax", "300", "--H", "3"],
+     "d8fd02c620adba68238b7d4b2413a689127bc359c76dccd27628583ff9e4b97a"),
+    (["verify", "bridge"],
+     "a48c9e3eb63fe93d1ffa06455639dab1ef214a7252057818ae4aba42f93f492b"),
+]
+
+
+def _fingerprint(argv, path) -> str:
+    assert main(argv + ["--out", str(path), "--format", "json"]) == EXIT_OK
+    return json.loads(path.read_text())["fingerprint"]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN,
+                         ids=["-".join(w for w in a[:2] if w[0] != "-")
+                              for a, _ in GOLDEN])
+def test_golden_fingerprint(argv, expected, tmp_path, capsys):
+    assert _fingerprint(argv, tmp_path / "report.json") == expected
+

