@@ -16,8 +16,9 @@ commutator subgroup, and have the full multiplier size.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
-import pickle
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 from .abelian import AbelianGroupData, AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .groups import FiniteGroup, _small_generating_set
-from .intmat import (howell_form_mod, howell_residue, kernel_basis,
+from .intmat import (howell_form_mod, howell_residue, kernel_basis, kernel_mod,
                      quotient_divisors_mod, quotient_with_reps_mod,
                      solve_linear_mod)
 from .ntheory import factorize, is_power_of, prime_divisors, valuation
@@ -70,13 +71,14 @@ class BarH2Data:
         self._n = n
         if not functorial:
             return
+        self._howell = howell_form_mod(gen_coords, kdim, N)
+        # the Howell rows span what gen_coords spans, in at most kdim rows
         reps = quotient_with_reps_mod(
             [[int(i == j) for j in range(kdim)] for i in range(kdim)],
-            gen_coords, kdim, N)
+            self._howell, kdim, N)
         if AbelianStructure.from_cyclic_orders([d for d, _ in reps]) != self.structure:
             raise InternalCheckError("adapted representatives disagree with divisors")
         self._coord = coord
-        self._howell = howell_form_mod(gen_coords, kdim, N)
         self._N = N
         self._kdim = kdim
         self.orders = [d for d, _ in reps]
@@ -383,24 +385,6 @@ class _CocycleSpace:
         return tab
 
 
-def _solution_space_mod(rows, nun: int, m: int):
-    """Generators of {x in (Z/m)^nun : rows @ x = 0 mod m}."""
-    H = howell_form_mod(rows, nun, m) if rows else None
-    eq = [r for r in (H or []) if any(x % m for x in r)]
-    nr = len(eq)
-    if nr == 0:
-        return [[int(i == j) for j in range(nun)] for i in range(nun)]
-    mat = [list(r) + [m if i == j else 0 for j in range(nr)]
-           for i, r in enumerate(eq)]
-    basis, _, _ = kernel_basis(mat, nun + nr)
-    gens = []
-    for v in basis:
-        x = [a % m for a in v[:nun]]
-        if any(x):
-            gens.append(x)
-    return gens
-
-
 @dataclass
 class CentralExtension:
     """A central extension S -> G with identified abelian kernel."""
@@ -500,25 +484,24 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
     factors = []
     for p, e in factorize(group.order).items():
         m = p ** e
-        sol = _solution_space_mod(rows, space.nun, m) if space.nun else []
-        sub = space.coboundary_vectors(m) + space.carry_vectors(m)
         if not space.nun:
             continue
+        sol = kernel_mod(rows, space.nun, m)
+        sub = space.coboundary_vectors(m) + space.carry_vectors(m)
         adapted = quotient_with_reps_mod(sol, sub, space.nun, m)
         for d, repv in adapted:
             if not is_power_of(d, p):
                 raise InternalCheckError("non-p-power divisor in p-part")
             scale = m // d
             if scale > 1:
-                basvecs = space.coboundary_vectors(m) + space.carry_vectors(m)
-                eq_rows = [[bas[j] % scale for bas in basvecs]
+                eq_rows = [[bas[j] % scale for bas in sub]
                            for j in range(space.nun)]
                 rhs = [(-repv[j]) % scale for j in range(space.nun)]
-                x = solve_linear_mod(eq_rows, rhs, len(basvecs), scale)
+                x = solve_linear_mod(eq_rows, rhs, len(sub), scale)
                 if x is None:
                     raise InternalCheckError("cocycle scaling solve failed")
                 vfull = list(repv)
-                for coef, bas in zip(x, basvecs):
+                for coef, bas in zip(x, sub):
                     if coef:
                         for j in range(space.nun):
                             vfull[j] += coef * bas[j]
@@ -528,7 +511,12 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
             if any(v % scale for v in vfull):
                 raise InternalCheckError("representative not divisible for scaling")
             w = [(v // scale) % d for v in vfull]
-            factors.append((d, space.full_table(w, d)))
+            # the Howell residue of w modulo coboundaries and carries: one
+            # fixed member of the coset, not the engine's (for C3xC3 that
+            # is the exponent-3 Heisenberg cover, not the exponent-9 one)
+            H = howell_form_mod(space.coboundary_vectors(d)
+                                + space.carry_vectors(d), space.nun, d)
+            factors.append((d, space.full_table(howell_residue(H, w, d), d)))
     expected = h2(group)
     ext = _extension_from_factors(group, factors)
     if ext.kernel_structure != expected:
@@ -822,7 +810,10 @@ class UElement:
 
 def build_u(group: FiniteGroup, c: Sequence[int],
             cache_dir: Optional[str] = None) -> UContext:
-    """Build (or load from the binary cache) the UContext for (G, c)."""
+    """Build (or load from the JSON cache) the UContext for (G, c).
+
+    A cache file that cannot be decoded, does not validate, or holds
+    another (G, c) is rebuilt and overwritten, never trusted."""
     if cache_dir is None:
         return UContext(group, c)
     cdir = Path(cache_dir)
@@ -836,46 +827,54 @@ def build_u(group: FiniteGroup, c: Sequence[int],
             ctx = load_ucontext(path)
             if ctx.group.table == group.table and ctx.c == tuple(sorted(set(c))):
                 return ctx
-        except (ValidationError, InternalCheckError, EOFError):
+        except (ValidationError, InternalCheckError):
             pass
     ctx = UContext(group, c)
     save_ucontext(ctx, path)
     return ctx
 
 
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 def save_ucontext(ctx: UContext, path) -> None:
+    """Write the cover and lifts as JSON, atomically (write, then rename)."""
     payload = {
         "version": _CACHE_VERSION,
         "group_table": ctx.group.table,
         "group_name": ctx.group.name,
-        "c": ctx.c,
+        "c": list(ctx.c),
         "sc_table": ctx.sc.total.table,
-        "sc_proj": ctx.sc.proj,
-        "sc_kernel": ctx.sc.kernel_members,
-        "lifts": ctx.lifts,
+        "sc_proj": list(ctx.sc.proj),
+        "sc_kernel": list(ctx.sc.kernel_members),
+        "lifts": sorted(ctx.lifts.items()),
     }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(payload))
+    os.replace(tmp, path)
 
 
 def load_ucontext(path) -> UContext:
     """Rebuild a UContext from the serialized cover, skipping cover
-    construction; integrity checks still run."""
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("version") != _CACHE_VERSION:
-        raise ValidationError("unsupported ucontext cache version")
-    group = FiniteGroup(payload["group_table"], name=payload.get("group_name", ""),
-                        _validated=True)
-    total = FiniteGroup(payload["sc_table"], name="cached-cover", _validated=True)
-    kernel_members = tuple(payload["sc_kernel"])
-    data = structure_of_members(total, kernel_members)
-    sc = CentralExtension(
-        total=total, proj=tuple(payload["sc_proj"]),
-        kernel_members=kernel_members, kernel_structure=data.structure,
-        kernel_coords=dict(data.coords),
-        kernel_from_coords={v: k for k, v in data.coords.items()})
-    return UContext._from_parts(group, payload["c"], sc, dict(payload["lifts"]))
+    construction.  Both tables are validated as groups, the cover is
+    verified as a stem central extension and the lifts by UContext; a
+    file that fails to decode or to validate raises ValidationError or
+    InternalCheckError."""
+    try:
+        payload = json.loads(Path(path).read_bytes())
+        if payload["version"] != _CACHE_VERSION:
+            raise ValidationError("unsupported ucontext cache version")
+        group = FiniteGroup(payload["group_table"], name=str(payload["group_name"]))
+        total = FiniteGroup(payload["sc_table"], name="cached-cover")
+        kernel_members = tuple(int(x) for x in payload["sc_kernel"])
+        data = structure_of_members(total, kernel_members)
+        sc = CentralExtension(
+            total=total, proj=tuple(int(x) for x in payload["sc_proj"]),
+            kernel_members=kernel_members, kernel_structure=data.structure,
+            kernel_coords=dict(data.coords),
+            kernel_from_coords={v: k for k, v in data.coords.items()})
+        sc.verify(group, stem=True)
+        lifts = {int(x): int(y) for x, y in payload["lifts"]}
+        return UContext._from_parts(group, payload["c"], sc, lifts)
+    except (ValueError, TypeError, KeyError, IndexError) as e:
+        raise ValidationError(f"unusable ucontext cache: {e!r}") from e

@@ -11,9 +11,13 @@ Above a direct cap, p-parts come from Sylow subgroups: for a normal abelian
 Sylow the commutator pairing identifies cocycle classes with alternating
 forms, and the invariant forms under conjugation give the p-part.
 
-Shared with the main path are the generic integer-matrix primitives, the
-integer factorisation of `ntheory` and, above the direct cap,
-`homology.sylow_subgroup` and the generator-parametrized cocycle space.
+Shared with the main path are `intmat.kernel_basis`, the integer
+factorisation of `ntheory` and, above the direct cap,
+`homology.sylow_subgroup` and the generator-parametrized cocycle space
+(its rows, not their elimination).  The mod-m echelon, the solution
+spaces and the quotient with adapted representatives (a pure-Python Smith
+form over Z) are the oracle's own, so criterion 2 shares no mod-m
+elimination with `h2`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .abelian import AbelianGroupData, AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError
 from .groups import FiniteGroup, _small_generating_set
-from .intmat import kernel_basis, quotient_with_reps_mod
+from .intmat import kernel_basis
 from .ntheory import factorize, prime_divisors, valuation
 
 ORACLE_DIRECT_CAP = 25
@@ -106,6 +110,179 @@ def _solution_gens(echelon_rows, dim: int, m: int):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the quotient reference: exact over Z, pure Python
+# ---------------------------------------------------------------------------
+
+def _smith_normal_form(rows, ncols: int):
+    """Smith normal form of an integer matrix given as a list of rows.
+
+    Returns (diag, vinv) where diag is the list of diagonal entries
+    (nonnegative, divisibility chain d1 | d2 | ...) and vinv = V^{-1} for
+    the column transform V in U A V = D.  Row i of vinv generates the i-th
+    cyclic factor of Z^ncols / rowspan(A).
+    """
+    A = [list(map(int, r)) for r in rows]
+    nr = len(A)
+    vinv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    r = c = 0
+    diag: list[int] = []
+    while r < nr and c < ncols:
+        best = None
+        bv = 0
+        for i in range(r, nr):
+            row = A[i]
+            for j in range(c, ncols):
+                v = row[j]
+                if v and (best is None or abs(v) < bv):
+                    best = (i, j)
+                    bv = abs(v)
+                    if bv == 1:
+                        break
+            if bv == 1 and best is not None:
+                break
+        if best is None:
+            break
+        bi, bj = best
+        A[r], A[bi] = A[bi], A[r]
+        if bj != c:
+            for row in A:
+                row[c], row[bj] = row[bj], row[c]
+            vinv[c], vinv[bj] = vinv[bj], vinv[c]
+        clean = True
+        p = A[r][c]
+        for i in range(nr):
+            if i != r and A[i][c]:
+                q = A[i][c] // p
+                if q:
+                    ri_, rr_ = A[i], A[r]
+                    for j in range(c, ncols):
+                        ri_[j] -= q * rr_[j]
+                if A[i][c]:
+                    clean = False
+        for j in range(c + 1, ncols):
+            if A[r][j]:
+                q = A[r][j] // p
+                if q:
+                    for i in range(nr):
+                        A[i][j] -= q * A[i][c]
+                    vc, vj = vinv[c], vinv[j]
+                    for k in range(ncols):
+                        vc[k] += q * vj[k]
+                if A[r][j]:
+                    clean = False
+        if not clean:
+            continue
+        bad = None
+        for i in range(r + 1, nr):
+            row = A[i]
+            for j in range(c + 1, ncols):
+                if row[j] % p:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            rr_, rb_ = A[r], A[bad]
+            for j in range(ncols):
+                rr_[j] += rb_[j]
+            continue
+        diag.append(abs(p))
+        r += 1
+        c += 1
+    return diag, vinv
+
+
+def _hnf_basis(rows, ncols: int):
+    """Triangular basis of the (full-rank) lattice spanned by the given rows.
+
+    Row-style Hermite form: basis[c] has its first nonzero entry at column c.
+    Raises InternalCheckError if the lattice is not full rank.
+    """
+    mat = [list(map(int, r)) for r in rows if any(r)]
+    basis = []
+    for c in range(ncols):
+        while True:
+            cand = [r for r in mat if r[c] != 0 and all(r[j] == 0 for j in range(c))]
+            if not cand:
+                break
+            cand.sort(key=lambda r: abs(r[c]))
+            piv = cand[0]
+            done = True
+            for r in cand[1:]:
+                q = r[c] // piv[c]
+                if q:
+                    for j in range(c, ncols):
+                        r[j] -= q * piv[j]
+                if r[c]:
+                    done = False
+            if done:
+                mat = [r for r in mat if any(r)]
+                break
+        pivs = [r for r in mat if r[c] != 0 and all(r[j] == 0 for j in range(c))]
+        if not pivs:
+            raise InternalCheckError("lattice not full rank at column %d" % c)
+        basis.append(pivs[0])
+        mat.remove(pivs[0])
+    return basis
+
+
+def _coords_in_basis(basis, v):
+    """x with x @ basis = v for triangular basis rows, or None if v is outside."""
+    n = len(basis)
+    v = list(map(int, v))
+    x = [0] * n
+    for c in range(n):
+        if v[c]:
+            if v[c] % basis[c][c]:
+                return None
+            q = v[c] // basis[c][c]
+            x[c] = q
+            brow = basis[c]
+            for j in range(c, n):
+                v[j] -= q * brow[j]
+    if any(v):
+        return None
+    return x
+
+
+def _quotient_with_reps(sol_gens, sub_gens, dim: int, m: int):
+    """Adapted generators of (span(sol)+mZ^dim)/(span(sub)+mZ^dim).
+
+    Requires span(sub) + mZ^dim to be contained in span(sol) + mZ^dim.
+    Returns a list of (order, representative_vector) with order > 1 and the
+    cyclic subgroups generated by the representatives summing directly.
+    """
+    L1rows = [list(map(int, g)) for g in sol_gens]
+    L1rows += [[m if i == j else 0 for j in range(dim)] for i in range(dim)]
+    B1 = _hnf_basis(L1rows, dim)
+    sub_rows = [list(map(int, g)) for g in sub_gens]
+    sub_rows += [[m if i == j else 0 for j in range(dim)] for i in range(dim)]
+    coords = []
+    for v in sub_rows:
+        x = _coords_in_basis(B1, v)
+        if x is None:
+            raise InternalCheckError("relation vector outside the ambient lattice")
+        coords.append(x)
+    diag, vinv = _smith_normal_form(coords, dim)
+    out = []
+    for i in range(dim):
+        d = diag[i] if i < len(diag) else 0
+        dd = math.gcd(d, m) if d else m
+        if dd == 1:
+            continue
+        rowv = vinv[i]
+        amb = [0] * dim
+        for r2 in range(dim):
+            cr = rowv[r2]
+            if cr:
+                brow = B1[r2]
+                for j in range(dim):
+                    amb[j] += cr * brow[j]
+        out.append((dd, [a % m for a in amb]))
+    return out
+
+
 class OracleCocycles:
     """Full-pair cocycle data of G mod m = p^e."""
 
@@ -174,7 +351,7 @@ class OracleCocycles:
         return out
 
     def quotient_divisors(self):
-        reps = quotient_with_reps_mod(self.sol, self.sub, self.dim, self.m)
+        reps = _quotient_with_reps(self.sol, self.sub, self.dim, self.m)
         return [d for d, _ in reps], [v for _, v in reps]
 
 
@@ -326,22 +503,22 @@ def _pairing_annihilator(rows, divisors, m):
     L = 1
     for d in divisors:
         L = math.lcm(L, d)
-    reps = quotient_with_reps_mod(gens, lat, k, L)
+    reps = _quotient_with_reps(gens, lat, k, L)
     return [d for d, _ in reps]
 
 
 def _reduced_via_parametrized(group: FiniteGroup, pairs):
     """Pairing annihilator computed on the generator-parametrized cocycle
     space (used above the full-pair cap)."""
-    from .homology import _CocycleSpace, _solution_space_mod
+    from .homology import _CocycleSpace
     space = _CocycleSpace(group)
-    rows = space.constraint_rows()
+    rows = np.array(space.constraint_rows(), dtype=np.int64).reshape(-1, space.nun)
     factors = []
     for p, e in factorize(group.order).items():
         m = p ** e
-        sol = _solution_space_mod(rows, space.nun, m)
+        sol = _solution_gens(_echelon_mod(rows, m), space.nun, m)
         sub = space.coboundary_vectors(m) + space.carry_vectors(m)
-        adapted = quotient_with_reps_mod(sol, sub, space.nun, m)
+        adapted = _quotient_with_reps(sol, sub, space.nun, m)
         divisors = [d for d, _ in adapted]
         if not divisors:
             continue

@@ -1,16 +1,28 @@
-"""Exact integer matrix machinery: Smith normal form, lattice kernels,
-Hermite-style bases, and quotient structure computations.
+"""Exact integer matrix machinery for lattices that contain m*Z^d.
 
-Everything here is exact. The mod-m variants exploit that the lattices in
-question contain m*Z^d, so entries can be reduced mod m after every
-elementary operation without changing the quotient; this keeps coefficients
-bounded and lets the hot path run on int64 numpy arrays.
+Every lattice on the main path contains m*Z^d for a known m: bar-complex
+cycles modulo boundaries (m = |G|), cocycles modulo coboundaries
+(m = p^e) and free Gamma-modules modulo relations (m = the exponent).  Such
+a lattice is worked as a submodule of (Z/m)^d: reducing an entry modulo m
+is an elementary operation against m*Z^d, so it leaves the quotient alone,
+keeps the entries bounded, and lets the work run on int64 numpy arrays.
+
+One engine, `_smith_mod`, brings a matrix to Smith form modulo m and can
+track the transforms (Storjohann and Mulders, "Fast algorithms for linear
+algebra modulo N", ESA 1998).  Quotient divisors, adapted representatives,
+solving and kernels are a few lines on top of it.  Two other reductions
+stay, each for a job the engine cannot do:
+
+* `howell_form_mod` / `howell_residue`: the Howell form is unique, so its
+  residues are canonical coset labels;
+* `kernel_basis`: the one kernel exact over Z (ker d2 of the bar complex),
+  with coordinates for any kernel vector.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -19,103 +31,19 @@ from .ntheory import factorize
 
 
 # ---------------------------------------------------------------------------
-# pure-python exact SNF with optional transform tracking
+# the Z-exact kernel
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int,
-                      want_vinv: bool = False):
-    """Smith normal form of an integer matrix given as a list of rows.
-
-    Returns (diag, vinv) where diag is the list of diagonal entries
-    (nonnegative, divisibility chain d1 | d2 | ...) and, when requested,
-    vinv = V^{-1} for the column transform V in U A V = D.  Row i of vinv
-    generates the i-th cyclic factor of Z^ncols / rowspan(A).
-    """
-    A = [list(map(int, r)) for r in rows]
-    nr = len(A)
-    vinv = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_vinv else None
-    r = c = 0
-    diag: list[int] = []
-    while r < nr and c < ncols:
-        best = None
-        bv = 0
-        for i in range(r, nr):
-            row = A[i]
-            for j in range(c, ncols):
-                v = row[j]
-                if v and (best is None or abs(v) < bv):
-                    best = (i, j)
-                    bv = abs(v)
-                    if bv == 1:
-                        break
-            if bv == 1 and best is not None:
-                break
-        if best is None:
-            break
-        bi, bj = best
-        A[r], A[bi] = A[bi], A[r]
-        if bj != c:
-            for row in A:
-                row[c], row[bj] = row[bj], row[c]
-            if want_vinv:
-                vinv[c], vinv[bj] = vinv[bj], vinv[c]
-        clean = True
-        p = A[r][c]
-        for i in range(nr):
-            if i != r and A[i][c]:
-                q = A[i][c] // p
-                if q:
-                    ri_, rr_ = A[i], A[r]
-                    for j in range(c, ncols):
-                        ri_[j] -= q * rr_[j]
-                if A[i][c]:
-                    clean = False
-        for j in range(c + 1, ncols):
-            if A[r][j]:
-                q = A[r][j] // p
-                if q:
-                    for i in range(nr):
-                        A[i][j] -= q * A[i][c]
-                    if want_vinv:
-                        vc, vj = vinv[c], vinv[j]
-                        for k in range(ncols):
-                            vc[k] += q * vj[k]
-                if A[r][j]:
-                    clean = False
-        if not clean:
-            continue
-        bad = None
-        for i in range(r + 1, nr):
-            row = A[i]
-            for j in range(c + 1, ncols):
-                if row[j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            rr_, rb_ = A[r], A[bad]
-            for j in range(ncols):
-                rr_[j] += rb_[j]
-            continue
-        diag.append(abs(p))
-        r += 1
-        c += 1
-    return diag, vinv
-
-
-def kernel_basis(rows: Sequence[Sequence[int]], ncols: int):
+def kernel_basis(rows, ncols: int):
     """Saturated integer basis of {x : A x = 0} for A given by rows.
 
     Column-HNF approach: find unimodular V with A V = [H | 0]; the kernel
     lattice basis consists of the trailing columns of V, and coordinates in
     that basis are read off from the trailing rows of W = V^{-1}.
 
-    Returns (kernel_dim, coord_rows, basis_cols_fn) packaged as
-    (rank, W_tail, V_tail_fn); see h2 for usage.  More precisely returns a
-    triple (basis, coord, rank) where basis is the list of kernel vectors and
-    coord(sparse_dict) gives coordinates of a kernel vector presented as a
-    {index: value} dict.
+    Returns (basis, coord, rank): the kernel vectors as lists, a function
+    taking a kernel vector given as a sparse {index: value} dict to its
+    coordinates in that basis, and the rank of A.
     """
     A = [list(map(int, r)) for r in rows]
     nr = len(A)
@@ -124,14 +52,6 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int):
     W = np.eye(n, dtype=np.int64)
     obj = False
     guard = 1 << 60
-
-    def promote():
-        nonlocal V, W, obj
-        if not obj:
-            V = V.astype(object)
-            W = W.astype(object)
-            obj = True
-
     r = 0
     for i in range(nr):
         while r < n:
@@ -154,7 +74,7 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int):
                     q = A[i][j] // p
                     if q:
                         if not obj and (abs(q) + 1) * max(vmax, wmax) > guard:
-                            promote()
+                            V, W, obj = V.astype(object), W.astype(object), True
                         for rr in A:
                             if rr[r]:
                                 rr[j] -= q * rr[r]
@@ -181,109 +101,58 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int):
             out.append(s)
         return out
 
-    # spot verification: every basis vector really lies in the kernel
-    for b in basis[:2] + basis[-2:]:
-        for orig in rows[:4]:
-            s = sum(int(orig[k]) * b[k] for k in range(n) if b[k])
-            if s != 0:
-                raise InternalCheckError("kernel basis verification failed")
+    # every basis vector against every row, in one product
+    A0 = np.array(rows, dtype=object).reshape(nr, n)
+    tail = V[:, r:]
+    if A0.size and tail.size and \
+            int(np.abs(A0).max()) * int(np.abs(tail).max()) * n < 1 << 63:
+        A0, tail = A0.astype(np.int64), tail.astype(np.int64)
+    else:
+        tail = tail.astype(object)
+    if (A0 @ tail).any():
+        raise InternalCheckError("kernel basis verification failed")
     return basis, coord, r
 
 
 # ---------------------------------------------------------------------------
-# lattice bases and membership
+# the mod-m Smith engine
 # ---------------------------------------------------------------------------
 
-def hnf_basis(rows: Iterable[Sequence[int]], ncols: int):
-    """Triangular basis of the (full-rank) lattice spanned by the given rows.
-
-    Row-style Hermite form: basis[c] has its first nonzero entry at column c.
-    Raises InternalCheckError if the lattice is not full rank.
-    """
-    mat = [list(map(int, r)) for r in rows if any(r)]
-    basis = []
-    for c in range(ncols):
-        while True:
-            cand = [r for r in mat if r[c] != 0 and all(r[j] == 0 for j in range(c))]
-            if not cand:
-                break
-            cand.sort(key=lambda r: abs(r[c]))
-            piv = cand[0]
-            done = True
-            for r in cand[1:]:
-                q = r[c] // piv[c]
-                if q:
-                    for j in range(c, ncols):
-                        r[j] -= q * piv[j]
-                if r[c]:
-                    done = False
-            if done:
-                mat = [r for r in mat if any(r)]
-                break
-        pivs = [r for r in mat if r[c] != 0 and all(r[j] == 0 for j in range(c))]
-        if not pivs:
-            raise InternalCheckError("lattice not full rank at column %d" % c)
-        basis.append(pivs[0])
-        mat.remove(pivs[0])
-    return basis
+def _mod_array(rows, ncols: int, m: int) -> np.ndarray:
+    """The integer rows as an int64 array reduced into [0, m)."""
+    rows = list(rows)
+    try:
+        A = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    except OverflowError:
+        A = np.array([[int(x) % m for x in r] for r in rows],
+                     dtype=np.int64).reshape(len(rows), ncols)
+    return A % m
 
 
-def coords_in_basis(basis, v):
-    """x with x @ basis = v for triangular basis rows, or None if v is outside."""
-    n = len(basis)
-    v = list(map(int, v))
-    x = [0] * n
-    for c in range(n):
-        if v[c]:
-            if v[c] % basis[c][c]:
-                return None
-            q = v[c] // basis[c][c]
-            x[c] = q
-            brow = basis[c]
-            for j in range(c, n):
-                v[j] -= q * brow[j]
-    if any(v):
-        return None
-    return x
+def _mulmod(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
+    """A @ B mod m for arrays with entries in [0, m), free of int64 overflow."""
+    if (m - 1) ** 2 * A.shape[1] >= 1 << 63:
+        A, B = A.astype(object), B.astype(object)
+    return (A @ B) % m
 
 
-# ---------------------------------------------------------------------------
-# mod-m quotient structure (numpy fast path)
-# ---------------------------------------------------------------------------
+def _smith_mod(A: np.ndarray, m: int, transforms: bool = False):
+    """Diagonal of U A V == D (mod m), with U and V invertible modulo m.
 
-def quotient_divisors_mod(gens, dim: int, m: int):
-    """Elementary divisors (> 1) of Z^dim / (span(gens) + m Z^dim).
-
-    gens: iterable of integer vectors of length dim.  All arithmetic is done
-    mod m; this is exact because the lattice contains m Z^dim, so reducing an
-    entry mod m is an elementary column operation against that sublattice.
-    """
-    if dim == 0:
-        return []
-    if m == 1:
-        return []
-    rows = [g for g in gens]
-    A = np.zeros((len(rows) + dim, dim), dtype=np.int64)
-    for i, g in enumerate(rows):
-        A[i, :] = [x % m for x in g]
-    for i in range(dim):
-        A[len(rows) + i, i] = m
-    diag = _snf_mod_inplace(A, m)
-    divisors = [math.gcd(int(d), m) for d in diag]
-    divisors += [m] * (dim - len(diag))
-    return sorted(d for d in divisors if d != 1)
-
-
-def _snf_mod_inplace(A: np.ndarray, m: int):
-    """SNF diagonal of A, valid modulo m (A's rowspan must contain m Z^dim).
-
-    Entries are kept in [0, m); quotient correctness relies on the caller
-    having included the m*I rows.  Returns the diagonal as a python list.
+    A is an int64 array and is overwritten.  The diagonal entries are
+    nonzero residues in [1, m), at most min(A.shape) of them; Z^d over the
+    row span of A plus m Z^d is the sum of Z/gcd(d_i, m), plus Z/m once for
+    each column past the diagonal.  With transforms=True the result is
+    (diag, V, V^-1), reduced modulo m.  U is not kept: it is square in the
+    rows, and the tall cocycle systems would make it the largest array.
     """
     if m > (1 << 30):
         raise InternalCheckError("modulus too large for int64 mod-SNF")
     nr, nc = A.shape
     A %= m
+    if transforms:
+        V = np.eye(nc, dtype=np.int64)
+        Vi = np.eye(nc, dtype=np.int64)
     r = c = 0
     diag = []
     while r < nr and c < nc:
@@ -298,6 +167,9 @@ def _snf_mod_inplace(A: np.ndarray, m: int):
             A[[r, bi], :] = A[[bi, r], :]
         if bj != c:
             A[:, [c, bj]] = A[:, [bj, c]]
+            if transforms:
+                V[:, [c, bj]] = V[:, [bj, c]]
+                Vi[[c, bj], :] = Vi[[bj, c], :]
         p = int(A[r, c])
         col = A[:, c].copy()
         col[r] = 0
@@ -305,9 +177,7 @@ def _snf_mod_inplace(A: np.ndarray, m: int):
             q = col // p
             A -= np.outer(q, A[r, :])
             A %= m
-            if (A[:, c] != 0).sum() > (1 if A[r, c] else 0):
-                continue
-            if A[r, c] == 0:
+            if A[r, c] == 0 or np.count_nonzero(A[:, c]) > 1:
                 continue
         row = A[r, :].copy()
         row[c] = 0
@@ -315,10 +185,12 @@ def _snf_mod_inplace(A: np.ndarray, m: int):
             q = row // p
             A -= np.outer(A[:, c], q)
             A %= m
-            rr = A[r, :]
-            if (rr != 0).sum() > (1 if rr[c] else 0):
-                continue
-            if rr[c] == 0:
+            if transforms:
+                # column j -= q_j column c; its inverse adds q @ V^-1 to row c
+                V -= np.outer(V[:, c], q)
+                V %= m
+                Vi[c, :] = (Vi[c, :] + _mulmod(q[None, :], Vi, m)[0]) % m
+            if A[r, c] == 0 or np.count_nonzero(A[r, :]) > 1:
                 continue
         p = int(A[r, c])
         # divisibility of the remaining block
@@ -332,7 +204,65 @@ def _snf_mod_inplace(A: np.ndarray, m: int):
         diag.append(p)
         r += 1
         c += 1
+    if transforms:
+        return diag, V, Vi
     return diag
+
+
+def quotient_divisors_mod(gens, dim: int, m: int):
+    """Elementary divisors (> 1) of Z^dim / (span(gens) + m Z^dim)."""
+    diag = _smith_mod(_mod_array(gens, dim, m), m)
+    divisors = [math.gcd(d, m) for d in diag] + [m] * (dim - len(diag))
+    return sorted(d for d in divisors if d != 1)
+
+
+def solve_linear_mod(rows, rhs, nvars: int, m: int):
+    """One solution x of rows @ x == rhs (mod m), or None.
+
+    The kernel of [rows | -rhs] holds the (x, t) with rows @ x == t rhs;
+    a combination of its generators whose t is a unit gives x / t.
+    """
+    if not rows:
+        return [0] * nvars
+    aug = [list(r) + [-int(b)] for r, b in zip(rows, rhs)]
+    acc, t = [0] * (nvars + 1), 0
+    for k in kernel_mod(aug, nvars + 1, m):
+        g, s, u = _xgcd(t, k[-1])
+        acc, t = [(s * a + u * b) % m for a, b in zip(acc, k)], g
+    if math.gcd(t, m) != 1:
+        return None
+    x = [a * pow(t, -1, m) % m for a in acc[:nvars]]
+    if any((sum(a * b for a, b in zip(r, x)) - int(c)) % m
+           for r, c in zip(rows, rhs)):
+        raise InternalCheckError("solve_linear_mod: A x != rhs (mod m)")
+    return x
+
+
+def _xgcd(a: int, b: int):
+    """(g, s, t) with s*a + t*b == g == gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def kernel_mod(rows, nun: int, m: int):
+    """Generators of {x in (Z/m)^nun : rows @ x == 0 (mod m)}.
+
+    With U A V == D, x = V y is a solution exactly when d_i y_i == 0, so the
+    columns (m / gcd(d_i, m)) V[:, i] generate the kernel (scale 1 past the
+    diagonal); zero columns are dropped.
+    """
+    A = _mod_array(rows, nun, m)
+    diag, V, _ = _smith_mod(A.copy(), m, transforms=True)
+    scale = [m // math.gcd(d, m) for d in diag] + [1] * (nun - len(diag))
+    K = V * np.array(scale, dtype=np.int64) % m
+    K = K[:, K.any(axis=0)]
+    if _mulmod(A, K, m).any():
+        raise InternalCheckError("kernel_mod: A K != 0 (mod m)")
+    return [[int(x) for x in col] for col in K.T]
 
 
 def quotient_with_reps_mod(sol_gens, sub_gens, dim: int, m: int):
@@ -341,114 +271,31 @@ def quotient_with_reps_mod(sol_gens, sub_gens, dim: int, m: int):
     Requires span(sub) + mZ^dim to be contained in span(sol) + mZ^dim.
     Returns a list of (order, representative_vector) with order > 1 and the
     cyclic subgroups generated by the representatives summing directly.
+
+    The first Smith form, of sol, gives M1 = (+) g_i Z/m in the coordinates
+    w = v V1.  In y_i = w_i / g_i, M1 is (+) Z/(m/g_i), so the quotient is
+    Z^dim over the rows [sub V1 / g; diag(m/g)]; the second Smith form
+    splits it, its generators are the rows of V2^-1, and they map back
+    through w = g y and v = w V1^-1.
     """
-    L1rows = [list(map(int, g)) for g in sol_gens]
-    L1rows += [[m if i == j else 0 for j in range(dim)] for i in range(dim)]
-    B1 = hnf_basis(L1rows, dim)
-    sub_rows = [list(map(int, g)) for g in sub_gens]
-    sub_rows += [[m if i == j else 0 for j in range(dim)] for i in range(dim)]
-    coords = []
-    for v in sub_rows:
-        x = coords_in_basis(B1, v)
-        if x is None:
-            raise InternalCheckError("relation vector outside the ambient lattice")
-        coords.append(x)
-    diag, vinv = smith_normal_form(coords, dim, want_vinv=True)
-    out = []
-    for i in range(dim):
-        d = diag[i] if i < len(diag) else 0
-        dd = math.gcd(d, m) if d else m
-        if dd == 1:
-            continue
-        rowv = vinv[i]
-        amb = [0] * dim
-        for r2 in range(dim):
-            cr = rowv[r2]
-            if cr:
-                brow = B1[r2]
-                for j in range(dim):
-                    amb[j] += cr * brow[j]
-        out.append((dd, [a % m for a in amb]))
-    return out
+    diag1, V1, V1i = _smith_mod(_mod_array(sol_gens, dim, m), m,
+                                transforms=True)
+    g = np.array([math.gcd(d, m) for d in diag1] + [m] * (dim - len(diag1)),
+                 dtype=np.int64)
+    W = _mulmod(_mod_array(sub_gens, dim, m), V1, m)
+    if (W % g).any():
+        raise InternalCheckError("relation vector outside the ambient lattice")
+    B = np.vstack([W // g, np.diag(m // g)])
+    diag2, _, V2i = _smith_mod(B, m, transforms=True)
+    orders = [math.gcd(d, m) for d in diag2] + [m] * (dim - len(diag2))
+    reps = _mulmod(V2i * g % m, V1i, m)
+    return [(d, [int(x) for x in reps[j]])
+            for j, d in enumerate(orders) if d > 1]
 
 
-def solve_linear_mod(rows, rhs, nvars: int, m: int):
-    """One solution x of rows @ x = rhs (mod m), or None.
-
-    Solved exactly over Z via the augmented system A x + m y = rhs.
-    """
-    nr = len(rows)
-    if nr == 0:
-        return [0] * nvars
-    ncols = nvars + nr
-    A = [list(map(int, r)) + [m if i == j else 0 for j in range(nr)]
-         for i, r in enumerate(rows)]
-    D, U, V = _snf_full_transforms(A, nr, ncols)
-    ur = [sum(U[i][k] * int(rhs[k]) for k in range(nr)) for i in range(nr)]
-    z = [0] * ncols
-    for i in range(nr):
-        d = D[i][i] if i < ncols else 0
-        if d:
-            if ur[i] % d:
-                return None
-            z[i] = ur[i] // d
-        elif ur[i]:
-            return None
-    x = [sum(V[i][k] * z[k] for k in range(ncols) if z[k]) for i in range(ncols)]
-    return [xi % m for xi in x[:nvars]]
-
-
-def _snf_full_transforms(A, nr, nc):
-    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    V = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    r = c = 0
-    while r < nr and c < nc:
-        best = None
-        bv = 0
-        for i in range(r, nr):
-            for j in range(c, nc):
-                v = A[i][j]
-                if v and (best is None or abs(v) < bv):
-                    best = (i, j)
-                    bv = abs(v)
-        if best is None:
-            break
-        bi, bj = best
-        A[r], A[bi] = A[bi], A[r]
-        U[r], U[bi] = U[bi], U[r]
-        if bj != c:
-            for row in A:
-                row[c], row[bj] = row[bj], row[c]
-            for row in V:
-                row[c], row[bj] = row[bj], row[c]
-        clean = True
-        p = A[r][c]
-        for i in range(nr):
-            if i != r and A[i][c]:
-                q = A[i][c] // p
-                if q:
-                    for j in range(nc):
-                        A[i][j] -= q * A[r][j]
-                    for j in range(nr):
-                        U[i][j] -= q * U[r][j]
-                if A[i][c]:
-                    clean = False
-        for j in range(c + 1, nc):
-            if A[r][j]:
-                q = A[r][j] // p
-                if q:
-                    for i in range(nr):
-                        A[i][j] -= q * A[i][c]
-                    for i in range(nc):
-                        V[i][j] -= q * V[i][c]
-                if A[r][j]:
-                    clean = False
-        if not clean:
-            continue
-        r += 1
-        c += 1
-    return A, U, V
-
+# ---------------------------------------------------------------------------
+# Howell form: canonical residues
+# ---------------------------------------------------------------------------
 
 def howell_form_mod(gens, dim: int, m: int):
     """Howell triangular form of the Z/m-module spanned by gens in (Z/m)^dim.
@@ -495,11 +342,6 @@ def howell_form_mod(gens, dim: int, m: int):
             row[c] = m
             H.append(row)
         pending = rest
-    # normalize: represent free pivots as m (reduction by them is a no-op)
-    for c in range(dim):
-        if H[c][c] == 0:
-            H[c] = [0] * dim
-            H[c][c] = m
     # reduce entries above each pivot
     for c in range(dim - 1, -1, -1):
         piv = H[c][c]

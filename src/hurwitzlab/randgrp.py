@@ -18,12 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .abelian import AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .groups import FiniteGroup, GammaGroup, Subgroup
-from .intmat import (divisor_chain, howell_form_mod, howell_residue,
-                     quotient_divisors_mod, quotient_with_reps_mod,
-                     solve_linear_mod)
+from .intmat import (_smith_mod, divisor_chain, howell_form_mod,
+                     howell_residue, kernel_mod, quotient_divisors_mod,
+                     quotient_with_reps_mod, solve_linear_mod)
 from .ntheory import pdivmod, pnorm, ppowmod, prime_divisors
 from .rng import CounterRng, substream
 
@@ -200,8 +202,7 @@ class FreeAdmissible:
             return howell_form_mod([], self.dim, m)
         # N = solution set {x : all rows . x == 0 mod m}; store as Howell of
         # its generator set
-        gens = _solution_space(rows, self.dim, m)
-        return howell_form_mod(gens, self.dim, m)
+        return howell_form_mod(kernel_mod(rows, self.dim, m), self.dim, m)
 
     def _check_cap(self, cap):
         # order of the reduced object: each Howell column contributes
@@ -239,7 +240,10 @@ class FreeAdmissible:
         return sorted(seen)
 
     def invariant_submodule(self, gamma_inf_members: Sequence[int]):
-        """Adapted generators (order, vector) of the Gamma_inf-invariants."""
+        """Howell rows (order, row) of the Gamma_inf-invariants plus N, rows
+        of order 1 left out: the sums of c_i * row_i with 0 <= c_i < order_i
+        are the elements of that module, each once.  The rows are canonical,
+        so draws against them do not depend on elimination choices."""
         key = tuple(sorted(gamma_inf_members))
         if key in self._inv_cache:
             return self._inv_cache[key]
@@ -266,9 +270,8 @@ class FreeAdmissible:
                 eq_rows.append([cols[j][coord] for j in range(self.dim)])
         # augment with N-generator coefficients as free unknowns
         sol = _solution_space_with_lattice(eq_rows, nrows, self.dim, m)
-        reps = quotient_with_reps_mod(sol, [list(r) for r in nrows], self.dim, m)
-        # canonicalize representatives into the quotient
-        reps = [(d, self.canonical(v)) for d, v in reps]
+        H = howell_form_mod(sol + nrows, self.dim, m)
+        reps = [(m // row[c], row) for c, row in enumerate(H) if row[c] != m]
         self._inv_cache[key] = reps
         return reps
 
@@ -329,8 +332,7 @@ def _module_hom_basis(free: FreeAdmissible, td: "_TargetData"):
                         row[j * tdim + cj] -= coef
                 rows.append([(x * (m // d)) % m for x in row])
     # order constraints: orders[ci] * phi[..][ci] == 0 automatically via scaling
-    sols = _solution_space(rows, nun, m) if rows else \
-        [[int(i == j) for j in range(nun)] for i in range(nun)]
+    sols = kernel_mod(rows, nun, m)
     homs = []
     for s in sols:
         phi = []
@@ -344,11 +346,6 @@ def _module_hom_basis(free: FreeAdmissible, td: "_TargetData"):
             phi.append(co)
         homs.append(phi)
     return homs
-
-
-def _solution_space(rows, nun, m):
-    from .homology import _solution_space_mod
-    return _solution_space_mod(rows, nun, m)
 
 
 def _solution_space_with_lattice(eq_rows, lattice_rows, dim, m):
@@ -376,7 +373,7 @@ def _solution_space_with_lattice(eq_rows, lattice_rows, dim, m):
             for li, lrow in enumerate(lattice_rows):
                 row[dim + g * nl + li] = (-lrow[coord]) % m
             rows.append(row)
-    sols = _solution_space(rows, nun, m)
+    sols = kernel_mod(rows, nun, m)
     out = []
     for s in sols:
         x = [a % m for a in s[:dim]]
@@ -594,8 +591,7 @@ def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup):
     for ci in range(tdim):
         d = td.orders[ci]
         rows.append([(images[j][ci] * (m // d)) % m for j in range(free.dim)])
-    rgens = _solution_space(rows, free.dim, m) if tdim else \
-        [[int(i == j) for j in range(free.dim)] for i in range(free.dim)]
+    rgens = kernel_mod(rows, free.dim, m)
     # restrict to the free object: intersect with ambient (module model is
     # already the free object when the variety kernel is trivial)
     nrows = [list(r) for r in free._nhowell if any(v % m for v in r)]
@@ -627,7 +623,7 @@ def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup):
         for f in _factor_cyclotomic(gamma.order, p):
             deg = len(f) - 1
             mat = _poly_of_matrix(cols, f, p, dim)
-            null = _nullity(mat, p, dim)
+            null = dim - len(_smith_mod(np.array(mat, dtype=np.int64), p))
             if null % deg:
                 raise InternalCheckError("isotypic dimension not divisible")
             mult = null // deg
@@ -677,34 +673,6 @@ def _poly_of_matrix(cols, f, p, dim):
                     out[i][j] = (out[i][j] + coef * power[i][j]) % p
         power = matmul(power, M)
     return out
-
-
-def _nullity(mat, p, dim):
-    A = [row[:] for row in mat]
-    rank = 0
-    col = 0
-    for r in range(dim):
-        piv = None
-        for c in range(col, dim):
-            for rr in range(rank, dim):
-                if A[rr][c] % p:
-                    piv = (rr, c)
-                    break
-            if piv:
-                break
-        if not piv:
-            break
-        rr, c = piv
-        A[rank], A[rr] = A[rr], A[rank]
-        inv = pow(A[rank][c], -1, p)
-        A[rank] = [(x * inv) % p for x in A[rank]]
-        for i in range(dim):
-            if i != rank and A[i][c] % p:
-                f2 = A[i][c]
-                A[i] = [(a - f2 * b) % p for a, b in zip(A[i], A[rank])]
-        rank += 1
-        col = c + 1
-    return dim - rank
 
 
 def mu_n(h: GammaGroup, spec: VarietySpec, gamma_inf_members: Sequence[int],

@@ -113,6 +113,36 @@ def test_cache_dir_outside_fingerprint(tmp_path, capsys):
     assert len(set(prints)) == 1
 
 
+def test_unusable_cache_file_is_rebuilt(tmp_path, capsys):
+    argv = ["orbits", "--group", "S3", "--c", "involutions", "--n", "4",
+            "--format", "json"]
+
+    def fingerprint(extra):
+        out = tmp_path / "report.json"
+        assert main(argv + extra + ["--out", str(out)]) == EXIT_OK
+        return json.loads(out.read_text())["fingerprint"]
+
+    plain = fingerprint([])
+    cache = tmp_path / "cache"
+    assert fingerprint(["--cache-dir", str(cache)]) == plain
+    (path,) = cache.iterdir()
+    good = path.read_bytes()
+    # a well-formed cache file of another (G, c)
+    other = tmp_path / "other"
+    assert main(["orbits", "--group", "D4", "--n", "3", "--cache-dir",
+                 str(other), "--out", str(tmp_path / "d4.csv")]) == EXIT_OK
+    (foreign,) = other.iterdir()
+    # this (G, c), but with the cover's projection moved
+    tampered = json.loads(good)
+    tampered["sc_proj"] = tampered["sc_proj"][1:] + tampered["sc_proj"][:1]
+    for content in (b"\x80\x04garbage, not JSON", foreign.read_bytes(),
+                    json.dumps(tampered).encode()):
+        path.write_bytes(content)
+        assert fingerprint(["--cache-dir", str(cache)]) == plain
+        assert path.read_bytes() == good
+    assert list(cache.iterdir()) == [path]
+
+
 def test_randgrp_measure_needs_gamma_of_order_2(capsys):
     assert main(["randgrp", "measure", "--gamma", "C3", "--h", "C7",
                  "--n-min", "1", "--n-max", "1"]) == EXIT_VALIDATION

@@ -3,8 +3,9 @@
 The fingerprint hashes the config echo, the code version, the columns and
 every row, so a match means the whole report is byte-identical.  The
 expected values were recorded with `run_config` on the same configs before
-the `workers` option was removed; a change that moves any exact result, or
-what the config echo holds, moves one of them."""
+the `workers` option was removed (the last two before intmat's row
+reductions were merged into one mod-m Smith engine); a change that moves
+any exact result, or what the config echo holds, moves one of them."""
 import json
 
 import pytest
@@ -39,6 +40,20 @@ GOLDEN = [
     (["verify", "bridge"],
      "a48c9e3eb63fe93d1ffa06455639dab1ef214a7252057818ae4aba42f93f492b"),
 ]
+IDS = ["-".join(w for w in a[:2] if w[0] != "-") for a, _ in GOLDEN]
+
+# Named apart, because their first two words repeat earlier entries.
+NAMED_GOLDEN = {
+    # a nontrivial reduced multiplier: schur_cover, then reduce_cover
+    "orbits-A4-order3": (
+        ["orbits", "--group", "A4", "--c", "order:3", "--n", "4"],
+        "a8bc12ece67cd5a170d6a4fbd75586768d65fd598473f7dc089c7cb58aaa9338"),
+    # draws against the Gamma_inf-invariants (sample_invariant)
+    "randgrp-sample-trivial-ginf": (
+        ["randgrp", "sample", "--gamma-inf", "trivial", "--n", "3",
+         "--trials", "300", "--seed", "1"],
+        "7f0caeb144613677e8aa8c45997078a6fc0784d519d89aa45c62ab669a2e46bd"),
+}
 
 
 def _fingerprint(argv, path) -> str:
@@ -46,9 +61,9 @@ def _fingerprint(argv, path) -> str:
     return json.loads(path.read_text())["fingerprint"]
 
 
-@pytest.mark.parametrize("argv,expected", GOLDEN,
-                         ids=["-".join(w for w in a[:2] if w[0] != "-")
-                              for a, _ in GOLDEN])
+@pytest.mark.parametrize("argv,expected",
+                         GOLDEN + list(NAMED_GOLDEN.values()),
+                         ids=IDS + list(NAMED_GOLDEN))
 def test_golden_fingerprint(argv, expected, tmp_path, capsys):
     assert _fingerprint(argv, tmp_path / "report.json") == expected
 

@@ -1,11 +1,13 @@
+import itertools
+import math
 import random
 
-import pytest
+import numpy as np
 
-from hurwitzlab.intmat import (coords_in_basis, divisor_chain, hnf_basis,
-                               howell_form_mod, howell_residue, kernel_basis,
+from hurwitzlab.intmat import (_smith_mod, divisor_chain, howell_form_mod,
+                               howell_residue, kernel_basis, kernel_mod,
                                quotient_divisors_mod, quotient_with_reps_mod,
-                               smith_normal_form, solve_linear_mod)
+                               solve_linear_mod)
 
 
 def brute_span_mod(gens, dim, m, cap=30000):
@@ -29,36 +31,71 @@ def test_divisor_chain():
     assert divisor_chain([6]) == [6]
 
 
-def test_smith_normal_form_diag():
-    diag, _ = smith_normal_form([[2, 0], [0, 3]], 2)
-    assert diag == [1, 6] or diag == [2, 3] or sorted(diag) == [1, 6]
-    # canonical SNF of diag(2,3) is diag(1,6)
-    assert diag[0] == 1 and diag[1] == 6
+def test_quotient_divisors_diag():
+    # Z^2 / (rowspan diag(2, 3) + 6 Z^2) is Z/6
+    assert quotient_divisors_mod([[2, 0], [0, 3]], 2, 6) == [6]
+
+
+def test_smith_mod_transforms():
+    rng = random.Random(3)
+    for _ in range(200):
+        nr, nc = rng.randint(0, 5), rng.randint(1, 3)
+        m = rng.choice([2, 4, 6, 8, 9, 12, 25, 27])
+        A = np.array([[rng.randrange(m) for _ in range(nc)] for _ in range(nr)],
+                     dtype=np.int64).reshape(nr, nc)
+        diag, V, Vi = _smith_mod(A.copy(), m, transforms=True)
+        assert ((V @ Vi) % m == np.eye(nc, dtype=np.int64)).all()
+        # U A V == D with U invertible: A V and D span the same rows
+        D = [[d if i == j else 0 for j in range(nc)] for i, d in enumerate(diag)]
+        assert brute_span_mod((A @ V % m).tolist(), nc, m) == \
+            brute_span_mod(D, nc, m)
+        assert _smith_mod(A.copy(), m) == diag
+        size = math.prod(math.gcd(d, m) for d in diag) * m ** (nc - len(diag))
+        assert size * len(brute_span_mod(A.tolist(), nc, m)) == m ** nc
 
 
 def test_quotient_reps_random():
     rng = random.Random(5)
     for _ in range(150):
-        dim = rng.randint(2, 5)
-        m = rng.choice([4, 8, 9, 27, 6, 12, 25])
-        k = rng.randint(1, 5)
-        sub = [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(k)]
-        sol = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        dim = rng.randint(1, 3)
+        m = rng.choice([4, 6, 8, 9, 12, 25, 27])
+        identity = rng.random() < 0.3
+        if identity:
+            sol = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        else:
+            sol = [[rng.randrange(m) for _ in range(dim)]
+                   for _ in range(rng.randint(1, 4))]
+        # sub inside span(sol): integer combinations of the sol generators
+        sub = []
+        for _ in range(rng.randint(0, 4)):
+            coef = [rng.randrange(-3, 4) for _ in sol]
+            sub.append([sum(c * g[j] for c, g in zip(coef, sol))
+                        for j in range(dim)])
         reps = quotient_with_reps_mod(sol, sub, dim, m)
-        lat = [r[:] for r in sub] + [[m if i == j else 0 for j in range(dim)]
-                                     for i in range(dim)]
-        basis = hnf_basis(lat, dim)
-        total = 1
+        L1 = brute_span_mod(sol, dim, m)
+        L2 = brute_span_mod(sub, dim, m)
         for d, rep in reps:
-            ks = [x for x in range(1, d + 1)
-                  if coords_in_basis(basis, [x * v for v in rep]) is not None]
-            assert ks and ks[0] == d
-            total *= d
-        divs = quotient_divisors_mod(sub, dim, m)
-        sz = 1
-        for d in divs:
-            sz *= d
-        assert sz == total
+            assert d > 1 and tuple(rep) in L1
+            ks = [k for k in range(1, d + 1)
+                  if tuple(k * v % m for v in rep) in L2]
+            assert ks[0] == d
+        # the reps and sub span L1 and the orders multiply to the index,
+        # so the cyclic subgroups sum directly
+        assert brute_span_mod([r for _, r in reps] + sub, dim, m) == L1
+        assert math.prod(d for d, _ in reps) * len(L2) == len(L1)
+        if identity:
+            assert sorted(d for d, _ in reps) == quotient_divisors_mod(sub, dim, m)
+
+
+def test_kernel_mod_brute_force():
+    rng = random.Random(7)
+    for _ in range(150):
+        nun, m = rng.randint(1, 3), rng.randint(2, 12)
+        A = [[rng.randrange(m) for _ in range(nun)]
+             for _ in range(rng.randint(0, 3))]
+        kern = {x for x in itertools.product(range(m), repeat=nun)
+                if all(sum(a * b for a, b in zip(row, x)) % m == 0 for row in A)}
+        assert brute_span_mod(kernel_mod(A, nun, m), nun, m) == kern
 
 
 def test_kernel_basis_saturated():
