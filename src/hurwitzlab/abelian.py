@@ -83,9 +83,20 @@ class AbelianStructure:
     def sur_count(self, other: "AbelianStructure") -> int:
         """Number of surjective homomorphisms onto `other`.
 
-        Moebius inversion over the subgroup lattice of `other`; intended for
-        small targets (|other| <= a few hundred)."""
-        return _sur_count(self, other)
+        Closed form, one prime p at a time: with a the exponents of the
+        source's p-part, b_0 >= b_1 >= ... those of the target's, and
+        n_j = #{i : a_i >= b_j}, #Sur = #Hom * prod_j (1 - p^(j - n_j)),
+        which is 0 as soon as some n_j <= j."""
+        total = self.hom_count(other)
+        for p in {prime_divisors(b)[0] for b in other.factors}:
+            # within a prime the canonical factors run in descending order
+            src = [a for a in self.factors if a % p == 0]
+            for j, b in enumerate(f for f in other.factors if f % p == 0):
+                k = sum(a >= b for a in src) - j
+                if k <= 0:
+                    return 0
+                total = total * (p ** k - 1) // p ** k
+        return total
 
     def __str__(self):
         if not self.factors:
@@ -135,7 +146,6 @@ class AbelianGroupData:
             raise InternalCheckError("abelian basis does not span the group")
         # coordinates by full enumeration
         coords = {identity: tuple(0 for _ in basis)}
-        frontier = [identity]
         for i, (b, d) in enumerate(zip(basis, basis_orders)):
             new = {}
             for x, co in coords.items():
@@ -229,84 +239,3 @@ def structure_of_members(group, members) -> AbelianGroupData:
             if t[a][b] != t[b][a]:
                 raise ValidationError("subgroup is not abelian")
     return AbelianGroupData(mem, lambda a, b: t[a][b], 0)
-
-
-# ---------------------------------------------------------------------------
-# surjection counting
-# ---------------------------------------------------------------------------
-
-def _subgroup_structures(target: AbelianStructure):
-    """All subgroups of `target` as (structure, multiplicity-free list),
-    realized concretely on coordinate tuples."""
-    if target.order > 4096:
-        raise ValidationError("surjection counting capped for large targets")
-    fs = target.factors
-    elems = list(itertools.product(*(range(d) for d in fs)))
-
-    def add(a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, fs))
-
-    zero = tuple(0 for _ in fs)
-    found = {(zero,)}
-    frontier = [(zero,)]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            have = set(sub)
-            for g in elems:
-                if g in have:
-                    continue
-                new = _close(add, have | {g}, zero, fs)
-                if new not in found:
-                    found.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    return sorted(found, key=lambda s: (len(s), s))
-
-
-def _close(add, gens, zero, fs):
-    seen = set(gens) | {zero}
-    frontier = list(seen)
-    while frontier:
-        x = frontier.pop()
-        for y in list(seen):
-            z = add(x, y)
-            if z not in seen:
-                seen.add(z)
-                frontier.append(z)
-    return tuple(sorted(seen))
-
-
-def _sur_count(src: AbelianStructure, target: AbelianStructure) -> int:
-    if target.is_trivial():
-        return 1
-    subs = _subgroup_structures(target)
-    sets = [set(s) for s in subs]
-    top = len(subs) - 1
-    assert len(sets[top]) == target.order
-    mu: dict[int, int] = {}
-
-    def moebius(i):
-        if i in mu:
-            return mu[i]
-        if i == top:
-            mu[i] = 1
-            return 1
-        tot = 0
-        for j in range(len(subs)):
-            if j != i and sets[i] <= sets[j]:
-                tot += moebius(j)
-        mu[i] = -tot
-        return mu[i]
-
-    fs = target.factors
-    total = 0
-    for i, s in enumerate(subs):
-        m = moebius(i)
-        if m == 0:
-            continue
-        data = AbelianGroupData(
-            list(s), lambda a, b: tuple((x + y) % d for x, y, d in zip(a, b, fs)),
-            tuple(0 for _ in fs))
-        total += m * src.hom_count(data.structure)
-    return total

@@ -345,7 +345,6 @@ def random_divisor(model: HyperellipticModel, rng: CounterRng) -> DivisorClass:
     """Random class from sums of up to g random rational points (suitable
     for generation; certified downstream by order checks)."""
     p = model.q
-    fld = _ext(p, 1)
     acc = divisor_identity()
     for _ in range(model.genus):
         for _attempt in range(4 * p):

@@ -1,6 +1,9 @@
 """Experiment orchestration: subcommands over all modules, config files,
 reproducible seeds, and machine-readable reports.
 
+Each experiment kind declares its parameters once, in `KINDS`; the flags
+and every config (command line, INI or JSON) go through that one table.
+
 Exit codes: 0 success, 2 capacity, 3 validation, 4 internal invariant
 violation.  Reports are byte-identical for identical (config, seed,
 version); wall-clock time is printed to the console only, never into the
@@ -18,25 +21,42 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .abelian import AbelianStructure
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .groups import (FiniteGroup, GammaGroup, alternating4, cyclic, dicyclic,
-                     dihedral, inversion_action, parse_group_file, symmetric,
-                     trivial_action)
+                     dihedral, direct_product, inversion_action,
+                     parse_group_file, symmetric, trivial_action)
 
 EXIT_OK = 0
 EXIT_CAPACITY = 2
 EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
-KNOWN_KEYS = {
-    "kind", "group", "c", "g_inf", "n", "n_min", "n_max", "q", "h", "gamma",
-    "gamma_inf", "exponent", "trials", "seed", "out", "format",
-    "dmax", "target", "mode", "suite", "quick", "m_min", "m_max", "tolerance",
-    "cache_dir",
-}
+REQUIRED = object()
+
+
+class Param(NamedTuple):
+    """Config key `name`, flag `--name-with-dashes` unless `flag` spells it
+    otherwise (a flag without dashes is an optional positional)."""
+    name: str
+    type: type                    # str, int, or bool (a store_true flag)
+    default: object = REQUIRED    # None: optional, absent from the config
+    flag: str | None = None
+    choices: tuple | None = None
+
+
+class Kind(NamedTuple):
+    run: Callable
+    help: str | None              # None for a leaf of a command group
+    params: tuple
+
+
+# where and how the report is written, never part of the config echo
+OUTPUT = (Param("out", str, None),
+          Param("format", str, "csv", choices=("csv", "json")))
 
 
 # ---------------------------------------------------------------------------
@@ -48,19 +68,16 @@ def resolve_group(spec: str) -> FiniteGroup:
     spec = spec.strip()
     if spec.startswith("@"):
         obj = parse_group_file(Path(spec[1:]).read_text())
-        if isinstance(obj, GammaGroup):
-            return obj.base
-        return obj
+        return obj.base if isinstance(obj, GammaGroup) else obj
     parts = spec.split("x")
     if len(parts) > 1:
         out = resolve_group(parts[0])
-        from .groups import direct_product
         for p in parts[1:]:
             out = direct_product(out, resolve_group(p))
         return out
     if spec == "A4":
         return alternating4()
-    kind, num = spec[0].upper(), spec[1:]
+    kind, num = spec[:1].upper(), spec[1:]
     if not num.isdigit():
         raise ValidationError(f"cannot parse group spec {spec!r}")
     k = int(num)
@@ -77,6 +94,22 @@ def resolve_group(spec: str) -> FiniteGroup:
     raise ValidationError(f"unknown group spec {spec!r}")
 
 
+def _int(spec: str, what: str, order: int | None = None) -> int:
+    """`spec` as an integer; with `order`, as an element index of a group of
+    that order."""
+    try:
+        x = int(spec)
+    except ValueError:
+        raise ValidationError(f"{what}: {spec!r} is not an integer") from None
+    if order is not None and not 0 <= x < order:
+        raise ValidationError(f"{what}: {x} is not in 0..{order - 1}")
+    return x
+
+
+def _ints(spec: str, what: str, order: int | None = None) -> list:
+    return [_int(x, what, order) for x in spec.replace(",", " ").split()]
+
+
 def resolve_c(group: FiniteGroup, spec: str) -> list:
     spec = spec.strip()
     if spec == "all":
@@ -84,26 +117,28 @@ def resolve_c(group: FiniteGroup, spec: str) -> list:
     if spec == "involutions":
         return [g for g in range(1, group.order) if group.element_order(g) == 2]
     if spec.startswith("order:"):
-        k = int(spec.split(":")[1])
+        k = _int(spec.split(":")[1], "c = order:k")
         return [g for g in range(1, group.order) if group.element_order(g) == k]
     if spec.startswith("class-of:"):
-        x = int(spec.split(":")[1])
+        x = _int(spec.split(":")[1], "c = class-of:x", group.order)
         cc = group.conjugacy_classes()
         out = set()
         for k in range(1, group.element_order(x) + 1):
             if math.gcd(k, group.element_order(x)) == 1:
                 out.update(cc.members[cc.class_of[group.power(x, k)]])
         return sorted(out)
-    return [int(x) for x in spec.replace(",", " ").split()]
+    return _ints(spec, "c", group.order)
 
 
 def resolve_g_inf(group: FiniteGroup, spec: str, c: list) -> int:
     spec = spec.strip()
-    if spec == "auto":
-        return min(c)
-    if spec == "involution":
-        return next(g for g in sorted(c) if group.element_order(g) == 2)
-    return int(spec)
+    if spec in ("auto", "involution"):
+        pick = [g for g in sorted(c)
+                if spec == "auto" or group.element_order(g) == 2]
+        if not pick:
+            raise ValidationError(f"g_inf = {spec} finds no element of c = {c}")
+        return pick[0]
+    return _int(spec, "g_inf", group.order)
 
 
 def resolve_gamma_group(hspec: str, gamma_spec: str) -> GammaGroup:
@@ -127,8 +162,7 @@ def resolve_gamma_inf(gamma: FiniteGroup, spec: str) -> list:
         return list(range(gamma.order))
     if spec in ("trivial", "1"):
         return [0]
-    gens = [int(x) for x in spec.replace(",", " ").split()]
-    return list(gamma.subgroup_closure(gens))
+    return list(gamma.subgroup_closure(_ints(spec, "gamma_inf", gamma.order)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +176,7 @@ class Report:
         self.version = __version__
         self.rows = rows
         self.columns = columns
+        self.failed = False
         payload = json.dumps({"config": self.config, "version": self.version,
                               "columns": columns, "rows": rows},
                              sort_keys=True, separators=(",", ":"))
@@ -176,18 +211,17 @@ def _fr(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds: each reads its normalised config (see KINDS)
 # ---------------------------------------------------------------------------
 
 def run_orbits(cfg: dict) -> Report:
     from .homology import build_u
     from .hurwitz import orbits
     group = resolve_group(cfg["group"])
-    c = resolve_c(group, cfg.get("c", "all"))
-    g_inf = resolve_g_inf(group, cfg.get("g_inf", "auto"), c)
-    n = int(cfg["n"])
+    c = resolve_c(group, cfg["c"])
+    g_inf = resolve_g_inf(group, cfg["g_inf"], c)
     ctx = build_u(group, c, cache_dir=cfg.get("cache_dir"))
-    orbs = orbits(group, c, g_inf, n, ctx=ctx)
+    orbs = orbits(group, c, g_inf, cfg["n"], ctx=ctx)
     rows = []
     for i, o in enumerate(orbs):
         rows.append([i, "-".join(str(x) for x in o.representative.entries),
@@ -203,15 +237,13 @@ def run_frob_count(cfg: dict) -> Report:
     from .frob import fixed_counts, predicted_hur_count
     from .homology import build_u
     group = resolve_group(cfg["group"])
-    c = resolve_c(group, cfg.get("c", "all"))
-    g_inf = resolve_g_inf(group, cfg.get("g_inf", "auto"), c)
-    q = int(cfg["q"])
-    n_min = int(cfg.get("n_min", cfg.get("n", 2)))
-    n_max = int(cfg.get("n_max", cfg.get("n", 2)))
+    c = resolve_c(group, cfg["c"])
+    g_inf = resolve_g_inf(group, cfg["g_inf"], c)
+    q = cfg["q"]
     ctx = build_u(group, c, cache_dir=cfg.get("cache_dir"))
     ginf_members = group.subgroup_closure([g_inf])
     rows = []
-    for n in range(n_min, n_max + 1):
+    for n in range(cfg["n_min"], cfg["n_max"] + 1):
         pc = predicted_hur_count(ctx, ginf_members, q, n)
         fc = fixed_counts(ctx, ginf_members, q, n)
         refinement = ";".join(
@@ -225,74 +257,58 @@ def run_frob_count(cfg: dict) -> Report:
 
 def run_predict_moment(cfg: dict) -> Report:
     from .frob import moment_prediction
-    h = resolve_gamma_group(cfg["h"], cfg.get("gamma", "inversion"))
-    ginf = resolve_gamma_inf(h.gamma, cfg.get("gamma_inf", "full"))
-    rows = []
-    if "q" in cfg and str(cfg["q"]) != "limit":
-        q = int(cfg["q"])
-        rows.append([str(q), _fr(moment_prediction(h, ginf, q))])
-    else:
-        rows.append(["limit", _fr(moment_prediction(h, ginf, None))])
+    h = resolve_gamma_group(cfg["h"], cfg["gamma"])
+    ginf = resolve_gamma_inf(h.gamma, cfg["gamma_inf"])
+    q = None if cfg["q"] == "limit" else _int(cfg["q"], "q")
+    rows = [["limit" if q is None else str(q),
+             _fr(moment_prediction(h, ginf, q))]]
     return Report(cfg, rows, ["q", "moment"])
 
 
 def run_randgrp_sample(cfg: dict) -> Report:
     from .randgrp import FreeAdmissible, abelian_exponent_variety, monte_carlo
-    gamma = resolve_group(cfg.get("gamma", "C2"))
-    spec = abelian_exponent_variety(gamma, int(cfg.get("exponent", 3)))
-    free = FreeAdmissible(int(cfg["n"]), spec)
-    ginf = resolve_gamma_inf(gamma, cfg.get("gamma_inf", "full"))
-    trials = int(cfg["trials"])
-    seed = int(cfg["seed"])
-    rep = monte_carlo(free, ginf, trials, seed)
-    rows = []
-    for label, cnt in sorted(rep.counts.items(), key=lambda kv: str(kv[0])):
-        rows.append([json.dumps(label), cnt])
+    gamma = resolve_group(cfg["gamma"])
+    spec = abelian_exponent_variety(gamma, cfg["exponent"])
+    free = FreeAdmissible(cfg["n"], spec)
+    ginf = resolve_gamma_inf(gamma, cfg["gamma_inf"])
+    rep = monte_carlo(free, ginf, cfg["trials"], cfg["seed"])
+    rows = [[json.dumps(label), cnt] for label, cnt in
+            sorted(rep.counts.items(), key=lambda kv: str(kv[0]))]
     return Report(cfg, rows, ["iso_class", "count"])
 
 
 def run_randgrp_measure(cfg: dict) -> Report:
     from .randgrp import abelian_exponent_variety, mu_n
-    gamma = resolve_group(cfg.get("gamma", "C2"))
+    gamma = resolve_group(cfg["gamma"])
     if gamma.order != 2:
         raise ValidationError(
             "randgrp measure takes H with the inversion action, so Gamma "
             f"must have order 2; got order {gamma.order}")
-    spec = abelian_exponent_variety(gamma, int(cfg.get("exponent", 3)))
+    spec = abelian_exponent_variety(gamma, cfg["exponent"])
     h = resolve_gamma_group(cfg["h"], "inversion")
-    ginf = resolve_gamma_inf(gamma, cfg.get("gamma_inf", "full"))
-    rows = []
-    for n in range(int(cfg.get("n_min", cfg.get("n", 1))),
-                   int(cfg.get("n_max", cfg.get("n", 1))) + 1):
-        rows.append([n, _fr(mu_n(h, spec, ginf, n))])
+    ginf = resolve_gamma_inf(gamma, cfg["gamma_inf"])
+    rows = [[n, _fr(mu_n(h, spec, ginf, n))]
+            for n in range(cfg["n_min"], cfg["n_max"] + 1)]
     return Report(cfg, rows, ["n", "mu_n"])
 
 
 def run_randgrp_moment(cfg: dict) -> Report:
     from .randgrp import moment_mu, moment_n
-    h = resolve_gamma_group(cfg["h"], cfg.get("gamma", "inversion"))
-    ginf = resolve_gamma_inf(h.gamma, cfg.get("gamma_inf", "full"))
-    rows = []
-    for n in range(int(cfg.get("n_min", cfg.get("n", 1))),
-                   int(cfg.get("n_max", cfg.get("n", 1))) + 1):
-        rows.append([n, _fr(moment_n(h, ginf, n)), _fr(moment_mu(h, ginf))])
+    h = resolve_gamma_group(cfg["h"], cfg["gamma"])
+    ginf = resolve_gamma_inf(h.gamma, cfg["gamma_inf"])
+    rows = [[n, _fr(moment_n(h, ginf, n)), _fr(moment_mu(h, ginf))]
+            for n in range(cfg["n_min"], cfg["n_max"] + 1)]
     return Report(cfg, rows, ["n", "moment_n", "moment_limit"])
 
 
 def run_ff_moment(cfg: dict) -> Report:
     from .arith import empirical_moment
-    q = int(cfg["q"])
-    dmax = int(cfg["dmax"])
-    target = [int(x) for x in str(cfg.get("target", cfg.get("h", "5"))).replace(
-        ",", " ").split()]
-    mode = cfg.get("mode", "plain")
-    seed = int(cfg.get("seed", 0))
-    rep = empirical_moment(q, dmax, target, mode=mode, seed=seed)
-    rows = []
-    for r in rep.rows:
-        rows.append([r.degree, r.fields, r.excluded, str(r.sur_sum),
-                     _fr(r.cumulative_average), _fr(r.prediction),
-                     f"{r.se_proxy:.6f}"])
+    target = _ints(cfg["target"], "target")
+    rep = empirical_moment(cfg["q"], cfg["dmax"], target, mode=cfg["mode"],
+                           seed=cfg["seed"])
+    rows = [[r.degree, r.fields, r.excluded, str(r.sur_sum),
+             _fr(r.cumulative_average), _fr(r.prediction), f"{r.se_proxy:.6f}"]
+            for r in rep.rows]
     return Report(cfg, rows, ["degree", "fields", "excluded", "sur_sum",
                               "running_average", "prediction", "se_proxy"])
 
@@ -300,15 +316,12 @@ def run_ff_moment(cfg: dict) -> Report:
 def run_nf_moment(cfg: dict) -> Report:
     from .arith import nf_class_group
     from .ntheory import factorize
-    dmax = int(cfg["dmax"])
-    target = [int(x) for x in str(cfg.get("target", cfg.get("h", "3"))).replace(
-        ",", " ").split()]
-    H = AbelianStructure.from_cyclic_orders(target)
+    H = AbelianStructure.from_cyclic_orders(_ints(cfg["target"], "target"))
     total = Fraction(0)
     count = 0
     rows = []
     last_d = None
-    for d in range(1, dmax + 1):
+    for d in range(1, cfg["dmax"] + 1):
         if any(e > 1 for e in factorize(d).values()):
             continue   # not squarefree
         cg = nf_class_group(d)
@@ -324,43 +337,101 @@ def run_nf_moment(cfg: dict) -> Report:
 
 def run_verify(cfg: dict) -> Report:
     from .verify import run_suite
-    suite = cfg.get("suite", "all")
-    quick = str(cfg.get("quick", "false")).lower() in ("1", "true", "yes")
-    results = run_suite(suite, quick=quick)
+    results = run_suite(cfg["suite"], quick=cfg["quick"])
     rows = [[r.suite, r.name, "pass" if r.passed else "FAIL", r.detail]
             for r in results]
-    if not all(r.passed for r in results):
-        rep = Report(cfg, rows, ["suite", "check", "status", "detail"])
-        rep.failed = True
-        return rep
-    return Report(cfg, rows, ["suite", "check", "status", "detail"])
+    rep = Report(cfg, rows, ["suite", "check", "status", "detail"])
+    rep.failed = not all(r.passed for r in results)
+    return rep
 
 
+# ---------------------------------------------------------------------------
+# the parameter table
+# ---------------------------------------------------------------------------
+
+_GROUP_C = (Param("group", str), Param("c", str, "all"),
+            Param("g_inf", str, "auto"))
+_CACHE_DIR = Param("cache_dir", str, None)
+
+# A kind "<group>-<leaf>" with <group> in GROUPS is `hurwitzlab <group> <leaf>`.
 KINDS = {
-    "orbits": run_orbits,
-    "invariants": run_orbits,
-    "frob-count": run_frob_count,
-    "predict-moment": run_predict_moment,
-    "randgrp-sample": run_randgrp_sample,
-    "randgrp-measure": run_randgrp_measure,
-    "randgrp-moment": run_randgrp_moment,
-    "arith-ff-moment": run_ff_moment,
-    "arith-nf-moment": run_nf_moment,
-    "verify": run_verify,
+    "orbits": Kind(run_orbits, "braid orbits with invariants", (
+        *_GROUP_C, Param("n", int), _CACHE_DIR)),
+    "frob-count": Kind(run_frob_count, "Frobenius-fixed component counts", (
+        *_GROUP_C, Param("q", int), Param("n_min", int, 2),
+        Param("n_max", int, 6), _CACHE_DIR)),
+    # q stays a string: "limit" or a prime power
+    "predict-moment": Kind(run_predict_moment, "moment predictions", (
+        Param("h", str), Param("gamma", str, "inversion"),
+        Param("gamma_inf", str, "full"), Param("q", str, "limit"))),
+    "randgrp-sample": Kind(run_randgrp_sample, None, (
+        Param("gamma", str, "C2"), Param("exponent", int, 3),
+        Param("gamma_inf", str, "full"), Param("n", int),
+        Param("trials", int), Param("seed", int))),
+    "randgrp-measure": Kind(run_randgrp_measure, None, (
+        Param("gamma", str, "C2"), Param("exponent", int, 3),
+        Param("gamma_inf", str, "full"), Param("h", str),
+        Param("n_min", int, 1), Param("n_max", int, 4))),
+    "randgrp-moment": Kind(run_randgrp_moment, None, (
+        Param("h", str), Param("gamma", str, "inversion"),
+        Param("gamma_inf", str, "full"), Param("n_min", int, 1),
+        Param("n_max", int, 8))),
+    "arith-ff-moment": Kind(run_ff_moment, None, (
+        Param("q", int), Param("dmax", int), Param("target", str, flag="--H"),
+        Param("mode", str, "plain", choices=("plain", "gerth")),
+        Param("seed", int))),
+    "arith-nf-moment": Kind(run_nf_moment, None, (
+        Param("dmax", int), Param("target", str, flag="--H"))),
+    "verify": Kind(run_verify, "acceptance suites", (
+        Param("suite", str, "all", flag="suite"), Param("quick", bool, False))),
 }
+GROUPS = {"randgrp": "random group model", "arith": "class-group ground truth"}
+# the echo keeps the name the run was started under
+ALIASES = {"invariants": "orbits"}
+
+
+def _typed(params: tuple, values: dict) -> dict:
+    """`values` checked against `params`: every key known, every required
+    key present, every value converted to its type (INI gives strings, JSON
+    gives typed values), defaults filled in and None values dropped."""
+    unknown = set(values) - {p.name for p in params}
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    out = {}
+    for p in params:
+        val = p.default if values.get(p.name) is None else values[p.name]
+        if val is REQUIRED:
+            raise ValidationError(f"missing required config key {p.name!r}")
+        if val is None:
+            continue
+        if p.type is int and isinstance(val, str):
+            val = _int(val, p.name)
+        elif p.type is bool and isinstance(val, str):
+            val = configparser.ConfigParser.BOOLEAN_STATES.get(
+                val.strip().lower(), val)
+        elif p.type is str and type(val) is int:
+            val = str(val)
+        if type(val) is not p.type or val not in (p.choices or [val]):
+            raise ValidationError(f"{p.name}: {val!r} is not "
+                                  f"{p.choices or p.type.__name__}")
+        out[p.name] = val
+    return out
+
+
+def normalize_config(cfg: dict) -> dict:
+    """The config a run of `cfg` echoes: its kind and that kind's typed
+    parameters, defaults included (see `_typed`)."""
+    kind = cfg.get("kind")
+    if not isinstance(kind, str) or ALIASES.get(kind, kind) not in KINDS:
+        raise ValidationError(f"unknown experiment kind {kind!r}; expected "
+                              f"one of {sorted([*KINDS, *ALIASES])}")
+    rest = {k: v for k, v in cfg.items() if k != "kind"}
+    return {"kind": kind, **_typed(KINDS[ALIASES.get(kind, kind)].params, rest)}
 
 
 def run_config(cfg: dict) -> Report:
-    unknown = set(cfg) - KNOWN_KEYS
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    kind = cfg.get("kind")
-    if kind not in KINDS:
-        raise ValidationError(
-            f"unknown experiment kind {kind!r}; expected one of {sorted(KINDS)}")
-    if kind in ("randgrp-sample", "arith-ff-moment") and "seed" not in cfg:
-        raise ValidationError("randomized experiments require an explicit seed")
-    return KINDS[kind](cfg)
+    cfg = normalize_config(cfg)
+    return KINDS[ALIASES.get(cfg["kind"], cfg["kind"])].run(cfg)
 
 
 def load_config(path: str) -> dict:
@@ -370,25 +441,32 @@ def load_config(path: str) -> dict:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValidationError("JSON config must be an object")
-        return {str(k): obj[k] for k in obj}
+        return obj
     parser = configparser.ConfigParser()
-    parser.read_string("[experiment]\n" + text if not stripped.startswith("[")
-                       else text)
-    out: dict = {}
-    for section in parser.sections():
-        for k, v in parser.items(section):
-            key = k if section == "experiment" else f"{section}.{k}"
-            out[key] = v
-    return out
+    parser.read_string(text if stripped.startswith("[")
+                       else "[experiment]\n" + text)
+    if parser.sections() != ["experiment"]:
+        raise ValidationError("an INI config has one section, [experiment]")
+    return dict(parser["experiment"])
 
 
 # ---------------------------------------------------------------------------
-# argparse front end
+# argparse front end, generated from the parameter table
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", default="csv", choices=["csv", "json"])
+def _add_param(parser, p: Param) -> None:
+    # defaults stay in the table: an absent flag is None, filled in by _typed
+    kw = {"choices": p.choices} if p.choices else {}
+    if p.type is bool:
+        kw["action"] = "store_true"
+    elif p.type is int:
+        kw["type"] = int
+    flag = p.flag or "--" + p.name.replace("_", "-")
+    if flag.startswith("-"):
+        kw.update(dest=p.name, required=p.default is REQUIRED)
+    else:
+        kw["nargs"] = "?"
+    parser.add_argument(flag, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,124 +476,45 @@ def build_parser() -> argparse.ArgumentParser:
                     "invariants, random Gamma-groups, and class-group "
                     "statistics")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("orbits", aliases=["invariants"],
-                       help="braid orbits with invariants")
-    p.add_argument("--group", required=True)
-    p.add_argument("--c", default="all")
-    p.add_argument("--g-inf", dest="g_inf", default="auto")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cache-dir", dest="cache_dir", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("frob-count", help="Frobenius-fixed component counts")
-    p.add_argument("--group", required=True)
-    p.add_argument("--c", default="all")
-    p.add_argument("--g-inf", dest="g_inf", default="auto")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n-min", dest="n_min", type=int, default=2)
-    p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.add_argument("--cache-dir", dest="cache_dir", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("predict-moment", help="moment predictions")
-    p.add_argument("--h", required=True)
-    p.add_argument("--gamma", default="inversion")
-    p.add_argument("--gamma-inf", dest="gamma_inf", default="full")
-    p.add_argument("--q", default="limit")
-    _add_common(p)
-
-    rg = sub.add_parser("randgrp", help="random group model")
-    rgs = rg.add_subparsers(dest="subcommand", required=True)
-    p = rgs.add_parser("sample")
-    p.add_argument("--gamma", default="C2")
-    p.add_argument("--exponent", type=int, default=3)
-    p.add_argument("--gamma-inf", dest="gamma_inf", default="full")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_common(p)
-    p = rgs.add_parser("measure")
-    p.add_argument("--gamma", default="C2")
-    p.add_argument("--exponent", type=int, default=3)
-    p.add_argument("--gamma-inf", dest="gamma_inf", default="full")
-    p.add_argument("--h", required=True)
-    p.add_argument("--n-min", dest="n_min", type=int, default=1)
-    p.add_argument("--n-max", dest="n_max", type=int, default=4)
-    _add_common(p)
-    p = rgs.add_parser("moment")
-    p.add_argument("--h", required=True)
-    p.add_argument("--gamma", default="inversion")
-    p.add_argument("--gamma-inf", dest="gamma_inf", default="full")
-    p.add_argument("--n-min", dest="n_min", type=int, default=1)
-    p.add_argument("--n-max", dest="n_max", type=int, default=8)
-    _add_common(p)
-
-    ar = sub.add_parser("arith", help="class-group ground truth")
-    ars = ar.add_subparsers(dest="subcommand", required=True)
-    p = ars.add_parser("ff-moment")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--H", dest="target", required=True)
-    p.add_argument("--mode", default="plain", choices=["plain", "gerth"])
-    p.add_argument("--seed", type=int, required=True)
-    _add_common(p)
-    p = ars.add_parser("nf-moment")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--H", dest="target", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="acceptance suites")
-    p.add_argument("suite", nargs="?", default="all")
-    p.add_argument("--quick", action="store_true")
-    _add_common(p)
-
+    groups = {}
+    for kind, spec in KINDS.items():
+        group, _, leaf = kind.partition("-")
+        if group in GROUPS:
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=GROUPS[group]) \
+                    .add_subparsers(dest="subcommand", required=True)
+            p = groups[group].add_parser(leaf)
+        else:
+            p = sub.add_parser(kind, help=spec.help, aliases=[
+                a for a, k in ALIASES.items() if k == kind])
+        for param in spec.params + OUTPUT:
+            _add_param(p, param)
     p = sub.add_parser("run", help="run a config file (INI or JSON)")
     p.add_argument("config")
-    _add_common(p)
+    for param in OUTPUT:
+        _add_param(p, param)
     return ap
 
 
-def _namespace_to_config(ns) -> dict:
-    cfg = {}
-    cmd = ns.command
-    if cmd == "randgrp":
-        cfg["kind"] = f"randgrp-{ns.subcommand}"
-    elif cmd == "arith":
-        cfg["kind"] = {"ff-moment": "arith-ff-moment",
-                       "nf-moment": "arith-nf-moment"}[ns.subcommand]
-    else:
-        cfg["kind"] = cmd
-    for key, val in vars(ns).items():
-        if key in ("command", "subcommand") or val is None:
-            continue
-        cfg[key] = val
-    return cfg
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     try:
-        if ns.command == "run":
-            cfg = load_config(ns.config)
-            for key in ("out", "format"):
-                val = getattr(ns, key, None)
-                if val is not None and key not in cfg:
-                    cfg[key] = val
+        if args["command"] == "run":
+            cfg = load_config(args["config"])
         else:
-            cfg = _namespace_to_config(ns)
-        out = cfg.pop("out", None)
-        fmt = cfg.pop("format", "csv")
+            kind = "-".join(args.pop(k) for k in ("command", "subcommand")
+                            if k in args)
+            cfg = dict(args, kind=kind)
+        # out and format: a config file's own values win over the flags
+        output = _typed(OUTPUT, {p.name: cfg.pop(p.name, args[p.name])
+                                 for p in OUTPUT})
         t0 = time.time()
         report = run_config(cfg)
         elapsed = time.time() - t0
-        report.write(out, fmt)
+        report.write(output.get("out"), output["format"])
         print(f"# wall-clock {elapsed:.2f}s fingerprint {report.fingerprint}",
               file=sys.stderr)
-        if getattr(report, "failed", False):
-            return 1
-        return EXIT_OK
+        return 1 if report.failed else EXIT_OK
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

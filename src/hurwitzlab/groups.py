@@ -333,7 +333,6 @@ def from_rule(elements: Sequence, mul: Callable, name: str = "") -> FiniteGroup:
 
     The identity must be elements[0]."""
     idx = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
     table = [[idx[mul(a, b)] for b in elements] for a in elements]
     return FiniteGroup(table, name=name)
 

@@ -120,7 +120,6 @@ class _TupleCodec:
     def neighbors(self, p: int) -> list:
         """Canonical forms reached by one braid move sigma_i^{+-1}."""
         lst = self.unpack(p)
-        bits = self.bits
         out = []
         for i in range(self.length - 1):
             a, b = lst[i], lst[i + 1]
@@ -141,7 +140,6 @@ def _generation_checker(group: FiniteGroup, g_inf: int):
     """Memoized test: does a set of elements together with g_inf generate G?"""
     order = group.order
     t = group.table
-    full = (1 << order) - 1
     memo: dict = {}
 
     def gen_ok(mask_elems: int) -> bool:
@@ -150,7 +148,6 @@ def _generation_checker(group: FiniteGroup, g_inf: int):
         if hit is not None:
             return hit
         elems = [i for i in range(order) if (mask_elems >> i) & 1]
-        seen = 1  # identity bit
         frontier = [0]
         have = {0}
         while frontier:

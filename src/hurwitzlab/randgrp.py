@@ -758,8 +758,7 @@ class MonteCarloReport:
         label = ("ab-inv", tuple(chain))
         c = self.counts.get(label, 0)
         p = Fraction(c, self.trials)
-        import math as _m
-        se = _m.sqrt(max(float(p) * (1 - float(p)), 1e-300) / self.trials)
+        se = math.sqrt(max(float(p) * (1 - float(p)), 1e-300) / self.trials)
         return p, se
 
     def mean_surjections(self, chain: tuple):
@@ -768,9 +767,8 @@ class MonteCarloReport:
             raise ValidationError(f"structure {chain} was not tracked")
         total, sq = data
         mean = Fraction(total, self.trials)
-        import math as _m
         var = sq / self.trials - float(mean) ** 2
-        se = _m.sqrt(max(var, 0.0) / self.trials)
+        se = math.sqrt(max(var, 0.0) / self.trials)
         return mean, se
 
 

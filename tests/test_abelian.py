@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -63,6 +64,44 @@ def test_hom_sur_counts(src, dst):
     s2 = AbelianStructure.from_cyclic_orders(dst)
     assert s1.hom_count(s2) == brute_hom_count(src, dst)
     assert s1.sur_count(s2) == brute_hom_count(src, dst, surjective=True)
+
+
+def brute_sur_count(src_orders, dst_orders):
+    """Surjective homomorphisms from Z/d_1 + ... + Z/d_k onto
+    Z/m_1 + ... + Z/m_l, counted as assignments of images x_i to the standard
+    generators with d_i x_i = 0 whose span is the whole target."""
+    elems = list(itertools.product(*(range(m) for m in dst_orders)))
+    zero = elems[0]
+
+    def times(k, x):
+        return tuple(k * a % m for a, m in zip(x, dst_orders))
+
+    count = 0
+    for imgs in itertools.product(elems, repeat=len(src_orders)):
+        if any(times(d, x) != zero for d, x in zip(src_orders, imgs)):
+            continue
+        span = {zero}
+        for d, x in zip(src_orders, imgs):
+            span = {tuple((a + b) % m for a, b, m in
+                          zip(s, times(k, x), dst_orders))
+                    for s in span for k in range(d)}
+        count += len(span) == len(elems)
+    return count
+
+
+# every abelian group of order <= 16 as a source, <= 9 as a target
+SMALL_SOURCES = [[1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4],
+                 [2, 2, 2], [9], [3, 3], [10], [11], [12], [2, 6], [13],
+                 [14], [15], [16], [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2]]
+SMALL_TARGETS = [o for o in SMALL_SOURCES if math.prod(o) <= 9]
+
+
+def test_sur_count_closed_form_brute_force():
+    for src in SMALL_SOURCES:
+        s1 = AbelianStructure.from_cyclic_orders(src)
+        for dst in SMALL_TARGETS:
+            s2 = AbelianStructure.from_cyclic_orders(dst)
+            assert s1.sur_count(s2) == brute_sur_count(src, dst), (src, dst)
 
 
 def test_structure_requires_abelian():

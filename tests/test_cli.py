@@ -1,12 +1,13 @@
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from hurwitzlab.cli import (EXIT_CAPACITY, EXIT_OK, EXIT_VALIDATION,
-                            load_config, main, resolve_c, resolve_group,
-                            run_config)
+                            build_parser, load_config, main, normalize_config,
+                            resolve_c, resolve_group, run_config)
 from hurwitzlab.errors import ValidationError
 from hurwitzlab.groups import symmetric
 
@@ -73,6 +74,80 @@ def test_unknown_keys_rejected(tmp_path):
         run_config({"kind": "wat"})
 
 
+def test_config_takes_the_subcommand_parameters():
+    # defaults filled in, values typed, None dropped: the echo of a config
+    # is the echo of the subcommand
+    assert normalize_config({"kind": "frob-count", "group": "D5",
+                             "c": "involutions", "q": "3",
+                             "cache_dir": None}) == {
+        "kind": "frob-count", "group": "D5", "c": "involutions",
+        "g_inf": "auto", "q": 3, "n_min": 2, "n_max": 6}
+    assert normalize_config({"kind": "verify", "quick": "yes"}) == {
+        "kind": "verify", "suite": "all", "quick": True}
+    assert normalize_config({"kind": "predict-moment", "h": "C3",
+                             "q": 7})["q"] == "7"
+    for bad in ({"n": "four"}, {"n": True}, {"n": 4.0}, {"n": 4, "trials": 9},
+                {}, {"n": 4, "h": "C3"}):
+        with pytest.raises(ValidationError):
+            normalize_config({"kind": "orbits", "group": "S3", **bad})
+    # the aliases of older config files are gone
+    with pytest.raises(ValidationError):
+        normalize_config({"kind": "randgrp-moment", "h": "C3", "n": 1})
+    with pytest.raises(ValidationError):
+        normalize_config({"kind": "arith-nf-moment", "dmax": 9, "h": "3"})
+    with pytest.raises(ValidationError):
+        normalize_config({"kind": "arith-ff-moment", "q": 3, "dmax": 3,
+                          "target": "5", "seed": 1, "mode": "fast"})
+
+
+def test_malformed_config_file_exits_3(tmp_path, capsys):
+    for text in ("kind = orbits\ngroup = S3\nc = involutions\n",
+                 "kind = orbits\ngroup = S3\nn = four\n",
+                 "kind = orbits\ngroup = S3\nn = 4\ntrials = 9\n",
+                 "[orbits]\nkind = orbits\ngroup = S3\nn = 4\n"):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert main(["run", str(path)]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--group", "C3", "--c", "involutions", "--n", "4"],
+    ["orbits", "--group", "A4", "--c", "order:3", "--g-inf", "involution",
+     "--n", "4"],
+    ["orbits", "--group", "S3", "--g-inf", "x", "--n", "4"],
+    ["orbits", "--group", "S3", "--c", "order:x", "--n", "4"],
+    ["orbits", "--group", "S3", "--c", "99", "--n", "3"],
+    ["orbits", "--group", "S3", "--c", "class-of:99", "--n", "3"],
+    ["orbits", "--group", "S3", "--g-inf", "99", "--n", "3"],
+    ["randgrp", "moment", "--h", "C3", "--gamma-inf", "7"],
+    ["randgrp", "moment", "--h", "C3", "--gamma-inf", "-1"],
+    ["predict-moment", "--h", "C3", "--q", "x"],
+    ["arith", "nf-moment", "--dmax", "10", "--H", "x"],
+    ["orbits", "--group", "C2xx", "--n", "3"],
+])
+def test_malformed_values_exit_3(argv, capsys):
+    assert main(argv) == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_readme_examples_parse(tmp_path):
+    # parses only: every CLI line of the README's sh blocks, and its INI
+    # example through the parameter table
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines()
+             if line.startswith("hurwitzlab ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+    (ini,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    path = tmp_path / "experiment.cfg"
+    path.write_text(ini)
+    assert normalize_config(load_config(str(path)))["kind"] \
+        == "arith-ff-moment"
+
+
 def test_seed_required_for_sampling():
     with pytest.raises(ValidationError):
         run_config({"kind": "randgrp-sample", "n": 2, "trials": 10,
@@ -94,7 +169,7 @@ def test_report_reproducible():
 
 def test_workers_config_key_exits_3(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
-    path.write_text("kind = randgrp-moment\nh = C3\nn = 1\nworkers = 2\n")
+    path.write_text("kind = randgrp-moment\nh = C3\nn_min = 1\nworkers = 2\n")
     assert main(["run", str(path)]) == EXIT_VALIDATION
 
 

@@ -61,9 +61,44 @@ def _fingerprint(argv, path) -> str:
     return json.loads(path.read_text())["fingerprint"]
 
 
-@pytest.mark.parametrize("argv,expected",
-                         GOLDEN + list(NAMED_GOLDEN.values()),
-                         ids=IDS + list(NAMED_GOLDEN))
+def _config_of(argv) -> dict:
+    """The config file equivalent of `argv`, with only the keys it gives:
+    the command words name the kind, `--H` is `target`, a value after no
+    flag is `verify`'s suite."""
+    words = 2 if argv[0] in ("randgrp", "arith") else 1
+    cfg = {"kind": "-".join(argv[:words])}
+    rest = argv[words:]
+    while rest:
+        if rest[0].startswith("--"):
+            key = "target" if rest[0] == "--H" else rest[0][2:].replace("-", "_")
+            cfg[key], rest = rest[1], rest[2:]
+        else:
+            cfg["suite"], rest = rest[0], rest[1:]
+    return cfg
+
+
+CASES = GOLDEN + list(NAMED_GOLDEN.values())
+CASE_IDS = IDS + list(NAMED_GOLDEN)
+
+
+@pytest.mark.parametrize("argv,expected", CASES, ids=CASE_IDS)
 def test_golden_fingerprint(argv, expected, tmp_path, capsys):
     assert _fingerprint(argv, tmp_path / "report.json") == expected
+
+
+@pytest.mark.parametrize("fmt", ["ini", "json"])
+@pytest.mark.parametrize("argv,expected", CASES, ids=CASE_IDS)
+def test_golden_fingerprint_from_config(argv, expected, fmt, tmp_path, capsys):
+    # the same experiment from a config file: INI gives every value as a
+    # string, JSON gives digit strings as numbers; both get the subcommand's
+    # defaults, so the report is the subcommand's
+    cfg = _config_of(argv)
+    path = tmp_path / f"experiment.{fmt}"
+    if fmt == "ini":
+        path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    else:
+        path.write_text(json.dumps({k: int(v) if v.isdigit() else v
+                                    for k, v in cfg.items()}))
+    assert _fingerprint(["run", str(path)], tmp_path / "report.json") \
+        == expected
 
