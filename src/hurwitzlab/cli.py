@@ -435,16 +435,25 @@ def run_config(cfg: dict) -> Report:
 
 
 def load_config(path: str) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read config {path}: {e}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"malformed JSON config: {e}") from None
         if not isinstance(obj, dict):
             raise ValidationError("JSON config must be an object")
         return obj
     parser = configparser.ConfigParser()
-    parser.read_string(text if stripped.startswith("[")
-                       else "[experiment]\n" + text)
+    try:
+        parser.read_string(text if stripped.startswith("[")
+                           else "[experiment]\n" + text)
+    except configparser.Error as e:
+        raise ValidationError(f"malformed INI config: {e}") from None
     if parser.sections() != ["experiment"]:
         raise ValidationError("an INI config has one section, [experiment]")
     return dict(parser["experiment"])

@@ -136,9 +136,6 @@ class FixedCount:
     q: int
     refinement: tuple  # sorted ((h coords), count) pairs; sums to b
 
-    def refinement_dict(self) -> dict:
-        return {h: c for h, c in self.refinement}
-
 
 def fixed_counts(ctx: UContext, ginf_members: Sequence[int], q: int,
                  n: int) -> FixedCount:

@@ -546,15 +546,6 @@ class ConjClassTable:
             out.append(self.class_of[g.power(r, k)])
         return out
 
-    def power_permutations(self) -> set[tuple]:
-        """The permutations of class ids induced by all invertible powers."""
-        e = self.group.exponent()
-        perms = set()
-        for k in range(1, e + 1):
-            if math.gcd(k, e) == 1:
-                perms.add(tuple(self.power_map(k)))
-        return perms
-
 
 # ---------------------------------------------------------------------------
 # subgroups
@@ -708,9 +699,6 @@ class GammaGroup:
         clo = self.admissible_closure(range(self.base.order))
         return len(clo) == self.base.order
 
-    def coprime_orders(self) -> bool:
-        return math.gcd(self.base.order, self.gamma.order) == 1
-
     # -- equivariant counting ----------------------------------------------
 
     def _y_preimage_count(self, members: tuple) -> int:
@@ -803,16 +791,6 @@ class GammaGroup:
             if m:
                 total += m * self._y_preimage_count(s) ** n
         return total
-
-    def count_hom_free_admissible(self, n: int) -> int:
-        """|Hom_Gamma(F_n, base)| for the free admissible object: tuple count
-        divided by |base^Gamma|^n (tuples inducing equal maps differ by
-        Gamma-invariant left factors coordinatewise)."""
-        inv = len(self.invariants(range(self.gamma.order)))
-        total = self.base.order ** n
-        if total % (inv ** n):
-            raise InternalCheckError("hom count not integral")
-        return total // (inv ** n)
 
     def count_sur_gamma_free(self, n: int) -> int:
         """|Sur_Gamma(F_n, base)|: surjection count at the hom level."""

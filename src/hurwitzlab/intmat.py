@@ -10,13 +10,20 @@ keeps the entries bounded, and lets the work run on int64 numpy arrays.
 One engine, `_smith_mod`, brings a matrix to Smith form modulo m and can
 track the transforms (Storjohann and Mulders, "Fast algorithms for linear
 algebra modulo N", ESA 1998).  Quotient divisors, adapted representatives,
-solving and kernels are a few lines on top of it.  Two other reductions
+solving and kernels are a few lines on top of it.  Three other reductions
 stay, each for a job the engine cannot do:
 
 * `howell_form_mod` / `howell_residue`: the Howell form is unique, so its
   residues are canonical coset labels;
 * `kernel_basis`: the one kernel exact over Z (ker d2 of the bar complex),
-  with coordinates for any kernel vector.
+  with coordinates for any kernel vector;
+* `quotient_divisors_stack`: the quotient divisors of a whole (T, R, C)
+  stack of small matrices at once (the Monte Carlo trials of a block).  It
+  splits m into prime powers p^e and pivots on an entry of least
+  p-valuation in each matrix.  Over Z/p^e that entry divides every other,
+  so one pivot step is the same few array operations for every matrix of
+  the stack, where `_smith_mod`'s gcd steps take a different number of
+  rounds per matrix.
 """
 
 from __future__ import annotations
@@ -214,6 +221,71 @@ def quotient_divisors_mod(gens, dim: int, m: int):
     diag = _smith_mod(_mod_array(gens, dim, m), m)
     divisors = [math.gcd(d, m) for d in diag] + [m] * (dim - len(diag))
     return sorted(d for d in divisors if d != 1)
+
+
+def quotient_divisors_stack(A: np.ndarray, m: int) -> np.ndarray:
+    """Invariant factors of Z^C / (span(A[t]) + m Z^C) for every slice of a
+    (T, R, C) integer array, as a (T, C) int64 array whose rows divide
+    upwards, ones first; the entries > 1 of row t are
+    quotient_divisors_mod(A[t], C, m).
+
+    By CRT the quotient is the sum of its parts over Z/p^e for the prime
+    powers of m, and each part is brought to Smith form over that local
+    ring by `_local_exponents`.  Row t of the result multiplies the parts'
+    p^a, with each part's exponents sorted ascending.
+    """
+    if m > (1 << 30):
+        raise InternalCheckError("modulus too large for int64 mod-SNF")
+    A = np.asarray(A, dtype=np.int64)
+    T, _, C = A.shape
+    out = np.ones((T, C), dtype=np.int64)
+    for p, e in factorize(m).items():
+        exps = np.sort(_local_exponents(A % p ** e, p, e), axis=1)
+        out *= np.power(p, exps)
+    return out
+
+
+def _local_exponents(A: np.ndarray, p: int, e: int) -> np.ndarray:
+    """Exponents a_1..a_C with Z^C / (span(A[t]) + p^e Z^C) = (+) Z/p^a_i,
+    for each slice of a (T, R, C) array with entries in [0, p^e); A is
+    overwritten.
+
+    Over the local ring Z/p^e an entry p^v u (u a unit) of least valuation
+    divides every entry of its matrix, so it is a Smith pivot: each other
+    row, scaled by the unit u, clears its entry in the pivot column with
+    the exact quotient by p^v, and the pivot row then clears by column
+    operations that touch nothing else.  No gcd steps are needed, so each
+    pivot step is one set of array operations across the whole stack; a
+    zero slice has v = e and stays zero.
+    """
+    q = p ** e
+    T, R, C = A.shape
+    out = np.full((T, C), e, dtype=np.int64)
+    at = np.arange(T)
+    for s in range(min(R, C)):
+        r, c = A.shape[1:]
+        val = np.zeros(A.shape, dtype=np.int64)
+        for j in range(1, e + 1):
+            val += A % p ** j == 0
+        flat = val.reshape(T, r * c)
+        k = flat.argmin(axis=1)
+        v = flat[at, k]
+        out[:, s] = v
+        if (v == e).all():
+            break
+        i, j = np.divmod(k, c)
+        pv = np.power(p, v)
+        piv = A[at, i]
+        unit = piv[at, j] // pv
+        # the pivot row leaves; row 0 takes its slot
+        A[at, i] = A[:, 0]
+        A = A[:, 1:]
+        factor = A[at, :, j] // pv[:, None]
+        A = (unit[:, None, None] * A - factor[:, :, None] * piv[:, None, :]) % q
+        # the cleared pivot column leaves; column 0 takes its slot
+        A[at, :, j] = A[:, :, 0]
+        A = A[:, :, 1:]
+    return out
 
 
 def solve_linear_mod(rows, rhs, nvars: int, m: int):

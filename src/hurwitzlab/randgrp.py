@@ -23,13 +23,16 @@ import numpy as np
 from .abelian import AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .groups import FiniteGroup, GammaGroup, Subgroup
-from .intmat import (_smith_mod, divisor_chain, howell_form_mod,
-                     howell_residue, kernel_mod, quotient_divisors_mod,
+from .intmat import (divisor_chain, howell_form_mod, howell_residue,
+                     kernel_mod, quotient_divisors_stack,
                      quotient_with_reps_mod, solve_linear_mod)
 from .ntheory import pdivmod, pnorm, ppowmod, prime_divisors
-from .rng import CounterRng, substream
+from .rng import CounterRng, randints, substream
 
 DEFAULT_ORDER_CAP = 3 ** 8
+# int64 entries of one Monte Carlo block's relation stack (trials x rows x
+# dim); the block size changes no count, only time and memory
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,18 @@ class FreeAdmissible:
                     mat[nontriv.index(g1)][j] -= 1
             mats.append(mat)
         self._block_mats = mats  # column-action: (M v)_i = sum_j M[i][j] v[j]
+        # M_g - I on the whole module for g != 1: the relation rows of x
+        rel = np.zeros((k - 1, dim, dim), dtype=np.int64)
+        for blk in range(n):
+            part = slice(blk * self.block, (blk + 1) * self.block)
+            rel[:, part, part] = mats[1:]
+        self._rel_stack = rel - np.eye(dim, dtype=np.int64)
         self.is_inversion = _is_inversion_variety(self)
         # variety constraint: N = intersection of kernels of module maps to
         # each generator target
         self._nhowell = self._variety_kernel()
+        nrows = [r for r in self._nhowell if any(v % m for v in r)]
+        self._nrows = np.array(nrows, dtype=np.int64).reshape(len(nrows), dim)
         self._check_cap(order_cap)
         self._inv_cache: dict = {}
 
@@ -218,9 +229,6 @@ class FreeAdmissible:
     def add(self, a, b) -> tuple:
         return self.canonical([(x + y) % self.m for x, y in zip(a, b)])
 
-    def neg(self, a) -> tuple:
-        return self.canonical([(-x) % self.m for x in a])
-
     def act(self, ge: int, a) -> tuple:
         return self.canonical(self.act_vector(ge, a))
 
@@ -263,7 +271,7 @@ class FreeAdmissible:
                 cols.append(self.canonical(img))
             mats.append(cols)
         # solution set: x with sum_j x_j * cols[j] == 0 mod (N + mZ)
-        nrows = [r for r in self._nhowell if any(x % self.m for x in r)]
+        nrows = self._nrows.tolist()
         eq_rows = []
         for cols in mats:
             for coord in range(self.dim):
@@ -404,18 +412,33 @@ def sample_x(free: FreeAdmissible, gamma_inf_members: Sequence[int],
 
 
 def quotient_outcome(free: FreeAdmissible, xs) -> SampleOutcome:
-    m = free.m
-    rel = []
-    for x in xs:
-        for ge in range(1, free.gamma.order):
-            img = free.act_vector(ge, x)
-            rel.append([(a - b) % m for a, b in zip(img, x)])
-    nrows = [list(r) for r in free._nhowell if any(v % m for v in r)]
-    divisors = quotient_divisors_mod(rel + nrows, free.dim, m)
-    chain = tuple(divisor_chain(divisors))
-    label = ("ab-inv", chain) if free.is_inversion else \
+    X = np.array(xs, dtype=np.int64).reshape(1, len(xs), free.dim)
+    chain = _chain(_quotient_divisors(free, X)[0])
+    return SampleOutcome(label=_label(free, chain), divisors=chain,
+                         witnesses=tuple(xs))
+
+
+def _quotient_divisors(free: FreeAdmissible, X: np.ndarray) -> np.ndarray:
+    """Invariant factors of the quotient for each witness stack X[t], an
+    (s, dim) array: the relations are (M_g - I) x for every row x and every
+    g != 1, plus the rows of N.  The rows of X need not be canonical: N is
+    Gamma-stable and among the relations, so moving x within its coset
+    leaves the quotient alone."""
+    T, s, dim = X.shape
+    rel = np.einsum("gab,tib->tiga", free._rel_stack, X).reshape(
+        T, s * len(free._rel_stack), dim)
+    nrows = np.broadcast_to(free._nrows, (T,) + free._nrows.shape)
+    return quotient_divisors_stack(np.concatenate([rel, nrows], axis=1),
+                                   free.m)
+
+
+def _chain(divisors: np.ndarray) -> tuple:
+    return tuple(divisor_chain(divisors[divisors > 1]))
+
+
+def _label(free: FreeAdmissible, chain: tuple) -> tuple:
+    return ("ab-inv", chain) if free.is_inversion else \
         ("ab", chain, free.gamma.order)
-    return SampleOutcome(label=label, divisors=chain, witnesses=tuple(xs))
 
 
 def _is_inversion_variety(free: FreeAdmissible) -> bool:
@@ -594,7 +617,7 @@ def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup):
     rgens = kernel_mod(rows, free.dim, m)
     # restrict to the free object: intersect with ambient (module model is
     # already the free object when the variety kernel is trivial)
-    nrows = [list(r) for r in free._nhowell if any(v % m for v in r)]
+    nrows = free._nrows.tolist()
     if nrows:
         # R = {x in solution : x in free object}; the module model already
         # works modulo N, so add N to the span
@@ -622,8 +645,8 @@ def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup):
         # decompose by minimal polynomial factors
         for f in _factor_cyclotomic(gamma.order, p):
             deg = len(f) - 1
-            mat = _poly_of_matrix(cols, f, p, dim)
-            null = dim - len(_smith_mod(np.array(mat, dtype=np.int64), p))
+            mat = _poly_of_matrix(cols, f, p)
+            null = int((quotient_divisors_stack(mat[None], p) > 1).sum())
             if null % deg:
                 raise InternalCheckError("isotypic dimension not divisible")
             mult = null // deg
@@ -657,21 +680,14 @@ def _express_in_basis(vec, basis, lattice_rows, m, p):
     return [c % p for c in x[:nb]]
 
 
-def _poly_of_matrix(cols, f, p, dim):
+def _poly_of_matrix(cols, f, p) -> np.ndarray:
     """f(M) mod p for M given by columns."""
-    def matmul(A, B):
-        return [[sum(A[i][k] * B[k][j] for k in range(dim)) % p
-                 for j in range(dim)] for i in range(dim)]
-    ident = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    M = [[cols[j][i] % p for j in range(dim)] for i in range(dim)]
-    out = [[0] * dim for _ in range(dim)]
-    power = ident
+    M = np.array(cols, dtype=np.int64).T % p
+    out = np.zeros_like(M)
+    power = np.eye(len(M), dtype=np.int64)
     for coef in f:
-        if coef:
-            for i in range(dim):
-                for j in range(dim):
-                    out[i][j] = (out[i][j] + coef * power[i][j]) % p
-        power = matmul(power, M)
+        out = (out + coef * power) % p
+        power = power @ M % p
     return out
 
 
@@ -775,7 +791,14 @@ class MonteCarloReport:
 def monte_carlo(free: FreeAdmissible, gamma_inf_members: Sequence[int],
                 trials: int, seed: int,
                 track: Sequence[AbelianStructure] = ()) -> MonteCarloReport:
-    """Seeded i.i.d. sampling of the random group with per-trial substreams."""
+    """Seeded i.i.d. sampling of the random group with per-trial substreams.
+
+    Trial t is sample_x on substream(seed, t), whose draws are n * dim words
+    mod m for x_1..x_n and then one word per Howell row of the
+    Gamma_inf-invariants for x_{n+1}.  Trials run in blocks: one array of
+    words, one relation stack and one stacked elimination per block.  A
+    trial with a word at or above its rejection limit is redrawn by
+    sample_x itself, so the block size changes no count."""
     if trials < 1:
         raise ValidationError("trials must be positive")
     if track and not free.is_inversion:
@@ -783,17 +806,39 @@ def monte_carlo(free: FreeAdmissible, gamma_inf_members: Sequence[int],
             "surjection tracking implemented for the inversion action")
     tracked = [t if isinstance(t, AbelianStructure) else
                AbelianStructure.from_cyclic_orders(t) for t in track]
+    n, dim, m = free.n, free.dim, free.m
+    reps = free.invariant_submodule(gamma_inf_members)
+    inv_basis = np.array([v for _, v in reps],
+                         dtype=np.int64).reshape(len(reps), dim)
+    bounds = [m] * (n * dim) + [d for d, _ in reps]
+    rows = (n + 1) * (free.gamma.order - 1) + len(free._nrows)
+    block = max(1, _BLOCK_ENTRIES // max(1, rows * dim))
     counts: dict = {}
-    sur = {t.chain: [0, 0.0] for t in tracked}
-    for trial in range(trials):
-        outcome = sample_x(free, gamma_inf_members, substream(seed, trial))
-        counts[outcome.label] = counts.get(outcome.label, 0) + 1
-        xs = AbelianStructure.from_cyclic_orders(outcome.divisors)
-        for t in tracked:
-            cnt = xs.sur_count(t)
-            rec = sur[t.chain]
-            rec[0] += cnt
-            rec[1] += float(cnt) ** 2
+    sur = {t.chain: [0, 0] for t in tracked}
+    for start in range(0, trials, block):
+        streams = range(start, min(trials, start + block))
+        draws, rejected = randints(seed, streams, bounds)
+        X = np.empty((len(streams), n + 1, dim), dtype=np.int64)
+        X[:, :n] = draws[:, :n * dim].reshape(len(streams), n, dim)
+        X[:, n] = draws[:, n * dim:] @ inv_basis % m
+        for i in np.flatnonzero(rejected):
+            X[i] = sample_x(free, gamma_inf_members,
+                            substream(seed, streams[i])).witnesses
+        uniq, first, cnt = np.unique(_quotient_divisors(free, X), axis=0,
+                                     return_index=True, return_counts=True)
+        for k in np.argsort(first):            # first-seen order, as per trial
+            chain, c = _chain(uniq[k]), int(cnt[k])
+            label = _label(free, chain)
+            counts[label] = counts.get(label, 0) + c
+            xs = AbelianStructure.from_cyclic_orders(chain)
+            for t in tracked:
+                s = xs.sur_count(t)
+                rec = sur[t.chain]
+                rec[0] += c * s
+                rec[1] += c * s * s
+    # the exact sum of squares is the float sum of the per-trial squares
+    # while that stays below 2^53
     return MonteCarloReport(trials=trials, seed=seed, counts=counts,
-                            sur_totals={k: (v[0], v[1]) for k, v in sur.items()},
-                            n=free.n)
+                            sur_totals={k: (v[0], float(v[1]))
+                                        for k, v in sur.items()},
+                            n=n)

@@ -110,6 +110,19 @@ def test_malformed_config_file_exits_3(tmp_path, capsys):
         assert main(["run", str(path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("name, text", [
+    ("cfg.ini", "kind orbits\n"),
+    ("cfg.json", '{"kind": '),
+    ("missing.ini", None),
+])
+def test_unreadable_config_file_exits_3(name, text, tmp_path, capsys):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["orbits", "--group", "C3", "--c", "involutions", "--n", "4"],
     ["orbits", "--group", "A4", "--c", "order:3", "--g-inf", "involution",

@@ -6,8 +6,8 @@ import numpy as np
 
 from hurwitzlab.intmat import (_smith_mod, divisor_chain, howell_form_mod,
                                howell_residue, kernel_basis, kernel_mod,
-                               quotient_divisors_mod, quotient_with_reps_mod,
-                               solve_linear_mod)
+                               quotient_divisors_mod, quotient_divisors_stack,
+                               quotient_with_reps_mod, solve_linear_mod)
 
 
 def brute_span_mod(gens, dim, m, cap=30000):
@@ -52,6 +52,23 @@ def test_smith_mod_transforms():
         assert _smith_mod(A.copy(), m) == diag
         size = math.prod(math.gcd(d, m) for d in diag) * m ** (nc - len(diag))
         assert size * len(brute_span_mod(A.tolist(), nc, m)) == m ** nc
+
+
+def test_quotient_divisors_stack_per_slice():
+    """Each slice of the stacked elimination gives the invariant factors of
+    quotient_divisors_mod, zero slices and low-valuation pivots included."""
+    rng = np.random.default_rng(11)
+    for m in (3, 4, 9, 12, 15, 25, 27):
+        for R, C in ((0, 3), (1, 1), (2, 5), (5, 2), (4, 4), (9, 8)):
+            A = rng.integers(0, m, size=(60, R, C))
+            A[rng.random(A.shape) < 0.4] = 0
+            A[:20] *= rng.integers(0, m, size=(20, 1, 1))  # shared factors
+            A[:5] = 0
+            D = quotient_divisors_stack(A, m)
+            assert D.shape == (60, C)
+            for t in range(len(A)):
+                assert [int(d) for d in D[t] if d > 1] == \
+                    quotient_divisors_mod(A[t].tolist(), C, m)
 
 
 def test_quotient_reps_random():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitzlab import randgrp, rng
 from hurwitzlab.abelian import AbelianStructure
 from hurwitzlab.errors import CapacityError, ValidationError
 from hurwitzlab.groups import (abelian, cyclic, inversion_action,
@@ -243,6 +244,66 @@ def test_monte_carlo_deterministic():
     assert a.counts != c.counts
     with pytest.raises(ValidationError):
         monte_carlo(free, [0, 1], 0, seed=1)
+
+
+def _sample_x_loop(free, ginf, trials, seed, track=()):
+    """monte_carlo as a plain loop of sample_x, one substream per trial."""
+    counts: dict = {}
+    sur = {t.chain: [0, 0.0] for t in track}
+    for t in range(trials):
+        out = sample_x(free, ginf, substream(seed, t))
+        counts[out.label] = counts.get(out.label, 0) + 1
+        xs = AbelianStructure.from_cyclic_orders(out.divisors)
+        for target in track:
+            cnt = xs.sur_count(target)
+            sur[target.chain][0] += cnt
+            sur[target.chain][1] += float(cnt) ** 2
+    return counts, {k: tuple(v) for k, v in sur.items()}
+
+
+def test_monte_carlo_blocks_equal_sample_x_loop():
+    free = FreeAdmissible(8, SPEC3)
+    z3s = AbelianStructure.from_cyclic_orders([3])
+    rep = monte_carlo(free, [0, 1], 10_000, seed=20260809, track=[z3s])
+    counts, sur = _sample_x_loop(free, [0, 1], 10_000, 20260809, [z3s])
+    assert list(rep.counts.items()) == list(counts.items())
+    assert rep.sur_totals == sur
+
+
+@pytest.mark.parametrize("k, m, n, ginf", [
+    (2, 9, 2, [0]), (2, 9, 2, [0, 1]),
+    (2, 15, 2, [0]), (2, 15, 2, [0, 1]),
+    (4, 3, 2, [0]), (4, 3, 2, [0, 2]), (4, 3, 2, [0, 1, 2, 3]),
+    (3, 5, 2, [0]), (3, 5, 2, [0, 1, 2]),
+])
+def test_monte_carlo_blocks_other_varieties(k, m, n, ginf):
+    free = FreeAdmissible(n, abelian_exponent_variety(cyclic(k), m))
+    rep = monte_carlo(free, ginf, 300, seed=4)
+    counts, _ = _sample_x_loop(free, ginf, 300, 4)
+    assert list(rep.counts.items()) == list(counts.items())
+
+
+def test_monte_carlo_rejection_fallback(monkeypatch):
+    """With the rejection limit at 2^63 about half of all words are
+    rejected; such trials go through sample_x and the counts still equal
+    the plain loop."""
+    monkeypatch.setattr(rng, "rejection_limit", lambda n: 1 << 63)
+    free = FreeAdmissible(2, SPEC3)
+    z3s = AbelianStructure.from_cyclic_orders([3])
+    counts, sur = _sample_x_loop(free, [0, 1], 400, 3, [z3s])
+    redrawn = []
+
+    def spy(free, ginf, stream):
+        redrawn.append(stream)
+        return sample_x(free, ginf, stream)
+
+    monkeypatch.setattr(randgrp, "sample_x", spy)
+    rep = monte_carlo(free, [0, 1], 400, seed=3, track=[z3s])
+    assert list(rep.counts.items()) == list(counts.items())
+    assert rep.sur_totals == sur
+    # n*dim = 4 words per trial: about 15 trials in 16 are redrawn, and
+    # the rest take the batched path
+    assert 300 < len(redrawn) < 400
 
 
 def test_monte_carlo_marginal():

@@ -1,0 +1,166 @@
+"""Before/after benchmark of a change: perfbench on a base revision and on
+the working tree, in alternating pairs, for every workload.
+
+    python3 tools/bench_pair.py --out BENCH_<n>.json
+    python3 tools/bench_pair.py --base HEAD~1 --out B.json
+
+Run from the root of a git checkout.  The base revision is exported with
+`git archive` into a temporary directory (a plain copy: nothing is added
+to the repository's worktree list and nothing is left behind).  For each
+workload and each of the PAIRS seeds, `perfbench/run.py --workload W
+--seed S --seconds 20 --trace 0` runs on the base and on the working tree
+with the same seed, the base first in even pairs and the working tree
+first in odd ones, so slow phases of the machine hit both sides alike.
+The output JSON holds the machine, the Python and numpy versions, both
+revisions, every run's metrics and failed-operation count, and per
+workload and metric each side's median and quartiles and the number of
+pairs where the change read lower.  Each side also records the git tree
+ids of the directories the benchmark runs (`src`, `perfbench`), so the
+measured working tree can be matched to a later commit with
+`git rev-parse <commit>:src`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("braid-orbits", "schur-covers", "randgrp-mc", "class-groups")
+PAIRS = 10
+SECONDS = 20
+SEEDS = range(701, 701 + PAIRS)
+MEASURED = ("src", "perfbench")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The tree of `rev` under `dest`, through `git archive`."""
+    tar = dest.with_suffix(".tar")
+    subprocess.run(["git", "archive", "--format=tar", "-o", str(tar), rev],
+                   cwd=ROOT, check=True)
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(tar) as tf:
+        tf.extractall(dest, **safe)
+    tar.unlink()
+
+
+def worktree_trees() -> dict:
+    """Git tree ids of MEASURED as they stand in the working tree
+    (untracked files included, ignored ones not), built in a scratch
+    index so the repository's own index is untouched."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        subprocess.run(["git", "add", "-A", "--", *MEASURED], cwd=ROOT,
+                       env=env, check=True)
+        return {d: subprocess.run(
+            ["git", "write-tree", f"--prefix={d}/"], cwd=ROOT, env=env,
+            check=True, capture_output=True, text=True).stdout.strip()
+            for d in MEASURED}
+
+
+def perfbench(checkout: Path, workload: str, seed: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench {workload} in {checkout} exited "
+                           f"{proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def machine() -> dict:
+    model = ""
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    return {"platform": platform.platform(), "cpu": model,
+            "cores": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def quartiles(xs: list) -> list:
+    return statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
+
+
+def summarize(runs: list) -> dict:
+    out = {}
+    for name in runs[0]["base"]["metrics"]:
+        base = [r["base"]["metrics"][name]["value"] for r in runs]
+        change = [r["change"]["metrics"][name]["value"] for r in runs]
+        out[name] = {
+            "base_median": statistics.median(base),
+            "change_median": statistics.median(change),
+            "ratio": statistics.median(change) / statistics.median(base),
+            "pairs_change_lower": sum(c < b for b, c in zip(base, change)),
+            "base_quartiles": quartiles(base),
+            "change_quartiles": quartiles(change),
+        }
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base", default="HEAD", help="base revision")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+    report = {
+        "machine": machine(),
+        "base": {"rev": args.base, "sha": git("rev-parse", args.base),
+                 "trees": {d: git("rev-parse", f"{args.base}:{d}")
+                           for d in MEASURED}},
+        "change": {"rev": "working tree", "head_sha": git("rev-parse", "HEAD"),
+                   "trees": worktree_trees()},
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {SECONDS} --trace 0",
+        "seeds": list(SEEDS),
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        base_dir = Path(tmp) / "base"
+        export(args.base, base_dir)
+        for workload in WORKLOADS:
+            runs = []
+            for i, seed in enumerate(SEEDS):
+                pair = {"seed": seed}
+                sides = [("base", base_dir), ("change", ROOT)]
+                for side, checkout in sides[::-1] if i % 2 else sides:
+                    pair[side] = perfbench(checkout, workload, seed)
+                print(workload, seed,
+                      {s: pair[s]["metrics"]["wall_s"]["value"]
+                       for s in ("base", "change")}, file=sys.stderr)
+                runs.append(pair)
+            report["workloads"][workload] = {
+                "failed": {s: sum(r[s]["failed"] for r in runs)
+                           for s in ("base", "change")},
+                "correct": {s: all(r[s]["correct"] for r in runs)
+                            for s in ("base", "change")},
+                "metrics": summarize(runs),
+                "runs": runs,
+            }
+    if worktree_trees() != report["change"]["trees"]:
+        raise RuntimeError("the working tree changed during the run")
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
