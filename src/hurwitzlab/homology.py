@@ -4,7 +4,11 @@ Two computation paths live here:
 
 * homology of the (unnormalized) bar complex, run mod |G| with exact
   integer lattices: this is the default `h2`, with a normal-Sylow reduction
-  for groups above the direct cap;
+  for groups above the direct cap.  Up to the cap, `h2` reads H2 off the
+  cokernel of the sparse degree-3 boundary: C2 / im d3 is H2 + Z^|G|, so
+  modulo |G| it is H2 plus |G| copies of Z/|G|, which are dropped (see
+  `_coker_d3_divisors`).  The Sylow path needs induced maps, so it keeps
+  the kernel basis of d2 and adapted representatives (`BarH2Data`);
 * a cocycle-space pipeline (generator-parametrized 2-cocycles, coboundaries
   and carry classes quotiented out) that produces explicit cocycles and is
   used to construct stem covers.
@@ -40,16 +44,39 @@ _H2_CACHE: dict = {}
 # bar-complex homology
 # ---------------------------------------------------------------------------
 
+def _coker_d3_divisors(group: FiniteGroup) -> list[int]:
+    """Elementary divisors (> 1) of H2(G, Z), from the cokernel of d3.
+
+    With n = |G|, C1 = Z^n and d1 = 0, so H1 = C1 / im d2 and im d2 is a
+    subgroup of full rank n (H1 is finite); it is free, so the sequence
+    0 -> H2 -> C2 / im d3 -> im d2 -> 0 splits and C2 / im d3 is
+    H2 + Z^n.  N = n kills H2, so Z^(n^2) / (im d3 + N Z^(n^2)) is
+    H2 + (Z/N)^n: its divisors are those of H2 and n copies of N, and
+    they are read off the sparse d3 chains with no kernel basis of d2.
+    Fewer than n copies of N means the computation is wrong.
+    """
+    n = group.order
+    if n == 1:
+        return []
+    divisors = quotient_divisors_mod(_d3_generator_chains(group), n * n, n)
+    if divisors[len(divisors) - n:] != [n] * n:
+        raise InternalCheckError(
+            f"coker d3 holds fewer than {n} copies of Z/{n}")
+    return divisors[:len(divisors) - n]
+
+
 class BarH2Data:
     """H2 of the bar complex with enough data to compute induced maps.
 
     Chains in degree two are sparse dicts {pair_index: coeff} with
     pair_index = a * n + b.  `reps` are cycle representatives of the adapted
     generators, `project` sends any 2-cycle to coordinates in the abstract
-    H2, and `structure` is the isomorphism type.
+    H2, and `structure` is the isomorphism type.  The adapted generators
+    come from the d3 chains in kernel coordinates of d2; `structure` comes
+    from the cokernel of d3, and the two must agree.
     """
 
-    def __init__(self, group: FiniteGroup, functorial: bool):
+    def __init__(self, group: FiniteGroup):
         n = group.order
         N = n if n > 1 else 1
         t = group.table
@@ -63,14 +90,11 @@ class BarH2Data:
                 d2[g][c] += 1
         basis, coord, rank = kernel_basis(d2, n * n)
         kdim = len(basis)
-        gens = _d3_generator_chains(group)
-        gen_coords = [coord(ch) for ch in gens]
-        divisors = quotient_divisors_mod(gen_coords, kdim, N)
-        self.structure = AbelianStructure.from_cyclic_orders(divisors)
+        gen_coords = [coord(ch) for ch in _d3_generator_chains(group)]
+        self.structure = AbelianStructure.from_cyclic_orders(
+            _coker_d3_divisors(group))
         self.group = group
         self._n = n
-        if not functorial:
-            return
         self._howell = howell_form_mod(gen_coords, kdim, N)
         # the Howell rows span what gen_coords spans, in at most kdim rows
         reps = quotient_with_reps_mod(
@@ -186,7 +210,8 @@ def sylow_subgroup(group: FiniteGroup, p: int) -> tuple:
 def h2(group: FiniteGroup, direct_cap: int = DEFAULT_H2_DIRECT_CAP) -> AbelianStructure:
     """The Schur multiplier H2(G, Z) in divisor-chain form.
 
-    Direct bar-complex computation up to `direct_cap`; above it, the p-parts
+    Direct bar-complex computation up to `direct_cap`, from the cokernel of
+    d3 with the free part Z^|G| of C2 / im d3 dropped; above it, the p-parts
     are assembled from Sylow subgroups (trivial multiplier, or normal Sylow
     with the coprime-index invariants formula).  Raises CapacityError when
     neither reduction applies.
@@ -195,7 +220,7 @@ def h2(group: FiniteGroup, direct_cap: int = DEFAULT_H2_DIRECT_CAP) -> AbelianSt
     if key in _H2_CACHE:
         return _H2_CACHE[key]
     if group.order <= direct_cap:
-        out = BarH2Data(group, functorial=False).structure
+        out = AbelianStructure.from_cyclic_orders(_coker_d3_divisors(group))
         _H2_CACHE[key] = out
         return out
     factors: list[int] = []
@@ -206,8 +231,7 @@ def h2(group: FiniteGroup, direct_cap: int = DEFAULT_H2_DIRECT_CAP) -> AbelianSt
             raise CapacityError(
                 f"h2: Sylow {p}-subgroup of order {psub.order} exceeds the "
                 f"direct cap {direct_cap}; raise direct_cap")
-        pdata = _bar_data_cached(psub, functorial=True)
-        if pdata.structure.is_trivial():
+        if not _coker_d3_divisors(psub):
             continue
         sset = set(syl)
         if not all(group.conj(x, g) in sset for g in range(group.order) for x in syl):
@@ -215,16 +239,17 @@ def h2(group: FiniteGroup, direct_cap: int = DEFAULT_H2_DIRECT_CAP) -> AbelianSt
                 f"h2: Sylow {p}-subgroup is not normal and has nontrivial "
                 f"multiplier; raise direct_cap to {group.order} for the "
                 f"direct bar computation")
-        factors.extend(_invariant_subgroup_factors(group, syl, psub, to_parent, pdata))
+        factors.extend(_invariant_subgroup_factors(
+            group, syl, psub, to_parent, _bar_data_cached(psub)))
     out = AbelianStructure(tuple(factors))
     _H2_CACHE[key] = out
     return out
 
 
-def _bar_data_cached(group: FiniteGroup, functorial: bool) -> BarH2Data:
-    key = (group.content_key(), "bar", functorial)
+def _bar_data_cached(group: FiniteGroup) -> BarH2Data:
+    key = (group.content_key(), "bar")
     if key not in _H2_CACHE:
-        _H2_CACHE[key] = BarH2Data(group, functorial=functorial)
+        _H2_CACHE[key] = BarH2Data(group)
     return _H2_CACHE[key]
 
 

@@ -10,8 +10,21 @@ keeps the entries bounded, and lets the work run on int64 numpy arrays.
 One engine, `_smith_mod`, brings a matrix to Smith form modulo m and can
 track the transforms (Storjohann and Mulders, "Fast algorithms for linear
 algebra modulo N", ESA 1998).  Quotient divisors, adapted representatives,
-solving and kernels are a few lines on top of it.  Three other reductions
-stay, each for a job the engine cannot do:
+solving and kernels are a few lines on top of it.
+
+`quotient_divisors_mod` runs a sparse pre-pass ahead of the engine, for
+relation rows with a few nonzeros each (the degree-3 bar boundary).  An
+entry u of a row r that is a unit modulo m is a pivot that costs no gcd
+step: the row operations s -= (s_c / u) r clear its column c from every
+other row, and the column operations that clear the rest of r then touch
+no other row.  Row and column operations are invertible over Z/m, so the
+quotient is unchanged, and what is left is Z/(u) = Z/1, which drops, plus
+the quotient of the other rows on the other columns.  Only rows without a
+unit entry reach the engine, as a small dense block (Dumas, Saunders and
+Villard, "On efficient sparse integer matrix Smith normal form
+computations", J. Symbolic Comput. 2001).
+
+Three other reductions stay, each for a job the engine cannot do:
 
 * `howell_form_mod` / `howell_residue`: the Howell form is unique, so its
   residues are canonical coset labels;
@@ -28,6 +41,7 @@ stay, each for a job the engine cannot do:
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Iterable
 
@@ -217,10 +231,79 @@ def _smith_mod(A: np.ndarray, m: int, transforms: bool = False):
 
 
 def quotient_divisors_mod(gens, dim: int, m: int):
-    """Elementary divisors (> 1) of Z^dim / (span(gens) + m Z^dim)."""
-    diag = _smith_mod(_mod_array(gens, dim, m), m)
-    divisors = [math.gcd(d, m) for d in diag] + [m] * (dim - len(diag))
+    """Elementary divisors (> 1) of Z^dim / (span(gens) + m Z^dim).
+
+    A generator is a sequence of dim integers or a sparse {column: value}
+    dict.  Unit pivots are eliminated on the sparse rows first; the rows
+    left, none of which holds a unit, go to `_smith_mod` as a dense block
+    over the columns they touch.
+    """
+    rows = [{j: a % m for j, a in (g.items() if isinstance(g, dict)
+                                   else enumerate(g)) if a % m}
+            for g in gens]
+    rest, pivots = _unit_pivots(rows, m)
+    cols = sorted({j for r in rest for j in r})
+    at = {j: k for k, j in enumerate(cols)}
+    A = np.zeros((len(rest), len(cols)), dtype=np.int64)
+    for i, r in enumerate(rest):
+        for j, a in r.items():
+            A[i, at[j]] = a
+    diag = _smith_mod(A, m)
+    divisors = [math.gcd(d, m) for d in diag] + \
+        [m] * (dim - pivots - len(diag))
     return sorted(d for d in divisors if d != 1)
+
+
+def _unit_pivots(rows: list, m: int):
+    """Eliminate unit pivots from sparse rows over Z/m, in place.
+
+    Each step takes the shortest row holding a unit entry, and in it the
+    unit whose column holds the fewest rows (Markowitz's choice, to keep
+    fill-in low), and clears that column from every other row.  The pivot
+    row and its column then split off a Z/1.  Returns the rows left, none
+    of them zero or holding a unit, and the number of pivots.
+    """
+    live = {i: r for i, r in enumerate(rows) if r}
+    holders: dict = {}
+    for i, r in live.items():
+        for j in r:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in live.items()]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = live.get(i)
+        if row is None or len(row) != size:
+            continue            # stale: the row was pivoted or has changed
+        units = [j for j, a in row.items() if math.gcd(a, m) == 1]
+        if not units:
+            continue            # pushed again if a later step changes it
+        c = min(units, key=lambda j: (len(holders[j]), j))
+        inv = pow(row[c], -1, m)
+        del live[i]
+        for j in row:
+            holders[j].discard(i)
+        for k in sorted(holders.pop(c)):
+            other = live[k]
+            f = other.pop(c) * inv % m
+            for j, a in row.items():
+                if j == c:
+                    continue
+                v = (other.get(j, 0) - f * a) % m
+                if v:
+                    if j not in other:
+                        holders[j].add(k)
+                    other[j] = v
+                elif j in other:
+                    del other[j]
+                    holders[j].discard(k)
+            if other:
+                heapq.heappush(heap, (len(other), k))
+            else:
+                del live[k]
+        pivots += 1
+    return list(live.values()), pivots
 
 
 def quotient_divisors_stack(A: np.ndarray, m: int) -> np.ndarray:
@@ -377,40 +460,39 @@ def howell_form_mod(gens, dim: int, m: int):
     entries above each pivot reduced modulo it, and the row list closed under
     annihilator multiples.  howell_residue(H, v, m) is then a canonical coset
     representative: v, w are congruent mod the module iff their residues agree.
+    Rows are int64 arrays while the form is built (entries stay below m, so
+    q * y < m^2 < 2^63).
     """
-    pending = []
-    for g in gens:
-        v = [int(x) % m for x in g]
-        if any(v):
-            pending.append(v)
+    if m > (1 << 30):
+        raise InternalCheckError("modulus too large for int64 Howell form")
+    pending = [v for v in (np.array([int(x) % m for x in g], dtype=np.int64)
+                           .reshape(dim) for g in gens) if v.any()]
     H = []
     for c in range(dim):
         pool = [r for r in pending if r[c]]
-        rest = [r for r in pending if not r[c] and any(r)]
+        rest = [r for r in pending if not r[c]]
         if pool:
             piv = pool[0]
             for r in pool[1:]:
                 # integer gcd steps on representatives in [0, m)
                 a, b = piv, r
                 while b[c]:
-                    q = a[c] // b[c]
-                    a = [(x - q * y) % m for x, y in zip(a, b)]
+                    a = (a - a[c] // b[c] * b) % m
                     a, b = b, a
                 piv = a
-                if any(b):
+                if b.any():
                     rest.append(b)
-            g0 = math.gcd(piv[c], m)
+            g0 = math.gcd(int(piv[c]), m)
             if piv[c] != g0:
-                u = _unit_scale(piv[c], g0, m)
-                piv = [(u * x) % m for x in piv]
+                piv = _unit_scale(int(piv[c]), g0, m) * piv % m
             ann = m // g0
             if ann > 1:
-                extra = [(ann * x) % m for x in piv]
-                if any(extra):
+                extra = ann * piv % m
+                if extra.any():
                     rest.append(extra)
             H.append(piv)
         else:
-            row = [0] * dim
+            row = np.zeros(dim, dtype=np.int64)
             row[c] = m
             H.append(row)
         pending = rest
@@ -420,8 +502,8 @@ def howell_form_mod(gens, dim: int, m: int):
         for r in range(c):
             q = H[r][c] // piv
             if q:
-                H[r] = [(a - q * b) % m for a, b in zip(H[r], H[c])]
-    return H
+                H[r] = (H[r] - q * H[c]) % m
+    return [[int(x) for x in r] for r in H]
 
 
 def _unit_scale(a: int, g: int, m: int) -> int:

@@ -436,6 +436,14 @@ def _chain(divisors: np.ndarray) -> tuple:
     return tuple(divisor_chain(divisors[divisors > 1]))
 
 
+def chain_counts(free: FreeAdmissible, X: np.ndarray) -> dict:
+    """Divisor chain of the quotient -> number of witness stacks X[t] (a
+    (T, s, dim) array) giving it, in order of first appearance in X."""
+    uniq, first, cnt = np.unique(_quotient_divisors(free, X), axis=0,
+                                 return_index=True, return_counts=True)
+    return {_chain(uniq[k]): int(cnt[k]) for k in np.argsort(first)}
+
+
 def _label(free: FreeAdmissible, chain: tuple) -> tuple:
     return ("ab-inv", chain) if free.is_inversion else \
         ("ab", chain, free.gamma.order)
@@ -824,10 +832,7 @@ def monte_carlo(free: FreeAdmissible, gamma_inf_members: Sequence[int],
         for i in np.flatnonzero(rejected):
             X[i] = sample_x(free, gamma_inf_members,
                             substream(seed, streams[i])).witnesses
-        uniq, first, cnt = np.unique(_quotient_divisors(free, X), axis=0,
-                                     return_index=True, return_counts=True)
-        for k in np.argsort(first):            # first-seen order, as per trial
-            chain, c = _chain(uniq[k]), int(cnt[k])
+        for chain, c in chain_counts(free, X).items():  # as per trial
             label = _label(free, chain)
             counts[label] = counts.get(label, 0) + c
             xs = AbelianStructure.from_cyclic_orders(chain)

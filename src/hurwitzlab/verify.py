@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .abelian import AbelianStructure
 from .errors import HurwitzLabError
 from .groups import (abelian, cyclic, dihedral, groups_up_to_16,
@@ -185,8 +187,8 @@ def suite_frobenius_counts(quick: bool = False) -> list:
 
 def suite_randgrp_exact(quick: bool = False) -> list:
     import itertools
-    from .randgrp import (FreeAdmissible, abelian_exponent_variety, moment_n,
-                          mu_n, quotient_outcome)
+    from .randgrp import (FreeAdmissible, abelian_exponent_variety,
+                          chain_counts, moment_n, mu_n)
     results = []
     gam = cyclic(2)
     spec = abelian_exponent_variety(gam, 3)
@@ -197,14 +199,11 @@ def suite_randgrp_exact(quick: bool = False) -> list:
     for n in range(1, n_max + 1):
         free = FreeAdmissible(n, spec)
         # enumerate all outcomes: (x_1..x_n) over F^n, x_{n+1} over the
-        # invariants (trivial for the inversion action)
-        outcomes: dict = {}
-        for combo in itertools.product(range(3), repeat=n * free.dim):
-            xs = [free.canonical(list(combo[i * free.dim:(i + 1) * free.dim]))
-                  for i in range(n)]
-            xs.append(free.zero())
-            out = quotient_outcome(free, xs)
-            outcomes[out.divisors] = outcomes.get(out.divisors, 0) + 1
+        # invariants (trivial for the inversion action), as one stack
+        combos = list(itertools.product(range(3), repeat=n * free.dim))
+        X = np.zeros((len(combos), n + 1, free.dim), dtype=np.int64)
+        X[:, :n] = np.array(combos, dtype=np.int64).reshape(-1, n, free.dim)
+        outcomes = chain_counts(free, X)
         total = sum(outcomes.values())
         for tname, hg in targets:
             target = AbelianStructure.from_cyclic_orders(

@@ -2,14 +2,15 @@ import math
 
 import pytest
 
+from hurwitzlab import homology
 from hurwitzlab.abelian import AbelianStructure
-from hurwitzlab.errors import ValidationError
+from hurwitzlab.errors import InternalCheckError, ValidationError
 from hurwitzlab.groups import (abelian, cyclic, dihedral, dicyclic,
                                groups_up_to_16, inversion_action, semidirect,
                                symmetric)
-from hurwitzlab.homology import (UContext, build_u, h2, load_ucontext,
-                                 reduce_cover, save_ucontext, schur_cover,
-                                 validate_c)
+from hurwitzlab.homology import (BarH2Data, UContext, build_u, h2,
+                                 load_ucontext, reduce_cover, save_ucontext,
+                                 schur_cover, validate_c)
 from hurwitzlab.homology_oracle import oracle_h2, oracle_h2_reduced
 
 
@@ -54,6 +55,28 @@ def test_oracle_agreement_sample():
     for g in [abelian([3, 3]), symmetric(3), dihedral(4), dihedral(5),
               dicyclic(2), abelian([2, 2, 4])]:
         assert h2(g) == oracle_h2(g), g.name
+
+
+def test_h2_coker_d3_matches_kernel_coordinates():
+    """h2, read off the cokernel of d3, equals the orders of the adapted
+    representatives found in kernel coordinates of d2, and the oracle."""
+    for g in list(groups_up_to_16()) + [abelian([3, 9]), symmetric(4),
+                                        dihedral(12)]:
+        assert h2(g) == AS(BarH2Data(g).orders), g.name
+        if g.order <= 16:
+            assert h2(g) == oracle_h2(g), g.name
+
+
+def test_h2_coker_d3_self_check(monkeypatch):
+    """Relations that kill the free summand Z^|G| of C2 / im d3 leave
+    fewer than |G| copies of Z/|G|, and the direct path says so."""
+    g = dihedral(4)
+    chains = homology._d3_generator_chains(g)
+    killed = [{j: 1} for j in range(g.order ** 2)]
+    monkeypatch.setattr(homology, "_d3_generator_chains",
+                        lambda group: chains + killed)
+    with pytest.raises(InternalCheckError):
+        homology._coker_d3_divisors(g)
 
 
 def test_schur_cover_extraspecial():

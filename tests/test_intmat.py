@@ -71,6 +71,35 @@ def test_quotient_divisors_stack_per_slice():
                     quotient_divisors_mod(A[t].tolist(), C, m)
 
 
+def test_quotient_divisors_sparse_rows():
+    """Sparse dict rows and dense list rows, with rows of p-multiples, zero
+    rows and duplicate rows among them, give the divisors of the stacked
+    elimination, and the quotient order the brute-force span gives."""
+    rng = np.random.default_rng(17)
+    for m in (4, 8, 9, 12, 16, 25, 27):
+        p = min(d for d in range(2, m + 1) if m % d == 0)
+        for R, C in ((0, 2), (1, 1), (3, 3), (6, 4), (12, 9), (30, 20)):
+            A = rng.integers(0, m, size=(40, R, C))
+            A[rng.random(A.shape) < 0.8] = 0
+            if R >= 3:
+                A[:, 0] *= p                 # every entry a multiple of p
+                A[:, 1] = 0                  # a zero row
+                A[:, -1] = A[:, 2]           # a duplicate row
+            shift = m * rng.integers(-2, 3, size=A.shape)
+            D = quotient_divisors_stack(A, m)
+            for t in range(len(A)):
+                expect = [int(d) for d in D[t] if d > 1]
+                dense = A[t].tolist()
+                sparse = [{j: int(a + k) for j, (a, k) in
+                           enumerate(zip(row, krow)) if a}
+                          for row, krow in zip(A[t], shift[t])]
+                assert quotient_divisors_mod(dense, C, m) == expect
+                assert quotient_divisors_mod(sparse, C, m) == expect
+                if m ** C <= 30000:
+                    span = brute_span_mod(dense, C, m)
+                    assert math.prod(expect) * len(span) == m ** C
+
+
 def test_quotient_reps_random():
     rng = random.Random(5)
     for _ in range(150):

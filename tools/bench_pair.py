@@ -17,7 +17,8 @@ workload and metric each side's median and quartiles and the number of
 pairs where the change read lower.  Each side also records the git tree
 ids of the directories the benchmark runs (`src`, `perfbench`), so the
 measured working tree can be matched to a later commit with
-`git rev-parse <commit>:src`.
+`git rev-parse <commit>:src`, and the line count of the Python files
+under `src/`.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ def worktree_trees() -> dict:
             ["git", "write-tree", f"--prefix={d}/"], cwd=ROOT, env=env,
             check=True, capture_output=True, text=True).stdout.strip()
             for d in MEASURED}
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines in the Python files under `checkout/src`."""
+    return sum(len(f.read_bytes().splitlines())
+               for f in sorted((checkout / "src").rglob("*.py")))
 
 
 def perfbench(checkout: Path, workload: str, seed: int) -> dict:
@@ -128,7 +135,7 @@ def main() -> int:
                  "trees": {d: git("rev-parse", f"{args.base}:{d}")
                            for d in MEASURED}},
         "change": {"rev": "working tree", "head_sha": git("rev-parse", "HEAD"),
-                   "trees": worktree_trees()},
+                   "trees": worktree_trees(), "src_lines": src_lines(ROOT)},
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {SECONDS} --trace 0",
         "seeds": list(SEEDS),
@@ -137,6 +144,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = Path(tmp) / "base"
         export(args.base, base_dir)
+        report["base"]["src_lines"] = src_lines(base_dir)
         for workload in WORKLOADS:
             runs = []
             for i, seed in enumerate(SEEDS):
