@@ -1,10 +1,19 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzlab.errors import CapacityError, ValidationError
-from hurwitzlab.groups import cyclic, dihedral, symmetric
-from hurwitzlab.homology import build_u
+from hurwitzlab.errors import CapacityError, InternalCheckError, ValidationError
+from hurwitzlab.groups import (alternating4, cyclic, dihedral, groups_up_to_16,
+                               symmetric)
+from hurwitzlab.homology import build_u, validate_c
 from hurwitzlab.hurwitz import (NielsenTuple, braid_act, braid_inverse,
                                 conjugate_tuple, enumerate_tuples, k_set,
                                 lifting_invariant, orbits, shape_invariant,
@@ -110,6 +119,148 @@ def test_orbit_memory_budget():
     call = list(range(1, 6))
     with pytest.raises(CapacityError):
         orbits(S3, call, TRANSP[0], 7, memory_budget=1000)
+
+
+def test_orbit_memory_budget_bounds_rss():
+    # D5, c = all, reflection g_inf, n = 8: 478,296 tuples.  The engine's
+    # model asks for about 11 MiB of this run; 12 MiB passes and holds the
+    # peak RSS growth of a fresh process to the budget plus 8 MiB of slack
+    # (allocator and interpreter), and 6 MiB is refused up front.
+    script = textwrap.dedent("""
+        import json, resource, sys
+        from hurwitzlab.errors import CapacityError
+        from hurwitzlab.groups import dihedral
+        from hurwitzlab.homology import build_u
+        from hurwitzlab.hurwitz import orbits
+        d5 = dihedral(5)
+        c = list(range(1, 10))
+        g_inf = next(g for g in c if d5.element_order(g) == 2)
+        ctx = build_u(d5, c)
+        orbits(d5, c, g_inf, 3, ctx=ctx, verify_invariants=True)
+        try:
+            orbits(d5, c, g_inf, 8, memory_budget=6 << 20)
+            refused = False
+        except CapacityError:
+            refused = True
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        orbs = orbits(d5, c, g_inf, 8, ctx=ctx, memory_budget=12 << 20,
+                      verify_invariants=True)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(json.dumps({"refused": refused, "growth_kib": after - before,
+                          "tuples": sum(o.size for o in orbs)}))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["refused"]
+    assert got["tuples"] == 478_296
+    assert got["growth_kib"] <= (12 + 8) * 1024
+
+
+def test_key_width():
+    # one element in c packs into 0 bits per entry, so any n fits
+    orbs = orbits(cyclic(2), [1], 1, 70)
+    assert [(o.representative.entries, o.size) for o in orbs] == \
+        [((1,) * 69, 1)]
+    # 65 entries of 1 bit do not fit a 64-bit key; only a raised tuple
+    # budget gets this far
+    with pytest.raises(CapacityError):
+        orbits(cyclic(3), [1, 2], 1, 66, tuple_budget=10 ** 30)
+
+
+def _brute_force_tuples(group, c, g_inf, n):
+    target = group.inv[g_inf]
+    out = []
+    for entries in itertools.product(sorted(c), repeat=n - 1):
+        prod = 0
+        for x in entries:
+            prod = group.table[prod][x]
+        if prod == target and \
+                len(group.subgroup_closure(entries + (g_inf,))) == group.order:
+            out.append(NielsenTuple(entries, g_inf))
+    return out
+
+
+def _bfs_orbits(group, tuples):
+    """Orbits under braid_act, braid_inverse and conjugation by g_inf,
+    found by breadth-first search over the public moves."""
+    comp = {}
+    parts = []
+    for start in tuples:
+        if start in comp:
+            continue
+        part = [start]
+        comp[start] = len(parts)
+        for t in part:
+            moved = [conjugate_tuple(t, group, t.g_inf)]
+            for i in range(1, t.n - 1):
+                moved += [braid_act(i, t, group), braid_inverse(i, t, group)]
+            for m in moved:
+                if m not in comp:
+                    comp[m] = len(parts)
+                    part.append(m)
+        parts.append(part)
+    return comp, parts
+
+
+def _c_choices(group):
+    rest = range(1, group.order)
+    for c in (list(rest), [g for g in rest if group.element_order(g) == 2]):
+        try:
+            yield validate_c(group, c)
+        except ValidationError:
+            pass
+
+
+def test_orbits_match_brute_force_bfs():
+    """Every group of order <= 12, c = all non-identity elements and
+    c = involutions, one g_inf per conjugacy class in c, n <= 5: the orbit
+    partition, the sizes and the invariants equal a brute-force search, and
+    each representative lies in its orbit (which member it is, is not
+    pinned)."""
+    cases = 0
+    for group in groups_up_to_16():
+        if group.order > 12:
+            continue
+        cc = group.conjugacy_classes()
+        for c in _c_choices(group):
+            ctx = build_u(group, c)
+            for g_inf in sorted({cc.reps[cc.class_of[x]] for x in c}):
+                for n in range(2, 6):
+                    tuples = _brute_force_tuples(group, c, g_inf, n)
+                    assert list(enumerate_tuples(group, c, g_inf, n)) == tuples
+                    comp, parts = _bfs_orbits(group, tuples)
+                    assert len(comp) == len(tuples)
+                    orbs = orbits(group, c, g_inf, n, ctx=ctx,
+                                  verify_invariants=True)
+                    assert sorted(comp[o.representative] for o in orbs) == \
+                        list(range(len(parts)))
+                    for o in orbs:
+                        part = parts[comp[o.representative]]
+                        assert o.size == len(part)
+                        assert {lifting_invariant(ctx, t) for t in part} == \
+                            {o.invariant}
+                    cases += 1
+    assert cases > 100
+
+
+def test_verify_invariants_catches_a_corrupted_member():
+    # A4, c = the 3-cycles: H2(G, c) = Z/2.  Multiplying the lift of one
+    # element of c by the central kernel element changes the invariant of
+    # the tuples holding it an odd number of times, and orbits mix those
+    # with the others.
+    a4 = alternating4()
+    c = [g for g in range(1, 12) if a4.element_order(g) == 3]
+    ctx = build_u(a4, c)
+    assert ctx.h2c.factors == (2,)
+    orbits(a4, c, c[0], 5, ctx=ctx, verify_invariants=True)
+    z = next(s for s, h in ctx.sc.kernel_coords.items() if any(h))
+    ctx.lifts[c[1]] = ctx.sc.total.table[ctx.lifts[c[1]]][z]
+    with pytest.raises(InternalCheckError):
+        orbits(a4, c, c[0], 5, ctx=ctx, verify_invariants=True)
+    orbits(a4, c, c[0], 5, ctx=ctx)
 
 
 def test_lifting_invariant_requires_c():
