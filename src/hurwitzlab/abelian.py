@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalCheckError, ValidationError
 from .intmat import divisor_chain
-from .ntheory import factorize, is_power_of, is_prime_power, prime_divisors
+from .ntheory import (factorize, is_power_of, is_prime_power, prime_divisors,
+                      valuation)
 
 
 @dataclass(frozen=True)
@@ -123,13 +125,7 @@ class AbelianGroupData:
         self.mul = mul
         self.identity = identity
         n = len(elems)
-        orders = {}
-        for x in elems:
-            k, y = 1, x
-            while y != identity:
-                y = mul(y, x)
-                k += 1
-            orders[x] = k
+        orders = _element_orders(elems, mul, identity)
         self._orders = orders
         basis: list = []
         basis_orders: list[int] = []
@@ -216,6 +212,62 @@ class AbelianGroupData:
             if y == target:
                 return combo
         raise InternalCheckError("element not in span")
+
+
+def _element_orders(elems, mul, identity) -> dict:
+    """Order of every element, one cyclic subgroup at a time: walking
+    x, x^2, ..., x^k = 1 gives each power x^j its order k / gcd(j, k), so
+    no element that already appeared as a power starts a walk of its own."""
+    n = len(elems)
+    orders = {identity: 1}
+    for x in elems:
+        if x in orders:
+            continue
+        powers = [x]
+        while powers[-1] != identity:
+            if len(powers) > n:
+                raise InternalCheckError("element order exceeds the group size")
+            powers.append(mul(powers[-1], x))
+        k = len(powers)
+        for j, y in enumerate(powers, 1):
+            o = k // math.gcd(j, k)
+            if orders.setdefault(y, o) != o:
+                raise InternalCheckError("element given two different orders")
+    return orders
+
+
+def structure_from_orders(elements, mul, identity) -> AbelianStructure:
+    """Isomorphism type of a finite abelian group given by a multiplication
+    rule, read off its element orders: with r_j the number of cyclic
+    p-power factors of order >= p^j, |G[p^j]| = |G[p^(j-1)]| * p^(r_j)."""
+    elems = list(elements)
+    if identity not in elems:
+        raise ValidationError("identity not among elements")
+    orders = Counter(_element_orders(elems, mul, identity).values())
+    n = len(elems)
+    factors = []
+    for p in prime_divisors(n):
+        e = valuation(n, p)
+        ranks = []
+        prev = 1
+        for j in range(1, e + 1):
+            count = sum(c for o, c in orders.items() if p ** j % o == 0)
+            if count % prev or not is_power_of(count // prev, p):
+                raise InternalCheckError(
+                    f"|G[{p}^{j}]| = {count} is not a power of {p} times "
+                    f"|G[{p}^{j - 1}]| = {prev}")
+            ranks.append(valuation(count // prev, p))
+            prev = count
+        ranks.append(0)
+        for j in range(1, e + 1):
+            if ranks[j - 1] < ranks[j]:
+                raise InternalCheckError(
+                    f"{p}-torsion counts of a non-abelian group")
+            factors.extend([p ** j] * (ranks[j - 1] - ranks[j]))
+    structure = AbelianStructure(tuple(factors))
+    if structure.order != n:
+        raise InternalCheckError("element orders do not multiply out to |G|")
+    return structure
 
 
 def _pow(mul, x, k, identity):

@@ -4,6 +4,16 @@ imaginary quadratic number fields through reduced binary quadratic forms.
 
 Polynomials over F_p are the coefficient tuples of `ntheory` (low degree
 first, no trailing zeros).  v1 restricts to odd prime q and genus <= 3.
+
+Point counts over F_{q^k} code each element as the integer whose base-q
+digits are its coefficients over F_q, and multiply through exp/log tables
+to a primitive element, built once per (q, k) with O(q^k) entries: f is
+evaluated at all of F_{q^k} in one numpy Horner pass, and the quadratic
+character is the parity of the log.  Binary quadratic forms compose
+directly (Dirichlet composition, Cohen GTM 138 Alg. 5.4.7) and are then
+reduced.  The structure of a class group, or of a Sylow subgroup of a
+Jacobian, is read off the orders of its elements
+(`abelian.structure_from_orders`); no basis is searched for.
 """
 
 from __future__ import annotations
@@ -13,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .abelian import AbelianGroupData, AbelianStructure
+import numpy as np
+
+from .abelian import AbelianStructure, structure_from_orders
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .ntheory import (is_prime, is_squarefree, monic, padd, pdeg, pdivmod,
                       peval, pmod, pmul, pnorm, ppowmod, prime_divisors,
@@ -74,25 +86,6 @@ class ExtField:
 
     def mul(self, a, b):
         return pmod(pmul(a, b, self.p), self.modulus, self.p)
-
-    def power(self, a, e: int):
-        out = self.embed(1)
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def chi(self, a) -> int:
-        """Quadratic character: 0 on zero, +-1 otherwise."""
-        if a == ():
-            return 0
-        v = self.power(a, (self.size - 1) // 2)
-        if v == self.embed(1):
-            return 1
-        return -1
 
     def eval_poly(self, f, x):
         acc = ()
@@ -167,22 +160,66 @@ def count_imaginary(q: int, d: int) -> int:
 # point counts and the L-polynomial
 # ---------------------------------------------------------------------------
 
+class _LogTables:
+    """F_{p^k} with each element coded as the integer whose base-p digits
+    are its coefficients (digit i for t^i), so F_p sits at 0..p-1 and adding
+    a constant changes digit 0 only.  Products go through discrete logs to
+    a primitive element: `log[0]` is 2(N-1) and `exp` holds two periods of
+    the powers followed by zeros, so `exp[log[a] + log[b]]` is a * b for
+    every pair, zero included.  `chi` is the quadratic character, the
+    parity of the log.  Every table has O(p^k) entries."""
+
+    def __init__(self, p: int, k: int):
+        fld = ExtField(p, k)
+        self.size = fld.size
+        order = fld.size - 1
+        one = fld.embed(1)
+        for cand in range(2, fld.size):
+            g = pnorm(tuple(cand // p ** i % p for i in range(k)))
+            powers, y = [], one
+            while True:
+                powers.append(sum(c * p ** i for i, c in enumerate(y)))
+                y = fld.mul(y, g)
+                if y == one:
+                    break
+            if len(powers) == order:
+                break
+        else:
+            raise InternalCheckError(f"no primitive element of F_{p}^{k}")
+        powers = np.array(powers, dtype=np.intp)
+        self.log = np.empty(fld.size, dtype=np.intp)
+        self.log[powers] = np.arange(order)
+        self.log[0] = 2 * order
+        self.exp = np.zeros(4 * order + 1, dtype=np.intp)
+        self.exp[:2 * order] = np.tile(powers, 2)
+        self.chi = np.where(self.log % 2, -1, 1)
+        self.chi[0] = 0
+
+
 _EXT_CACHE: dict = {}
 
 
-def _ext(p, k) -> ExtField:
+def _ext(p, k) -> _LogTables:
     if (p, k) not in _EXT_CACHE:
-        _EXT_CACHE[(p, k)] = ExtField(p, k)
+        _EXT_CACHE[(p, k)] = _LogTables(p, k)
     return _EXT_CACHE[(p, k)]
 
 
 def curve_point_count(model: HyperellipticModel, i: int) -> int:
-    """Number of projective points over F_{q^i} (one point at infinity)."""
+    """Number of projective points over F_{q^i} (one point at infinity):
+    f evaluated at every x of F_{q^i} at once by Horner's rule on the
+    integer codes, then 1 + chi(f(x)) points above each x."""
     fld = _ext(model.q, i)
-    total = 1  # ramified place at infinity for odd degree
-    for x in fld.elements():
-        total += 1 + fld.chi(fld.eval_poly(model.f, x))
-    return total
+    q = model.q
+    logx = fld.log
+    acc = np.full(fld.size, model.f[-1] % q, dtype=np.intp)
+    for c in reversed(model.f[:-1]):
+        acc = fld.exp[fld.log[acc] + logx]
+        if c % q:
+            low = acc % q
+            acc += (low + c) % q - low
+    # ramified place at infinity for odd degree
+    return 1 + fld.size + int(fld.chi[acc].sum())
 
 
 def l_polynomial(model: HyperellipticModel, genus_cap: int = 3) -> list:
@@ -443,10 +480,10 @@ def sylow_structure(model: HyperellipticModel, ell: int, seed: int = 0,
                         raise InternalCheckError(
                             "Sylow subgroup exceeds the ell-valuation bound")
         if len(elements) == target:
-            data = AbelianGroupData(
-                list(elements), lambda x, y: divclass_add(model, x, y),
+            structure = structure_from_orders(
+                elements, lambda x, y: divclass_add(model, x, y),
                 divisor_identity())
-            return SylowResult(prime=ell, structure=data.structure,
+            return SylowResult(prime=ell, structure=structure,
                                certified=True, attempts=attempts)
     # sampling failed (e.g. curves with almost no rational points); fall
     # back to exhaustive class enumeration when it fits the budget
@@ -457,10 +494,9 @@ def sylow_structure(model: HyperellipticModel, ell: int, seed: int = 0,
         syl = {divclass_mul(model, x, cof) for x in classes}
         if len(syl) != target:
             raise InternalCheckError("exhaustive Sylow has wrong order")
-        data = AbelianGroupData(
-            list(syl), lambda x, y: divclass_add(model, x, y),
-            divisor_identity())
-        return SylowResult(prime=ell, structure=data.structure,
+        structure = structure_from_orders(
+            syl, lambda x, y: divclass_add(model, x, y), divisor_identity())
+        return SylowResult(prime=ell, structure=structure,
                            certified=True, attempts=attempts)
     return SylowResult(prime=ell, structure=None, certified=False,
                        attempts=attempts)
@@ -654,24 +690,6 @@ def _form_reduce(a, b, c, D):
         return (a, b, c)
 
 
-def _form_value_transform(form, col1, D):
-    """Equivalent form whose first coefficient is form(x, y) for the given
-    coprime column (x, y)."""
-    a, b, c = form
-    x, y = col1
-    g, s, t = _xgcd(x, y)
-    if g != 1:
-        raise InternalCheckError("column not primitive")
-    # complete to SL2: second column (z, w) = (-t, s)
-    z, w = -t, s
-    a2 = a * x * x + b * x * y + c * y * y
-    b2 = 2 * (a * x * z + c * y * w) + b * (x * w + y * z)
-    c2 = a * z * z + b * z * w + c * w * w
-    if b2 * b2 - 4 * a2 * c2 != D:
-        raise InternalCheckError("transform broke the discriminant")
-    return (a2, b2, c2)
-
-
 def _xgcd(a, b):
     s0, s1, t0, t1, r0, r1 = 1, 0, 0, 1, a, b
     while r1:
@@ -685,39 +703,29 @@ def _xgcd(a, b):
 
 
 def compose_forms(f1, f2, D):
-    """Gauss composition of primitive positive definite forms (reduced out)."""
-    a1 = f1[0]
-    # find a representation of f2 coprime to a1 with primitive column
-    found = None
-    bound = 1
-    while found is None:
-        bound += 1
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if math.gcd(x, y) != 1:
-                    continue
-                v = f2[0] * x * x + f2[1] * x * y + f2[2] * y * y
-                if v > 0 and math.gcd(v, 2 * a1) == 1:
-                    found = (x, y)
-                    break
-            if found:
-                break
-        if bound > 50:
-            raise InternalCheckError("no coprime representation found")
-    g2 = _form_value_transform(f2, found, D)
-    a2, b2 = g2[0], g2[1]
-    b1 = f1[1]
-    # B == b1 mod 2a1, B == b2 mod 2a2, gcd(2a1, ...) handling via CRT
-    m1, m2 = 2 * a1, 2 * a2
-    g, s, _ = _xgcd(m1, m2)
-    if (b2 - b1) % g:
-        raise InternalCheckError("composition congruence unsolvable")
-    lcm = m1 // g * m2
-    B = (b1 + m1 * ((b2 - b1) // g) * s) % lcm
-    A = a1 * a2
-    if (B * B - D) % (4 * A):
-        raise InternalCheckError("composition invariant failed")
-    C = (B * B - D) // (4 * A)
+    """Dirichlet composition of primitive positive definite forms of
+    discriminant D (Cohen, GTM 138, Alg. 5.4.7), reduced."""
+    if f1[0] > f2[0]:
+        f1, f2 = f2, f1
+    a1, b1, _ = f1
+    a2, b2, c2 = f2
+    s = (b1 + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d, y1, _ = _xgcd(a2, a1)
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1, x2, y2 = _xgcd(s, d)
+        y2 = -y2
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    A, B = v1 * v2, b2 + 2 * v2 * r
+    C, rem = divmod(c2 * d1 + r * (b2 + v2 * r), v1)
+    if rem or B * B - 4 * A * C != D:
+        raise InternalCheckError("composition broke the discriminant")
     return _form_reduce(A, B, C, D)
 
 
@@ -726,7 +734,8 @@ def nf_class_group(d: int, ell_list: Sequence[int] = ()) -> ClassGroupStructure:
     D = fundamental_discriminant(d)
     forms = reduced_forms(D)
     ident = _form_reduce(1, D % 2, ((D % 2) ** 2 - D) // 4, D)
-    data = AbelianGroupData(forms, lambda x, y: compose_forms(x, y, D), ident)
-    per = {ell: data.structure.primary_part(ell) for ell in ell_list}
-    return ClassGroupStructure(order=len(forms), structure=data.structure,
+    structure = structure_from_orders(
+        forms, lambda x, y: compose_forms(x, y, D), ident)
+    per = {ell: structure.primary_part(ell) for ell in ell_list}
+    return ClassGroupStructure(order=len(forms), structure=structure,
                                per_ell=per)

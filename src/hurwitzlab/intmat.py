@@ -431,7 +431,8 @@ def quotient_with_reps_mod(sol_gens, sub_gens, dim: int, m: int):
     w = v V1.  In y_i = w_i / g_i, M1 is (+) Z/(m/g_i), so the quotient is
     Z^dim over the rows [sub V1 / g; diag(m/g)]; the second Smith form
     splits it, its generators are the rows of V2^-1, and they map back
-    through w = g y and v = w V1^-1.
+    through w = g y and v = w V1^-1.  The diag rows with g_i = 1 are m,
+    zero modulo m, and are left out.
     """
     diag1, V1, V1i = _smith_mod(_mod_array(sol_gens, dim, m), m,
                                 transforms=True)
@@ -440,7 +441,7 @@ def quotient_with_reps_mod(sol_gens, sub_gens, dim: int, m: int):
     W = _mulmod(_mod_array(sub_gens, dim, m), V1, m)
     if (W % g).any():
         raise InternalCheckError("relation vector outside the ambient lattice")
-    B = np.vstack([W // g, np.diag(m // g)])
+    B = np.vstack([W // g, np.diag(m // g)[g > 1]])
     diag2, _, V2i = _smith_mod(B, m, transforms=True)
     orders = [math.gcd(d, m) for d in diag2] + [m] * (dim - len(diag2))
     reps = _mulmod(V2i * g % m, V1i, m)

@@ -61,8 +61,8 @@ def _fixtures_orbit():
 
 def suite_orbit_invariants(quick: bool = False) -> list:
     from .groups import Subgroup
-    from .homology import build_u
-    from .hurwitz import enumerate_tuples, k_set, orbits
+    from .homology import build_u, validate_c
+    from .hurwitz import DEFAULT_TUPLE_BUDGET, _tuple_blocks, k_set, orbits
     results = []
     n_max = 6 if quick else 9
     for name, group, c, g_inf in _fixtures_orbit():
@@ -72,7 +72,9 @@ def suite_orbit_invariants(quick: bool = False) -> list:
         gens = sub.generators_of_cyclic()
         orbs_by = {}
         for n in range(2, n_max + 1):
-            total = sum(1 for _ in enumerate_tuples(group, c, g_inf, n))
+            # |E| from the enumeration's blocks, not one NielsenTuple each
+            total = sum(len(rows) for rows in _tuple_blocks(
+                group, validate_c(group, c), g_inf, n, DEFAULT_TUPLE_BUDGET))
             per_gen = {gi: orbits(group, c, gi, n, ctx=ctx,
                                   verify_invariants=True) for gi in gens}
             orbs_by[n] = per_gen

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from hurwitzlab.abelian import (AbelianGroupData, AbelianStructure,
-                                structure_of_members)
-from hurwitzlab.errors import ValidationError
-from hurwitzlab.groups import abelian, dihedral
+                                structure_from_orders, structure_of_members)
+from hurwitzlab.errors import InternalCheckError, ValidationError
+from hurwitzlab.groups import abelian, dihedral, symmetric
 
 
 def brute_hom_count(src_orders, dst_orders, surjective=False):
@@ -112,3 +112,26 @@ def test_structure_requires_abelian():
 def test_non_prime_power_factor_rejected():
     with pytest.raises(ValidationError):
         AbelianStructure((6,))
+
+
+def test_structure_from_orders_matches_basis_search():
+    rng = random.Random(5)
+    for _ in range(60):
+        orders = [rng.choice([2, 3, 4, 5, 6, 8, 9, 12, 16, 27])
+                  for _ in range(rng.randint(1, 3))]
+        g = abelian(orders)
+        mul = lambda a, b: g.table[a][b]
+        want = AbelianGroupData(range(g.order), mul, 0).structure
+        assert want == AbelianStructure.from_cyclic_orders(orders)
+        assert structure_from_orders(range(g.order), mul, 0) == want, orders
+
+
+def test_structure_from_orders_self_checks():
+    s3 = symmetric(3)
+    with pytest.raises(InternalCheckError):
+        structure_from_orders(range(6), lambda a, b: s3.table[a][b], 0)
+    # a rule that is not a group law: 1 + 1 = 1 never returns to 0
+    with pytest.raises(InternalCheckError):
+        structure_from_orders(range(4), lambda a, b: max(a, b), 0)
+    with pytest.raises(ValidationError):
+        structure_from_orders(range(1, 4), lambda a, b: a, 0)

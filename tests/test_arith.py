@@ -1,11 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hurwitzlab.abelian import AbelianStructure
-from hurwitzlab.arith import (DivisorClass, HyperellipticModel,
-                              count_imaginary, divclass_add, divclass_mul,
+from hurwitzlab.abelian import AbelianGroupData, AbelianStructure
+from hurwitzlab.arith import (DivisorClass, ExtField, HyperellipticModel,
+                              _form_reduce, compose_forms, count_imaginary,
+                              curve_point_count, divclass_add, divclass_mul,
                               divclass_neg, divisor_identity,
                               empirical_moment, enumerate_divisor_classes,
                               enumerate_imaginary, fundamental_discriminant,
@@ -13,6 +15,7 @@ from hurwitzlab.arith import (DivisorClass, HyperellipticModel,
                               nf_class_group, nonsquare, pmul, pxgcd,
                               random_divisor, reduced_forms, sylow_structure)
 from hurwitzlab.errors import ValidationError
+from hurwitzlab.ntheory import factorize
 from hurwitzlab.rng import substream
 
 
@@ -180,3 +183,56 @@ def test_fundamental_discriminant():
 def test_reduced_forms_count():
     assert len(reduced_forms(-23)) == 3
     assert len(reduced_forms(-4)) == 1
+
+
+def brute_point_count(model, fld):
+    """1 + #{(x, y) in F^2 : y^2 = f(x)} in ExtField's tuple arithmetic."""
+    roots = {}
+    for y in fld.elements():
+        sq = fld.mul(y, y)
+        roots[sq] = roots.get(sq, 0) + 1
+    return 1 + sum(roots.get(fld.eval_poly(model.f, x), 0)
+                   for x in fld.elements())
+
+
+def test_point_counts_match_brute_force():
+    for q, d in ((3, 3), (3, 5), (5, 3)):
+        for k in (1, 2, 3):
+            fld = ExtField(q, k)
+            for model in enumerate_imaginary(q, d):
+                assert curve_point_count(model, k) == \
+                    brute_point_count(model, fld), (model.key(), k)
+
+
+def squarefree_up_to(n):
+    return [d for d in range(1, n + 1)
+            if all(e == 1 for e in factorize(d).values())]
+
+
+def test_nf_class_group_matches_basis_search():
+    for d in squarefree_up_to(400):
+        D = fundamental_discriminant(d)
+        forms = reduced_forms(D)
+        ident = _form_reduce(1, D % 2, (D % 2 - D) // 4, D)
+        data = AbelianGroupData(forms, lambda x, y: compose_forms(x, y, D),
+                                ident)
+        assert nf_class_group(d).structure == data.structure, d
+    assert nf_class_group(26).structure == AS([6])
+    for d in (1, 2, 3, 7, 11, 19, 43, 67, 163):
+        assert nf_class_group(d).structure.is_trivial(), d
+
+
+def test_composition_group_laws():
+    rng = random.Random(11)
+    for d in rng.sample(squarefree_up_to(3000), 60):
+        D = fundamental_discriminant(d)
+        forms = reduced_forms(D)
+        ident = _form_reduce(1, D % 2, (D % 2 - D) // 4, D)
+        for _ in range(20):
+            f, g, h = (rng.choice(forms) for _ in range(3))
+            assert compose_forms(f, ident, D) == f
+            assert compose_forms(f, _form_reduce(f[0], -f[1], f[2], D),
+                                 D) == ident
+            assert compose_forms(f, g, D) == compose_forms(g, f, D)
+            assert compose_forms(compose_forms(f, g, D), h, D) == \
+                compose_forms(f, compose_forms(g, h, D), D)
