@@ -2,13 +2,12 @@
 
 Two computation paths live here:
 
-* homology of the (unnormalized) bar complex, run mod |G| with exact
-  integer lattices: this is the default `h2`, with a normal-Sylow reduction
-  for groups above the direct cap.  Up to the cap, `h2` reads H2 off the
-  cokernel of the sparse degree-3 boundary: C2 / im d3 is H2 + Z^|G|, so
-  modulo |G| it is H2 plus |G| copies of Z/|G|, which are dropped (see
-  `_coker_d3_divisors`).  The Sylow path needs induced maps, so it keeps
-  the kernel basis of d2 and adapted representatives (`BarH2Data`);
+* homology of the (unnormalized) bar complex: `h2` reads H2 off the
+  cokernel of the sparse degree-3 boundary, for every group.  C2 / im d3
+  is H2 + Z^|G|, so modulo |G| it is H2 plus |G| copies of Z/|G|, which
+  are dropped (see `_coker_d3_divisors`).  Groups whose |G|^2 (|S| + 1)
+  d3 chains exceed `H2_CHAIN_CAP` raise CapacityError before any chain is
+  built;
 * a cocycle-space pipeline (generator-parametrized 2-cocycles, coboundaries
   and carry classes quotiented out) that produces explicit cocycles and is
   used to construct stem covers.
@@ -27,15 +26,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .abelian import AbelianGroupData, AbelianStructure, structure_of_members
+from .abelian import AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .groups import FiniteGroup, _small_generating_set
-from .intmat import (howell_form_mod, howell_residue, kernel_basis, kernel_mod,
+from .intmat import (howell_form_mod, howell_residue, kernel_mod,
                      quotient_divisors_mod, quotient_with_reps_mod,
                      solve_linear_mod)
-from .ntheory import factorize, is_power_of, prime_divisors, valuation
+from .ntheory import factorize, is_power_of
 
-DEFAULT_H2_DIRECT_CAP = 32
+# |G|^2 (|S| + 1) d3 chains: C2^7 (131,072) and D100 (120,000) run in at
+# most 11 s and 650 MiB; C5^3:C2 (312,500) would take about 42 s and 2 GiB
+H2_CHAIN_CAP = 150_000
 
 _H2_CACHE: dict = {}
 
@@ -58,101 +59,16 @@ def _coker_d3_divisors(group: FiniteGroup) -> list[int]:
     n = group.order
     if n == 1:
         return []
+    chains = n * n * (len(_small_generating_set(group)) + 1)
+    if chains > H2_CHAIN_CAP:
+        raise CapacityError(
+            f"h2: {group.name} of order {n} needs {chains} d3 "
+            f"chains, above the cap of {H2_CHAIN_CAP}")
     divisors = quotient_divisors_mod(_d3_generator_chains(group), n * n, n)
     if divisors[len(divisors) - n:] != [n] * n:
         raise InternalCheckError(
             f"coker d3 holds fewer than {n} copies of Z/{n}")
     return divisors[:len(divisors) - n]
-
-
-class BarH2Data:
-    """H2 of the bar complex with enough data to compute induced maps.
-
-    Chains in degree two are sparse dicts {pair_index: coeff} with
-    pair_index = a * n + b.  `reps` are cycle representatives of the adapted
-    generators, `project` sends any 2-cycle to coordinates in the abstract
-    H2, and `structure` is the isomorphism type.  The adapted generators
-    come from the d3 chains in kernel coordinates of d2; `structure` comes
-    from the cokernel of d3, and the two must agree.
-    """
-
-    def __init__(self, group: FiniteGroup):
-        n = group.order
-        N = n if n > 1 else 1
-        t = group.table
-        d2 = [[0] * (n * n) for _ in range(n)]
-        for g in range(n):
-            row_g = t[g]
-            for h in range(n):
-                c = g * n + h
-                d2[h][c] += 1
-                d2[row_g[h]][c] -= 1
-                d2[g][c] += 1
-        basis, coord, rank = kernel_basis(d2, n * n)
-        kdim = len(basis)
-        gen_coords = [coord(ch) for ch in _d3_generator_chains(group)]
-        self.structure = AbelianStructure.from_cyclic_orders(
-            _coker_d3_divisors(group))
-        self.group = group
-        self._n = n
-        self._howell = howell_form_mod(gen_coords, kdim, N)
-        # the Howell rows span what gen_coords spans, in at most kdim rows
-        reps = quotient_with_reps_mod(
-            [[int(i == j) for j in range(kdim)] for i in range(kdim)],
-            self._howell, kdim, N)
-        if AbelianStructure.from_cyclic_orders([d for d, _ in reps]) != self.structure:
-            raise InternalCheckError("adapted representatives disagree with divisors")
-        self._coord = coord
-        self._N = N
-        self._kdim = kdim
-        self.orders = [d for d, _ in reps]
-        self.rep_coords = [v for _, v in reps]
-        # element table: residue of each coordinate combination
-        self._elements = {}
-        import itertools as _it
-        for combo in _it.product(*(range(d) for d in self.orders)):
-            vec = [0] * kdim
-            for a, rv in zip(combo, self.rep_coords):
-                if a:
-                    for j in range(kdim):
-                        vec[j] += a * rv[j]
-            res = howell_residue(self._howell, vec, N)
-            if res in self._elements:
-                raise InternalCheckError("H2 element table collision")
-            self._elements[res] = combo
-        # chain representatives of the generators (for induced maps)
-        self.rep_chains = []
-        for rv in self.rep_coords:
-            chain: dict[int, int] = {}
-            for j, a in enumerate(rv):
-                if a:
-                    for k, b in enumerate(basis[j]):
-                        if b:
-                            chain[k] = chain.get(k, 0) + a * b
-            self.rep_chains.append({k: v for k, v in chain.items() if v})
-
-    def project_chain(self, chain: dict) -> tuple:
-        """Coordinates in H2 of a 2-cycle given as a sparse chain."""
-        vec = self._coord(chain)
-        res = howell_residue(self._howell, vec, self._N)
-        try:
-            return self._elements[res]
-        except KeyError:
-            raise InternalCheckError("chain does not project into H2")
-
-    def induced_map(self, perm) -> list[list[int]]:
-        """Matrix (columns = images of generators) of the map induced by a
-        group automorphism given as an element permutation."""
-        n = self._n
-        cols = []
-        for chain in self.rep_chains:
-            moved: dict[int, int] = {}
-            for pair, cnt in chain.items():
-                a, b = divmod(pair, n)
-                key = perm[a] * n + perm[b]
-                moved[key] = moved.get(key, 0) + cnt
-            cols.append(list(self.project_chain(moved)))
-        return cols
 
 
 def _d3_generator_chains(group: FiniteGroup):
@@ -183,106 +99,18 @@ def _d3_generator_chains(group: FiniteGroup):
     return chains
 
 
-def sylow_subgroup(group: FiniteGroup, p: int) -> tuple:
-    """Members of a Sylow p-subgroup (grown through normalizers)."""
-    target = p ** valuation(group.order, p)
-    members = (0,)
-    while len(members) < target:
-        mset = set(members)
-        grown = None
-        for g in range(group.order):
-            if g in mset:
-                continue
-            if not is_power_of(group.element_order(g), p):
-                continue
-            if not all(group.conj(x, g) in mset for x in members):
-                continue
-            cand = group.subgroup_closure(list(members) + [g])
-            if is_power_of(len(cand), p):
-                grown = cand
-                break
-        if grown is None:
-            raise InternalCheckError("Sylow growth stalled")
-        members = grown
-    return members
-
-
-def h2(group: FiniteGroup, direct_cap: int = DEFAULT_H2_DIRECT_CAP) -> AbelianStructure:
+def h2(group: FiniteGroup) -> AbelianStructure:
     """The Schur multiplier H2(G, Z) in divisor-chain form.
 
-    Direct bar-complex computation up to `direct_cap`, from the cokernel of
-    d3 with the free part Z^|G| of C2 / im d3 dropped; above it, the p-parts
-    are assembled from Sylow subgroups (trivial multiplier, or normal Sylow
-    with the coprime-index invariants formula).  Raises CapacityError when
-    neither reduction applies.
+    Read off the cokernel of d3 with the free part Z^|G| of C2 / im d3
+    dropped (`_coker_d3_divisors`).  Raises CapacityError at once when the
+    d3 chain count |G|^2 (|S| + 1) exceeds `H2_CHAIN_CAP`.
     """
     key = (group.content_key(), "h2")
-    if key in _H2_CACHE:
-        return _H2_CACHE[key]
-    if group.order <= direct_cap:
-        out = AbelianStructure.from_cyclic_orders(_coker_d3_divisors(group))
-        _H2_CACHE[key] = out
-        return out
-    factors: list[int] = []
-    for p in prime_divisors(group.order):
-        syl = sylow_subgroup(group, p)
-        psub, to_parent = group.subgroup_as_group(syl)
-        if psub.order > direct_cap:
-            raise CapacityError(
-                f"h2: Sylow {p}-subgroup of order {psub.order} exceeds the "
-                f"direct cap {direct_cap}; raise direct_cap")
-        if not _coker_d3_divisors(psub):
-            continue
-        sset = set(syl)
-        if not all(group.conj(x, g) in sset for g in range(group.order) for x in syl):
-            raise CapacityError(
-                f"h2: Sylow {p}-subgroup is not normal and has nontrivial "
-                f"multiplier; raise direct_cap to {group.order} for the "
-                f"direct bar computation")
-        factors.extend(_invariant_subgroup_factors(
-            group, syl, psub, to_parent, _bar_data_cached(psub)))
-    out = AbelianStructure(tuple(factors))
-    _H2_CACHE[key] = out
-    return out
-
-
-def _bar_data_cached(group: FiniteGroup) -> BarH2Data:
-    key = (group.content_key(), "bar")
     if key not in _H2_CACHE:
-        _H2_CACHE[key] = BarH2Data(group)
+        _H2_CACHE[key] = AbelianStructure.from_cyclic_orders(
+            _coker_d3_divisors(group))
     return _H2_CACHE[key]
-
-
-def _invariant_subgroup_factors(group, syl, psub, to_parent, pdata):
-    """Cyclic factors of the G/P-invariants of H2(P) for a normal Sylow P."""
-    pos = {g: i for i, g in enumerate(to_parent)}
-    mats = []
-    for g in _small_generating_set(group):
-        perm = [pos[group.conj(to_parent[x], g)] for x in range(psub.order)]
-        mats.append(pdata.induced_map(perm))
-    orders = pdata.orders
-    fixed = []
-    import itertools as _it
-    for combo in _it.product(*(range(d) for d in orders)):
-        ok = True
-        for m in mats:
-            img = [0] * len(orders)
-            for j, a in enumerate(combo):
-                if a:
-                    for i in range(len(orders)):
-                        img[i] += a * m[j][i]
-            if any((img[i] - combo[i]) % orders[i] for i in range(len(orders))):
-                ok = False
-                break
-        if ok:
-            fixed.append(combo)
-    if len(fixed) == 1:
-        return []
-    data = AbelianGroupData(
-        fixed,
-        lambda a, b: tuple((x + y) % d for x, y, d in zip(a, b, orders)),
-        tuple(0 for _ in orders))
-    return list(data.structure.factors)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ Above a direct cap, p-parts come from Sylow subgroups: for a normal abelian
 Sylow the commutator pairing identifies cocycle classes with alternating
 forms, and the invariant forms under conjugation give the p-part.
 
-Shared with the main path are `intmat.kernel_basis`, the integer
-factorisation of `ntheory` and, above the direct cap,
-`homology.sylow_subgroup` and the generator-parametrized cocycle space
-(its rows, not their elimination).  The mod-m echelon, the solution
-spaces and the quotient with adapted representatives (a pure-Python Smith
-form over Z) are the oracle's own, so criterion 2 shares no mod-m
-elimination with `h2`.
+Shared with the main path are the group engine, the integer
+factorisation of `ntheory` and, above the direct cap, the
+generator-parametrized cocycle space `homology._CocycleSpace` (its rows,
+not their elimination).  The Z-exact kernel, the Sylow search, the mod-m
+echelon, the solution spaces and the quotient with adapted representatives
+(a pure-Python Smith form over Z) are the oracle's own, so criterion 2
+shares no elimination with `h2`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import numpy as np
 from .abelian import AbelianGroupData, AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError
 from .groups import FiniteGroup, _small_generating_set
-from .intmat import kernel_basis
-from .ntheory import factorize, prime_divisors, valuation
+from .ntheory import factorize, is_power_of, prime_divisors, valuation
 
 ORACLE_DIRECT_CAP = 25
 
@@ -101,13 +100,121 @@ def _solution_gens(echelon_rows, dim: int, m: int):
         return [[int(i == j) for j in range(dim)] for i in range(dim)]
     nr = len(eq)
     mat = [r + [m if i == j else 0 for j in range(nr)] for i, r in enumerate(eq)]
-    basis, _, _ = kernel_basis(mat, dim + nr)
+    basis, _, _ = _kernel_basis(mat, dim + nr)
     out = []
     for v in basis:
         x = [a % m for a in v[:dim]]
         if any(x):
             out.append(x)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Z-exact kernel and the Sylow search
+# ---------------------------------------------------------------------------
+
+def _kernel_basis(rows, ncols: int):
+    """Saturated integer basis of {x : A x = 0} for A given by rows.
+
+    Column-HNF approach: find unimodular V with A V = [H | 0]; the kernel
+    lattice basis consists of the trailing columns of V, and coordinates in
+    that basis are read off from the trailing rows of W = V^{-1}.
+
+    Returns (basis, coord, rank): the kernel vectors as lists, a function
+    taking a kernel vector given as a sparse {index: value} dict to its
+    coordinates in that basis, and the rank of A.
+    """
+    A = [list(map(int, r)) for r in rows]
+    nr = len(A)
+    n = ncols
+    V = np.eye(n, dtype=np.int64)
+    W = np.eye(n, dtype=np.int64)
+    obj = False
+    guard = 1 << 60
+    r = 0
+    for i in range(nr):
+        while r < n:
+            row = A[i]
+            nz = [j for j in range(r, n) if row[j]]
+            if not nz:
+                break
+            jmin = min(nz, key=lambda j: abs(row[j]))
+            if jmin != r:
+                for rr in A:
+                    rr[r], rr[jmin] = rr[jmin], rr[r]
+                V[:, [r, jmin]] = V[:, [jmin, r]]
+                W[[r, jmin], :] = W[[jmin, r], :]
+            done = True
+            p = A[i][r]
+            vmax = int(np.abs(V).max()) if not obj else None
+            wmax = int(np.abs(W).max()) if not obj else None
+            for j in range(r + 1, n):
+                if A[i][j]:
+                    q = A[i][j] // p
+                    if q:
+                        if not obj and (abs(q) + 1) * max(vmax, wmax) > guard:
+                            V, W, obj = V.astype(object), W.astype(object), True
+                        for rr in A:
+                            if rr[r]:
+                                rr[j] -= q * rr[r]
+                        V[:, j] -= q * V[:, r]
+                        W[r, :] += q * W[j, :]
+                    if A[i][j]:
+                        done = False
+            if done:
+                break
+        if r < n and A[i][r]:
+            r += 1
+    kdim = n - r
+    basis = [[int(V[k, r + j]) for k in range(n)] for j in range(kdim)]
+    Wtail = [[int(W[r + j, k]) for k in range(n)] for j in range(kdim)]
+
+    def coord(sparse: dict):
+        out = []
+        for j in range(kdim):
+            wrow = Wtail[j]
+            s = 0
+            for k, a in sparse.items():
+                if a:
+                    s += wrow[k] * a
+            out.append(s)
+        return out
+
+    # every basis vector against every row, in one product
+    A0 = np.array(rows, dtype=object).reshape(nr, n)
+    tail = V[:, r:]
+    if A0.size and tail.size and \
+            int(np.abs(A0).max()) * int(np.abs(tail).max()) * n < 1 << 63:
+        A0, tail = A0.astype(np.int64), tail.astype(np.int64)
+    else:
+        tail = tail.astype(object)
+    if (A0 @ tail).any():
+        raise InternalCheckError("kernel basis verification failed")
+    return basis, coord, r
+
+
+def _sylow_subgroup(group: FiniteGroup, p: int) -> tuple:
+    """Members of a Sylow p-subgroup (grown through normalizers)."""
+    target = p ** valuation(group.order, p)
+    members = (0,)
+    while len(members) < target:
+        mset = set(members)
+        grown = None
+        for g in range(group.order):
+            if g in mset:
+                continue
+            if not is_power_of(group.element_order(g), p):
+                continue
+            if not all(group.conj(x, g) in mset for x in members):
+                continue
+            cand = group.subgroup_closure(list(members) + [g])
+            if is_power_of(len(cand), p):
+                grown = cand
+                break
+        if grown is None:
+            raise InternalCheckError("Sylow growth stalled")
+        members = grown
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +472,9 @@ def oracle_h2(group: FiniteGroup, cap: int = ORACLE_DIRECT_CAP) -> AbelianStruct
             divisors, _ = oc.quotient_divisors()
             factors.extend(divisors)
         return AbelianStructure.from_cyclic_orders(factors)
-    from .homology import sylow_subgroup
     factors = []
     for p in prime_divisors(group.order):
-        syl = sylow_subgroup(group, p)
+        syl = _sylow_subgroup(group, p)
         psub, to_parent = group.subgroup_as_group(syl)
         if psub.order > cap:
             raise CapacityError("oracle: Sylow subgroup exceeds the cap")

@@ -24,12 +24,10 @@ unit entry reach the engine, as a small dense block (Dumas, Saunders and
 Villard, "On efficient sparse integer matrix Smith normal form
 computations", J. Symbolic Comput. 2001).
 
-Three other reductions stay, each for a job the engine cannot do:
+Two other reductions stay, each for a job the engine cannot do:
 
 * `howell_form_mod` / `howell_residue`: the Howell form is unique, so its
   residues are canonical coset labels;
-* `kernel_basis`: the one kernel exact over Z (ker d2 of the bar complex),
-  with coordinates for any kernel vector;
 * `quotient_divisors_stack`: the quotient divisors of a whole (T, R, C)
   stack of small matrices at once (the Monte Carlo trials of a block).  It
   splits m into prime powers p^e and pivots on an entry of least
@@ -49,90 +47,6 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .ntheory import factorize
-
-
-# ---------------------------------------------------------------------------
-# the Z-exact kernel
-# ---------------------------------------------------------------------------
-
-def kernel_basis(rows, ncols: int):
-    """Saturated integer basis of {x : A x = 0} for A given by rows.
-
-    Column-HNF approach: find unimodular V with A V = [H | 0]; the kernel
-    lattice basis consists of the trailing columns of V, and coordinates in
-    that basis are read off from the trailing rows of W = V^{-1}.
-
-    Returns (basis, coord, rank): the kernel vectors as lists, a function
-    taking a kernel vector given as a sparse {index: value} dict to its
-    coordinates in that basis, and the rank of A.
-    """
-    A = [list(map(int, r)) for r in rows]
-    nr = len(A)
-    n = ncols
-    V = np.eye(n, dtype=np.int64)
-    W = np.eye(n, dtype=np.int64)
-    obj = False
-    guard = 1 << 60
-    r = 0
-    for i in range(nr):
-        while r < n:
-            row = A[i]
-            nz = [j for j in range(r, n) if row[j]]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(row[j]))
-            if jmin != r:
-                for rr in A:
-                    rr[r], rr[jmin] = rr[jmin], rr[r]
-                V[:, [r, jmin]] = V[:, [jmin, r]]
-                W[[r, jmin], :] = W[[jmin, r], :]
-            done = True
-            p = A[i][r]
-            vmax = int(np.abs(V).max()) if not obj else None
-            wmax = int(np.abs(W).max()) if not obj else None
-            for j in range(r + 1, n):
-                if A[i][j]:
-                    q = A[i][j] // p
-                    if q:
-                        if not obj and (abs(q) + 1) * max(vmax, wmax) > guard:
-                            V, W, obj = V.astype(object), W.astype(object), True
-                        for rr in A:
-                            if rr[r]:
-                                rr[j] -= q * rr[r]
-                        V[:, j] -= q * V[:, r]
-                        W[r, :] += q * W[j, :]
-                    if A[i][j]:
-                        done = False
-            if done:
-                break
-        if r < n and A[i][r]:
-            r += 1
-    kdim = n - r
-    basis = [[int(V[k, r + j]) for k in range(n)] for j in range(kdim)]
-    Wtail = [[int(W[r + j, k]) for k in range(n)] for j in range(kdim)]
-
-    def coord(sparse: dict):
-        out = []
-        for j in range(kdim):
-            wrow = Wtail[j]
-            s = 0
-            for k, a in sparse.items():
-                if a:
-                    s += wrow[k] * a
-            out.append(s)
-        return out
-
-    # every basis vector against every row, in one product
-    A0 = np.array(rows, dtype=object).reshape(nr, n)
-    tail = V[:, r:]
-    if A0.size and tail.size and \
-            int(np.abs(A0).max()) * int(np.abs(tail).max()) * n < 1 << 63:
-        A0, tail = A0.astype(np.int64), tail.astype(np.int64)
-    else:
-        tail = tail.astype(object)
-    if (A0 @ tail).any():
-        raise InternalCheckError("kernel basis verification failed")
-    return basis, coord, r
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,11 @@ from .intmat import (divisor_chain, howell_form_mod, howell_residue,
 from .ntheory import pdivmod, pnorm, ppowmod, prime_divisors
 from .rng import CounterRng, randints, substream
 
-DEFAULT_ORDER_CAP = 3 ** 8
+# caps of the free admissible object: its module dimension n (|Gamma| - 1),
+# and the order up to which `FreeAdmissible.elements` enumerates (the module
+# model scales with the dimension, so the order matters only there)
+_DIM_CAP = 64
+_ORDER_CAP = 3 ** 8
 # int64 entries of one Monte Carlo block's relation stack (trials x rows x
 # dim); the block size changes no count, only time and memory
 _BLOCK_ENTRIES = 1 << 18
@@ -120,8 +124,7 @@ class FreeAdmissible:
     N (intersection of kernels of maps to the generators) is stored as a
     Howell form and elements are canonical residues."""
 
-    def __init__(self, n: int, spec: VarietySpec,
-                 order_cap: int = DEFAULT_ORDER_CAP, dim_cap: int = 64):
+    def __init__(self, n: int, spec: VarietySpec):
         if n < 0:
             raise ValidationError("n must be nonnegative")
         if not spec.is_abelian:
@@ -137,11 +140,8 @@ class FreeAdmissible:
         self.gamma = gamma
         dim = n * (k - 1)
         self.dim = dim
-        self.order_cap = order_cap
-        # the module model scales with the dimension, not the order; the
-        # order cap only guards element enumeration
-        if dim > dim_cap:
-            raise CapacityError(f"free module dimension {dim} exceeds {dim_cap}")
+        if dim > _DIM_CAP:
+            raise CapacityError(f"free module dimension {dim} exceeds {_DIM_CAP}")
         # action of gamma on I = aug submodule of Z/m[Gamma]:
         # basis b_h = e_h - e_1 for h != 1
         nontriv = [h for h in range(k) if h != 0]
@@ -171,7 +171,8 @@ class FreeAdmissible:
         self._nhowell = self._variety_kernel()
         nrows = [r for r in self._nhowell if any(v % m for v in r)]
         self._nrows = np.array(nrows, dtype=np.int64).reshape(len(nrows), dim)
-        self._check_cap(order_cap)
+        # each Howell column contributes pivot-many residues
+        self.order = math.prod(self._nhowell[c][c] for c in range(dim))
         self._inv_cache: dict = {}
 
     # -- module plumbing ------------------------------------------------------
@@ -215,14 +216,6 @@ class FreeAdmissible:
         # its generator set
         return howell_form_mod(kernel_mod(rows, self.dim, m), self.dim, m)
 
-    def _check_cap(self, cap):
-        # order of the reduced object: each Howell column contributes
-        # pivot-many residues
-        order = 1
-        for c in range(self.dim):
-            order *= self._nhowell[c][c]
-        self.order = order
-
     def canonical(self, v: Sequence[int]) -> tuple:
         return howell_residue(self._nhowell, list(v), self.m)
 
@@ -237,7 +230,7 @@ class FreeAdmissible:
 
     def elements(self):
         """All canonical residues (use only for small objects)."""
-        if self.order > min(self.order_cap, 100_000):
+        if self.order > _ORDER_CAP:
             raise CapacityError(
                 f"free object order {self.order} exceeds the enumeration cap")
         seen = set()
@@ -493,6 +486,17 @@ class IrreducibleModule:
     end_size: int        # |End(A)| = p^(endomorphism dimension)
 
 
+def _irreducible_module(f, p: int, inv_ginf: int) -> IrreducibleModule:
+    """The irreducible module F_p[x]/(f); `inv_ginf` is -1 where the
+    Gamma_inf-invariants are not needed."""
+    deg = len(f) - 1
+    # A^Gamma is nonzero exactly for the trivial module, f = x - 1
+    inv_gamma = p if (deg == 1 and f[0] == (p - 1) % p) else 1
+    return IrreducibleModule(p=p, poly=tuple(f), order=p ** deg,
+                             inv_gamma=inv_gamma, inv_ginf=inv_ginf,
+                             end_size=p ** deg)
+
+
 def _factor_cyclotomic(k: int, p: int):
     """Irreducible monic factors of x^k - 1 over F_p (brute trial division)."""
     rem = pnorm([(-1) % p] + [0] * (k - 1) + [1])   # x^k - 1
@@ -537,17 +541,8 @@ def irreducible_modules_cyclic(gamma: FiniteGroup,
         raise CapacityError("module census implemented for cyclic Gamma only")
     sub = Subgroup(gamma, tuple(gamma_inf_members))
     s = k // max(1, len(sub))   # Gamma_inf = <gen^s>
-    out = []
-    for f in _factor_cyclotomic(k, p):
-        deg = len(f) - 1
-        order = p ** deg
-        # A^Gamma is nonzero exactly for the trivial module, f = x - 1
-        inv_gamma = p if (deg == 1 and f[0] == (p - 1) % p) else 1
-        out.append(IrreducibleModule(p=p, poly=f, order=order,
-                                     inv_gamma=inv_gamma,
-                                     inv_ginf=_inv_ginf(f, p, s),
-                                     end_size=p ** deg))
-    return out
+    return [_irreducible_module(f, p, _inv_ginf(f, p, s))
+            for f in _factor_cyclotomic(k, p)]
 
 
 def m_ad(n: int, h: GammaGroup, module: IrreducibleModule,
@@ -659,17 +654,8 @@ def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup):
                 raise InternalCheckError("isotypic dimension not divisible")
             mult = null // deg
             if mult:
-                out.append((_module_data(gamma, f, p), mult))
+                out.append((_irreducible_module(f, p, -1), mult))
     return out
-
-
-def _module_data(gamma, f, p):
-    deg = len(f) - 1
-    order = p ** deg
-    inv_gamma = p if (deg == 1 and f[0] == (p - 1) % p) else 1
-    return IrreducibleModule(p=p, poly=tuple(f), order=order,
-                             inv_gamma=inv_gamma, inv_ginf=-1,
-                             end_size=p ** deg)
 
 
 def _express_in_basis(vec, basis, lattice_rows, m, p):

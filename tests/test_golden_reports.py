@@ -3,9 +3,11 @@
 The fingerprint hashes the config echo, the code version, the columns and
 every row, so a match means the whole report is byte-identical.  The
 expected values were recorded with `run_config` on the same configs before
-the `workers` option was removed (the last two before intmat's row
-reductions were merged into one mod-m Smith engine); a change that moves
-any exact result, or what the config echo holds, moves one of them."""
+the `workers` option was removed (`orbits-A4-order3` and
+`randgrp-sample-trivial-ginf` before intmat's row reductions were merged
+into one mod-m Smith engine, `predict-moment-C5xC5` before `h2` lost its
+normal-Sylow reduction); a change that moves any exact result, or what the
+config echo holds, moves one of them."""
 import json
 
 import pytest
@@ -53,6 +55,11 @@ NAMED_GOLDEN = {
         ["randgrp", "sample", "--gamma-inf", "trivial", "--n", "3",
          "--trials", "300", "--seed", "1"],
         "7f0caeb144613677e8aa8c45997078a6fc0784d519d89aa45c62ab669a2e46bd"),
+    # the README example: h2 of C5xC5:C2, of order 50
+    "predict-moment-C5xC5": (
+        ["predict-moment", "--h", "C5xC5", "--gamma", "inversion", "--q",
+         "11"],
+        "a37377683233ef80a99c41c113d6711e8706352135f506bd3c940385a97c12cf"),
 }
 
 

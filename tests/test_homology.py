@@ -1,14 +1,16 @@
 import math
+import time
 
 import pytest
 
 from hurwitzlab import homology
 from hurwitzlab.abelian import AbelianStructure
-from hurwitzlab.errors import InternalCheckError, ValidationError
+from hurwitzlab.errors import (CapacityError, InternalCheckError,
+                               ValidationError)
 from hurwitzlab.groups import (abelian, cyclic, dihedral, dicyclic,
                                groups_up_to_16, inversion_action, semidirect,
                                symmetric)
-from hurwitzlab.homology import (BarH2Data, UContext, build_u, h2,
+from hurwitzlab.homology import (UContext, build_u, h2,
                                  load_ucontext, reduce_cover, save_ucontext,
                                  schur_cover, validate_c)
 from hurwitzlab.homology_oracle import oracle_h2, oracle_h2_reduced
@@ -21,12 +23,14 @@ def AS(orders):
 KNOWN_H2 = {
     "C6": [], "S3": [], "C2xC2": [2], "C3xC3": [3], "D4": [2], "Dic2": [],
     "D5": [], "A4": [2], "D6": [2], "C4xC4": [4], "C2xC2xC2": [2, 2, 2],
+    "S4": [2], "D12": [2],
 }
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN_H2))
 def test_h2_known_values(name):
     cat = {g.name: g for g in groups_up_to_16()}
+    cat.update(S4=symmetric(4), D12=dihedral(12))
     assert h2(cat[name]) == AS(KNOWN_H2[name])
 
 
@@ -44,11 +48,31 @@ def test_h2_abelian_wedge():
         assert h2(abelian(orders)) == AS(fs)
 
 
+def inversion_semidirect(orders):
+    return semidirect(inversion_action(abelian(orders))).group
+
+
 def test_h2_sylow_path():
-    g50 = semidirect(inversion_action(abelian([5, 5]))).group
-    assert h2(g50) == AS([5])
-    g18 = semidirect(inversion_action(abelian([3, 3]))).group
-    assert h2(g18) == AS([3])
+    """Generalized dihedral groups A:C2 of odd order |A| have H2 equal to
+    the wedge square of A, whatever their size or Sylow structure."""
+    assert h2(inversion_semidirect([5, 5])) == AS([5])
+    assert h2(inversion_semidirect([3, 3])) == AS([3])
+    assert h2(inversion_semidirect([7, 7])) == AS([7])
+    assert h2(inversion_semidirect([3, 3, 3])) == AS([3, 3, 3])
+
+
+def test_h2_chain_cap_raises_before_building(monkeypatch):
+    """C5^3:C2 has more d3 chains than the cap: h2 refuses it at once,
+    before a single chain is built."""
+    def forbidden(group):
+        raise AssertionError("d3 chains built above the cap")
+
+    g = inversion_semidirect([5, 5, 5])
+    monkeypatch.setattr(homology, "_d3_generator_chains", forbidden)
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        h2(g)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_oracle_agreement_sample():
@@ -57,14 +81,11 @@ def test_oracle_agreement_sample():
         assert h2(g) == oracle_h2(g), g.name
 
 
-def test_h2_coker_d3_matches_kernel_coordinates():
-    """h2, read off the cokernel of d3, equals the orders of the adapted
-    representatives found in kernel coordinates of d2, and the oracle."""
-    for g in list(groups_up_to_16()) + [abelian([3, 9]), symmetric(4),
-                                        dihedral(12)]:
-        assert h2(g) == AS(BarH2Data(g).orders), g.name
-        if g.order <= 16:
-            assert h2(g) == oracle_h2(g), g.name
+def test_h2_coker_d3_matches_oracle():
+    """h2, read off the cokernel of d3, equals the oracle's cocycle
+    quotient on every group of order <= 16."""
+    for g in groups_up_to_16():
+        assert h2(g) == oracle_h2(g), g.name
 
 
 def test_h2_coker_d3_self_check(monkeypatch):

@@ -4,8 +4,9 @@ import random
 
 import numpy as np
 
+from hurwitzlab.homology_oracle import _kernel_basis as kernel_basis
 from hurwitzlab.intmat import (_smith_mod, divisor_chain, howell_form_mod,
-                               howell_residue, kernel_basis, kernel_mod,
+                               howell_residue, kernel_mod,
                                quotient_divisors_mod, quotient_divisors_stack,
                                quotient_with_reps_mod, solve_linear_mod)
 
