@@ -802,30 +802,7 @@ class GammaGroup:
 
     def count_aut_gamma(self) -> int:
         """Automorphisms of base commuting with the whole Gamma-action."""
-        return len(list(self._iter_gamma_automorphisms()))
-
-    def _iter_gamma_automorphisms(self):
-        base = self.base
-        n = base.order
-        gens = _small_generating_set(base)
-        orders = [base.element_order(g) for g in range(n)]
-        cands = [[h for h in range(n) if orders[h] == orders[g]] for g in gens]
-
-        def extend(images):
-            phi = _hom_from_generators(base, base, gens, images)
-            if phi is None:
-                return None
-            if len(set(phi)) != n:
-                return None
-            return phi
-
-        for combo in itertools.product(*cands):
-            phi = extend(list(combo))
-            if phi is None:
-                continue
-            if all(phi[self.act[ge][x]] == self.act[ge][phi[x]]
-                   for ge in range(self.gamma.order) for x in range(n)):
-                yield phi
+        return sum(1 for _ in _gamma_isomorphisms(self, self))
 
 
 def _small_generating_set(g: FiniteGroup) -> list[int]:
@@ -870,6 +847,23 @@ def _hom_from_generators(src: FiniteGroup, dst: FiniteGroup,
     return [phi[x] for x in range(src.order)]
 
 
+def _gamma_isomorphisms(h1: GammaGroup, h2: GammaGroup):
+    """Every Gamma-equivariant isomorphism h1 -> h2 (bases of equal order),
+    as an image list: generator images by element order, extended by
+    closure, kept when bijective and equivariant."""
+    a, b = h1.base, h2.base
+    gens = _small_generating_set(a)
+    cands = [[y for y in range(b.order)
+              if b.element_order(y) == a.element_order(g)] for g in gens]
+    for combo in itertools.product(*cands):
+        phi = _hom_from_generators(a, b, gens, list(combo))
+        if phi is None or len(set(phi)) != a.order:
+            continue
+        if all(phi[h1.act[ge][x]] == h2.act[ge][phi[x]]
+               for ge in range(h1.gamma.order) for x in range(a.order)):
+            yield phi
+
+
 def gamma_isomorphic(h1: GammaGroup, h2: GammaGroup) -> bool:
     """Gamma-equivariant isomorphism test (same gamma group required)."""
     if h1.gamma.table != h2.gamma.table:
@@ -880,19 +874,7 @@ def gamma_isomorphic(h1: GammaGroup, h2: GammaGroup) -> bool:
     if sorted(a.element_order(g) for g in range(a.order)) != \
        sorted(b.element_order(g) for g in range(b.order)):
         return False
-    gens = _small_generating_set(a)
-    orders = [a.element_order(g) for g in gens]
-    cands = [[h for h in range(b.order) if b.element_order(h) == o]
-             for o in orders]
-    k = h1.gamma.order
-    for combo in itertools.product(*cands):
-        phi = _hom_from_generators(a, b, gens, list(combo))
-        if phi is None or len(set(phi)) != a.order:
-            continue
-        if all(phi[h1.act[ge][x]] == h2.act[ge][phi[x]]
-               for ge in range(k) for x in range(a.order)):
-            return True
-    return False
+    return next(_gamma_isomorphisms(h1, h2), None) is not None
 
 
 def isomorphic(a: FiniteGroup, b: FiniteGroup, cap: int = 1000) -> bool:

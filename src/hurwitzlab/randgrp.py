@@ -6,8 +6,8 @@ The finite variety is described by a list of generating Gamma-groups.  When
 every generator is abelian the free admissible object is realized as a
 module over Z/m[Gamma] (the n-th power of the augmentation submodule,
 reduced by the variety constraints), which keeps sampling and quotients
-linear algebra.  Nonabelian varieties go through a capped universal product
-construction.
+linear algebra.  Nonabelian varieties are not supported: `FreeAdmissible`
+raises CapacityError for them.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .abelian import AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .groups import FiniteGroup, GammaGroup, Subgroup
 from .intmat import (divisor_chain, howell_form_mod, howell_residue,
-                     kernel_mod, quotient_divisors_stack,
-                     quotient_with_reps_mod, solve_linear_mod)
+                     kernel_mod, quotient_divisors_stack)
 from .ntheory import pdivmod, pnorm, ppowmod, prime_divisors
 from .rng import CounterRng, randints, substream
 
@@ -119,9 +118,14 @@ class FreeAdmissible:
     level.
 
     Abelian model: elements are coordinate vectors mod m of length
-    n*(|Gamma|-1) (a basis of the n-th power of the augmentation submodule),
-    with Gamma acting by integer matrices; the variety constraint quotient
-    N (intersection of kernels of maps to the generators) is stored as a
+    dim = n*(|Gamma|-1), in the basis b_h = e_h - e_1 (h != 1) of each of
+    the n copies of the augmentation submodule of Z/m[Gamma].  The action
+    is held once, as the (|Gamma|, dim, dim) array `_act` of column-action
+    matrices: _act[g] = kron(I_n, M_g) with M_g = P_g[1:, 1:] - P_g[1:, :1]
+    for P_g the left-regular permutation matrix of g, since
+    g (e_h - e_1) = (e_gh - e_1) - (e_g - e_1).  Every equation system of
+    the model is built from it.  The variety constraint quotient N
+    (intersection of kernels of maps to the generators) is stored as a
     Howell form and elements are canonical residues."""
 
     def __init__(self, n: int, spec: VarietySpec):
@@ -142,30 +146,16 @@ class FreeAdmissible:
         self.dim = dim
         if dim > _DIM_CAP:
             raise CapacityError(f"free module dimension {dim} exceeds {_DIM_CAP}")
-        # action of gamma on I = aug submodule of Z/m[Gamma]:
-        # basis b_h = e_h - e_1 for h != 1
-        nontriv = [h for h in range(k) if h != 0]
-        self.block = len(nontriv)
-        mats = []
-        for ge in range(k):
-            mat = [[0] * self.block for _ in range(self.block)]
-            for j, h in enumerate(nontriv):
-                # gamma * (e_h - e_1) = e_{gh} - e_g = (e_{gh} - e_1) - (e_g - e_1)
-                gh = gamma.table[ge][h]
-                g1 = gamma.table[ge][0]
-                if gh != 0:
-                    mat[nontriv.index(gh)][j] += 1
-                if g1 != 0:
-                    mat[nontriv.index(g1)][j] -= 1
-            mats.append(mat)
-        self._block_mats = mats  # column-action: (M v)_i = sum_j M[i][j] v[j]
+        P = np.zeros((k, k, k), dtype=np.int64)
+        P[np.arange(k)[:, None], np.array(gamma.table), np.arange(k)] = 1
+        M = P[:, 1:, 1:] - P[:, 1:, :1]
+        eye = np.eye(dim, dtype=np.int64)
+        self._act = np.stack([np.kron(np.eye(n, dtype=np.int64), b)
+                              for b in M])
         # M_g - I on the whole module for g != 1: the relation rows of x
-        rel = np.zeros((k - 1, dim, dim), dtype=np.int64)
-        for blk in range(n):
-            part = slice(blk * self.block, (blk + 1) * self.block)
-            rel[:, part, part] = mats[1:]
-        self._rel_stack = rel - np.eye(dim, dtype=np.int64)
-        self.is_inversion = _is_inversion_variety(self)
+        self._rel_stack = self._act[1:] - eye
+        # Gamma = Z/2 acting by inversion
+        self.is_inversion = k == 2 and bool((self._act[1] == -eye).all())
         # variety constraint: N = intersection of kernels of module maps to
         # each generator target
         self._nhowell = self._variety_kernel()
@@ -177,39 +167,19 @@ class FreeAdmissible:
 
     # -- module plumbing ------------------------------------------------------
 
-    def act_vector(self, ge: int, v: Sequence[int]) -> list:
-        m = self.m
-        out = [0] * self.dim
-        M = self._block_mats[ge]
-        b = self.block
-        for blk in range(self.n):
-            off = blk * b
-            for i in range(b):
-                acc = 0
-                row = M[i]
-                for j in range(b):
-                    c = row[j]
-                    if c:
-                        acc += c * v[off + j]
-                out[off + i] = acc % m
-        return out
-
     def _variety_kernel(self):
         """Howell form of N = the joint kernel of all module maps to the
         variety generators; elements of the free object are residues mod N."""
         m = self.m
+        # one row per (hom, target coordinate c): the hom's c-coordinates,
+        # scaled from Z/d_c into Z/m
         rows = []
         for target in self.spec.generators:
-            tdata = _TargetData(target)
-            for phi in _module_hom_basis(self, tdata):
-                # phi: list over basis slots of target-element images
-                # kernel rows: one per target coordinate basis
-                for ci in range(len(tdata.orders)):
-                    d = tdata.orders[ci]
-                    row = []
-                    for j in range(self.dim):
-                        row.append((phi[j][ci] * (m // d)) % m)
-                    rows.append(row)
+            td = _TargetData(target)
+            phi = _module_hom_basis(self, td)
+            rows.extend((phi * (m // td.orders) % m).transpose(0, 2, 1)
+                        .reshape(phi.shape[0] * phi.shape[2], self.dim)
+                        .tolist())
         if not rows:
             return howell_form_mod([], self.dim, m)
         # N = solution set {x : all rows . x == 0 mod m}; store as Howell of
@@ -218,12 +188,6 @@ class FreeAdmissible:
 
     def canonical(self, v: Sequence[int]) -> tuple:
         return howell_residue(self._nhowell, list(v), self.m)
-
-    def add(self, a, b) -> tuple:
-        return self.canonical([(x + y) % self.m for x, y in zip(a, b)])
-
-    def act(self, ge: int, a) -> tuple:
-        return self.canonical(self.act_vector(ge, a))
 
     def zero(self) -> tuple:
         return tuple([0] * self.dim)
@@ -248,30 +212,17 @@ class FreeAdmissible:
         key = tuple(sorted(gamma_inf_members))
         if key in self._inv_cache:
             return self._inv_cache[key]
-        m = self.m
-        # a residue x is invariant iff (M_ge - I) x lies in N for each
-        # generator ge of Gamma_inf; solved with N-coefficients as unknowns
-        mats = []
-        for ge in key:
-            if ge == 0:
-                continue
-            cols = []
-            for j in range(self.dim):
-                basis = [0] * self.dim
-                basis[j] = 1
-                img = self.act_vector(ge, basis)
-                img[j] = (img[j] - 1) % m
-                cols.append(self.canonical(img))
-            mats.append(cols)
-        # solution set: x with sum_j x_j * cols[j] == 0 mod (N + mZ)
-        nrows = self._nrows.tolist()
-        eq_rows = []
-        for cols in mats:
-            for coord in range(self.dim):
-                eq_rows.append([cols[j][coord] for j in range(self.dim)])
-        # augment with N-generator coefficients as free unknowns
-        sol = _solution_space_with_lattice(eq_rows, nrows, self.dim, m)
-        H = howell_form_mod(sol + nrows, self.dim, m)
+        m, dim = self.m, self.dim
+        nrows = self._nrows
+        # a residue x is invariant iff (M_g - I) x = N^T t_g (mod m) for
+        # some t_g, for each g in Gamma_inf: the kernel of the blocks
+        # [M_g - I | -N^T], one set of unknowns t_g per g
+        gens = [g for g in key if g]
+        eq = np.hstack([(self._act[gens] - np.eye(dim, dtype=np.int64))
+                        .reshape(len(gens) * dim, dim),
+                        np.kron(np.eye(len(gens), dtype=np.int64), -nrows.T)])
+        sol = [x[:dim] for x in kernel_mod(eq, eq.shape[1], m)]
+        H = howell_form_mod(sol + nrows.tolist(), dim, m)
         reps = [(m // row[c], row) for c, row in enumerate(H) if row[c] != m]
         self._inv_cache[key] = reps
         return reps
@@ -291,96 +242,38 @@ class FreeAdmissible:
 
 
 class _TargetData:
+    """Coordinates of an abelian Gamma-group: `coords[x]` of each element
+    in a basis with cyclic `orders`, and `mats[g][c]` the coordinates of g
+    applied to basis element c."""
+
     def __init__(self, target: GammaGroup):
-        data = structure_of_members(target.base, range(target.base.order))
-        self.data = data
-        self.orders = list(data.basis_orders)
-        self.coords = data.coords
-        # action matrices on coordinates
-        self.mats = []
-        for ge in range(target.gamma.order):
-            cols = []
-            for b in data.basis:
-                cols.append(list(data.coords[target.act[ge][b]]))
-            self.mats.append(cols)
+        order = target.base.order
+        data = structure_of_members(target.base, range(order))
+        self.orders = np.array(data.basis_orders, dtype=np.int64)
+        self.coords = np.array([data.coords[x] for x in range(order)],
+                               dtype=np.int64).reshape(order, len(self.orders))
+        self.mats = self.coords[np.array(target.act)[:, data.basis]]
 
 
-def _module_hom_basis(free: FreeAdmissible, td: "_TargetData"):
-    """Generators of Hom_Gamma(I^n, target) as lists: phi[j] = image coords
-    of the j-th free basis vector."""
-    m = free.m
+def _module_hom_basis(free: FreeAdmissible, td: _TargetData) -> np.ndarray:
+    """Generators of Hom_Gamma(I^n, target) as an (s, dim, tdim) array:
+    phi[j] holds the target coordinates of the j-th free basis vector."""
+    m, dim = free.m, free.dim
     tdim = len(td.orders)
-    if tdim == 0:
-        return []
-    nun = free.dim * tdim
-    rows = []
-    # equivariance: phi(M_ge b_j) = act_ge(phi(b_j)) for each ge, j
-    for ge in range(1, free.gamma.order):
-        for j in range(free.dim):
-            basis = [0] * free.dim
-            basis[j] = 1
-            img = free.act_vector(ge, basis)  # coordinates of M_ge b_j
-            # LHS: sum_l img[l] * phi[l]; RHS: act matrix applied to phi[j]
-            for ci in range(tdim):
-                d = td.orders[ci]
-                row = [0] * nun
-                for l in range(free.dim):
-                    if img[l]:
-                        row[l * tdim + ci] += img[l]
-                for cj in range(tdim):
-                    coef = td.mats[ge][cj][ci]
-                    if coef:
-                        row[j * tdim + cj] -= coef
-                rows.append([(x * (m // d)) % m for x in row])
-    # order constraints: orders[ci] * phi[..][ci] == 0 automatically via scaling
-    sols = kernel_mod(rows, nun, m)
-    homs = []
-    for s in sols:
-        phi = []
-        for j in range(free.dim):
-            co = []
-            for ci in range(tdim):
-                d = td.orders[ci]
-                val = s[j * tdim + ci]
-                # value must make sense mod d: scale from mod m
-                co.append(val % d)
-            phi.append(co)
-        homs.append(phi)
-    return homs
-
-
-def _solution_space_with_lattice(eq_rows, lattice_rows, dim, m):
-    """{x : A x == 0 mod (L + mZ)} where L is spanned by lattice_rows.
-
-    One lattice coefficient per equation block absorbs the L-ambiguity and
-    the whole thing is a single linear system in (x, t) mod m.  Equation
-    rows must come in blocks of dim (one per ambient coordinate), with the
-    lattice coefficients shared within a block."""
-    if not eq_rows:
-        return [[int(i == j) for j in range(dim)] for i in range(dim)]
-    nl = len(lattice_rows)
-    neq = len(eq_rows)
-    if neq % dim:
-        raise InternalCheckError("equation rows not grouped by coordinate")
-    ngroups = neq // dim
-    nun = dim + ngroups * nl
-    rows = []
-    for g in range(ngroups):
-        for coord in range(dim):
-            row = [0] * nun
-            arow = eq_rows[g * dim + coord]
-            for j in range(dim):
-                row[j] = arow[j] % m
-            for li, lrow in enumerate(lattice_rows):
-                row[dim + g * nl + li] = (-lrow[coord]) % m
-            rows.append(row)
-    sols = kernel_mod(rows, nun, m)
-    out = []
-    for s in sols:
-        x = [a % m for a in s[:dim]]
-        if any(x):
-            out.append(x)
-    return out
+    if dim * tdim == 0:
+        return np.zeros((0, dim, tdim), dtype=np.int64)
+    # equivariance phi(M_g b_j) = g phi(b_j) for g != 1, phi flattened
+    # row-major in (j, c): the rows kron(M_g^T, I) - kron(I, T_g^T), each
+    # scaled by m / d_c so that its solutions mod m take values in Z/d_c
+    eye_t = np.eye(tdim, dtype=np.int64)
+    eye_d = np.eye(dim, dtype=np.int64)
+    eq = np.array([np.kron(a.T, eye_t) - np.kron(eye_d, t.T)
+                   for a, t in zip(free._act[1:], td.mats[1:])],
+                  dtype=np.int64).reshape(-1, dim * tdim, dim * tdim)
+    eq = (eq * np.tile(m // td.orders, dim)[:, None] % m).reshape(
+        -1, dim * tdim)
+    sols = np.array(kernel_mod(eq, dim * tdim, m), dtype=np.int64)
+    return sols.reshape(len(sols), dim, tdim) % td.orders
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +333,6 @@ def chain_counts(free: FreeAdmissible, X: np.ndarray) -> dict:
 def _label(free: FreeAdmissible, chain: tuple) -> tuple:
     return ("ab-inv", chain) if free.is_inversion else \
         ("ab", chain, free.gamma.order)
-
-
-def _is_inversion_variety(free: FreeAdmissible) -> bool:
-    """Gamma = Z/2 acting by inversion on the module model."""
-    if free.gamma.order != 2:
-        return False
-    for j in range(free.dim):
-        basis = [0] * free.dim
-        basis[j] = 1
-        img = free.act_vector(1, basis)
-        expect = [0] * free.dim
-        expect[j] = (-1) % free.m
-        if img != expect:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +406,14 @@ def _inv_ginf(f: tuple, p: int, s: int) -> int:
     return p ** (len(f) - 1) if ppowmod((0, 1), s, f, p) == (1,) else 1
 
 
+def _cyclic_generator(gamma: FiniteGroup) -> int:
+    gen = next((g for g in range(gamma.order)
+                if gamma.element_order(g) == gamma.order), None)
+    if gen is None:
+        raise CapacityError("module census implemented for cyclic Gamma only")
+    return gen
+
+
 def irreducible_modules_cyclic(gamma: FiniteGroup,
                                gamma_inf_members: Sequence[int], p: int):
     """All irreducible F_p[Gamma]-modules for cyclic Gamma with the
@@ -535,10 +421,7 @@ def irreducible_modules_cyclic(gamma: FiniteGroup,
     k = gamma.order
     if math.gcd(p, k) != 1:
         raise ValidationError("p must be coprime to |Gamma|")
-    # require cyclic
-    gen = next((g for g in range(k) if gamma.element_order(g) == k), None)
-    if gen is None:
-        raise CapacityError("module census implemented for cyclic Gamma only")
+    _cyclic_generator(gamma)
     sub = Subgroup(gamma, tuple(gamma_inf_members))
     s = k // max(1, len(sub))   # Gamma_inf = <gen^s>
     return [_irreducible_module(f, p, _inv_ginf(f, p, s))
@@ -546,31 +429,34 @@ def irreducible_modules_cyclic(gamma: FiniteGroup,
 
 
 def m_ad(n: int, h: GammaGroup, module: IrreducibleModule,
-         spec: VarietySpec, _second_check: bool = True) -> int:
+         spec: VarietySpec) -> int:
     """Multiplicity of the irreducible module in the semisimplified kernel
     of a surjection from the free admissible object onto H."""
-    decomp = kernel_decomposition(n, h, spec, _second_check=_second_check)
-    for mod, mult in decomp:
+    for mod, mult in kernel_decomposition(n, h, spec):
         if mod.p == module.p and mod.poly == module.poly:
             return mult
     return 0
 
 
-def kernel_decomposition(n: int, h: GammaGroup, spec: VarietySpec,
-                         _second_check: bool = True):
+def kernel_decomposition(n: int, h: GammaGroup, spec: VarietySpec):
     """Isotypic decomposition of R/M for R the kernel of a surjection
     F_n -> H and M the intersection of maximal co-abelian normal subgroups.
 
     For the abelian module model M = rad(R) = (prod of primes) R, and the
     decomposition is by minimal-polynomial factors of the cyclic Gamma
-    action on R/rad per prime."""
+    action on R/rad per prime.  H must lie in the variety as far as its
+    exponent goes: a quotient of the free object has exponent dividing m."""
+    if spec.exponent % h.base.exponent():
+        raise ValidationError(
+            f"H has exponent {h.base.exponent()}, which does not divide "
+            f"the variety exponent {spec.exponent}")
+    gen = _cyclic_generator(spec.gamma)
     free = FreeAdmissible(n, spec)
-    tuples = _surjection_tuples(h, n, want=2 if _second_check else 1)
+    tuples = _surjection_tuples(h, n, want=2)
     if not tuples:
         return []
-    results = []
-    for tup in tuples:
-        results.append(_decompose_kernel_for_tuple(free, h, tup))
+    results = [_decompose_kernel_for_tuple(free, h, tup, gen)
+               for tup in tuples]
     first = _decomp_key(results[0])
     for r in results[1:]:
         if _decomp_key(r) != first:
@@ -600,95 +486,80 @@ def _surjection_tuples(h: GammaGroup, n: int, want: int):
     return out
 
 
-def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup):
-    m = free.m
+def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup,
+                                gen: int):
+    """Isotypic multiplicities of V = R/(pR + N) for each prime p | m, R the
+    kernel of the map F -> H that the tuple defines, by counting.
+
+    As p does not divide |Gamma|, x^|Gamma| - 1 is separable over F_p, so V
+    is the direct sum of the kernels of f(g) over its irreducible factors
+    f, g the generator `gen` of the cyclic Gamma.  The kernel and the
+    cokernel of f(g) on V have the same dimension, so
+        dim ker f(g) = log_p |R / (f(g)R + pR + N)|,
+    with f(g) the integer matrix sum f_i _act[g]^i: each order is a
+    product of invariant factors from one stacked elimination, and no
+    basis of V is needed."""
+    m, dim = free.m, free.dim
     td = _TargetData(h)
-    tdim = len(td.orders)
-    gamma = free.gamma
-    nontriv = [ge for ge in range(gamma.order) if ge != 0]
-    # hom F -> H from the tuple: basis b_{i,ge} maps to act_ge(h_i) - h_i
-    images = []
-    for i in range(free.n):
-        for ge in nontriv:
-            y = h.base.table[h.base.inv[tup[i]]][h.act[ge][tup[i]]]
-            images.append(list(td.coords[y]))
-    # kernel rows: sum_j x_j images[j] == 0 in H
-    rows = []
-    for ci in range(tdim):
-        d = td.orders[ci]
-        rows.append([(images[j][ci] * (m // d)) % m for j in range(free.dim)])
-    rgens = kernel_mod(rows, free.dim, m)
-    # restrict to the free object: intersect with ambient (module model is
-    # already the free object when the variety kernel is trivial)
-    nrows = free._nrows.tolist()
-    if nrows:
-        # R = {x in solution : x in free object}; the module model already
-        # works modulo N, so add N to the span
-        rgens = rgens + nrows
+    # the map sends b_{i,g} to the coordinates of h_i^-1 g(h_i)
+    ys = [h.base.table[h.base.inv[x]][h.act[g][x]]
+          for x in tup for g in range(1, free.gamma.order)]
+    images = td.coords[ys].reshape(dim, len(td.orders))
+    rows = images.T * (m // td.orders)[:, None] % m
+    # R: the kernel rows, with N added (the model works modulo N)
+    R = kernel_mod(rows, dim, m)
+    R = np.concatenate([np.array(R, dtype=np.int64).reshape(len(R), dim),
+                        free._nrows])
+    act_t = free._act[gen].T
     out = []
     for p in prime_divisors(m):
-        radical = [[(x * p) % m for x in g] for g in rgens]
-        reps = quotient_with_reps_mod(rgens, radical + nrows, free.dim, m)
-        basis = [v for d, v in reps]
-        if not basis:
-            continue
-        for d, _ in reps:
-            if d != p:
-                raise InternalCheckError("radical quotient not elementary")
-        dim = len(basis)
-        # matrix of the cyclic generator action on R/rad in this basis
-        gen = next(g for g in range(gamma.order)
-                   if gamma.element_order(g) == gamma.order)
-        cols = []
-        lattice = radical + nrows
-        for j in range(dim):
-            img = free.act_vector(gen, basis[j])
-            co = _express_in_basis(img, basis, lattice, m, p)
-            cols.append(co)
-        # decompose by minimal polynomial factors
-        for f in _factor_cyclotomic(gamma.order, p):
+        factors = _factor_cyclotomic(free.gamma.order, p)
+        rad = np.concatenate([p * R % m, free._nrows])
+        rels = [R, rad]
+        for f in factors:
+            # f(g) applied to the rows of R by Horner's rule
+            fr = f[-1] * R
+            for c in f[-2::-1]:
+                fr = (fr @ act_t + c * R) % m
+            rels.append(np.concatenate([fr, rad]))
+        width = max(len(a) for a in rels)
+        divs = quotient_divisors_stack(
+            np.stack([np.pad(a, ((0, width - len(a)), (0, 0))) for a in rels]),
+            m)
+        sizes = [math.prod(int(d) for d in row) for row in divs]
+        dim_v = _log_ratio(sizes[1], sizes[0], p)
+        total = 0
+        for f, size in zip(factors, sizes[2:]):
+            null = _log_ratio(size, sizes[0], p)
             deg = len(f) - 1
-            mat = _poly_of_matrix(cols, f, p)
-            null = int((quotient_divisors_stack(mat[None], p) > 1).sum())
             if null % deg:
                 raise InternalCheckError("isotypic dimension not divisible")
-            mult = null // deg
-            if mult:
-                out.append((_irreducible_module(f, p, -1), mult))
+            total += null
+            if null:
+                out.append((_irreducible_module(f, p, -1), null // deg))
+        if total != dim_v:
+            raise InternalCheckError(
+                "isotypic parts do not sum to dim R/(pR + N)")
     return out
 
 
-def _express_in_basis(vec, basis, lattice_rows, m, p):
-    """Coefficients mod p with vec == sum c_j basis_j modulo the lattice."""
-    dim = len(vec)
-    nb = len(basis)
-    nl = len(lattice_rows)
-    rows = []
-    for coord in range(dim):
-        row = [b[coord] % m for b in basis]
-        row += [l[coord] % m for l in lattice_rows]
-        rows.append(row)
-    x = solve_linear_mod(rows, [v % m for v in vec], nb + nl, m)
-    if x is None:
-        raise InternalCheckError("vector not expressible in quotient basis")
-    return [c % p for c in x[:nb]]
-
-
-def _poly_of_matrix(cols, f, p) -> np.ndarray:
-    """f(M) mod p for M given by columns."""
-    M = np.array(cols, dtype=np.int64).T % p
-    out = np.zeros_like(M)
-    power = np.eye(len(M), dtype=np.int64)
-    for coef in f:
-        out = (out + coef * power) % p
-        power = power @ M % p
-    return out
+def _log_ratio(a: int, b: int, p: int) -> int:
+    """log_p(a / b), which must be a nonnegative power of p."""
+    q, r = divmod(a, b)
+    e = 0
+    while q > 1 and q % p == 0:
+        q //= p
+        e += 1
+    if r or q != 1:
+        raise InternalCheckError("kernel quotient order is not a power of p")
+    return e
 
 
 def mu_n(h: GammaGroup, spec: VarietySpec, gamma_inf_members: Sequence[int],
          n: int) -> Fraction:
     """Exact probability that the level-n random group is isomorphic to H."""
-    if not h.is_admissible():
+    # a quotient of the free object has exponent dividing m
+    if not h.is_admissible() or spec.exponent % h.base.exponent():
         return Fraction(0)
     sur = h.count_sur_gamma_free(n)
     if sur == 0:

@@ -238,6 +238,15 @@ def test_randgrp_measure_needs_gamma_of_order_2(capsys):
                  "--n-min", "1", "--n-max", "1"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("h, exponent", [("C3", 5), ("C9", 3), ("C5", 9)])
+def test_randgrp_measure_outside_the_variety_is_zero(h, exponent, tmp_path):
+    out = tmp_path / "mu.json"
+    assert main(["randgrp", "measure", "--h", h, "--exponent", str(exponent),
+                 "--n-min", "1", "--n-max", "2", "--out", str(out),
+                 "--format", "json"]) == EXIT_OK
+    assert json.loads(out.read_text())["rows"] == [[1, "0/1"], [2, "0/1"]]
+
+
 def test_run_config_cli(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"kind": "predict-moment", "h": "C3",

@@ -6,9 +6,11 @@ import pytest
 from hurwitzlab import randgrp, rng
 from hurwitzlab.abelian import AbelianStructure
 from hurwitzlab.errors import CapacityError, ValidationError
-from hurwitzlab.groups import (abelian, cyclic, inversion_action,
+from hurwitzlab.groups import (GammaGroup, abelian, cyclic, dihedral,
+                               inversion_action, symmetric, trivial_action,
                                trivial_group)
-from hurwitzlab.randgrp import (FreeAdmissible, abelian_exponent_variety,
+from hurwitzlab.randgrp import (FreeAdmissible, VarietySpec,
+                                abelian_exponent_variety,
                                 irreducible_modules_cyclic,
                                 kernel_decomposition, m_ad, moment_mu,
                                 moment_n, monte_carlo, mu_limit, mu_n,
@@ -45,6 +47,30 @@ def test_free_admissible_cap():
     big = FreeAdmissible(9, SPEC3)
     with pytest.raises(CapacityError):
         big.elements()
+
+
+def test_action_array_is_the_augmentation_action():
+    """Column b_j of _act[g] against g (e_h - e_1) = e_gh - e_g, written
+    out in the basis b_h = e_h - e_1 of each copy of the augmentation
+    submodule, for cyclic and non-cyclic Gamma."""
+    for gamma in (cyclic(2), cyclic(3), cyclic(4), cyclic(5), symmetric(3),
+                  dihedral(4), abelian([2, 2])):
+        k, n = gamma.order, 2
+        free = FreeAdmissible(
+            n, VarietySpec((trivial_action(cyclic(7), gamma),)))
+        assert free._act.shape == (k, n * (k - 1), n * (k - 1))
+        for g in range(k):
+            for blk in range(n):
+                off = blk * (k - 1) - 1
+                for h in range(1, k):
+                    want = [0] * free.dim
+                    gh, g1 = gamma.table[g][h], gamma.table[g][0]
+                    if gh:
+                        want[off + gh] += 1
+                    if g1:
+                        want[off + g1] -= 1
+                    assert free._act[g][:, off + h].tolist() == want
+        assert free.is_inversion == (k == 2)
 
 
 def test_free_universal_property():
@@ -195,6 +221,79 @@ def test_m_ad_examples():
     # H trivial: kernel is all of F = sign^n
     dec = kernel_decomposition(3, HG([]), SPEC3)
     assert [(m.inv_gamma, mult) for m, mult in dec] == [(1, 3)]
+
+
+def _times(q, k, a):
+    """Z/q with the generator of C_k acting by x -> a x."""
+    return GammaGroup(cyclic(q), cyclic(k),
+                      [[x * pow(a, j, q) % q for x in range(q)]
+                       for j in range(k)])
+
+
+# (H, |Gamma|, m) -> per n = 1..3: the kernel decomposition as
+# (p, poly, multiplicity) and mu_n for Gamma_inf = 1 and Gamma_inf = Gamma
+PINNED = {
+    ("Z/7 by 2", 3, 7): [
+        ([(7, (3, 1), 1)], ("48/2401", "6/49")),
+        ([(7, (3, 1), 2), (7, (5, 1), 1)],
+         ("44914176/1977326743", "110592/823543")),
+        ([(7, (3, 1), 3), (7, (5, 1), 2)],
+         ("1843277783040000/79792266297612001",
+          "92163889152/678223072849"))],
+    ("Z/5 by 2", 4, 5): [
+        ([(5, (1, 1), 1), (5, (2, 1), 1)], ("576/15625", "16/125")),
+        ([(5, (1, 1), 2), (5, (2, 1), 2), (5, (3, 1), 1)],
+         ("6589292544/152587890625", "1327104/9765625")),
+        ([(5, (1, 1), 3), (5, (2, 1), 3), (5, (3, 1), 2)],
+         ("8271856692526841856/186264514923095703125",
+          "13073156407296/95367431640625"))],
+    ("Z/3 inv", 2, 15): [
+        ([(5, (1, 1), 1)], ("8/75", "4/15")),
+        ([(3, (1, 1), 1), (5, (1, 1), 2)], ("103168/759375", "1024/3375")),
+        ([(3, (1, 1), 2), (5, (1, 1), 3)],
+         ("1115865088/7688671875", "10729472/34171875"))],
+    ("Z/5 inv", 2, 15): [
+        ([(3, (1, 1), 1)], ("8/225", "2/15")),
+        ([(3, (1, 1), 2), (5, (1, 1), 1)], ("51584/1265625", "256/1875")),
+        ([(3, (1, 1), 3), (5, (1, 1), 2)],
+         ("2660909056/64072265625", "12792832/94921875"))],
+}
+PINNED_H = {"Z/7 by 2": _times(7, 3, 2), "Z/5 by 2": _times(5, 4, 2),
+            "Z/3 inv": HG([3]), "Z/5 inv": HG([5])}
+
+
+@pytest.mark.parametrize("name, k, m", list(PINNED))
+def test_kernel_decomposition_and_mu_n_pinned(name, k, m):
+    h = PINNED_H[name]
+    spec = abelian_exponent_variety(cyclic(k), m)
+    for n, (decomp, mus) in enumerate(PINNED[name, k, m], start=1):
+        got = [(mod.p, mod.poly, mult)
+               for mod, mult in kernel_decomposition(n, h, spec)]
+        assert got == decomp, n
+        for ginf, mu in zip(([0], list(range(k))), mus):
+            assert mu_n(h, spec, ginf, n) == Fraction(mu), (n, ginf)
+
+
+def test_h_outside_the_variety_exponent():
+    """A quotient of the free object has exponent dividing m."""
+    for orders, spec in (([9], SPEC3), ([5], SPEC9), ([3, 9], SPEC3)):
+        assert mu_n(HG(orders), spec, [0, 1], 2) == 0
+        with pytest.raises(ValidationError):
+            kernel_decomposition(2, HG(orders), spec)
+        sign = irreducible_modules_cyclic(GAMMA, [0, 1], 3)[0]
+        with pytest.raises(ValidationError):
+            m_ad(2, HG(orders), sign, spec)
+
+
+def test_non_cyclic_gamma_is_a_capacity_error():
+    klein = abelian([2, 2])
+    z3 = GammaGroup(cyclic(3), klein,
+                    [[0, 1, 2], [0, 2, 1], [0, 2, 1], [0, 1, 2]])
+    spec = abelian_exponent_variety(klein, 3)
+    for call in (lambda: mu_n(z3, spec, [0], 2),
+                 lambda: kernel_decomposition(2, z3, spec)):
+        with pytest.raises(CapacityError, match="cyclic Gamma only"):
+            call()
 
 
 def test_mu_limit():
