@@ -234,7 +234,7 @@ def run_orbits(cfg: dict) -> Report:
 
 
 def run_frob_count(cfg: dict) -> Report:
-    from .frob import fixed_counts, predicted_hur_count
+    from .frob import _predicted_from, fixed_counts
     from .homology import build_u
     group = resolve_group(cfg["group"])
     c = resolve_c(group, cfg["c"])
@@ -244,8 +244,8 @@ def run_frob_count(cfg: dict) -> Report:
     ginf_members = group.subgroup_closure([g_inf])
     rows = []
     for n in range(cfg["n_min"], cfg["n_max"] + 1):
-        pc = predicted_hur_count(ctx, ginf_members, q, n)
         fc = fixed_counts(ctx, ginf_members, q, n)
+        pc = _predicted_from(ctx, ginf_members, fc)
         refinement = ";".join(
             f"{'|'.join(map(str, h)) if h else '0'}:{cnt}"
             for h, cnt in fc.refinement)

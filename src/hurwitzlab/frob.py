@@ -5,11 +5,16 @@ predictions with the roots-of-unity torsion factor.
 The q^{-1}-star map is implemented on K(G,c)-cosets: conjugacy classes get
 permuted by q-th powering, the free coordinate is exactly divisible by q
 after the correction product, and the torsion coordinate picks up the
-inverse exponent."""
+inverse exponent.  The correction is a class function, tabulated once per
+class by `_delta_table`; `fixed_counts` builds that table once per call
+and steps every (h, v) of its brute-force half through it, each step
+still checking divisibility by q and the degree."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -39,7 +44,6 @@ class FrobeniusParams:
                 f"q must be 1 mod |G_inf|={self.ginf_order}: otherwise no "
                 "imaginary extensions exist for this congruence class")
         if not is_prime_power(self.q):
-            import warnings
             warnings.warn(f"q={self.q} is not a prime power; the congruence "
                           "formulas still apply but no field has this size")
 
@@ -73,9 +77,14 @@ def _delta_table(ctx: UContext, q: int):
 def frobenius_map(ctx: UContext, inv: LiftingInvariant, q: int) -> LiftingInvariant:
     """One Frobenius step on an invariant: (D * z)^{q^{-1}} with
     D = prod_over_classes delta(x_class)^{multiplicity}."""
-    params = FrobeniusParams(q, ctx.group.order,
-                             ctx.group.element_order(inv.g_inf))
-    deltas = _delta_table(ctx, q)
+    FrobeniusParams(q, ctx.group.order, ctx.group.element_order(inv.g_inf))
+    return _frobenius_step(ctx, _delta_table(ctx, q), inv, q)
+
+
+def _frobenius_step(ctx: UContext, deltas: list, inv: LiftingInvariant,
+                    q: int) -> LiftingInvariant:
+    """`frobenius_map` with q already validated and `_delta_table(ctx, q)`
+    given as `deltas`."""
     horders = ctx.h2c.factors
     hacc = [0] * len(horders)
     vacc = [0] * ctx.nclasses
@@ -143,8 +152,10 @@ def fixed_counts(ctx: UContext, ginf_members: Sequence[int], q: int,
 
     Closed form: degree-n nonnegative vectors constant on q-powering orbits
     with trivial abelianized image, each contributing the number of torsion
-    solutions h of (q-1) h = h_D(v).  Brute force: iterate the whole
-    degree-n K-set through frobenius_map and count fixed points."""
+    solutions h of (q-1) h = h_D(v).  Brute force: step every (h, v) of the
+    degree-n K-set through the Frobenius map and count fixed points.  The
+    delta table is built once per call and shared by both halves; every
+    brute-force step still checks divisibility by q and the degree."""
     sub = Subgroup(ctx.group, tuple(ginf_members))
     if not sub.is_cyclic():
         raise ValidationError("G_inf must be cyclic")
@@ -185,12 +196,12 @@ def fixed_counts(ctx: UContext, ginf_members: Sequence[int], q: int,
             cnt *= g
         return cnt
 
+    vectors = [v for v in _vectors_with_sum(ctx.nclasses, n, 0)
+               if not any(ctx.ab_image_of_vector(v))]
     refinement_closed: dict = {}
     b_closed = 0
-    for v in _vectors_with_sum(ctx.nclasses, n, 0):
+    for v in vectors:
         if any(v[i] != v[perm[i]] for i in range(ctx.nclasses)):
-            continue
-        if any(ctx.ab_image_of_vector(v)):
             continue
         hd = h_d_of(v)
         cnt = torsion_solutions(hd)
@@ -201,17 +212,15 @@ def fixed_counts(ctx: UContext, ginf_members: Sequence[int], q: int,
         for h in _torsion_solution_list(hd, horders, q):
             refinement_closed[h] = refinement_closed.get(h, 0) + 1
     # brute force
-    import itertools as _it
+    hs = list(itertools.product(*(range(dd) for dd in horders)))
     b_brute = 0
     refinement_brute: dict = {}
-    for v in _vectors_with_sum(ctx.nclasses, n, 0):
-        if any(ctx.ab_image_of_vector(v)):
-            continue
-        for h in _it.product(*(range(dd) for dd in horders)):
-            inv = LiftingInvariant(h=tuple(h), v=tuple(v), g_inf=g_inf)
-            if frobenius_map(ctx, inv, q) == inv:
+    for v in vectors:
+        for h in hs:
+            inv = LiftingInvariant(h=h, v=v, g_inf=g_inf)
+            if _frobenius_step(ctx, deltas, inv, q) == inv:
                 b_brute += 1
-                refinement_brute[tuple(h)] = refinement_brute.get(tuple(h), 0) + 1
+                refinement_brute[h] = refinement_brute.get(h, 0) + 1
     if b_closed != b_brute or refinement_closed != refinement_brute:
         raise InternalCheckError(
             f"fixed-count cross-validation failed: closed={b_closed} "
@@ -221,9 +230,8 @@ def fixed_counts(ctx: UContext, ginf_members: Sequence[int], q: int,
 
 
 def _torsion_solution_list(target, horders, q):
-    import itertools as _it
     out = []
-    for h in _it.product(*(range(dd) for dd in horders)):
+    for h in itertools.product(*(range(dd) for dd in horders)):
         if all(((q - 1) * x - t) % dd == 0
                for x, t, dd in zip(h, target, horders)):
             out.append(tuple(h))
@@ -249,13 +257,18 @@ def predicted_hur_count(ctx: UContext, ginf_members: Sequence[int], q: int,
                         n: int) -> PredictedCount:
     """Main term pi * q^{n-1} with pi = b * #generators(G_inf); the error is
     reported symbolically as O(q^{(2n-3)/2}) with unknown constant."""
-    fc = fixed_counts(ctx, ginf_members, q, n)
-    sub = Subgroup(ctx.group, tuple(ginf_members))
-    gens = len(sub.generators_of_cyclic())
+    return _predicted_from(ctx, ginf_members,
+                           fixed_counts(ctx, ginf_members, q, n))
+
+
+def _predicted_from(ctx: UContext, ginf_members: Sequence[int],
+                    fc: FixedCount) -> PredictedCount:
+    """The `predicted_hur_count` of fc's (q, n), given its fixed counts."""
+    gens = len(Subgroup(ctx.group, tuple(ginf_members)).generators_of_cyclic())
     pi = fc.b * gens
-    return PredictedCount(main_term=pi * q ** (n - 1), pi=pi, b=fc.b,
-                          generator_count=gens, q=q, n=n,
-                          error_exponent=Fraction(2 * n - 3, 2))
+    return PredictedCount(main_term=pi * fc.q ** (fc.n - 1), pi=pi, b=fc.b,
+                          generator_count=gens, q=fc.q, n=fc.n,
+                          error_exponent=Fraction(2 * fc.n - 3, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def _solution_gens(echelon_rows, dim: int, m: int):
         return [[int(i == j) for j in range(dim)] for i in range(dim)]
     nr = len(eq)
     mat = [r + [m if i == j else 0 for j in range(nr)] for i, r in enumerate(eq)]
-    basis, _, _ = _kernel_basis(mat, dim + nr)
+    basis, _ = _kernel_basis(mat, dim + nr)
     out = []
     for v in basis:
         x = [a % m for a in v[:dim]]
@@ -117,18 +117,14 @@ def _kernel_basis(rows, ncols: int):
     """Saturated integer basis of {x : A x = 0} for A given by rows.
 
     Column-HNF approach: find unimodular V with A V = [H | 0]; the kernel
-    lattice basis consists of the trailing columns of V, and coordinates in
-    that basis are read off from the trailing rows of W = V^{-1}.
+    lattice basis consists of the trailing columns of V.
 
-    Returns (basis, coord, rank): the kernel vectors as lists, a function
-    taking a kernel vector given as a sparse {index: value} dict to its
-    coordinates in that basis, and the rank of A.
+    Returns (basis, rank): the kernel vectors as lists and the rank of A.
     """
     A = [list(map(int, r)) for r in rows]
     nr = len(A)
     n = ncols
     V = np.eye(n, dtype=np.int64)
-    W = np.eye(n, dtype=np.int64)
     obj = False
     guard = 1 << 60
     r = 0
@@ -143,22 +139,19 @@ def _kernel_basis(rows, ncols: int):
                 for rr in A:
                     rr[r], rr[jmin] = rr[jmin], rr[r]
                 V[:, [r, jmin]] = V[:, [jmin, r]]
-                W[[r, jmin], :] = W[[jmin, r], :]
             done = True
             p = A[i][r]
             vmax = int(np.abs(V).max()) if not obj else None
-            wmax = int(np.abs(W).max()) if not obj else None
             for j in range(r + 1, n):
                 if A[i][j]:
                     q = A[i][j] // p
                     if q:
-                        if not obj and (abs(q) + 1) * max(vmax, wmax) > guard:
-                            V, W, obj = V.astype(object), W.astype(object), True
+                        if not obj and (abs(q) + 1) * vmax > guard:
+                            V, obj = V.astype(object), True
                         for rr in A:
                             if rr[r]:
                                 rr[j] -= q * rr[r]
                         V[:, j] -= q * V[:, r]
-                        W[r, :] += q * W[j, :]
                     if A[i][j]:
                         done = False
             if done:
@@ -167,19 +160,6 @@ def _kernel_basis(rows, ncols: int):
             r += 1
     kdim = n - r
     basis = [[int(V[k, r + j]) for k in range(n)] for j in range(kdim)]
-    Wtail = [[int(W[r + j, k]) for k in range(n)] for j in range(kdim)]
-
-    def coord(sparse: dict):
-        out = []
-        for j in range(kdim):
-            wrow = Wtail[j]
-            s = 0
-            for k, a in sparse.items():
-                if a:
-                    s += wrow[k] * a
-            out.append(s)
-        return out
-
     # every basis vector against every row, in one product
     A0 = np.array(rows, dtype=object).reshape(nr, n)
     tail = V[:, r:]
@@ -190,7 +170,7 @@ def _kernel_basis(rows, ncols: int):
         tail = tail.astype(object)
     if (A0 @ tail).any():
         raise InternalCheckError("kernel basis verification failed")
-    return basis, coord, r
+    return basis, r
 
 
 def _sylow_subgroup(group: FiniteGroup, p: int) -> tuple:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,8 +62,7 @@ def _row_bytes(length: int, order: int) -> int:
     return length + 144 + 32 * order
 
 
-@dataclass(frozen=True)
-class NielsenTuple:
+class NielsenTuple(NamedTuple):
     """Entries (element indices, all in c) with distinguished g_inf."""
     entries: tuple
     g_inf: int
@@ -271,12 +270,14 @@ def _meet_in_the_middle(group: FiniteGroup, cs: tuple, g_inf: int,
 def enumerate_tuples(group: FiniteGroup, c: Sequence[int], g_inf: int, n: int,
                      budget: int = DEFAULT_TUPLE_BUDGET) -> Iterator[NielsenTuple]:
     """All Nielsen tuples in lexicographic order (by element indices),
-    read off the blocks of the orbit engine's enumeration."""
+    read off the blocks of the orbit engine's enumeration.  Each block's
+    rows are mapped straight into `NielsenTuple`s, which are plain named
+    tuples: immutable, hashable, equal when entries and g_inf agree."""
     cs = validate_c(group, c)
     elems = np.asarray(cs)
     for rows in _tuple_blocks(group, cs, g_inf, n, budget):
-        for entries in elems[rows].tolist():
-            yield NielsenTuple(tuple(entries), g_inf)
+        yield from map(NielsenTuple, map(tuple, elems[rows].tolist()),
+                       itertools.repeat(g_inf))
 
 
 def braid_act(i: int, tup: NielsenTuple, group: FiniteGroup) -> NielsenTuple:

@@ -180,10 +180,8 @@ class FreeAdmissible:
             rows.extend((phi * (m // td.orders) % m).transpose(0, 2, 1)
                         .reshape(phi.shape[0] * phi.shape[2], self.dim)
                         .tolist())
-        if not rows:
-            return howell_form_mod([], self.dim, m)
-        # N = solution set {x : all rows . x == 0 mod m}; store as Howell of
-        # its generator set
+        # N = solution set {x : all rows . x == 0 mod m} (the whole module
+        # when there are no rows); store as Howell of its generator set
         return howell_form_mod(kernel_mod(rows, self.dim, m), self.dim, m)
 
     def canonical(self, v: Sequence[int]) -> tuple:

@@ -146,7 +146,8 @@ def suite_homology_oracle(quick: bool = False) -> list:
 # ---------------------------------------------------------------------------
 
 def suite_frobenius_counts(quick: bool = False) -> list:
-    from .frob import fixed_counts, frobenius_map, frobenius_order
+    from .frob import (_delta_table, _frobenius_step, fixed_counts,
+                       frobenius_order)
     from .homology import build_u
     from .hurwitz import LiftingInvariant, k_set
     results = []
@@ -169,12 +170,13 @@ def suite_frobenius_counts(quick: bool = False) -> list:
                   f"{name} q={q} closed form == brute force (n <= {n_max})",
                   agreed)
             k = frobenius_order(ctx, q)
+            deltas = _delta_table(ctx, q)
             good = True
             for h, v in k_set(ctx, n_max, 0):
                 inv = LiftingInvariant(h=h, v=v, g_inf=g_inf)
                 cur = inv
                 for _ in range(k):
-                    cur = frobenius_map(ctx, cur, q)
+                    cur = _frobenius_step(ctx, deltas, cur, q)
                 if cur != inv:
                     good = False
                     break

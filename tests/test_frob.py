@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzlab.errors import ValidationError
+from hurwitzlab import frob
+from hurwitzlab.errors import InternalCheckError, ValidationError
 from hurwitzlab.groups import (abelian, cyclic, dihedral, inversion_action,
                                semidirect, symmetric, trivial_action,
                                trivial_group)
@@ -109,6 +110,70 @@ def test_fixed_counts_all_fixed_regime(ctx_z2):
     fc = fixed_counts(ctx, ctx.group.subgroup_closure([ctx.c[0]]), q, n)
     total = len(k_set(ctx, n, 0))
     assert fc.b == total
+
+
+def test_fixed_counts_builds_one_delta_table(ctx_d5, monkeypatch):
+    calls = []
+    real = frob.delta_correction
+
+    def counting(ctx, x, q):
+        calls.append(x)
+        return real(ctx, x, q)
+
+    monkeypatch.setattr(frob, "delta_correction", counting)
+    d5 = ctx_d5.group
+    refl = next(g for g in ctx_d5.c if d5.element_order(g) == 2)
+    fixed_counts(ctx_d5, d5.subgroup_closure([refl]), 7, 6)
+    assert len(calls) == ctx_d5.nclasses
+
+
+# (b, d) of D5, c = all, for n = 2..9; H2 is trivial, so the refinement is
+# the single pair ((), b) when b > 0
+_ALTERNATING = [(2, 2), (0, 2), (3, 2), (0, 2), (4, 2), (0, 2), (5, 2), (0, 2)]
+_ALL_FIXED = [(4, 3), (6, 3), (9, 3), (12, 3), (16, 3), (20, 3), (25, 3),
+              (30, 3)]
+FIXED_D5 = {(2, 3): _ALTERNATING, (2, 7): _ALTERNATING, (2, 11): _ALL_FIXED,
+            (2, 13): _ALTERNATING, (5, 11): _ALL_FIXED}
+
+
+def test_fixed_counts_d5_pinned(ctx_d5):
+    d5 = ctx_d5.group
+    seen = set()
+    for order in (2, 5):
+        g_inf = next(g for g in ctx_d5.c if d5.element_order(g) == order)
+        members = d5.subgroup_closure([g_inf])
+        for q in (3, 7, 11, 13):
+            if (q - 1) % order:
+                continue
+            seen.add((order, q))
+            got = [fixed_counts(ctx_d5, members, q, n) for n in range(2, 10)]
+            assert [(fc.b, fc.d) for fc in got] == FIXED_D5[order, q]
+            assert [fc.refinement for fc in got] == \
+                [(((), fc.b),) if fc.b else () for fc in got]
+    assert seen == set(FIXED_D5)
+
+
+@pytest.mark.parametrize("shift, match", [(None, "cross-validation"),
+                                          (1, "not divisible by q")])
+def test_corrupted_delta_table_is_caught(ctx_d5, monkeypatch, shift, match):
+    """Moving q units of the first class's delta to another class keeps
+    every step divisible by q and degree-preserving, so only the
+    closed-form/brute-force cross-assert sees it; moving one unit breaks
+    divisibility in the step itself."""
+    real = frob._delta_table
+
+    def corrupted(ctx, q):
+        table = real(ctx, q)
+        h, v = table[0]
+        step = q if shift is None else shift
+        table[0] = (h, (v[0] - step, v[1] + step) + v[2:])
+        return table
+
+    monkeypatch.setattr(frob, "_delta_table", corrupted)
+    d5 = ctx_d5.group
+    refl = next(g for g in ctx_d5.c if d5.element_order(g) == 2)
+    with pytest.raises(InternalCheckError, match=match):
+        fixed_counts(ctx_d5, d5.subgroup_closure([refl]), 7, 6)
 
 
 def test_predicted_hur_count(ctx_z2):

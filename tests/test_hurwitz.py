@@ -48,6 +48,19 @@ def test_enumerate_edge_cases():
         list(enumerate_tuples(S3, list(range(1, 6)), TRANSP[0], 12, budget=10))
 
 
+def test_enumerated_tuples_are_immutable_values():
+    tups = list(enumerate_tuples(S3, TRANSP, TRANSP[0], 6))
+    assert tups and all(type(t) is NielsenTuple for t in tups)
+    t = tups[0]
+    with pytest.raises(AttributeError):
+        t.entries = (TRANSP[1],) * 5
+    twin = NielsenTuple(tuple(t.entries), t.g_inf)
+    assert twin == t and hash(twin) == hash(t)
+    assert NielsenTuple(t.entries, TRANSP[1]) != t
+    assert len(set(tups)) == len(tups)
+    assert all(u.n == len(u.entries) + 1 == 6 for u in tups)
+
+
 def test_braid_act_example():
     a, b, c = TRANSP
     t = NielsenTuple((a, b, c), TRANSP[0])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -145,13 +146,40 @@ def test_kernel_mod_brute_force():
         assert brute_span_mod(kernel_mod(A, nun, m), nun, m) == kern
 
 
+def rational_coords(basis, v):
+    """The c with sum(c_j basis[j]) == v over Q (None when there is
+    none), by Gaussian elimination on the augmented columns."""
+    rows = [[Fraction(b[i]) for b in basis] + [Fraction(v[i])]
+            for i in range(len(v))]
+    k = len(basis)
+    pivots = []
+    for col in range(k):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][col]),
+                 None)
+        if r is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[r] = rows[r], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+    if any(row[k] for row in rows[len(pivots):]):
+        return None
+    assert len(pivots) == k, "basis vectors are dependent"
+    return [rows[i][k] for i in range(k)]
+
+
 def test_kernel_basis_saturated():
     rng = random.Random(9)
     for _ in range(100):
         nr = rng.randint(1, 4)
         nc = rng.randint(2, 7)
         A = [[rng.randrange(-4, 5) for _ in range(nc)] for _ in range(nr)]
-        basis, coord, rank = kernel_basis(A, nc)
+        basis, rank = kernel_basis(A, nc)
+        assert len(basis) == nc - rank
         for b in basis:
             for row in A:
                 assert sum(x * y for x, y in zip(row, b)) == 0
@@ -162,8 +190,13 @@ def test_kernel_basis_saturated():
                 c = rng.randrange(-3, 4)
                 expect.append(c)
                 v = [x + c * y for x, y in zip(v, b)]
-            got = coord({i: x for i, x in enumerate(v) if x})
-            assert got == expect
+            assert rational_coords(basis, v) == expect
+            # saturated: an integer kernel vector has integer coordinates
+            g = math.gcd(*v)
+            if g > 1:
+                w = [x // g for x in v]
+                assert all(c.denominator == 1
+                           for c in rational_coords(basis, w))
 
 
 def test_howell_membership_and_canonical():

@@ -285,6 +285,18 @@ def test_h_outside_the_variety_exponent():
             m_ad(2, HG(orders), sign, spec)
 
 
+def test_variety_without_module_maps_is_trivial():
+    """C2 acts by -1 on the augmentation submodule of Z/5[C2], so no
+    nonzero module map reaches trivial Z/5.  The joint kernel N of that
+    empty family of maps is the whole module, the free object is trivial,
+    and H = 1 has measure 1."""
+    spec = VarietySpec((trivial_action(cyclic(5), cyclic(2)),))
+    for n in (1, 2, 3):
+        assert FreeAdmissible(n, spec).order == 1
+        for ginf in ([0], [0, 1]):
+            assert mu_n(HG([]), spec, ginf, n) == 1
+
+
 def test_non_cyclic_gamma_is_a_capacity_error():
     klein = abelian([2, 2])
     z3 = GammaGroup(cyclic(3), klein,
