@@ -423,8 +423,9 @@ def validate_c(group: FiniteGroup, c: Sequence[int]) -> tuple:
     cset = sorted(set(int(x) for x in c))
     if not cset:
         raise ValidationError("c must be nonempty")
-    if 0 in cset:
-        raise ValidationError("c must not contain the identity")
+    if cset[0] < 1 or cset[-1] >= group.order:
+        raise ValidationError("c must hold non-identity element indices "
+                              f"in 1..{group.order - 1}")
     s = set(cset)
     for x in cset:
         for g in range(group.order):

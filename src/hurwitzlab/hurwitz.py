@@ -14,6 +14,8 @@ packs into one uint64 key with b = bit length of |c| - 1 bits per entry
 * Enumeration meets in the middle on the product condition and emits the
   tuples as lex-ordered blocks; generation is read from a table of the
   subgroups <g_inf, entries> of the two halves (`_SubgroupJoins`).
+  `enumerate_tuples` turns each block into `NielsenTuple`s column-wise
+  (`_nielsen_tuples`), with no Python call per tuple.
 * The canonical form of a tuple is the least key among its
   <g_inf>-conjugates, one gather per conjugate.  The states are the sorted
   keys of the tuples that are their own canonical form.
@@ -63,7 +65,10 @@ def _row_bytes(length: int, order: int) -> int:
 
 
 class NielsenTuple(NamedTuple):
-    """Entries (element indices, all in c) with distinguished g_inf."""
+    """Entries (element indices, all in c) with distinguished g_inf.
+
+    `_nielsen_tuples` builds these with `tuple.__new__`, as `_make` does,
+    so this class must not gain a custom `__new__`: it would not run."""
     entries: tuple
     g_inf: int
 
@@ -221,8 +226,9 @@ def _tuple_blocks(group: FiniteGroup, cs: tuple, g_inf: int, n: int,
                   budget: int) -> Iterator[np.ndarray]:
     """Checks g_inf, n and the tuple budget, then returns the Nielsen
     tuples as lex-ordered (B, n-1) blocks of c-indices."""
-    if g_inf == 0:
-        raise ValidationError("g_inf must be nontrivial")
+    if not 1 <= g_inf < group.order:
+        raise ValidationError(
+            f"g_inf must be a nontrivial element index in 1..{group.order - 1}")
     if n < 2:
         raise ValidationError("need n >= 2")
     est = len(cs) ** (n - 1) // max(1, group.order)
@@ -267,17 +273,30 @@ def _meet_in_the_middle(group: FiniteGroup, cs: tuple, g_inf: int,
         a = b
 
 
+def _nielsen_tuples(elems: np.ndarray, rows: np.ndarray,
+                    g_inf: int) -> Iterator[NielsenTuple]:
+    """The (B, n-1) c-index `rows` as `NielsenTuple`s of the element
+    indices `elems[rows]`, in row order.  Each entries tuple is zipped from
+    the column lists and wrapped the way `NielsenTuple._make` does, so no
+    Python frame runs per tuple."""
+    entries = zip(*elems[rows].T.tolist())
+    return map(tuple.__new__, itertools.repeat(NielsenTuple),
+               zip(entries, itertools.repeat(g_inf)))
+
+
 def enumerate_tuples(group: FiniteGroup, c: Sequence[int], g_inf: int, n: int,
                      budget: int = DEFAULT_TUPLE_BUDGET) -> Iterator[NielsenTuple]:
     """All Nielsen tuples in lexicographic order (by element indices),
-    read off the blocks of the orbit engine's enumeration.  Each block's
-    rows are mapped straight into `NielsenTuple`s, which are plain named
-    tuples: immutable, hashable, equal when entries and g_inf agree."""
+    read off the blocks of the orbit engine's enumeration.  Each block
+    becomes `NielsenTuple`s column-wise, with no Python call per tuple;
+    they are plain named tuples: immutable, hashable, equal when entries
+    and g_inf agree, the entries builtin ints.  The iterator is lazy: c,
+    g_inf, n and the budget are checked, and the half tables built, on the
+    first `next()`."""
     cs = validate_c(group, c)
     elems = np.asarray(cs)
     for rows in _tuple_blocks(group, cs, g_inf, n, budget):
-        yield from map(NielsenTuple, map(tuple, elems[rows].tolist()),
-                       itertools.repeat(g_inf))
+        yield from _nielsen_tuples(elems, rows, g_inf)
 
 
 def braid_act(i: int, tup: NielsenTuple, group: FiniteGroup) -> NielsenTuple:
@@ -468,9 +487,8 @@ def orbits(group: FiniteGroup, c: Sequence[int], g_inf: int, n: int,
     for lo, hi in _spans(m):
         np.add.at(sizes, np.searchsorted(roots, label[lo:hi]),
                   class_size[lo:hi])
-    elems = np.asarray(cs)
-    reps = [NielsenTuple(tuple(e), g_inf)
-            for e in elems[space.decode(states[roots])].tolist()]
+    reps = list(_nielsen_tuples(np.asarray(cs), space.decode(states[roots]),
+                                g_inf))
     invariants = [None] * len(reps)
     if ctx is not None:
         invariants = [lifting_invariant(ctx, rep) for rep in reps]

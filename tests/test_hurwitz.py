@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitzlab import hurwitz
 from hurwitzlab.errors import CapacityError, InternalCheckError, ValidationError
 from hurwitzlab.groups import (alternating4, cyclic, dihedral, groups_up_to_16,
                                symmetric)
@@ -46,6 +49,86 @@ def test_enumerate_edge_cases():
         list(enumerate_tuples(S3, TRANSP, TRANSP[0], 1))
     with pytest.raises(CapacityError):
         list(enumerate_tuples(S3, list(range(1, 6)), TRANSP[0], 12, budget=10))
+
+
+@pytest.mark.parametrize("bad", [-1, 99, 10])
+def test_out_of_range_g_inf_and_c(bad):
+    d5 = dihedral(5)
+    call = list(range(1, 10))
+    with pytest.raises(ValidationError):
+        list(enumerate_tuples(d5, call, bad, 4))
+    with pytest.raises(ValidationError):
+        orbits(d5, call, bad, 4)
+    with pytest.raises(ValidationError):
+        validate_c(d5, call + [bad])
+    with pytest.raises(ValidationError):
+        validate_c(S3, range(1, 7))
+
+
+def test_enumerate_tuples_is_lazy(monkeypatch):
+    calls = {"validate_c": 0, "_tuple_blocks": 0}
+
+    def counted(name):
+        real = getattr(hurwitz, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(hurwitz, name, wrapper)
+
+    counted("validate_c")
+    counted("_tuple_blocks")
+    it = enumerate_tuples(S3, TRANSP, TRANSP[0], 4)
+    assert inspect.isgenerator(it)
+    assert calls == {"validate_c": 0, "_tuple_blocks": 0}
+    assert next(it).g_inf == TRANSP[0]
+    assert calls == {"validate_c": 1, "_tuple_blocks": 1}
+    bad = enumerate_tuples(S3, TRANSP, 0, 4)
+    with pytest.raises(ValidationError):
+        next(bad)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_enumeration_across_blocks(monkeypatch, block):
+    """Blocks of 1 and 7 rows: every tuple and every orbit is the same as
+    with the default block size, which no other case here exceeds."""
+    for group in (S3, dihedral(4)):
+        cc = group.conjugacy_classes()
+        for c in _c_choices(group):
+            ctx = build_u(group, c)
+            for g_inf in sorted({cc.reps[cc.class_of[x]] for x in c}):
+                for n in range(2, 6):
+                    want = orbits(group, c, g_inf, n, ctx=ctx,
+                                  verify_invariants=True)
+                    with monkeypatch.context() as m:
+                        m.setattr(hurwitz, "_BLOCK", block)
+                        tups = list(enumerate_tuples(group, c, g_inf, n))
+                        got = orbits(group, c, g_inf, n, ctx=ctx,
+                                     verify_invariants=True)
+                    assert tups == _brute_force_tuples(group, c, g_inf, n)
+                    assert all(a.entries < b.entries
+                               for a, b in zip(tups, tups[1:]))
+                    assert got == want
+
+
+def test_enumerated_tuple_values_d5():
+    """D5, c = all, n = 7: each g_inf spans two default blocks.  Counts and
+    end tuples were recorded before the column-wise tuple build."""
+    d5 = dihedral(5)
+    call = list(range(1, 10))
+    for g_inf in call:
+        tups = list(enumerate_tuples(d5, call, g_inf, 7))
+        assert len(tups) == (53_144 if d5.element_order(g_inf) == 2
+                             else 52_325)
+        assert all(type(t.entries) is tuple
+                   and all(type(x) is int for x in t.entries) for t in tups)
+        ends = (tups[0].entries, tups[-1].entries)
+        if g_inf == 5:
+            assert ends == ((1, 1, 1, 1, 1, 5), (9, 9, 9, 9, 9, 4))
+        if g_inf == 1:
+            assert ends == ((1, 1, 1, 1, 5, 5), (9, 9, 9, 9, 9, 5))
+    back = pickle.loads(pickle.dumps(tups[-1]))
+    assert type(back) is NielsenTuple and back == tups[-1]
 
 
 def test_enumerated_tuples_are_immutable_values():
