@@ -14,6 +14,13 @@ directly (Dirichlet composition, Cohen GTM 138 Alg. 5.4.7) and are then
 reduced.  The structure of a class group, or of a Sylow subgroup of a
 Jacobian, is read off the orders of its elements
 (`abelian.structure_from_orders`); no basis is searched for.
+
+No group operation is spent on a known result: Cantor addition returns the
+other operand when one is the identity and the other is already in reduced
+Mumford form, double-and-add stops after its last addition (popcount(k) +
+bitlen(k) - 1 additions for k >= 1), and the reduced forms of
+discriminant D come from a walk over b = D (mod 2) and the divisors a of
+(b^2 - D)/4 (Cohen GTM 138 Sec. 5.3) instead of a test of every (a, b).
 """
 
 from __future__ import annotations
@@ -234,29 +241,23 @@ def l_polynomial(model: HyperellipticModel, genus_cap: int = 3) -> list:
     for i in range(1, g + 1):
         a[i] = q ** i + 1 - curve_point_count(model, i)
     # Newton's identities: c_k = -(1/k) sum_{i=1}^{k} a_i c_{k-i}
-    c = [Fraction(1)] + [Fraction(0)] * (2 * g)
+    c = [1] + [0] * (2 * g)
     for k in range(1, g + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += a[i] * c[k - i]
-        c[k] = -acc / k
+        c[k], rem = divmod(-sum(a[i] * c[k - i] for i in range(1, k + 1)), k)
+        if rem:
+            raise InternalCheckError("non-integer L-polynomial coefficient")
     for k in range(g + 1, 2 * g + 1):
         c[k] = q ** (k - g) * c[2 * g - k]
-    out = []
-    for x in c:
-        if x.denominator != 1:
-            raise InternalCheckError("non-integer L-polynomial coefficient")
-        out.append(int(x))
     # independent check: the completed polynomial must predict the point
     # count one level beyond the coefficients used to build it
     if q ** (g + 1) <= 20000:
-        ps = _power_sums_from_coeffs(out, g, q)
+        ps = _power_sums_from_coeffs(c, g, q)
         predicted = q ** (g + 1) + 1 - ps[g + 1]
         if predicted != curve_point_count(model, g + 1):
             raise InternalCheckError(
                 "functional equation check failed: L-polynomial does not "
                 "reproduce the next point count")
-    return out
+    return c
 
 
 def _power_sums_from_coeffs(L, g, q):
@@ -305,15 +306,29 @@ def divisor_identity() -> DivisorClass:
 
 def divclass_add(model: HyperellipticModel, a: DivisorClass,
                  b: DivisorClass) -> DivisorClass:
-    """Cantor composition followed by reduction to deg u <= g."""
+    """Cantor composition followed by reduction to deg u <= g.
+
+    When one operand is the identity and the other is already reduced (u
+    monic of degree <= g, deg v < deg u, coefficients in 0..q-1, no
+    trailing zeros), the other is returned as it is: on such a class (u
+    divides v^2 - f) the composition is (u, v) itself and no reduction
+    step runs.  Any other
+    input takes the full path with all its divisibility checks."""
     p = model.q
     f = model.f
+    g = model.genus
     u1, v1 = a.u, a.v
     u2, v2 = b.u, b.v
+    if u1 == (1,) and not v1 or u2 == (1,) and not v2:
+        other = b if u1 == (1,) and not v1 else a
+        u, v = other.u, other.v
+        if (u and u[-1] == 1 and len(u) <= g + 1 and len(v) < len(u)
+                and (not v or v[-1]) and all(0 <= c < p for c in u + v)):
+            return other
     d1, e1, e2 = pxgcd(u1, u2, p)
     d, c1, c2 = pxgcd(d1, padd(v1, v2, p), p)
     if not d:
-        # both inputs the identity
+        # both u1 and u2 zero: not divisors
         return divisor_identity()
     s1 = pmul(c1, e1, p)
     s2 = pmul(c1, e2, p)
@@ -330,7 +345,6 @@ def divclass_add(model: HyperellipticModel, a: DivisorClass,
         raise InternalCheckError("Cantor: composition numerator not divisible")
     v3 = pmod(v3q, u3, p)
     # reduction
-    g = model.genus
     while pdeg(u3) > g:
         unew, r = pdivmod(psub(f, pmul(v3, v3, p), p), u3, p)
         if r:
@@ -348,16 +362,21 @@ def divclass_neg(model: HyperellipticModel, a: DivisorClass) -> DivisorClass:
 
 
 def divclass_mul(model: HyperellipticModel, a: DivisorClass, k: int) -> DivisorClass:
+    """k a by double-and-add over the bits of |k|, low bit first.  The last
+    bit ends the loop, so k >= 1 costs popcount(k) + bitlen(k) - 1 calls of
+    `divclass_add` (the first addition has the identity as an operand) and
+    k = 0 costs none."""
     if k < 0:
         return divclass_mul(model, divclass_neg(model, a), -k)
     out = divisor_identity()
     base = a
-    while k:
+    while True:
         if k & 1:
             out = divclass_add(model, out, base)
-        base = divclass_add(model, base, base)
         k >>= 1
-    return out
+        if not k:
+            return out
+        base = divclass_add(model, base, base)
 
 
 def enumerate_divisor_classes(model: HyperellipticModel) -> list:
@@ -446,6 +465,8 @@ def sylow_structure(model: HyperellipticModel, ell: int, seed: int = 0,
     until the generated subgroup has the full ell-valuation of the class
     number; failure to certify within the retry budget is flagged, never
     guessed."""
+    if not is_prime(ell):
+        raise ValidationError(f"ell must be prime, got {ell}")
     if ell == model.q:
         raise ValidationError("ell must differ from the field characteristic")
     h = jacobian_order(model)
@@ -655,23 +676,29 @@ def fundamental_discriminant(d: int) -> int:
 
 
 def reduced_forms(D: int) -> list:
-    """All reduced positive definite forms of discriminant D < 0."""
+    """All reduced primitive positive definite forms (a, b, c) of
+    discriminant D < 0, sorted: |b| <= a <= c, and b >= 0 when |b| = a or
+    a = c (Cohen, GTM 138, Sec. 5.3).
+
+    Since b^2 - 4ac = D, b has the parity of D, |b| <= a <= sqrt(|D|/3), and
+    a is a divisor of q = (b^2 - D)/4 with a <= c = q/a, i.e. a <= sqrt(q).
+    So b walks 0, 2, ... or 1, 3, ... up to sqrt(|D|/3), and for each b the
+    divisors a of q with max(b, 1) <= a <= sqrt(q) give (a, b, q/a), and
+    also (a, -b, q/a) when 0 < b < a < q/a."""
     if D >= 0 or D % 4 not in (0, 1):
         raise ValidationError("need a negative discriminant = 0,1 mod 4")
     out = []
-    amax = math.isqrt(-D // 3) if D < -3 else 1
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b * b - D) % (4 * a):
+    for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
+        q = (b * b - D) // 4
+        for a in range(max(b, 1), math.isqrt(q) + 1):
+            if q % a:
                 continue
-            c = (b * b - D) // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            if math.gcd(math.gcd(a, b), c) != 1:
+            c = q // a
+            if math.gcd(a, b, c) != 1:
                 continue  # primitive forms only
             out.append((a, b, c))
+            if 0 < b < a < c:
+                out.append((a, -b, c))
     return sorted(out)
 
 
@@ -731,6 +758,8 @@ def compose_forms(f1, f2, D):
 
 def nf_class_group(d: int, ell_list: Sequence[int] = ()) -> ClassGroupStructure:
     """Class group of Q(sqrt(-d)) via reduced forms with composition."""
+    if not all(is_prime(ell) for ell in ell_list):
+        raise ValidationError(f"every ell must be prime, got {list(ell_list)}")
     D = fundamental_discriminant(d)
     forms = reduced_forms(D)
     ident = _form_reduce(1, D % 2, ((D % 2) ** 2 - D) // 4, D)

@@ -43,14 +43,18 @@ def is_prime_power(n: int) -> bool:
 
 
 def is_power_of(n: int, p: int) -> bool:
-    """n = p^e with e >= 0 (so n = 1 is a power of every p)."""
+    """n = p^e with e >= 0 (so n = 1 is a power of every p); n != 0, p >= 2."""
+    if p < 2 or n == 0:
+        raise ValueError(f"is_power_of needs p >= 2 and n != 0, got {n}, {p}")
     while n % p == 0:
         n //= p
     return n == 1
 
 
 def valuation(n: int, p: int) -> int:
-    """The exponent of p in n (n != 0)."""
+    """The exponent of p in n (n != 0, p >= 2)."""
+    if p < 2 or n == 0:
+        raise ValueError(f"valuation needs p >= 2 and n != 0, got {n}, {p}")
     e = 0
     while n % p == 0:
         n //= p

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitzlab.abelian import AbelianGroupData, AbelianStructure
+from hurwitzlab import arith
 from hurwitzlab.arith import (DivisorClass, ExtField, HyperellipticModel,
                               _form_reduce, compose_forms, count_imaginary,
                               curve_point_count, divclass_add, divclass_mul,
@@ -14,8 +15,8 @@ from hurwitzlab.arith import (DivisorClass, ExtField, HyperellipticModel,
                               is_squarefree, jacobian_order, l_polynomial,
                               nf_class_group, nonsquare, pmul, pxgcd,
                               random_divisor, reduced_forms, sylow_structure)
-from hurwitzlab.errors import ValidationError
-from hurwitzlab.ntheory import factorize
+from hurwitzlab.errors import InternalCheckError, ValidationError
+from hurwitzlab.ntheory import factorize, is_power_of, pscale, valuation
 from hurwitzlab.rng import substream
 
 
@@ -236,3 +237,91 @@ def test_composition_group_laws():
             assert compose_forms(f, g, D) == compose_forms(g, f, D)
             assert compose_forms(compose_forms(f, g, D), h, D) == \
                 compose_forms(f, compose_forms(g, h, D), D)
+
+
+def test_reduced_forms_match_brute_force():
+    def brute(D):
+        out = []
+        for a in range(1, math.isqrt(-D // 3) + 1):
+            for b in range(-a + 1, a + 1):
+                if (b * b - D) % (4 * a):
+                    continue
+                c = (b * b - D) // (4 * a)
+                if c < a or a == c and b < 0 or math.gcd(a, b, c) != 1:
+                    continue
+                out.append((a, b, c))
+        return sorted(out)
+
+    for D in range(-19999, 0):
+        if D % 4 in (0, 1):
+            assert reduced_forms(D) == brute(D), D
+
+
+def test_divclass_mul_call_count(monkeypatch):
+    model = HyperellipticModel(3, (1, 2, 0, 0, 0, 1))
+    a = random_divisor(model, substream(7, 0))
+    ident = divisor_identity()
+    multiples = [ident]
+    for _ in range(64):
+        multiples.append(divclass_add(model, multiples[-1], a))
+    calls = []
+
+    def counting_add(m, x, y):
+        calls.append(1)
+        return divclass_add(m, x, y)
+
+    monkeypatch.setattr(arith, "divclass_add", counting_add)
+    for k in range(65):
+        calls.clear()
+        assert divclass_mul(model, a, k) == multiples[k], k
+        expected = bin(k).count("1") + k.bit_length() - 1 if k else 0
+        assert len(calls) == expected, k
+
+
+def test_identity_operand():
+    ident = divisor_identity()
+    for f in ((1, 2, 0, 1), (1, 2, 0, 0, 0, 1), (1, 2, 0, 0, 0, 0, 0, 1)):
+        model = HyperellipticModel(3, f)
+        classes = enumerate_divisor_classes(model)
+        assert len(classes) == jacobian_order(model)
+        for x in classes:
+            assert divclass_add(model, ident, x) == x
+            assert divclass_add(model, x, ident) == x
+            # not in reduced Mumford form: the full path reduces them
+            scaled = DivisorClass(u=pscale(x.u, 2, 3), v=x.v)
+            padded = DivisorClass(u=x.u, v=x.v + (0,))
+            for y in (scaled, padded):
+                assert divclass_add(model, ident, y) == x
+                assert divclass_add(model, y, ident) == x
+
+
+def test_l_polynomial_rejects_wrong_point_counts(monkeypatch):
+    true_count = arith.curve_point_count
+    models = [HyperellipticModel(3, (1, 2, 0, 1)),
+              HyperellipticModel(3, (1, 2, 0, 0, 0, 1)),
+              HyperellipticModel(3, (1, 2, 0, 0, 0, 0, 0, 1))]
+    monkeypatch.setattr(arith, "curve_point_count",
+                        lambda model, i: true_count(model, i) + 1)
+    for model in models:
+        with pytest.raises(InternalCheckError):
+            l_polynomial(model)
+
+
+def test_prime_arguments_are_checked():
+    with pytest.raises(ValueError):
+        valuation(12, 1)
+    with pytest.raises(ValueError):
+        valuation(0, 2)
+    with pytest.raises(ValueError):
+        is_power_of(8, 1)
+    with pytest.raises(ValueError):
+        is_power_of(0, 2)
+    assert valuation(12, 2) == 2 and is_power_of(8, 2)
+    model = HyperellipticModel(3, (1, 2, 0, 1))
+    for ell in (1, 4, 6, -5, 0):
+        with pytest.raises(ValidationError):
+            sylow_structure(model, ell)
+    for ells in ((0,), (1,), (4,), (2, 6)):
+        with pytest.raises(ValidationError):
+            nf_class_group(5, ells)
+    assert nf_class_group(5, (2,)).per_ell[2] == AS([2])
