@@ -4,15 +4,21 @@ coordinates, and hom/surjection counts.
 The canonical internal form is the list of prime-power cyclic factors
 (primes ascending, exponents descending within a prime); the divisor chain
 d1 | d2 | ... is derived from it for reporting.
+
+An explicit basis is chosen greedily, one prime at a time, and one span
+map, element -> coordinate tuple, grows with each basis element: it answers
+membership, gives the coordinates that correct a new basis element, and
+ends as the coordinates of the whole group.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import InternalCheckError, ValidationError
 from .intmat import divisor_chain
@@ -126,43 +132,26 @@ class AbelianGroupData:
         self.identity = identity
         n = len(elems)
         orders = _element_orders(elems, mul, identity)
-        self._orders = orders
-        basis: list = []
-        basis_orders: list[int] = []
+        self.basis: list = []
+        self.basis_orders: list[int] = []
+        # the span of the basis so far, element -> coordinates
+        self.coords = {identity: ()}
         # primary decomposition, one prime at a time
         for p in prime_divisors(n):
-            ppart = [x for x in elems if is_power_of(orders[x], p)]
-            b, bo = self._p_basis(ppart, p)
-            basis.extend(b)
-            basis_orders.extend(bo)
-        self.basis = basis
-        self.basis_orders = basis_orders
-        self.structure = AbelianStructure(tuple(basis_orders))
+            self._p_basis([x for x in elems if is_power_of(orders[x], p)], p)
+        self.structure = AbelianStructure(tuple(self.basis_orders))
         if self.structure.order != n:
             raise InternalCheckError("abelian basis does not span the group")
-        # coordinates by full enumeration
-        coords = {identity: tuple(0 for _ in basis)}
-        for i, (b, d) in enumerate(zip(basis, basis_orders)):
-            new = {}
-            for x, co in coords.items():
-                y = x
-                for k in range(1, d):
-                    y = mul(y, b)
-                    c2 = list(co)
-                    c2[i] = k
-                    new[y] = tuple(c2)
-            coords.update(new)
-        if len(coords) != n:
+        if len(self.coords) != n:
             raise InternalCheckError("coordinate enumeration incomplete")
-        self.coords = coords
 
     def _p_basis(self, ppart, p):
-        """Greedy basis of the p-primary part (direct summand peeling)."""
-        mul = self.mul
-        basis = []
-        orders = []
-        span = {self.identity}
-        while len(span) < len(ppart):
+        """Greedy basis of the p-primary part (direct summand peeling),
+        growing the span `coords`; a p-element lies in it exactly when it
+        lies in the span of the p-part of the basis."""
+        mul, span = self.mul, self.coords
+        goal = len(span) * len(ppart)
+        while len(span) < goal:
             best = None
             for x in ppart:
                 if x in span:
@@ -179,39 +168,23 @@ class AbelianGroupData:
             xe = _pow(mul, x, p ** k, self.identity)
             if xe != self.identity:
                 # xe lies in span; write xe = sum c_i b_i and require p^k | c_i
-                co = self._span_coords(span, basis, orders, xe)
                 corr = self.identity
-                for ci, bi, di in zip(co, basis, orders):
+                for ci, bi, di in zip(span[xe], self.basis, self.basis_orders):
                     if ci % (p ** k):
                         raise InternalCheckError("basis correction failed")
                     corr = mul(corr, _pow(mul, bi, (di - ci // (p ** k)) % di, self.identity))
                 x = mul(x, corr)
                 if _pow(mul, x, p ** k, self.identity) != self.identity:
                     raise InternalCheckError("corrected element has wrong order")
-            basis.append(x)
-            orders.append(p ** k)
-            span = self._enumerate_span(basis, orders)
-        return basis, orders
-
-    def _enumerate_span(self, basis, orders):
-        span = {self.identity}
-        for b, d in zip(basis, orders):
-            cur = list(span)
-            y = self.identity
-            for _ in range(1, d):
-                y = self.mul(y, b)
-                for x in cur:
-                    span.add(self.mul(x, y))
-        return span
-
-    def _span_coords(self, span, basis, orders, target):
-        for combo in itertools.product(*(range(d) for d in orders)):
-            y = self.identity
-            for c, b in zip(combo, basis):
-                y = self.mul(y, _pow(self.mul, b, c, self.identity))
-            if y == target:
-                return combo
-        raise InternalCheckError("element not in span")
+            self.basis.append(x)
+            self.basis_orders.append(p ** k)
+            old = list(span.items())
+            for y, co in old:
+                span[y] = co + (0,)
+            for y, co in old:
+                for j in range(1, p ** k):
+                    y = mul(y, x)
+                    span[y] = co + (j,)
 
 
 def _element_orders(elems, mul, identity) -> dict:
@@ -286,8 +259,7 @@ def structure_of_members(group, members) -> AbelianGroupData:
     FiniteGroup; the subgroup must be abelian."""
     mem = sorted(set(members))
     t = group.table
-    for a in mem:
-        for b in mem:
-            if t[a][b] != t[b][a]:
-                raise ValidationError("subgroup is not abelian")
+    sub = np.array([t[a] for a in mem]).reshape(len(mem), group.order)[:, mem]
+    if not np.array_equal(sub, sub.T):
+        raise ValidationError("subgroup is not abelian")
     return AbelianGroupData(mem, lambda a, b: t[a][b], 0)

@@ -36,7 +36,7 @@ from .abelian import AbelianStructure, structure_from_orders
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .ntheory import (is_prime, is_squarefree, monic, padd, pdeg, pdivmod,
                       peval, pmod, pmul, pnorm, ppowmod, prime_divisors,
-                      pscale, psub, pxgcd, valuation)
+                      pscale, psub, pxgcd, valuation, xgcd)
 from .rng import CounterRng, substream
 
 
@@ -313,12 +313,15 @@ def divclass_add(model: HyperellipticModel, a: DivisorClass,
     trailing zeros), the other is returned as it is: on such a class (u
     divides v^2 - f) the composition is (u, v) itself and no reduction
     step runs.  Any other
-    input takes the full path with all its divisibility checks."""
+    input takes the full path with all its divisibility checks.  An operand
+    with u = 0 is no divisor and raises ValidationError."""
     p = model.q
     f = model.f
     g = model.genus
     u1, v1 = a.u, a.v
     u2, v2 = b.u, b.v
+    if not u1 or not u2:
+        raise ValidationError("divisor class with u = 0")
     if u1 == (1,) and not v1 or u2 == (1,) and not v2:
         other = b if u1 == (1,) and not v1 else a
         u, v = other.u, other.v
@@ -327,9 +330,6 @@ def divclass_add(model: HyperellipticModel, a: DivisorClass,
             return other
     d1, e1, e2 = pxgcd(u1, u2, p)
     d, c1, c2 = pxgcd(d1, padd(v1, v2, p), p)
-    if not d:
-        # both u1 and u2 zero: not divisors
-        return divisor_identity()
     s1 = pmul(c1, e1, p)
     s2 = pmul(c1, e2, p)
     s3 = c2
@@ -717,18 +717,6 @@ def _form_reduce(a, b, c, D):
         return (a, b, c)
 
 
-def _xgcd(a, b):
-    s0, s1, t0, t1, r0, r1 = 1, 0, 0, 1, a, b
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0 < 0:
-        r0, s0, t0 = -r0, -s0, -t0
-    return r0, s0, t0
-
-
 def compose_forms(f1, f2, D):
     """Dirichlet composition of primitive positive definite forms of
     discriminant D (Cohen, GTM 138, Alg. 5.4.7), reduced."""
@@ -741,11 +729,11 @@ def compose_forms(f1, f2, D):
     if a2 % a1 == 0:
         y1, d = 0, a1
     else:
-        d, y1, _ = _xgcd(a2, a1)
+        d, y1, _ = xgcd(a2, a1)
     if s % d == 0:
         x2, y2, d1 = 0, -1, d
     else:
-        d1, x2, y2 = _xgcd(s, d)
+        d1, x2, y2 = xgcd(s, d)
         y2 = -y2
     v1, v2 = a1 // d1, a2 // d1
     r = (y1 * y2 * n - x2 * c2) % v1

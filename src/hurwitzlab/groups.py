@@ -40,16 +40,11 @@ class FiniteGroup:
         self.order = n
         self.table = rows
         self.name = name or f"group{n}"
-        inv = [None] * n
-        for g in range(n):
-            row = rows[g]
-            for h in range(n):
-                if row[h] == 0:
-                    inv[g] = h
-                    break
-            if inv[g] is None:
+        self.inv = []
+        for g, row in enumerate(rows):
+            if 0 not in row:
                 raise ValidationError(f"element {g} has no inverse")
-        self.inv = inv
+            self.inv.append(row.index(0))
         self._orders = None
         self._hash = None
 
@@ -134,36 +129,30 @@ class FiniteGroup:
         t = self.table
         seen = {0}
         frontier = [0]
-        gens = [g for g in set(gens)]
+        gens = set(gens)
+        # right multiplication alone reaches every word: in a finite group
+        # each inverse is a positive power
         while frontier:
             x = frontier.pop()
+            row = t[x]
             for s in gens:
-                for y in (t[x][s], t[s][x]):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
+                y = row[s]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
         return tuple(sorted(seen))
 
     def normal_closure(self, gens: Iterable[int]) -> tuple:
-        base = set(gens)
-        while True:
-            extra = set()
-            for g in base:
-                for h in range(self.order):
-                    c = self.conj(g, h)
-                    if c not in base:
-                        extra.add(c)
-            if not extra:
-                break
-            base |= extra
-        return self.subgroup_closure(base)
+        """Subgroup generated by the conjugates h s h^-1 of the given
+        elements: a conjugation-stable set generates a normal subgroup."""
+        return self.subgroup_closure(
+            {self.conj(s, h) for s in set(gens) for h in range(self.order)})
 
     def commutator_subgroup(self) -> tuple:
-        gens = set()
-        for a in range(self.order):
-            for b in range(a):
-                gens.add(self.commutator(a, b))
-        return self.normal_closure(gens)
+        # the commutators form a conjugation-stable set
+        return self.subgroup_closure(
+            {self.commutator(a, b) for a in range(self.order)
+             for b in range(a)})
 
     def center(self) -> tuple:
         t = self.table
@@ -349,21 +338,12 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    na, nb = a.order, b.order
-    ta, tb = a.table, b.table
-    n = na * nb
-    table = [[0] * n for _ in range(n)]
-    for xa in range(na):
-        for xb in range(nb):
-            x = xa * nb + xb
-            rowa, rowb = ta[xa], tb[xb]
-            row = table[x]
-            for ya in range(na):
-                ra = rowa[ya] * nb
-                base = ya * nb
-                for yb in range(nb):
-                    row[base + yb] = ra + rowb[yb]
-    return FiniteGroup(table, name=f"{a.name}x{b.name}", _validated=True)
+    """a x b with (xa, xb) at index xa * |b| + xb."""
+    nb = b.order
+    table = (np.array(a.table)[:, None, :, None] * nb
+             + np.array(b.table)[None, :, None, :])
+    return FiniteGroup(table.reshape(a.order * nb, -1).tolist(),
+                       name=f"{a.name}x{b.name}", _validated=True)
 
 
 def abelian(orders: Sequence[int]) -> FiniteGroup:
@@ -374,32 +354,27 @@ def abelian(orders: Sequence[int]) -> FiniteGroup:
     return g
 
 
-def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n (symmetries of the n-gon)."""
-    elems = [(i, r) for r in range(2) for i in range(n)]
-    elems.sort(key=lambda e: (e != (0, 0),))
-    elems = [(0, 0)] + [e for e in elems if e != (0, 0)]
+def _metacyclic(m: int, s: int, k: int, t: int, name: str) -> FiniteGroup:
+    """<a, b | a^m = 1, b^s = a^t, b a b^-1 = a^k>, with a^i b^j at index
+    i + m*j."""
+    kj = [pow(k, j, m) for j in range(s)]
 
     def mul(x, y):
-        i1, r1 = x
-        i2, r2 = y
-        return ((i1 + (i2 if r1 == 0 else -i2)) % n, (r1 + r2) % 2)
-    return from_rule(elems, mul, name=f"D{n}")
+        (i1, j1), (i2, j2) = x, y
+        j = j1 + j2
+        return ((i1 + i2 * kj[j1] + (t if j >= s else 0)) % m, j % s)
+    return from_rule([(i, j) for j in range(s) for i in range(m)], mul,
+                     name=name)
+
+
+def dihedral(n: int) -> FiniteGroup:
+    """Dihedral group of order 2n (symmetries of the n-gon)."""
+    return _metacyclic(n, 2, -1, 0, f"D{n}")
 
 
 def dicyclic(n: int) -> FiniteGroup:
     """Dicyclic group of order 4n (n=2: quaternion Q8, n=4: Q16)."""
-    elems = [(0, 0)] + [(i, j) for j in range(2) for i in range(2 * n)
-                        if (i, j) != (0, 0)]
-
-    def mul(x, y):
-        i1, j1 = x
-        i2, j2 = y
-        i = i1 + (i2 if j1 == 0 else -i2)
-        if j1 and j2:
-            i += n
-        return (i % (2 * n), (j1 + j2) % 2)
-    return from_rule(elems, mul, name=f"Dic{n}")
+    return _metacyclic(2 * n, 2, -1, n, f"Dic{n}")
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -423,35 +398,16 @@ def alternating4() -> FiniteGroup:
     return g
 
 
-def _two_gen_order16(k: int, aord: int, name: str) -> FiniteGroup:
-    """<a, b | a^aord = b^2 = 1, b a b^{-1} = a^k> of order 2*aord."""
-    elems = [(0, 0)] + [(i, j) for j in range(2) for i in range(aord)
-                        if (i, j) != (0, 0)]
-
-    def mul(x, y):
-        i1, j1 = x
-        i2, j2 = y
-        return ((i1 + i2 * (k ** j1)) % aord, (j1 + j2) % 2)
-    return from_rule(elems, mul, name=name)
-
-
 def semidihedral16() -> FiniteGroup:
-    return _two_gen_order16(3, 8, "SD16")
+    return _metacyclic(8, 2, 3, 0, "SD16")
 
 
 def modular16() -> FiniteGroup:
-    return _two_gen_order16(5, 8, "M16")
+    return _metacyclic(8, 2, 5, 0, "M16")
 
 
 def c4_semidirect_c4() -> FiniteGroup:
-    elems = [(0, 0)] + [(i, j) for j in range(4) for i in range(4)
-                        if (i, j) != (0, 0)]
-
-    def mul(x, y):
-        i1, j1 = x
-        i2, j2 = y
-        return ((i1 + i2 * pow(-1, j1, 4)) % 4, (j1 + j2) % 4)
-    return from_rule(elems, mul, name="C4:C4")
+    return _metacyclic(4, 4, -1, 0, "C4:C4")
 
 
 def c22_semidirect_c4() -> FiniteGroup:
@@ -612,25 +568,26 @@ class GammaGroup:
         n, k = self.base.order, self.gamma.order
         if len(self.act) != k:
             raise ValidationError("need one permutation per Gamma element")
+        t = np.array(self.base.table)
         for gi, p in enumerate(self.act):
             if sorted(p) != list(range(n)):
                 raise ValidationError(f"act[{gi}] is not a permutation")
-            t = self.base.table
-            for a in range(n):
-                for b in range(n):
-                    if p[t[a][b]] != t[p[a]][p[b]]:
-                        raise ValidationError(
-                            f"act[{gi}] is not an automorphism at ({a},{b})")
+            p = np.array(p)
+            bad = np.argwhere(p[t] != t[p[:, None], p])
+            if len(bad):
+                a, b = bad[0]
+                raise ValidationError(
+                    f"act[{gi}] is not an automorphism at ({a},{b})")
         if self.act[0] != list(range(n)):
             raise ValidationError("act[identity] must be the identity map")
-        for g1 in range(k):
-            for g2 in range(k):
-                g12 = self.gamma.table[g1][g2]
-                p = self.act[g2]
-                comp = [self.act[g1][p[x]] for x in range(n)]
-                if comp != self.act[g12]:
-                    raise ValidationError(
-                        f"act is not a homomorphism at ({g1},{g2})")
+        # act[g1] o act[g2] against act[g1 g2], for every pair at once
+        act = np.array(self.act)
+        bad = np.argwhere((act[np.arange(k)[:, None, None], act[None]]
+                           != act[np.array(self.gamma.table)]).any(axis=2))
+        if len(bad):
+            g1, g2 = bad[0]
+            raise ValidationError(
+                f"act is not a homomorphism at ({g1},{g2})")
 
     def apply(self, gamma_elt: int, g: int) -> int:
         return self.act[gamma_elt][g]
@@ -651,39 +608,11 @@ class GammaGroup:
         return Subgroup(self.base, tuple(fixed))
 
     def gamma_stable_closure(self, elements: Iterable[int]) -> tuple:
-        """Smallest Gamma-stable subgroup containing the given elements."""
-        t = self.base.table
-        inv = self.base.inv
-        seen = {0}
-        frontier = list({e for e in elements if e != 0})
-        for e in frontier:
-            seen.add(e)
-        while frontier:
-            x = frontier.pop()
-            cands = [inv[x]]
-            cands.extend(self.act[ge][x] for ge in range(1, self.gamma.order))
-            for y in list(seen):
-                cands.append(t[x][y])
-                cands.append(t[y][x])
-            for c in cands:
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        # re-closure until stable (product closure over the grown set)
-        while True:
-            extra = set()
-            for a in seen:
-                for b in seen:
-                    p = t[a][b]
-                    if p not in seen:
-                        extra.add(p)
-            if not extra:
-                break
-            for e in extra:
-                seen.add(e)
-                for ge in range(1, self.gamma.order):
-                    seen.add(self.act[ge][e])
-        return tuple(sorted(seen))
+        """Smallest Gamma-stable subgroup containing the given elements: the
+        subgroup generated by their Gamma-orbits, as Gamma acts by
+        automorphisms."""
+        return self.base.subgroup_closure(
+            {p[e] for e in set(elements) for p in self.act})
 
     def admissible_closure(self, elements: Iterable[int]) -> Subgroup:
         """Smallest Gamma-stable subgroup containing all Y-coordinates of the
@@ -906,20 +835,12 @@ class SemidirectProduct:
 def semidirect(h: GammaGroup) -> SemidirectProduct:
     nb, ng = h.base.order, h.gamma.order
     n = nb * ng
-    tb, tg = h.base.table, h.gamma.table
-    table = [[0] * n for _ in range(n)]
-    for h1 in range(nb):
-        for g1 in range(ng):
-            x = h1 * ng + g1
-            row = table[x]
-            act1 = h.act[g1]
-            for h2 in range(nb):
-                hh = tb[h1][act1[h2]] * ng
-                base = h2 * ng
-                for g2 in range(ng):
-                    row[base + g2] = hh + tg[g1][g2]
-    grp = FiniteGroup(table, name=f"{h.base.name}:{h.gamma.name}",
-                      _validated=True)
+    # (h1, g1)(h2, g2) = (h1 g1(h2), g1 g2), with (h, g) at index h * ng + g
+    left = np.array(h.base.table)[np.arange(nb)[:, None, None],
+                                  np.array(h.act)[None]]
+    table = left[:, :, :, None] * ng + np.array(h.gamma.table)[None, :, None, :]
+    grp = FiniteGroup(table.reshape(n, n).tolist(),
+                      name=f"{h.base.name}:{h.gamma.name}", _validated=True)
     return SemidirectProduct(
         group=grp,
         embed_base=tuple(hh * ng for hh in range(nb)),

@@ -46,7 +46,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InternalCheckError
-from .ntheory import factorize
+from .ntheory import factorize, xgcd
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ def solve_linear_mod(rows, rhs, nvars: int, m: int):
     aug = [list(r) + [-int(b)] for r, b in zip(rows, rhs)]
     acc, t = [0] * (nvars + 1), 0
     for k in kernel_mod(aug, nvars + 1, m):
-        g, s, u = _xgcd(t, k[-1])
+        g, s, u = xgcd(t, k[-1])
         acc, t = [(s * a + u * b) % m for a, b in zip(acc, k)], g
     if math.gcd(t, m) != 1:
         return None
@@ -305,16 +305,6 @@ def solve_linear_mod(rows, rhs, nvars: int, m: int):
            for r, c in zip(rows, rhs)):
         raise InternalCheckError("solve_linear_mod: A x != rhs (mod m)")
     return x
-
-
-def _xgcd(a: int, b: int):
-    """(g, s, t) with s*a + t*b == g == gcd(a, b)."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
 
 
 def kernel_mod(rows, nun: int, m: int):

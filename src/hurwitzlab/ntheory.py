@@ -1,7 +1,8 @@
 """Integer and F_p[x] helpers shared by the package.
 
 Integers: trial-division factorisation and the predicates built on it (the
-package only factors group orders, exponents and small field sizes).
+package only factors group orders, exponents and small field sizes), and
+the extended Euclidean algorithm.
 
 Polynomials over F_p are coefficient tuples, low degree first, normalized
 (no trailing zeros); the zero polynomial is ().
@@ -60,6 +61,19 @@ def valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
+
+
+def xgcd(a: int, b: int):
+    """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0."""
+    s0, s1, t0, t1, r0, r1 = 1, 0, 0, 1, a, b
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0 < 0:
+        r0, s0, t0 = -r0, -s0, -t0
+    return r0, s0, t0
 
 
 # ---------------------------------------------------------------------------

@@ -442,12 +442,23 @@ def kernel_decomposition(n: int, h: GammaGroup, spec: VarietySpec):
 
     For the abelian module model M = rad(R) = (prod of primes) R, and the
     decomposition is by minimal-polynomial factors of the cyclic Gamma
-    action on R/rad per prime.  H must lie in the variety as far as its
-    exponent goes: a quotient of the free object has exponent dividing m."""
+    action on R/rad per prime.  H must lie in the variety: its exponent
+    divides m, and the module map a surjection tuple defines vanishes on N
+    (I^n is projective as |Gamma| is a unit mod m, so that is exact)."""
     if spec.exponent % h.base.exponent():
         raise ValidationError(
             f"H has exponent {h.base.exponent()}, which does not divide "
             f"the variety exponent {spec.exponent}")
+    decomp = _kernel_decomposition(n, h, spec)
+    if decomp is None:
+        raise ValidationError(
+            "H is not in the variety: the map onto it does not vanish on N")
+    return decomp
+
+
+def _kernel_decomposition(n: int, h: GammaGroup, spec: VarietySpec):
+    """kernel_decomposition for H of exponent dividing m, or None when H is
+    not in the variety."""
     gen = _cyclic_generator(spec.gamma)
     free = FreeAdmissible(n, spec)
     tuples = _surjection_tuples(h, n, want=2)
@@ -464,6 +475,8 @@ def kernel_decomposition(n: int, h: GammaGroup, spec: VarietySpec):
 
 
 def _decomp_key(decomp):
+    if decomp is None:
+        return None
     return sorted((mod.p, mod.poly, mult) for mod, mult in decomp)
 
 
@@ -496,7 +509,8 @@ def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup,
         dim ker f(g) = log_p |R / (f(g)R + pR + N)|,
     with f(g) the integer matrix sum f_i _act[g]^i: each order is a
     product of invariant factors from one stacked elimination, and no
-    basis of V is needed."""
+    basis of V is needed.  None when the map does not vanish on N, that is
+    when H is not in the variety."""
     m, dim = free.m, free.dim
     td = _TargetData(h)
     # the map sends b_{i,g} to the coordinates of h_i^-1 g(h_i)
@@ -504,6 +518,8 @@ def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup,
           for x in tup for g in range(1, free.gamma.order)]
     images = td.coords[ys].reshape(dim, len(td.orders))
     rows = images.T * (m // td.orders)[:, None] % m
+    if (free._nrows @ rows.T % m).any():
+        return None
     # R: the kernel rows, with N added (the model works modulo N)
     R = kernel_mod(rows, dim, m)
     R = np.concatenate([np.array(R, dtype=np.int64).reshape(len(R), dim),
@@ -555,12 +571,16 @@ def _log_ratio(a: int, b: int, p: int) -> int:
 
 def mu_n(h: GammaGroup, spec: VarietySpec, gamma_inf_members: Sequence[int],
          n: int) -> Fraction:
-    """Exact probability that the level-n random group is isomorphic to H."""
+    """Exact probability that the level-n random group is isomorphic to H;
+    0 when H is not in the variety."""
     # a quotient of the free object has exponent dividing m
     if not h.is_admissible() or spec.exponent % h.base.exponent():
         return Fraction(0)
     sur = h.count_sur_gamma_free(n)
     if sur == 0:
+        return Fraction(0)
+    decomp = _kernel_decomposition(n, h, spec)
+    if decomp is None:
         return Fraction(0)
     inv_g = len(h.invariants(range(h.gamma.order)))
     inv_gi = len(h.invariants(gamma_inf_members))
@@ -569,7 +589,7 @@ def mu_n(h: GammaGroup, spec: VarietySpec, gamma_inf_members: Sequence[int],
     prod = Fraction(1)
     sub = Subgroup(h.gamma, tuple(gamma_inf_members))
     s = h.gamma.order // max(1, len(sub))
-    for mod, mult in kernel_decomposition(n, h, spec):
+    for mod, mult in decomp:
         prod *= prob_module_formula(mod.order, mod.inv_gamma,
                                     _inv_ginf(mod.poly, mod.p, s),
                                     mod.end_size, mult, n)

@@ -16,7 +16,8 @@ from hurwitzlab.arith import (DivisorClass, ExtField, HyperellipticModel,
                               nf_class_group, nonsquare, pmul, pxgcd,
                               random_divisor, reduced_forms, sylow_structure)
 from hurwitzlab.errors import InternalCheckError, ValidationError
-from hurwitzlab.ntheory import factorize, is_power_of, pscale, valuation
+from hurwitzlab.ntheory import (factorize, is_power_of, pscale, valuation,
+                               xgcd)
 from hurwitzlab.rng import substream
 
 
@@ -325,3 +326,23 @@ def test_prime_arguments_are_checked():
         with pytest.raises(ValidationError):
             nf_class_group(5, ells)
     assert nf_class_group(5, (2,)).per_ell[2] == AS([2])
+
+
+def test_zero_u_operand_is_rejected():
+    """A class with u = 0 is no divisor: Cantor addition refuses it rather
+    than returning the identity or a made-up class."""
+    model = HyperellipticModel(3, (1, 2, 0, 1))
+    zero_u = (DivisorClass((), (1,)), DivisorClass((), (2,)),
+              DivisorClass((), ()))
+    for a in zero_u:
+        for b in zero_u + (divisor_identity(),):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValidationError):
+                    divclass_add(model, x, y)
+
+
+def test_xgcd():
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            g, s, t = xgcd(a, b)
+            assert g == math.gcd(a, b) and s * a + t * b == g

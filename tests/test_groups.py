@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
+from hurwitzlab.abelian import structure_of_members
 from hurwitzlab.errors import CapacityError, ValidationError
 from hurwitzlab.groups import (ConjClassTable, FiniteGroup, GammaGroup,
                                Subgroup, abelian, alternating4, cyclic,
@@ -220,3 +222,30 @@ def test_gamma_isomorphic():
     assert gamma_isomorphic(a, b)
     c = trivial_action(cyclic(9), cyclic(2))
     assert not gamma_isomorphic(a, c)
+
+
+def _sha256(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+    return h.hexdigest()
+
+
+def test_tables_and_abelian_coordinates_pinned():
+    """The constructors' multiplication tables and the abelian basis and
+    coordinates are pinned: every report is built on this numbering."""
+    catalog = groups_up_to_16()
+    groups = (catalog + [dihedral(n) for n in range(1, 13)]
+              + [dicyclic(n) for n in range(1, 7)])
+    assert _sha256((g.name, g.table) for g in groups) == \
+        "7d6dbfccf29443225665ea0cd03d7a8b7e38c9daff9f7488f912bf2127da31bc"
+
+    def row(g):
+        data = structure_of_members(g, range(g.order))
+        return (g.name, data.basis, data.basis_orders,
+                list(data.coords.items()))
+
+    groups = [g for g in catalog if g.is_abelian()] + [
+        abelian(o) for o in ([3, 9], [5, 5], [3, 3, 3, 3], [2, 4, 8])]
+    assert _sha256(row(g) for g in groups) == \
+        "78c0646d6e9fc0e1ab2cd093fb90bf0757b46d2b3e6938b59f888dcfb1d049d2"

@@ -83,9 +83,10 @@ def test_oracle_agreement_sample():
 
 def test_h2_coker_d3_matches_oracle():
     """h2, read off the cokernel of d3, equals the oracle's cocycle
-    quotient on every group of order <= 16."""
-    for g in groups_up_to_16():
-        assert h2(g) == oracle_h2(g), g.name
+    quotient on two groups past order 16, which the acceptance suite's
+    comparison over groups_up_to_16() does not reach."""
+    for g, chain in ((abelian([3, 6]), (3,)), (dihedral(10), (2,))):
+        assert h2(g) == oracle_h2(g) == AS(chain), g.name
 
 
 def test_h2_coker_d3_self_check(monkeypatch):

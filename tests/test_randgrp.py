@@ -285,6 +285,25 @@ def test_h_outside_the_variety_exponent():
             m_ad(2, HG(orders), sign, spec)
 
 
+def test_h_outside_the_variety_module():
+    """H of the right exponent lies in the variety only when the map of a
+    surjection tuple vanishes on N: inverted Z/3 is not in the variety of
+    trivial Z/3 and inverted Z/5, nor inverted Z/5 in that of trivial
+    Z/5."""
+    def triv(k):
+        return trivial_action(cyclic(k), GAMMA)
+
+    for gens, h in (((triv(3), HG([5])), HG([3])), ((triv(5),), HG([5]))):
+        spec = VarietySpec(gens)
+        assert mu_n(h, spec, [0, 1], 2) == 0
+        with pytest.raises(ValidationError, match="not in the variety"):
+            kernel_decomposition(2, h, spec)
+    # members of those varieties keep their measure
+    spec = VarietySpec((triv(3), HG([5])))
+    assert mu_n(HG([5]), spec, [0, 1], 2) > 0
+    assert kernel_decomposition(2, HG([5]), spec)
+
+
 def test_variety_without_module_maps_is_trivial():
     """C2 acts by -1 on the augmentation submodule of Z/5[C2], so no
     nonzero module map reaches trivial Z/5.  The joint kernel N of that
