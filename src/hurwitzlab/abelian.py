@@ -258,8 +258,8 @@ def structure_of_members(group, members) -> AbelianGroupData:
     """AbelianGroupData for a subgroup (given by member indices) of a
     FiniteGroup; the subgroup must be abelian."""
     mem = sorted(set(members))
+    sub = group.array[np.ix_(mem, mem)]
     t = group.table
-    sub = np.array([t[a] for a in mem]).reshape(len(mem), group.order)[:, mem]
     if not np.array_equal(sub, sub.T):
         raise ValidationError("subgroup is not abelian")
     return AbelianGroupData(mem, lambda a, b: t[a][b], 0)

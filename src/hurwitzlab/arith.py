@@ -39,6 +39,11 @@ from .ntheory import (is_prime, is_squarefree, monic, padd, pdeg, pdivmod,
                       pscale, psub, pxgcd, valuation, xgcd)
 from .rng import CounterRng, substream
 
+# models walked by one empirical_moment call: q = 7, d_max = 5 (29,400
+# models, 51 s at about 1.8 ms a genus-2 model) passes; q = 7, d_max = 7
+# (1.44 million, over 40 minutes at that rate) raises at once
+FF_MODEL_CAP = 100_000
+
 
 # ---------------------------------------------------------------------------
 # extension fields F_{p^k} (for point counts over F_{q^i})
@@ -557,7 +562,9 @@ def empirical_moment(q: int, d_max: int, target_orders: Sequence[int],
 
     Gamma-equivariance is automatic for the inversion action on abelian
     groups, so plain surjection counts are exact.  Gerth mode weights by
-    #Hom(Cl, H/2H) and counts surjections from 2 Cl."""
+    #Hom(Cl, H/2H) and counts surjections from 2 Cl.  Raises CapacityError
+    before any model is walked when the model count, the sum of
+    count_imaginary(q, d) over the odd d <= d_max, exceeds `FF_MODEL_CAP`."""
     H = AbelianStructure.from_cyclic_orders(target_orders)
     if mode not in ("plain", "gerth"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -574,6 +581,11 @@ def empirical_moment(q: int, d_max: int, target_orders: Sequence[int],
         v = valuation(q - 1, 2)
         wedge = _wedge_square(H)
         prediction = Fraction(wedge.torsion_count(2 ** (v - 1)))
+    models = sum(count_imaginary(q, d) for d in range(3, d_max + 1, 2))
+    if models > FF_MODEL_CAP:
+        raise CapacityError(
+            f"ff-moment: {models} models of degree <= {d_max} over F_{q}, "
+            f"above the cap of {FF_MODEL_CAP}")
     ells = prime_divisors(H.order)
     rows = []
     total_sur = Fraction(0)

@@ -26,25 +26,30 @@ ASSOC_FULL_CHECK_CAP = 1000    # exhaustive associativity below this order
 class FiniteGroup:
     """A finite group as a validated multiplication table.
 
-    Identity is element 0.  `table[a][b]` is the product a*b.
+    Identity is element 0.  `table[a][b]` is the product a*b; `array` is
+    the same table as one read-only int64 array, built once, for the
+    whole-table passes.
     """
 
-    __slots__ = ("order", "table", "inv", "_orders", "_hash", "name")
+    __slots__ = ("order", "table", "array", "inv", "_orders", "_hash",
+                 "name")
 
-    def __init__(self, table: Sequence[Sequence[int]], name: str = "",
-                 _validated: bool = False):
-        n = len(table)
-        rows = [list(map(int, r)) for r in table]
+    def __init__(self, table, name: str = "", _validated: bool = False):
+        arr = _table_array(table)
         if not _validated:
-            _validate_table(rows, n)
+            _validate_table(arr)
+        arr.flags.writeable = False
+        n = len(arr)
         self.order = n
-        self.table = rows
+        self.array = arr
+        self.table = arr.tolist()
         self.name = name or f"group{n}"
-        self.inv = []
-        for g, row in enumerate(rows):
-            if 0 not in row:
-                raise ValidationError(f"element {g} has no inverse")
-            self.inv.append(row.index(0))
+        has = arr == 0
+        found = has.any(axis=1)
+        if not found.all():
+            raise ValidationError(
+                f"element {int(np.argmin(found))} has no inverse")
+        self.inv = has.argmax(axis=1).tolist()
         self._orders = None
         self._hash = None
 
@@ -96,15 +101,15 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
+        return bool((self.array == self.array.T).all())
 
     def commutator(self, a: int, b: int) -> int:
         t = self.table
         return t[t[t[a][b]][self.inv[a]]][self.inv[b]]
 
     def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and self.table == other.table
+        return (isinstance(other, FiniteGroup)
+                and np.array_equal(self.array, other.array))
 
     def __hash__(self):
         if self._hash is None:
@@ -145,19 +150,22 @@ class FiniteGroup:
     def normal_closure(self, gens: Iterable[int]) -> tuple:
         """Subgroup generated by the conjugates h s h^-1 of the given
         elements: a conjugation-stable set generates a normal subgroup."""
-        return self.subgroup_closure(
-            {self.conj(s, h) for s in set(gens) for h in range(self.order)})
+        t = self.array
+        seen = np.zeros(self.order, dtype=bool)
+        seen[t[t[:, sorted(set(gens))], np.asarray(self.inv)[:, None]]] = True
+        return self.subgroup_closure(np.flatnonzero(seen).tolist())
 
     def commutator_subgroup(self) -> tuple:
-        # the commutators form a conjugation-stable set
-        return self.subgroup_closure(
-            {self.commutator(a, b) for a in range(self.order)
-             for b in range(a)})
+        # the commutators [a, b] = a b a^-1 b^-1 of all pairs, one gather
+        # each: they form a conjugation-stable set
+        t, inv = self.array, np.asarray(self.inv)
+        seen = np.zeros(self.order, dtype=bool)
+        seen[t[t[t, inv[:, None]], inv[None, :]]] = True
+        return self.subgroup_closure(np.flatnonzero(seen).tolist())
 
     def center(self) -> tuple:
-        t = self.table
-        return tuple(g for g in range(self.order)
-                     if all(t[g][h] == t[h][g] for h in range(self.order)))
+        t = self.array
+        return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
 
     def quotient(self, normal_members: Sequence[int]):
         """Quotient by a normal subgroup; returns (FiniteGroup, projection list).
@@ -168,21 +176,21 @@ class FiniteGroup:
         nset = set(normal_members)
         if 0 not in nset:
             raise ValidationError("normal subgroup must contain the identity")
-        for g in nset:
-            for h in range(self.order):
-                if self.conj(g, h) not in nset:
-                    raise ValidationError("subgroup is not normal")
-        t = self.table
+        mem = sorted(nset)
+        member = np.zeros(self.order, dtype=bool)
+        member[mem] = True
+        t = self.array
+        if not member[t[t[:, mem], np.asarray(self.inv)[:, None]]].all():
+            raise ValidationError("subgroup is not normal")
         coset_of = [-1] * self.order
         reps = []
         for g in range(self.order):
             if coset_of[g] == -1:
                 idx = len(reps)
                 reps.append(g)
-                for x in nset:
-                    coset_of[t[g][x]] = idx
-        k = len(reps)
-        qt = [[coset_of[t[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
+                for x in mem:
+                    coset_of[self.table[g][x]] = idx
+        qt = np.asarray(coset_of)[t[np.ix_(reps, reps)]]
         q = FiniteGroup(qt, name=f"{self.name}/N", _validated=True)
         return q, coset_of
 
@@ -195,11 +203,10 @@ class FiniteGroup:
         mem = sorted(set(members))
         if mem[0] != 0:
             raise ValidationError("subgroup must contain the identity")
-        pos = {g: i for i, g in enumerate(mem)}
-        t = self.table
-        try:
-            sub = [[pos[t[a][b]] for b in mem] for a in mem]
-        except KeyError:
+        pos = np.full(self.order, -1)
+        pos[mem] = np.arange(len(mem))
+        sub = pos[self.array[np.ix_(mem, mem)]]
+        if (sub < 0).any():
             raise ValidationError("member set is not closed under multiplication")
         return FiniteGroup(sub, name=f"{self.name}|sub{len(mem)}", _validated=True), mem
 
@@ -231,19 +238,34 @@ class FiniteGroup:
         return self.quotient(self.commutator_subgroup())
 
 
-def _validate_table(rows, n):
+def _table_array(table) -> np.ndarray:
+    """The table as a square int64 array (an int64 array is taken over, not
+    copied); a ragged or non-integer table raises ValidationError."""
+    n = len(table)
     if n == 0:
         raise ValidationError("empty multiplication table")
-    for i, r in enumerate(rows):
-        if len(r) != n:
-            raise ValidationError(f"row {i} has length {len(r)}, expected {n}")
-        for x in r:
-            if not (0 <= x < n):
-                raise ValidationError(f"entry {x} out of range in row {i}")
-    for g in range(n):
-        if rows[0][g] != g or rows[g][0] != g:
-            raise ValidationError("no identity: element 0 must satisfy 0*g = g*0 = g")
-    arr = np.asarray(rows, dtype=np.int64)
+    try:
+        arr = np.asarray(table, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != (n, n):
+        for i, r in enumerate(table):
+            if len(r) != n:
+                raise ValidationError(
+                    f"row {i} has length {len(r)}, expected {n}")
+        raise ValidationError("table entries must be integers")
+    return arr
+
+
+def _validate_table(arr: np.ndarray):
+    n = len(arr)
+    bad = np.argwhere((arr < 0) | (arr >= n))
+    if len(bad):
+        i, j = map(int, bad[0])
+        raise ValidationError(f"entry {arr[i, j]} out of range in row {i}")
+    ident = np.arange(n)
+    if (arr[0] != ident).any() or (arr[:, 0] != ident).any():
+        raise ValidationError("no identity: element 0 must satisfy 0*g = g*0 = g")
     if n <= ASSOC_FULL_CHECK_CAP:
         for a in range(n):
             left = arr[arr[a], :]
@@ -256,12 +278,9 @@ def _validate_table(rows, n):
         rng = np.random.default_rng(0)
         for _ in range(2000):
             a, b, c = (int(x) for x in rng.integers(0, n, 3))
-            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            if arr[arr[a, b], c] != arr[a, arr[b, c]]:
                 raise ValidationError(
                     f"non-associative: ({a}*{b})*{c} != {a}*({b}*{c})")
-    for g in range(n):
-        if 0 not in rows[g]:
-            raise ValidationError(f"element {g} is non-invertible")
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +352,15 @@ def trivial_group() -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError("cyclic group order must be positive")
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)],
-                       name=f"C{n}", _validated=True)
+    r = np.arange(n)
+    return FiniteGroup(np.add.outer(r, r) % n, name=f"C{n}", _validated=True)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """a x b with (xa, xb) at index xa * |b| + xb."""
     nb = b.order
-    table = (np.array(a.table)[:, None, :, None] * nb
-             + np.array(b.table)[None, :, None, :])
-    return FiniteGroup(table.reshape(a.order * nb, -1).tolist(),
+    table = a.array[:, None, :, None] * nb + b.array[None, :, None, :]
+    return FiniteGroup(table.reshape(a.order * nb, -1),
                        name=f"{a.name}x{b.name}", _validated=True)
 
 
@@ -357,14 +375,11 @@ def abelian(orders: Sequence[int]) -> FiniteGroup:
 def _metacyclic(m: int, s: int, k: int, t: int, name: str) -> FiniteGroup:
     """<a, b | a^m = 1, b^s = a^t, b a b^-1 = a^k>, with a^i b^j at index
     i + m*j."""
-    kj = [pow(k, j, m) for j in range(s)]
-
-    def mul(x, y):
-        (i1, j1), (i2, j2) = x, y
-        j = j1 + j2
-        return ((i1 + i2 * kj[j1] + (t if j >= s else 0)) % m, j % s)
-    return from_rule([(i, j) for j in range(s) for i in range(m)], mul,
-                     name=name)
+    i, j = np.divmod(np.arange(m * s), m)[::-1]
+    kj = np.array([pow(k, e, m) for e in range(s)])
+    jj = j[:, None] + j[None, :]
+    return FiniteGroup((i[:, None] + i[None, :] * kj[j][:, None]
+                        + t * (jj >= s)) % m + m * (jj % s), name=name)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -568,14 +583,14 @@ class GammaGroup:
         n, k = self.base.order, self.gamma.order
         if len(self.act) != k:
             raise ValidationError("need one permutation per Gamma element")
-        t = np.array(self.base.table)
+        t = self.base.array
         for gi, p in enumerate(self.act):
             if sorted(p) != list(range(n)):
                 raise ValidationError(f"act[{gi}] is not a permutation")
             p = np.array(p)
-            bad = np.argwhere(p[t] != t[p[:, None], p])
-            if len(bad):
-                a, b = bad[0]
+            bad = p[t] != t[p[:, None], p]
+            if bad.any():
+                a, b = np.argwhere(bad)[0]
                 raise ValidationError(
                     f"act[{gi}] is not an automorphism at ({a},{b})")
         if self.act[0] != list(range(n)):
@@ -583,7 +598,7 @@ class GammaGroup:
         # act[g1] o act[g2] against act[g1 g2], for every pair at once
         act = np.array(self.act)
         bad = np.argwhere((act[np.arange(k)[:, None, None], act[None]]
-                           != act[np.array(self.gamma.table)]).any(axis=2))
+                           != act[self.gamma.array]).any(axis=2))
         if len(bad):
             g1, g2 = bad[0]
             raise ValidationError(
@@ -836,10 +851,9 @@ def semidirect(h: GammaGroup) -> SemidirectProduct:
     nb, ng = h.base.order, h.gamma.order
     n = nb * ng
     # (h1, g1)(h2, g2) = (h1 g1(h2), g1 g2), with (h, g) at index h * ng + g
-    left = np.array(h.base.table)[np.arange(nb)[:, None, None],
-                                  np.array(h.act)[None]]
-    table = left[:, :, :, None] * ng + np.array(h.gamma.table)[None, :, None, :]
-    grp = FiniteGroup(table.reshape(n, n).tolist(),
+    left = h.base.array[np.arange(nb)[:, None, None], np.array(h.act)[None]]
+    table = left[:, :, :, None] * ng + h.gamma.array[None, :, None, :]
+    grp = FiniteGroup(table.reshape(n, n),
                       name=f"{h.base.name}:{h.gamma.name}", _validated=True)
     return SemidirectProduct(
         group=grp,

@@ -603,7 +603,7 @@ def _reduced_via_parametrized(group: FiniteGroup, pairs):
     for p, e in factorize(group.order).items():
         m = p ** e
         sol = _solution_gens(_echelon_mod(rows, m), space.nun, m)
-        sub = space.coboundary_vectors(m) + space.carry_vectors(m)
+        sub = space.relation_vectors(m).tolist()
         adapted = _quotient_with_reps(sol, sub, space.nun, m)
         divisors = [d for d, _ in adapted]
         if not divisors:

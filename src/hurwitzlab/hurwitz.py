@@ -246,7 +246,7 @@ def _meet_in_the_middle(group: FiniteGroup, cs: tuple, g_inf: int,
     completes it to g_inf^{-1}.  The left halves are cut into runs of at
     most `_BLOCK` candidates (a single left half may exceed it).  A
     candidate is kept when the subgroups of its halves join to G."""
-    mul = np.asarray(group.table, np.intp)
+    mul = np.asarray(group.array, np.intp)
     dtype = np.min_scalar_type(len(cs) - 1)
     half = length // 2
     joins = _SubgroupJoins(group, cs, g_inf)
@@ -523,7 +523,7 @@ def _check_invariants(ctx: UContext, space: _StateSpace, cs: tuple,
             slot = ctx.class_of[x]
             weight[slot // per, a] = (n + 1) ** (slot % per)
     outside = lift < 0
-    table = np.asarray(ctx.sc.total.table, np.intp)
+    table = np.asarray(ctx.sc.total.array, np.intp)
 
     def codes(keys: np.ndarray) -> np.ndarray:
         rows = space.decode(keys)

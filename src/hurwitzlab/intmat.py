@@ -10,7 +10,12 @@ keeps the entries bounded, and lets the work run on int64 numpy arrays.
 One engine, `_smith_mod`, brings a matrix to Smith form modulo m and can
 track the transforms (Storjohann and Mulders, "Fast algorithms for linear
 algebra modulo N", ESA 1998).  Quotient divisors, adapted representatives,
-solving and kernels are a few lines on top of it.
+solving and kernels are a few lines on top of it.  The cocycle systems it
+solves are tall and sparse (C5xC5:C2: 7,203 x 147, 7.6 nonzeros a row), so
+a step touches only the rows it changes: a row whose entry in the pivot
+column is 0 has quotient 0, and subtracting 0 times the pivot row from a
+row already reduced into [0, m) leaves it as it is, so U A V and the pivot
+sequence are those of the step applied to every row.
 
 `quotient_divisors_mod` runs a sparse pre-pass ahead of the engine, for
 relation rows with a few nonzeros each (the degree-3 bar boundary).  An
@@ -55,7 +60,8 @@ from .ntheory import factorize, xgcd
 
 def _mod_array(rows, ncols: int, m: int) -> np.ndarray:
     """The integer rows as an int64 array reduced into [0, m)."""
-    rows = list(rows)
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
     try:
         A = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
     except OverflowError:
@@ -80,6 +86,18 @@ def _smith_mod(A: np.ndarray, m: int, transforms: bool = False):
     each column past the diagonal.  With transforms=True the result is
     (diag, V, V^-1), reduced modulo m.  U is not kept: it is square in the
     rows, and the tall cocycle systems would make it the largest array.
+
+    Each round pivots on the first least nonzero entry of the active block
+    in row-major order: the first row whose least nonzero entry is least
+    (kept per row, and updated for the rows a step changes), and in it the
+    first column holding that entry.  Rows and columns before the active
+    block are zero off the diagonal, and entries stay in [0, m), so a row
+    whose pivot column entry is 0 has quotient 0 and is left as it is: a
+    row step touches only the rows with a nonzero in the pivot column.  The
+    column step runs only once that column is clear below the pivot, so of
+    A it changes the pivot row alone, and of V the columns from the pivot
+    on.  U A V and the pivot sequence are those of the steps applied to
+    every row and column.
     """
     if m > (1 << 30):
         raise InternalCheckError("modulus too large for int64 mod-SNF")
@@ -88,53 +106,53 @@ def _smith_mod(A: np.ndarray, m: int, transforms: bool = False):
     if transforms:
         V = np.eye(nc, dtype=np.int64)
         Vi = np.eye(nc, dtype=np.int64)
+    # rows from r on are zero before column c, so the least nonzero entry of
+    # a whole row is that of its part of the active block
+    least = _least_nonzero(A, m)
     r = c = 0
     diag = []
     while r < nr and c < nc:
-        sub = A[r:, c:]
-        nzr, nzc = np.nonzero(sub)
-        if len(nzr) == 0:
+        least[r] = _least_nonzero(A[r], m)
+        bi = r + int(least[r:].argmin())
+        v = least[bi]
+        if v == m:
             break
-        vals = sub[nzr, nzc]
-        k = int(np.argmin(vals))
-        bi, bj = int(nzr[k]) + r, int(nzc[k]) + c
+        bj = c + int((A[bi, c:] == v).argmax())
         if bi != r:
-            A[[r, bi], :] = A[[bi, r], :]
+            A[[r, bi]] = A[[bi, r]]
+            least[[r, bi]] = least[[bi, r]]
         if bj != c:
             A[:, [c, bj]] = A[:, [bj, c]]
             if transforms:
                 V[:, [c, bj]] = V[:, [bj, c]]
-                Vi[[c, bj], :] = Vi[[bj, c], :]
+                Vi[[c, bj]] = Vi[[bj, c]]
         p = int(A[r, c])
-        col = A[:, c].copy()
-        col[r] = 0
-        if col.any():
-            q = col // p
-            A -= np.outer(q, A[r, :])
-            A %= m
-            if A[r, c] == 0 or np.count_nonzero(A[:, c]) > 1:
+        rows = A[r + 1:, c].nonzero()[0]
+        if len(rows):
+            rows += r + 1
+            B = A[rows, c:]
+            B -= B[:, :1] // p * A[r, c:]
+            B %= m
+            A[rows, c:] = B
+            least[rows] = _least_nonzero(B, m)
+            if B[:, 0].any():
                 continue
-        row = A[r, :].copy()
-        row[c] = 0
-        if row.any():
-            q = row // p
-            A -= np.outer(A[:, c], q)
-            A %= m
+        q = A[r] // p
+        q[c] = 0
+        if q.any():
+            A[r] -= p * q
             if transforms:
                 # column j -= q_j column c; its inverse adds q @ V^-1 to row c
-                V -= np.outer(V[:, c], q)
-                V %= m
-                Vi[c, :] = (Vi[c, :] + _mulmod(q[None, :], Vi, m)[0]) % m
-            if A[r, c] == 0 or np.count_nonzero(A[r, :]) > 1:
+                V[:, c:] -= V[:, c:c + 1] * q[c:]
+                V[:, c:] %= m
+                Vi[c] = (Vi[c] + _mulmod(q[None, c:], Vi[c:], m)[0]) % m
+            if np.count_nonzero(A[r]) > 1:
                 continue
-        p = int(A[r, c])
         # divisibility of the remaining block
-        rest = A[r + 1:, c + 1:]
-        if rest.size:
-            badrows = np.nonzero((rest % p).any(axis=1))[0]
+        if p > 1:
+            badrows = np.flatnonzero((A[r + 1:, c + 1:] % p).any(axis=1))
             if len(badrows):
-                A[r, :] += A[r + 1 + int(badrows[0]), :]
-                A %= m
+                A[r] = (A[r] + A[r + 1 + int(badrows[0])]) % m
                 continue
         diag.append(p)
         r += 1
@@ -142,6 +160,11 @@ def _smith_mod(A: np.ndarray, m: int, transforms: bool = False):
     if transforms:
         return diag, V, Vi
     return diag
+
+
+def _least_nonzero(A: np.ndarray, m: int):
+    """The least nonzero entry along the last axis, m where all are 0."""
+    return A.min(axis=-1, where=A != 0, initial=m)
 
 
 def quotient_divisors_mod(gens, dim: int, m: int):
@@ -291,7 +314,7 @@ def solve_linear_mod(rows, rhs, nvars: int, m: int):
     The kernel of [rows | -rhs] holds the (x, t) with rows @ x == t rhs;
     a combination of its generators whose t is a unit gives x / t.
     """
-    if not rows:
+    if not len(rows):
         return [0] * nvars
     aug = [list(r) + [-int(b)] for r, b in zip(rows, rhs)]
     acc, t = [0] * (nvars + 1), 0

@@ -75,36 +75,18 @@ def abelian_exponent_variety(gamma: FiniteGroup, m: int) -> VarietySpec:
     """The variety of all abelian Gamma-groups of exponent dividing m,
     generated by the regular module (Z/m)[Gamma]."""
     k = gamma.order
-    n = m ** k
     # regular module: coordinates indexed by gamma elements, permuted action
     from .groups import abelian
     base = abelian([m] * k)
-
-    def idx(vec):
-        x = 0
-        for a in vec:
-            x = x * m + a
-        return x
-
-    def vec(x):
-        out = []
-        for _ in range(k):
-            x, a = divmod(x, m)
-            out.append(a)
-        out.reverse()
-        return out
-
+    # element x has base-m digits v (the first the most significant), and
+    # gamma moves the coordinate at h to gamma*h
+    weights = m ** np.arange(k - 1, -1, -1)
+    v = np.arange(base.order)[:, None] // weights % m
     acts = []
     for ge in range(k):
-        perm = []
-        for x in range(n):
-            v = vec(x)
-            w = [0] * k
-            # gamma moves the coordinate at h to gamma*h
-            for h in range(k):
-                w[gamma.table[ge][h]] = v[h]
-            perm.append(idx(w))
-        acts.append(perm)
+        w = np.empty_like(v)
+        w[:, gamma.array[ge]] = v
+        acts.append(w @ weights)
     reg = GammaGroup(base, gamma, acts, name=f"reg(Z/{m}[{gamma.name}])")
     return VarietySpec((reg,))
 
@@ -147,7 +129,7 @@ class FreeAdmissible:
         if dim > _DIM_CAP:
             raise CapacityError(f"free module dimension {dim} exceeds {_DIM_CAP}")
         P = np.zeros((k, k, k), dtype=np.int64)
-        P[np.arange(k)[:, None], np.array(gamma.table), np.arange(k)] = 1
+        P[np.arange(k)[:, None], gamma.array, np.arange(k)] = 1
         M = P[:, 1:, 1:] - P[:, 1:, :1]
         eye = np.eye(dim, dtype=np.int64)
         self._act = np.stack([np.kron(np.eye(n, dtype=np.int64), b)

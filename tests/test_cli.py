@@ -1,10 +1,12 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
+from hurwitzlab.arith import FF_MODEL_CAP, count_imaginary
 from hurwitzlab.cli import (EXIT_CAPACITY, EXIT_OK, EXIT_VALIDATION,
                             build_parser, load_config, main, normalize_config,
                             resolve_c, resolve_group, run_config)
@@ -273,6 +275,20 @@ def test_arith_ff_moment_cli(tmp_path):
                          "prediction,se_proxy")
     # 36 imaginary models of degree 3 over F_3, average 2/3 against 1
     assert lines[header + 1].startswith("3,36,0,24,2/3,1/1,")
+
+
+def test_ff_moment_model_cap_exits_at_once(capsys):
+    """q = 7, d_max = 7 would walk 1.44 million models: refused before the
+    first one, while q = 7, d_max = 5 (29,400 models) is under the cap."""
+    t0 = time.perf_counter()
+    rc = main(["arith", "ff-moment", "--q", "7", "--dmax", "7", "--H", "3",
+               "--seed", "1"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == EXIT_CAPACITY == 2
+    assert "capacity error: ff-moment: 1441188 models" in \
+        capsys.readouterr().err
+    assert count_imaginary(7, 3) + count_imaginary(7, 5) == 29_400
+    assert 29_400 <= FF_MODEL_CAP
 
 
 def test_verify_ff_moment_detail_has_no_run_time(capsys):

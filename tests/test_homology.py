@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -114,6 +115,29 @@ def test_schur_cover_trivial_multiplier():
     assert cov.total.order == 6
     c2 = cyclic(2)
     assert schur_cover(c2).total.order == 2
+
+
+def test_schur_covers_pinned():
+    """Cover tables, projections and kernel coordinates of the Schur cover
+    and of the reduced cover with c = all hash to the values recorded
+    before the cover path moved to arrays: every lifting invariant and
+    report is read in these coordinates."""
+    groups = groups_up_to_16() + [symmetric(4), dihedral(12),
+                                  inversion_semidirect([5, 5])]
+
+    def row(ext):
+        return (ext.total.table, ext.proj, sorted(ext.kernel_coords.items()))
+
+    h_cover, h_reduced = hashlib.sha256(), hashlib.sha256()
+    for g in groups:
+        ext = schur_cover(g)
+        h_cover.update(repr((g.name, row(ext))).encode())
+        red = reduce_cover(ext, g, list(range(1, g.order)))
+        h_reduced.update(repr((g.name, row(red))).encode())
+    assert h_cover.hexdigest() == \
+        "b185893262d57cc53981a2796ca12c5aa68806d031aee197a47ad168cd8f288b"
+    assert h_reduced.hexdigest() == \
+        "1c07d567f7909aeae0f3852b206cbffc60342305b66c98d9043545c06c12c140"
 
 
 def test_reduce_cover_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -54,6 +55,28 @@ def test_smith_mod_transforms():
         assert _smith_mod(A.copy(), m) == diag
         size = math.prod(math.gcd(d, m) for d in diag) * m ** (nc - len(diag))
         assert size * len(brute_span_mod(A.tolist(), nc, m)) == m ** nc
+
+
+def test_smith_mod_pinned():
+    """The engine's pivot sequence is pinned: the diagonal and both
+    transforms on seeded tall sparse matrices, zero rows and rows of
+    p-multiples among them, hash to the values recorded before the row
+    steps were restricted to the rows they change."""
+    rng = np.random.default_rng(23)
+    h = hashlib.sha256()
+    for m in (4, 8, 9, 16, 25):
+        p = min(d for d in range(2, m + 1) if m % d == 0)
+        for nr, nc, density in ((40, 6, 0.3), (150, 20, 0.08),
+                                (300, 40, 0.05), (30, 30, 0.2)):
+            A = rng.integers(0, m, size=(nr, nc))
+            A[rng.random(A.shape) >= density] = 0
+            A[: nr // 3] = A[: nr // 3] * p % m
+            diag, V, Vi = _smith_mod(A.copy(), m, transforms=True)
+            assert ((V @ Vi) % m == np.eye(nc, dtype=np.int64)).all()
+            assert _smith_mod(A.copy(), m) == diag
+            h.update(repr((m, diag, V.tolist(), Vi.tolist())).encode())
+    assert h.hexdigest() == \
+        "2106bbb5ee4c23164cf136a6915e1b5b7df44193afa10159b289cf5c7553ed03"
 
 
 def test_quotient_divisors_stack_per_slice():

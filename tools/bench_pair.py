@@ -19,6 +19,11 @@ ids of the directories the benchmark runs (`src`, `perfbench`), so the
 measured working tree can be matched to a later commit with
 `git rev-parse <commit>:src`, and the line count of the Python files
 under `src/`.
+
+After the workloads, COVER_PAIRS alternating pairs of fresh processes time
+`schur_cover` + `reduce_cover(c = all)` over the groups of the homology
+oracle suite (criterion 2) without the oracle, and record each run's wall
+time and peak RSS under `criterion2_covers`.
 """
 
 from __future__ import annotations
@@ -42,6 +47,28 @@ PAIRS = 10
 SECONDS = 20
 SEEDS = range(701, 701 + PAIRS)
 MEASURED = ("src", "perfbench")
+COVER_PAIRS = 5
+# the groups of verify.suite_homology_oracle at full range, each once, with
+# the schur_cover + reduce_cover calls it makes and no oracle call
+COVER_SCRIPT = """
+import json, resource, time
+from hurwitzlab.groups import (abelian, dihedral, groups_up_to_16,
+                               inversion_action, semidirect, symmetric)
+from hurwitzlab.homology import reduce_cover, schur_cover
+groups, seen = [], set()
+for g in groups_up_to_16() + [abelian([3, 3]), symmetric(3), dihedral(5),
+        semidirect(inversion_action(abelian([5, 5]))).group]:
+    if g.content_key() not in seen and g.order > 1:
+        groups.append(g)
+    seen.add(g.content_key())
+t0 = time.perf_counter()
+for g in groups:
+    reduce_cover(schur_cover(g), g, list(range(1, g.order)))
+wall_s = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"groups": len(groups), "metrics": {
+    "wall_s": {"value": wall_s}, "peak_rss_mib": {"value": rss}}}))
+"""
 
 
 def git(*args: str) -> str:
@@ -87,6 +114,19 @@ def perfbench(checkout: Path, workload: str, seed: int) -> dict:
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench {workload} in {checkout} exited "
+                           f"{proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def cover_run(checkout: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", COVER_SCRIPT], cwd=checkout,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"cover run in {checkout} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -164,6 +204,19 @@ def main() -> int:
                 "metrics": summarize(runs),
                 "runs": runs,
             }
+        runs = []
+        for i in range(COVER_PAIRS):
+            pair = {}
+            sides = [("base", base_dir), ("change", ROOT)]
+            for side, checkout in sides[::-1] if i % 2 else sides:
+                pair[side] = cover_run(checkout)
+            print("criterion2-covers",
+                  {s: pair[s]["metrics"]["wall_s"]["value"]
+                   for s in ("base", "change")}, file=sys.stderr)
+            runs.append(pair)
+        report["criterion2_covers"] = {
+            "command": "python3 -c COVER_SCRIPT (tools/bench_pair.py)",
+            "metrics": summarize(runs), "runs": runs}
     if worktree_trees() != report["change"]["trees"]:
         raise RuntimeError("the working tree changed during the run")
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
