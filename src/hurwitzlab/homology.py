@@ -328,10 +328,11 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
 
 def reduce_cover(ext: CentralExtension, group: FiniteGroup, c: Sequence[int]):
     """The reduced cover S_c: quotient of S by commutators of lifts of
-    commuting pairs whose first member projects into c."""
+    commuting pairs whose first member projects into c.  Raises
+    ValidationError for an entry of c outside 1..|G| - 1."""
     S = ext.total
     t = group.table
-    cset = set(c)
+    cset = _c_in_range(group, c)
     lifts_of = [[] for _ in range(group.order)]
     for x in range(S.order):
         lifts_of[ext.proj[x]].append(x)
@@ -363,13 +364,19 @@ def reduce_cover(ext: CentralExtension, group: FiniteGroup, c: Sequence[int]):
 # U(G, c)
 # ---------------------------------------------------------------------------
 
-def validate_c(group: FiniteGroup, c: Sequence[int]) -> tuple:
+def _c_in_range(group: FiniteGroup, c: Sequence[int]) -> list:
+    """The distinct entries of c, ascending, each a non-identity index."""
     cset = sorted(set(int(x) for x in c))
-    if not cset:
-        raise ValidationError("c must be nonempty")
-    if cset[0] < 1 or cset[-1] >= group.order:
+    if cset and (cset[0] < 1 or cset[-1] >= group.order):
         raise ValidationError("c must hold non-identity element indices "
                               f"in 1..{group.order - 1}")
+    return cset
+
+
+def validate_c(group: FiniteGroup, c: Sequence[int]) -> tuple:
+    cset = _c_in_range(group, c)
+    if not cset:
+        raise ValidationError("c must be nonempty")
     s = set(cset)
     for x in cset:
         for g in range(group.order):

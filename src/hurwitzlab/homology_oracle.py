@@ -1,89 +1,74 @@
 """Independent cross-check path for the multiplier computations.
 
 The default h2 runs bar-complex homology; this oracle instead solves the
-full two-variable cocycle space mod p^e (one unknown per pair of nontrivial
-elements, no generator parametrization), quotients by coboundaries and
-carry classes, and reads off the structure.  The reduced multiplier
-H2(G, c) is obtained on this side from the commutator pairing: its dual is
-the annihilator of the antisymmetrizations over commuting pairs meeting c.
+full two-variable cocycle space mod m = p^e (one unknown per pair of
+nontrivial elements, no generator parametrization) and reads every answer
+off a quotient A/B of two spans in (Z/m)^dim, with B the coboundaries and
+the carry classes:
 
-Above a direct cap, p-parts come from Sylow subgroups: for a normal abelian
-Sylow the commutator pairing identifies cocycle classes with alternating
-forms, and the invariant forms under conjugation give the p-part.
+- the p-part of H2(G) is dual to A/B, A the cocycles;
+- the p-part of H2(G, c) is dual to A'/B, A' the cocycles whose
+  antisymmetrization z(x, y) - z(y, x) vanishes on every commuting pair
+  meeting c (the annihilator of those pairs under the commutator pairing);
+- above a direct cap, h2 takes each p-part from a normal abelian Sylow P:
+  there the antisymmetrization is a faithful class invariant, and the
+  p-part is dual to A''/B, A'' the cocycles of P whose antisymmetrization
+  is invariant under conjugation by G.
+
+Every quotient is counted through one echelon routine, `_echelon_mod`, a
+Howell form (Howell 1986; Storjohann and Mulders, ESA 1998): the order of
+a span is the product of m / pivot over its echelon rows, a kernel is read
+off the echelon form of [E^T | I], and the invariant factors of A/B follow
+from the orders |p^j A + B|, j = 0..e.
 
 Shared with the main path are the group engine, the integer
 factorisation of `ntheory` and, above the direct cap, the
 generator-parametrized cocycle space `homology._CocycleSpace` (its rows,
-not their elimination).  The Z-exact kernel, the Sylow search, the mod-m
-echelon, the solution spaces and the quotient with adapted representatives
-(a pure-Python Smith form over Z) are the oracle's own, so criterion 2
-shares no elimination with `h2`.
+not their elimination).  The echelon, the kernels, the quotient counts and
+the Sylow search are the oracle's own, so criterion 2 shares no
+elimination with `h2`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .abelian import AbelianGroupData, AbelianStructure, structure_of_members
-from .errors import CapacityError, InternalCheckError
+from .abelian import AbelianStructure, structure_of_members
+from .errors import CapacityError, InternalCheckError, ValidationError
 from .groups import FiniteGroup, _small_generating_set
 from .ntheory import factorize, is_power_of, prime_divisors, valuation
 
 ORACLE_DIRECT_CAP = 25
 
 
-def _echelon_mod(rows: np.ndarray, m: int):
-    """Row space of `rows` in (Z/m)^dim as an echelon list with pivots
-    dividing m and annihilator rows propagated (numpy column sweeps)."""
+def _echelon_mod(rows: np.ndarray, m: int) -> np.ndarray:
+    """Row space of `rows` in (Z/m)^dim, m a prime power, as echelon rows
+    with pivots dividing m and annihilator rows propagated, so that the
+    rows pivoting at or after any column span every element of the row
+    space that is zero before it.  In each column the entry with the
+    fewest factors p is the pivot, so it divides every other entry there
+    and one numpy sweep clears the column; the pivot row's place is taken
+    by its annihilator multiple (m / pivot) * row, zero in that column."""
     A = rows % m
-    A = A[(A != 0).any(axis=1)]
-    dim = rows.shape[1]
+    dim = A.shape[1]
     done = []
-    extra = []
-    since_compact = 0
     for c in range(dim):
-        if extra:
-            add = np.array(extra, dtype=np.int64)
-            A = np.vstack([A, add]) if len(A) else add
-            extra = []
-        if len(A) == 0:
-            continue
-        col = A[:, c]
-        while True:
-            nz = np.nonzero(col)[0]
-            if len(nz) <= 1:
-                break
-            piv = nz[int(np.argmin(col[nz]))]
-            q = col // col[piv]
-            q[piv] = 0
-            mask = q != 0
-            if not mask.any():
-                break
-            A[mask] = (A[mask] - np.outer(q[mask], A[piv])) % m
-            col = A[:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz):
-            piv = int(nz[0])
-            prow = A[piv].copy()
-            g = math.gcd(int(prow[c]), m)
-            if int(prow[c]) != g:
-                u = _unit_for(int(prow[c]), g, m)
-                prow = (prow * u) % m
-            done.append(prow)
-            ann = m // g
-            if ann > 1:
-                arow = (prow * ann) % m
-                if arow.any():
-                    extra.append(arow)
-            A[piv] = 0
-        since_compact += 1
-        if since_compact >= 32:
+        if c % 32 == 0:
             A = A[(A != 0).any(axis=1)]
-            since_compact = 0
-    return done
+        nz = np.flatnonzero(A[:, c])
+        if not len(nz):
+            continue
+        gs = np.gcd(A[nz, c], m)
+        i = int(np.argmin(gs))
+        piv, g = nz[i], int(gs[i])
+        prow = A[piv] * _unit_for(int(A[piv, c]), g, m) % m
+        # every row left is zero before column c
+        A[nz, c:] = (A[nz, c:] - np.outer(A[nz, c] // g, prow[c:])) % m
+        A[piv] = prow * (m // g) % m
+        done.append(prow)
+    return np.array(done, dtype=np.int64).reshape(len(done), dim)
 
 
 def _unit_for(a: int, g: int, m: int) -> int:
@@ -94,83 +79,56 @@ def _unit_for(a: int, g: int, m: int) -> int:
     return u % m
 
 
-def _solution_gens(echelon_rows, dim: int, m: int):
-    eq = [list(map(int, r)) for r in echelon_rows if any(int(x) % m for x in r)]
-    if not eq:
-        return [[int(i == j) for j in range(dim)] for i in range(dim)]
-    nr = len(eq)
-    mat = [r + [m if i == j else 0 for j in range(nr)] for i, r in enumerate(eq)]
-    basis, _ = _kernel_basis(mat, dim + nr)
-    out = []
-    for v in basis:
-        x = [a % m for a in v[:dim]]
-        if any(x):
-            out.append(x)
-    return out
+def _order(echelon: np.ndarray, m: int) -> int:
+    """Order of the span of echelon rows: the product of m / pivot."""
+    if not len(echelon):
+        return 1
+    pivots = echelon[np.arange(len(echelon)), (echelon != 0).argmax(axis=1)]
+    return math.prod(m // int(d) for d in pivots)
 
 
-# ---------------------------------------------------------------------------
-# the Z-exact kernel and the Sylow search
-# ---------------------------------------------------------------------------
+def _span_order(rows: np.ndarray, m: int) -> int:
+    return _order(_echelon_mod(rows, m), m)
 
-def _kernel_basis(rows, ncols: int):
-    """Saturated integer basis of {x : A x = 0} for A given by rows.
 
-    Column-HNF approach: find unimodular V with A V = [H | 0]; the kernel
-    lattice basis consists of the trailing columns of V.
+def _kernel_mod(rows: np.ndarray, m: int) -> np.ndarray:
+    """Generators of {x in (Z/m)^dim : rows @ x == 0 mod m}: with E the
+    echelon of `rows`, the rows of the echelon form of [E^T | I] whose
+    first block is zero (they span every combination of the rows of
+    [E^T | I] that is zero there, that is every (0, x) with E x == 0)."""
+    dim = rows.shape[1]
+    E = _echelon_mod(rows, m)
+    k = len(E)
+    H = _echelon_mod(np.hstack([E.T, np.eye(dim, dtype=np.int64)]), m)
+    ker = H[~H[:, :k].any(axis=1), k:]
+    # every generator solves every equation, and |ker| |span(rows)| = m^dim
+    # (the kernel rows are echelon rows themselves)
+    if (rows % m @ ker.T % m).any():
+        raise InternalCheckError("kernel generator fails an equation")
+    if _order(ker, m) * _order(E, m) != m ** dim:
+        raise InternalCheckError("kernel order times span order != m^dim")
+    return ker
 
-    Returns (basis, rank): the kernel vectors as lists and the rank of A.
-    """
-    A = [list(map(int, r)) for r in rows]
-    nr = len(A)
-    n = ncols
-    V = np.eye(n, dtype=np.int64)
-    obj = False
-    guard = 1 << 60
-    r = 0
-    for i in range(nr):
-        while r < n:
-            row = A[i]
-            nz = [j for j in range(r, n) if row[j]]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(row[j]))
-            if jmin != r:
-                for rr in A:
-                    rr[r], rr[jmin] = rr[jmin], rr[r]
-                V[:, [r, jmin]] = V[:, [jmin, r]]
-            done = True
-            p = A[i][r]
-            vmax = int(np.abs(V).max()) if not obj else None
-            for j in range(r + 1, n):
-                if A[i][j]:
-                    q = A[i][j] // p
-                    if q:
-                        if not obj and (abs(q) + 1) * vmax > guard:
-                            V, obj = V.astype(object), True
-                        for rr in A:
-                            if rr[r]:
-                                rr[j] -= q * rr[r]
-                        V[:, j] -= q * V[:, r]
-                    if A[i][j]:
-                        done = False
-            if done:
-                break
-        if r < n and A[i][r]:
-            r += 1
-    kdim = n - r
-    basis = [[int(V[k, r + j]) for k in range(n)] for j in range(kdim)]
-    # every basis vector against every row, in one product
-    A0 = np.array(rows, dtype=object).reshape(nr, n)
-    tail = V[:, r:]
-    if A0.size and tail.size and \
-            int(np.abs(A0).max()) * int(np.abs(tail).max()) * n < 1 << 63:
-        A0, tail = A0.astype(np.int64), tail.astype(np.int64)
-    else:
-        tail = tail.astype(object)
-    if (A0 @ tail).any():
-        raise InternalCheckError("kernel basis verification failed")
-    return basis, r
+
+def _subspace(gens: np.ndarray, conditions: np.ndarray, m: int) -> np.ndarray:
+    """Generators of {z in span(gens) : conditions @ z == 0 mod m}."""
+    coeffs = _kernel_mod(conditions % m @ gens.T % m, m)
+    return coeffs @ gens % m
+
+
+def _quotient_divisors(A: np.ndarray, B: np.ndarray, m: int, p: int) -> list:
+    """Invariant factors of span(A) / span(B) in (Z/m)^dim, m a power of
+    p: the quotient has log_p(|p^(j-1) A + B| / |p^j A + B|) cyclic
+    factors of order at least p^j."""
+    sizes = [_span_order(np.vstack([A, B]), m)]
+    if sizes[0] != _span_order(A, m):
+        raise InternalCheckError("relation vector outside the ambient span")
+    low = _span_order(B, m)
+    while sizes[-1] > low:
+        sizes.append(_span_order(np.vstack([A * p ** len(sizes) % m, B]), m))
+    at_least = [valuation(a // b, p) for a, b in zip(sizes, sizes[1:])] + [0]
+    return [p ** j for j in range(1, len(at_least))
+            for _ in range(at_least[j - 1] - at_least[j])]
 
 
 def _sylow_subgroup(group: FiniteGroup, p: int) -> tuple:
@@ -197,269 +155,91 @@ def _sylow_subgroup(group: FiniteGroup, p: int) -> tuple:
     return members
 
 
-# ---------------------------------------------------------------------------
-# the quotient reference: exact over Z, pure Python
-# ---------------------------------------------------------------------------
-
-def _smith_normal_form(rows, ncols: int):
-    """Smith normal form of an integer matrix given as a list of rows.
-
-    Returns (diag, vinv) where diag is the list of diagonal entries
-    (nonnegative, divisibility chain d1 | d2 | ...) and vinv = V^{-1} for
-    the column transform V in U A V = D.  Row i of vinv generates the i-th
-    cyclic factor of Z^ncols / rowspan(A).
-    """
-    A = [list(map(int, r)) for r in rows]
-    nr = len(A)
-    vinv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    r = c = 0
-    diag: list[int] = []
-    while r < nr and c < ncols:
-        best = None
-        bv = 0
-        for i in range(r, nr):
-            row = A[i]
-            for j in range(c, ncols):
-                v = row[j]
-                if v and (best is None or abs(v) < bv):
-                    best = (i, j)
-                    bv = abs(v)
-                    if bv == 1:
-                        break
-            if bv == 1 and best is not None:
-                break
-        if best is None:
-            break
-        bi, bj = best
-        A[r], A[bi] = A[bi], A[r]
-        if bj != c:
-            for row in A:
-                row[c], row[bj] = row[bj], row[c]
-            vinv[c], vinv[bj] = vinv[bj], vinv[c]
-        clean = True
-        p = A[r][c]
-        for i in range(nr):
-            if i != r and A[i][c]:
-                q = A[i][c] // p
-                if q:
-                    ri_, rr_ = A[i], A[r]
-                    for j in range(c, ncols):
-                        ri_[j] -= q * rr_[j]
-                if A[i][c]:
-                    clean = False
-        for j in range(c + 1, ncols):
-            if A[r][j]:
-                q = A[r][j] // p
-                if q:
-                    for i in range(nr):
-                        A[i][j] -= q * A[i][c]
-                    vc, vj = vinv[c], vinv[j]
-                    for k in range(ncols):
-                        vc[k] += q * vj[k]
-                if A[r][j]:
-                    clean = False
-        if not clean:
-            continue
-        bad = None
-        for i in range(r + 1, nr):
-            row = A[i]
-            for j in range(c + 1, ncols):
-                if row[j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            rr_, rb_ = A[r], A[bad]
-            for j in range(ncols):
-                rr_[j] += rb_[j]
-            continue
-        diag.append(abs(p))
-        r += 1
-        c += 1
-    return diag, vinv
-
-
-def _hnf_basis(rows, ncols: int):
-    """Triangular basis of the (full-rank) lattice spanned by the given rows.
-
-    Row-style Hermite form: basis[c] has its first nonzero entry at column c.
-    Raises InternalCheckError if the lattice is not full rank.
-    """
-    mat = [list(map(int, r)) for r in rows if any(r)]
-    basis = []
-    for c in range(ncols):
-        while True:
-            cand = [r for r in mat if r[c] != 0 and all(r[j] == 0 for j in range(c))]
-            if not cand:
-                break
-            cand.sort(key=lambda r: abs(r[c]))
-            piv = cand[0]
-            done = True
-            for r in cand[1:]:
-                q = r[c] // piv[c]
-                if q:
-                    for j in range(c, ncols):
-                        r[j] -= q * piv[j]
-                if r[c]:
-                    done = False
-            if done:
-                mat = [r for r in mat if any(r)]
-                break
-        pivs = [r for r in mat if r[c] != 0 and all(r[j] == 0 for j in range(c))]
-        if not pivs:
-            raise InternalCheckError("lattice not full rank at column %d" % c)
-        basis.append(pivs[0])
-        mat.remove(pivs[0])
-    return basis
-
-
-def _coords_in_basis(basis, v):
-    """x with x @ basis = v for triangular basis rows, or None if v is outside."""
-    n = len(basis)
-    v = list(map(int, v))
-    x = [0] * n
-    for c in range(n):
-        if v[c]:
-            if v[c] % basis[c][c]:
-                return None
-            q = v[c] // basis[c][c]
-            x[c] = q
-            brow = basis[c]
-            for j in range(c, n):
-                v[j] -= q * brow[j]
-    if any(v):
-        return None
-    return x
-
-
-def _quotient_with_reps(sol_gens, sub_gens, dim: int, m: int):
-    """Adapted generators of (span(sol)+mZ^dim)/(span(sub)+mZ^dim).
-
-    Requires span(sub) + mZ^dim to be contained in span(sol) + mZ^dim.
-    Returns a list of (order, representative_vector) with order > 1 and the
-    cyclic subgroups generated by the representatives summing directly.
-    """
-    L1rows = [list(map(int, g)) for g in sol_gens]
-    L1rows += [[m if i == j else 0 for j in range(dim)] for i in range(dim)]
-    B1 = _hnf_basis(L1rows, dim)
-    sub_rows = [list(map(int, g)) for g in sub_gens]
-    sub_rows += [[m if i == j else 0 for j in range(dim)] for i in range(dim)]
-    coords = []
-    for v in sub_rows:
-        x = _coords_in_basis(B1, v)
-        if x is None:
-            raise InternalCheckError("relation vector outside the ambient lattice")
-        coords.append(x)
-    diag, vinv = _smith_normal_form(coords, dim)
-    out = []
-    for i in range(dim):
-        d = diag[i] if i < len(diag) else 0
-        dd = math.gcd(d, m) if d else m
-        if dd == 1:
-            continue
-        rowv = vinv[i]
-        amb = [0] * dim
-        for r2 in range(dim):
-            cr = rowv[r2]
-            if cr:
-                brow = B1[r2]
-                for j in range(dim):
-                    amb[j] += cr * brow[j]
-        out.append((dd, [a % m for a in amb]))
-    return out
-
-
 class OracleCocycles:
-    """Full-pair cocycle data of G mod m = p^e."""
+    """Full-pair cocycle data of G mod m = p^e: generator rows of the
+    cocycles (`sol`) and of the coboundaries and carry classes (`sub`).
+    Unknown (g - 1)(n - 1) + (h - 1) is z(g, h), for g, h != 1."""
 
     def __init__(self, group: FiniteGroup, m: int):
         self.group = group
         self.m = m
         n = group.order
-        self.pairs = [(g, h) for g in range(1, n) for h in range(1, n)]
-        self.index = {pr: i for i, pr in enumerate(self.pairs)}
-        self.dim = len(self.pairs)
-        S = _small_generating_set(group) if n > 1 else []
-        t = group.table
-        rows = []
-        for g in range(1, n):
-            for h in range(1, n):
-                gh = t[g][h]
-                for s in S:
-                    hs = t[h][s]
-                    row = np.zeros(self.dim, dtype=np.int64)
-                    row[self.index[(g, h)]] += 1
-                    if gh != 0:
-                        row[self.index[(gh, s)]] += 1
-                    row[self.index[(h, s)]] -= 1
-                    if hs != 0:
-                        row[self.index[(g, hs)]] -= 1
-                    if row.any():
-                        rows.append(row % m)
-        arr = np.array(rows, dtype=np.int64) if rows else \
-            np.zeros((0, self.dim), dtype=np.int64)
-        if len(arr):
-            arr = np.unique(arr, axis=0)
-        ech = _echelon_mod(arr, m)
-        self.sol = _solution_gens(ech, self.dim, m)
-        self.sub = self._coboundaries() + self._carries()
+        self.dim = (n - 1) ** 2
+        t = group.array
+        S = np.array(_small_generating_set(group), dtype=np.int64)
+        g = np.arange(1, n)[:, None, None]
+        h = g.reshape(1, -1, 1)
+        # the cocycle identity z(g, h) + z(gh, s) = z(h, s) + z(g, hs) over
+        # G x G x S implies it over all triples
+        rows = self._rows((g, h, 1), (t[g, h], S, 1), (h, S, -1),
+                          (g, t[h, S], -1))
+        self.sol = _kernel_mod(rows, m)
+        self.sub = np.vstack([self._coboundaries(), self._carries()])
 
-    def _coboundaries(self):
+    def _rows(self, *terms) -> np.ndarray:
+        """One row per entry of the broadcast (x, y, sign) terms: the sum of
+        sign * z(x, y), where z(x, y) = 0 when x or y is the identity."""
         n = self.group.order
-        t = self.group.table
-        out = []
-        for g0 in range(1, n):
-            v = [0] * self.dim
-            for (g, h), j in self.index.items():
-                val = (g == g0) + (h == g0) - (t[g][h] == g0)
-                v[j] = val % self.m
-            if any(v):
-                out.append(v)
-        return out
+        xy = [a.ravel() for a in
+              np.broadcast_arrays(*(a for x, y, _ in terms for a in (x, y)))]
+        rows = np.zeros((len(xy[0]), self.dim + 1), dtype=np.int64)
+        r = np.arange(len(rows))
+        for x, y, (_, _, sign) in zip(xy[::2], xy[1::2], terms):
+            # column dim collects the identity terms and is dropped
+            col = np.where((x == 0) | (y == 0), self.dim,
+                           (x - 1) * (n - 1) + y - 1)
+            np.add.at(rows, (r, col), sign)
+        return rows[:, :self.dim] % self.m
 
-    def _carries(self):
-        group = self.group
-        m = self.m
+    def alt_rows(self, x, y) -> np.ndarray:
+        """Rows of z(x, y) - z(y, x), one per pair (x[i], y[i])."""
+        return self._rows((x, y, 1), (y, x, -1))
+
+    def _pairs(self):
+        """g, h and g h for every unknown z(g, h)."""
+        g, h = np.divmod(np.arange(self.dim), self.group.order - 1)
+        return g + 1, h + 1, self.group.array[g + 1, h + 1]
+
+    def _coboundaries(self) -> np.ndarray:
+        g, h, gh = self._pairs()
+        j = np.arange(self.dim)
+        cob = np.zeros((self.group.order, self.dim), dtype=np.int64)
+        np.add.at(cob, (g, j), 1)
+        np.add.at(cob, (h, j), 1)
+        np.add.at(cob, (gh, j), -1)
+        return cob[1:] % self.m
+
+    def _carries(self) -> np.ndarray:
+        group, m = self.group, self.m
         ab, proj = group.abelianization()
         data = structure_of_members(ab, range(ab.order))
-        out = []
-        for i, d in enumerate(data.basis_orders):
-            scale = m // math.gcd(d, m)
-            chi = [(data.coords[proj[g]][i] * scale) % m
-                   for g in range(group.order)]
-            v = [0] * self.dim
-            for (g, h), j in self.index.items():
-                tot = chi[g] + chi[h] - chi[group.table[g][h]]
-                if tot % m:
-                    raise InternalCheckError("oracle carry: chi not a hom")
-                v[j] = (tot // m) % m
-            out.append(v)
-        return out
-
-    def quotient_divisors(self):
-        reps = _quotient_with_reps(self.sol, self.sub, self.dim, self.m)
-        return [d for d, _ in reps], [v for _, v in reps]
+        coords = np.array([data.coords[x] for x in proj],
+                          dtype=np.int64).reshape(group.order, -1)
+        orders = np.array(data.basis_orders, dtype=np.int64)
+        chi = coords * (m // np.gcd(orders, m)) % m
+        g, h, gh = self._pairs()
+        tot = chi[g] + chi[h] - chi[gh]
+        if (tot % m).any():
+            raise InternalCheckError("oracle carry: chi not a hom")
+        return (tot // m % m).T
 
 
 def oracle_h2(group: FiniteGroup, cap: int = ORACLE_DIRECT_CAP) -> AbelianStructure:
     """H2(G, Z) through the cocycle quotient, one prime power at a time."""
-    if group.order <= cap:
-        factors = []
-        for p, e in factorize(group.order).items():
-            m = p ** e
-            oc = OracleCocycles(group, m)
-            divisors, _ = oc.quotient_divisors()
-            factors.extend(divisors)
-        return AbelianStructure.from_cyclic_orders(factors)
     factors = []
+    if group.order <= cap:
+        for p, e in factorize(group.order).items():
+            oc = OracleCocycles(group, p ** e)
+            factors.extend(_quotient_divisors(oc.sol, oc.sub, p ** e, p))
+        return AbelianStructure.from_cyclic_orders(factors)
     for p in prime_divisors(group.order):
         syl = _sylow_subgroup(group, p)
         psub, to_parent = group.subgroup_as_group(syl)
         if psub.order > cap:
             raise CapacityError("oracle: Sylow subgroup exceeds the cap")
-        part = oracle_h2(psub, cap)
-        if part.is_trivial():
+        m = psub.order
+        oc = OracleCocycles(psub, m)
+        if not _quotient_divisors(oc.sol, oc.sub, m, p):
             continue
         sset = set(syl)
         normal = all(group.conj(x, g) in sset
@@ -467,150 +247,71 @@ def oracle_h2(group: FiniteGroup, cap: int = ORACLE_DIRECT_CAP) -> AbelianStruct
         if not (normal and psub.is_abelian()):
             raise CapacityError(
                 "oracle: reduction needs a normal abelian Sylow subgroup")
-        factors.extend(_invariant_pairing_factors(group, syl, psub,
-                                                  to_parent, p))
+        x, y = (a.ravel() for a in np.mgrid[1:m, 1:m])
+        if _quotient_divisors(_subspace(oc.sol, oc.alt_rows(x, y), m),
+                              oc.sub, m, p):
+            raise InternalCheckError(
+                "pairing does not separate classes of the abelian Sylow")
+        rows = _invariant_pairing_rows(group, oc, to_parent)
+        factors.extend(_quotient_divisors(_subspace(oc.sol, rows, m),
+                                          oc.sub, m, p))
     return AbelianStructure.from_cyclic_orders(factors)
 
 
-def _pairing_tables(psub: FiniteGroup, m: int):
-    """Quotient reps of the cocycle space of an abelian p-group together
-    with their antisymmetrization tables (a faithful class invariant for
-    abelian groups)."""
-    oc = OracleCocycles(psub, m)
-    divisors, reps = oc.quotient_divisors()
-    n = psub.order
-    tabs = []
-    for v in reps:
-        t = {}
-        for x in range(1, n):
-            for y in range(1, n):
-                t[(x, y)] = (v[oc.index[(x, y)]] - v[oc.index[(y, x)]]) % m
-        tabs.append(t)
-    return divisors, tabs
-
-
-def _invariant_pairing_factors(group, syl, psub, to_parent, p):
-    m = p ** valuation(psub.order, p)
-    divisors, tabs = _pairing_tables(psub, m)
-    if not divisors:
-        return []
-    pos = {g: i for i, g in enumerate(to_parent)}
-    perms = []
+def _invariant_pairing_rows(group: FiniteGroup, oc: OracleCocycles,
+                            to_parent) -> np.ndarray:
+    """Rows of alt(z)(x^g, y^g) - alt(z)(x, y), alt(z) the
+    antisymmetrization of a cocycle z of the Sylow subgroup, over all its
+    pairs x, y and every g in a generating set of G."""
+    n = oc.group.order
+    pos = np.zeros(group.order, dtype=np.int64)
+    pos[list(to_parent)] = np.arange(n)
+    x, y = (a.ravel() for a in np.mgrid[1:n, 1:n])
+    base = oc.alt_rows(x, y)
+    out = []
     for g in _small_generating_set(group):
-        perms.append([pos[group.conj(to_parent[x], g)]
-                      for x in range(psub.order)])
-    combos = list(itertools.product(*(range(d) for d in divisors)))
-    table_of = {}
-    for combo in combos:
-        t = {}
-        for key in tabs[0]:
-            t[key] = sum(a * tab[key] for a, tab in zip(combo, tabs)) % m
-        frozen = tuple(sorted(t.items()))
-        if frozen in table_of:
-            raise InternalCheckError(
-                "pairing does not separate classes of the abelian Sylow")
-        table_of[frozen] = combo
-    fixed = []
-    for frozen, combo in sorted(table_of.items()):
-        t = dict(frozen)
-        ok = True
-        for perm in perms:
-            moved = {}
-            for (x, y), val in t.items():
-                moved[(perm[x], perm[y])] = val
-            if any(moved[key] != t[key] for key in t):
-                ok = False
-                break
-        if ok:
-            fixed.append(combo)
-    if len(fixed) <= 1:
-        return []
-    data = AbelianGroupData(
-        fixed,
-        lambda a, b: tuple((x + y) % d for x, y, d in zip(a, b, divisors)),
-        tuple(0 for _ in divisors))
-    return list(data.structure.factors)
+        conj = pos[[group.conj(v, g) for v in to_parent]]
+        out.append(oc.alt_rows(conj[x], conj[y]) - base)
+    return np.vstack(out) % oc.m
 
 
 def oracle_h2_reduced(group: FiniteGroup, c,
                       cap: int = ORACLE_DIRECT_CAP) -> AbelianStructure:
-    """H2(G, c) via the commutator pairing annihilator.
-
-    The annihilator's structure equals H2(G, c) by finite abelian duality.
-    Above the direct cap the cocycle classes come from the
-    generator-parametrized space instead of the full pair space."""
-    cset = sorted(set(int(x) for x in c))
-    t = group.table
-    pairs = []
-    for x in cset:
-        for y in range(1, group.order):
-            if t[x][y] == t[y][x]:
-                pairs.append((x, y))
-    if group.order > cap:
-        return _reduced_via_parametrized(group, pairs)
+    """H2(G, c) as the quotient A'/B of the module docstring: dual to it
+    by finite abelian duality.  Above the direct cap the cocycles come
+    from the generator-parametrized space instead of the full pair space.
+    Raises ValidationError for an entry of c outside 1..|G| - 1."""
+    n = group.order
+    cset = sorted(set(int(v) for v in c))
+    if cset and (cset[0] < 1 or cset[-1] >= n):
+        raise ValidationError("c must hold non-identity element indices "
+                              f"in 1..{n - 1}")
+    t = group.array
+    x, y = np.nonzero(t == t.T)
+    meets = np.isin(x, cset) & (y != 0)
+    x, y = x[meets], y[meets]
+    if n > cap:
+        return _reduced_via_parametrized(group, x, y)
     factors = []
-    for p, e in factorize(group.order).items():
+    for p, e in factorize(n).items():
         m = p ** e
         oc = OracleCocycles(group, m)
-        divisors, reps = oc.quotient_divisors()
-        if not divisors:
-            continue
-        rows = []
-        for (x, y) in pairs:
-            row = []
-            for v in reps:
-                zxy = v[oc.index[(x, y)]]
-                zyx = v[oc.index[(y, x)]]
-                row.append((zxy - zyx) % m)
-            rows.append(row)
-        factors.extend(_pairing_annihilator(rows, divisors, m))
+        factors.extend(_quotient_divisors(
+            _subspace(oc.sol, oc.alt_rows(x, y), m), oc.sub, m, p))
     return AbelianStructure.from_cyclic_orders(factors)
 
 
-def _pairing_annihilator(rows, divisors, m):
-    """Structure of {a in prod Z/d_i : sum_i a_i row_i == 0 mod m, all rows}.
-
-    d_i * row_i vanishes mod m automatically (the pairing kills d_i times
-    the i-th generator class), so the solution set is d_i-periodic and the
-    plain solution space mod m suffices."""
-    k = len(divisors)
-    if k == 0:
-        return []
-    rows2 = np.array([[int(x) % m for x in row] for row in rows],
-                     dtype=np.int64) if rows else \
-        np.zeros((0, k), dtype=np.int64)
-    sols = _solution_gens(_echelon_mod(rows2, m), k, m)
-    gens = [list(s) for s in sols]
-    for i in range(k):
-        v = [0] * k
-        v[i] = divisors[i]
-        gens.append(v)
-    lat = [[divisors[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    L = 1
-    for d in divisors:
-        L = math.lcm(L, d)
-    reps = _quotient_with_reps(gens, lat, k, L)
-    return [d for d, _ in reps]
-
-
-def _reduced_via_parametrized(group: FiniteGroup, pairs):
-    """Pairing annihilator computed on the generator-parametrized cocycle
-    space (used above the full-pair cap)."""
+def _reduced_via_parametrized(group: FiniteGroup, x, y) -> AbelianStructure:
+    """The quotient A'/B on the generator-parametrized cocycle space (used
+    above the full-pair cap): the conditions are expr[x, y] - expr[y, x]."""
     from .homology import _CocycleSpace
     space = _CocycleSpace(group)
-    rows = np.array(space.constraint_rows(), dtype=np.int64).reshape(-1, space.nun)
+    rows = space.constraint_rows()
+    alt = space.expr[x, y] - space.expr[y, x]
     factors = []
     for p, e in factorize(group.order).items():
         m = p ** e
-        sol = _solution_gens(_echelon_mod(rows, m), space.nun, m)
-        sub = space.relation_vectors(m).tolist()
-        adapted = _quotient_with_reps(sol, sub, space.nun, m)
-        divisors = [d for d, _ in adapted]
-        if not divisors:
-            continue
-        tables = [space.full_table(v, m) for _, v in adapted]
-        prows = []
-        for (x, y) in pairs:
-            prows.append([(tab[x][y] - tab[y][x]) % m for tab in tables])
-        factors.extend(_pairing_annihilator(prows, divisors, m))
+        factors.extend(_quotient_divisors(
+            _subspace(_kernel_mod(rows, m), alt, m),
+            space.relation_vectors(m), m, p))
     return AbelianStructure.from_cyclic_orders(factors)

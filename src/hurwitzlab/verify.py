@@ -7,6 +7,7 @@ any tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -112,7 +113,32 @@ def suite_orbit_invariants(quick: bool = False) -> list:
 # suite 2: homology oracle agreement
 # ---------------------------------------------------------------------------
 
+def _rational_class_unions(group) -> list:
+    """Every union of rational classes (the conjugates of the generators
+    of a cyclic subgroup) that validate_c accepts, as sorted lists."""
+    from .errors import ValidationError
+    from .homology import validate_c
+    classes, seen = [], {0}
+    for x in range(1, group.order):
+        if x in seen:
+            continue
+        o = group.element_order(x)
+        cls = {group.conj(group.power(x, k), h) for k in range(1, o)
+               if math.gcd(k, o) == 1 for h in range(group.order)}
+        seen |= cls
+        classes.append(cls)
+    out = []
+    for r in range(1, len(classes) + 1):
+        for combo in itertools.combinations(classes, r):
+            try:
+                out.append(list(validate_c(group, set().union(*combo))))
+            except ValidationError:
+                pass
+    return out
+
+
 def suite_homology_oracle(quick: bool = False) -> list:
+    from .groups import alternating4, from_permutations
     from .homology import h2, reduce_cover, schur_cover
     from .homology_oracle import oracle_h2, oracle_h2_reduced
     results = []
@@ -138,6 +164,28 @@ def suite_homology_oracle(quick: bool = False) -> list:
         _emit(results, "homology-oracle", f"h2({g.name}, all nontrivial)",
               red.kernel_structure == orc,
               f"primary={red.kernel_structure} oracle={orc}")
+        if g.order <= 12:
+            cs = _rational_class_unions(g)
+            bad = [c for c in cs if reduce_cover(cov, g, c).kernel_structure
+                   != oracle_h2_reduced(g, c)]
+            _emit(results, "homology-oracle",
+                  f"h2({g.name}, c) on {len(cs)} unions of rational classes",
+                  not bad, f"disagree on {bad}" if bad else "")
+    # the paper's shape, where H2(G, c) is nontrivial: c the involutions of
+    # A:C2 with A odd abelian, or the 3-cycles of A4 and of A5
+    a5 = from_permutations([[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]], 5)
+    a5.name = "A5"
+    cases = [(alternating4(), 3, [2]), (a5, 3, [2])] + [
+        (semidirect(inversion_action(abelian([q, q]))).group, 2, [q])
+        for q in (3, 5)]
+    for g, k, expect in cases:
+        c = [x for x in range(1, g.order) if g.element_order(x) == k]
+        red = reduce_cover(schur_cover(g), g, c).kernel_structure
+        orc = oracle_h2_reduced(g, c)
+        _emit(results, "homology-oracle",
+              f"h2({g.name}, elements of order {k})",
+              red == orc == AbelianStructure.from_cyclic_orders(expect),
+              f"primary={red} oracle={orc}")
     return results
 
 

@@ -8,9 +8,9 @@ from hurwitzlab import homology
 from hurwitzlab.abelian import AbelianStructure
 from hurwitzlab.errors import (CapacityError, InternalCheckError,
                                ValidationError)
-from hurwitzlab.groups import (abelian, cyclic, dihedral, dicyclic,
-                               groups_up_to_16, inversion_action, semidirect,
-                               symmetric)
+from hurwitzlab.groups import (abelian, alternating4, cyclic, dihedral,
+                               dicyclic, groups_up_to_16, inversion_action,
+                               semidirect, symmetric)
 from hurwitzlab.homology import (UContext, build_u, h2,
                                  load_ucontext, reduce_cover, save_ucontext,
                                  schur_cover, validate_c)
@@ -84,9 +84,11 @@ def test_oracle_agreement_sample():
 
 def test_h2_coker_d3_matches_oracle():
     """h2, read off the cokernel of d3, equals the oracle's cocycle
-    quotient on two groups past order 16, which the acceptance suite's
-    comparison over groups_up_to_16() does not reach."""
-    for g, chain in ((abelian([3, 6]), (3,)), (dihedral(10), (2,))):
+    quotient on four groups past order 16, up to the oracle's direct cap,
+    which the acceptance suite's comparison over groups_up_to_16() does
+    not reach."""
+    for g, chain in ((abelian([3, 6]), (3,)), (dihedral(10), (2,)),
+                     (symmetric(4), (2,)), (dihedral(12), (2,))):
         assert h2(g) == oracle_h2(g) == AS(chain), g.name
 
 
@@ -161,6 +163,20 @@ def test_reduced_oracle_agreement():
     d4 = dihedral(4)
     red4 = reduce_cover(schur_cover(d4), d4, list(range(1, 8)))
     assert red4.kernel_structure == oracle_h2_reduced(d4, list(range(1, 8)))
+
+
+def test_reduced_rejects_out_of_range_c():
+    """An entry of c outside 1..|G| - 1 is a ValidationError on both
+    paths: before, negative entries wrapped around in reduce_cover and
+    the identity or a negative entry raised KeyError in the oracle."""
+    g = alternating4()
+    c3 = [x for x in range(1, 12) if g.element_order(x) == 3]
+    cov = schur_cover(g)
+    for bad in ([x - 12 for x in c3], [12], [0] + c3, c3 + [-1]):
+        with pytest.raises(ValidationError, match=r"in 1\.\.11"):
+            reduce_cover(cov, g, bad)
+        with pytest.raises(ValidationError, match=r"in 1\.\.11"):
+            oracle_h2_reduced(g, bad)
 
 
 def test_validate_c():
