@@ -157,8 +157,9 @@ class FiniteGroup:
 
     def commutator_subgroup(self) -> tuple:
         # the commutators [a, b] = a b a^-1 b^-1 of all pairs, one gather
-        # each: they form a conjugation-stable set
-        t, inv = self.array, np.asarray(self.inv)
+        # each in the least index dtype: a conjugation-stable set
+        t = self.array.astype(np.min_scalar_type(self.order))
+        inv = np.asarray(self.inv, dtype=t.dtype)
         seen = np.zeros(self.order, dtype=bool)
         seen[t[t[t, inv[:, None]], inv[None, :]]] = True
         return self.subgroup_closure(np.flatnonzero(seen).tolist())

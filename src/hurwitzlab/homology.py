@@ -224,8 +224,10 @@ class CentralExtension:
         if len(self.proj) != S.order or \
                 sorted(set(self.proj)) != list(range(group.order)):
             raise InternalCheckError("projection not surjective")
-        P = np.asarray(self.proj)
-        if (P[S.array] != group.array[P[:, None], P[None, :]]).any():
+        # gathered in the least dtype that holds an index of G
+        P = np.asarray(self.proj, dtype=np.min_scalar_type(group.order))
+        gt = group.array.astype(P.dtype)
+        if (P[S.array] != gt[P[:, None], P[None, :]]).any():
             raise InternalCheckError("projection not a homomorphism")
         ker = set(np.flatnonzero(P == 0).tolist())
         if sorted(ker) != sorted(self.kernel_members):
@@ -398,14 +400,13 @@ class UContext:
 
     Immutable and shareable; build once per (G, c) pair (see build_u)."""
 
-    def __init__(self, group: FiniteGroup, c: Sequence[int],
-                 coherence_cap: int = 20000):
+    def __init__(self, group: FiniteGroup, c: Sequence[int]):
         self._init_common(group, c)
         cover = schur_cover(group)
         self.sc = reduce_cover(cover, group, self.c)
         self.h2c = self.sc.kernel_structure
         self._build_lifts()
-        self._finish(coherence_cap)
+        self._finish()
 
     @classmethod
     def _from_parts(cls, group, c, sc: CentralExtension, lifts: dict):
@@ -414,7 +415,7 @@ class UContext:
         self.sc = sc
         self.h2c = sc.kernel_structure
         self.lifts = lifts
-        self._finish(coherence_cap=20000)
+        self._finish()
         return self
 
     def _init_common(self, group: FiniteGroup, c: Sequence[int]):
@@ -432,13 +433,13 @@ class UContext:
                               for cid in class_ids]
         self._conj_table = cc
 
-    def _finish(self, coherence_cap: int):
+    def _finish(self):
         group = self.group
         ab, ab_proj = group.abelianization()
         ab_data = structure_of_members(ab, range(ab.order))
         self._ab_orders = tuple(ab_data.basis_orders)
         self._ab_of_elem = [ab_data.coords[ab_proj[g]] for g in range(group.order)]
-        self._validate_lifts(coherence_cap)
+        self._validate_lifts()
         # powering permutations of the c-class slots (for shape invariants)
         self.power_perms = self._power_perms()
 
@@ -471,31 +472,30 @@ class UContext:
                 lifts[y] = S.table[S.table[ghat][lifts[rep]]][S.inv[ghat]]
         self.lifts = lifts
 
-    def _validate_lifts(self, coherence_cap: int):
-        S = self.sc.total
-        proj = self.sc.proj
-        t = self.group.table
-        # defining relation: lifts of commuting pairs (first in c) commute
-        for x in self.c:
-            xh = self.lifts[x]
-            for y in range(self.group.order):
-                if t[x][y] == t[y][x]:
-                    yh = next(z for z in range(S.order) if proj[z] == y)
-                    if S.commutator(xh, yh) != 0:
-                        raise InternalCheckError(
-                            "reduced cover defect: commuting pair with "
-                            "non-commuting lifts")
-        if S.order * len(self.c) <= coherence_cap:
-            rng = range(S.order)
-        else:
-            rng = range(0, S.order, max(1, S.order // 200))
-        for u in rng:
-            pu = proj[u]
-            for x in self.c:
-                img = self.group.conj(x, pu)
-                lhs = S.table[S.table[u][self.lifts[x]]][S.inv[u]]
-                if lhs != self.lifts[img]:
-                    raise InternalCheckError("conjugation coherence failed")
+    def _validate_lifts(self):
+        """Each lift lies over its element of c, and for every (u, x) in
+        S_c x c, u lift(x) u^-1 = lift(proj(u) x proj(u)^-1); where proj(u)
+        commutes with x, that says the lifts of the pair commute."""
+        S, G = self.sc.total, self.group
+        c = np.array(self.c)
+        if sorted(self.lifts) != list(self.c) or not all(
+                0 <= y < S.order for y in self.lifts.values()):
+            raise InternalCheckError("lifts are not elements of S_c keyed by c")
+        L = np.array([self.lifts[x] for x in self.c])
+        P = np.asarray(self.sc.proj)
+        if (P[L] != c).any():
+            raise InternalCheckError("lift does not project to its element")
+        u = np.arange(S.order)[:, None]
+        conj = S.array[S.array[u, L], np.asarray(S.inv)[u]]
+        g = P[u]
+        commuting = G.array[g, c] == G.array[c, g]
+        if (conj != L)[commuting].any():
+            raise InternalCheckError(
+                "reduced cover defect: commuting pair with non-commuting lifts")
+        lift_of = np.zeros(G.order, dtype=np.int64)
+        lift_of[c] = L
+        if (conj != lift_of[G.array[G.array[g, c], np.asarray(G.inv)[g]]]).any():
+            raise InternalCheckError("conjugation coherence failed")
 
     def _power_perms(self):
         e = self.group.exponent()

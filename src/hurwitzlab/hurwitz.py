@@ -39,6 +39,7 @@ enumeration; `_ORBIT_BYTES` per orbit for the result.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -638,31 +639,28 @@ def stable_bijection_report(group: FiniteGroup, ginf_members: Sequence[int],
         raise ValidationError("inertia subgroup must be cyclic")
     if ctx is None:
         ctx = UContext(group, c)
-    entries = []
-    for g_inf in sub.generators_of_cyclic():
-        orbs = orbits(group, c, g_inf, n, ctx=ctx)
-        inv_list = [(o.invariant.h, o.invariant.v) for o in orbs
-                    if min(o.invariant.v) >= min_mult]
-        inv_sorted = tuple(sorted(inv_list))
-        k_sorted = tuple(sorted(k_set(ctx, n, min_mult)))
-        k_members = set(k_sorted)
-        seen: dict = {}
-        dups = []
-        for hv in inv_list:
-            seen[hv] = seen.get(hv, 0) + 1
-        for hv, cnt in sorted(seen.items()):
-            if cnt > 1:
-                dups.append((hv, cnt))
-        missing = tuple(hv for hv in k_sorted if hv not in seen)
-        injective = not dups
-        surjective = not missing and set(seen) <= k_members
-        extra = [hv for hv in seen if hv not in k_members]
-        if extra:
-            raise InternalCheckError(
-                f"orbit invariant outside K set: {extra[:3]}")
-        entries.append(StableBijectionEntry(
-            g_inf=g_inf, n=n, min_mult=min_mult,
-            orbit_invariants=inv_sorted, k_set=k_sorted,
-            injective=injective, surjective=surjective,
-            duplicate_witnesses=tuple(dups), missing_witnesses=missing))
-    return StableBijectionReport(entries=tuple(entries))
+    return StableBijectionReport(entries=tuple(
+        stable_bijection_entry(ctx, g_inf, orbits(group, c, g_inf, n, ctx=ctx),
+                               n, min_mult)
+        for g_inf in sub.generators_of_cyclic()))
+
+
+def stable_bijection_entry(ctx: UContext, g_inf: int, orbs: Sequence[BraidOrbit],
+                           n: int, min_mult: int) -> StableBijectionEntry:
+    """Compare the invariants of the degree-n orbits `orbs` for g_inf whose
+    multiplicities are all >= min_mult with K(G,c)_{n,>=M}.  Raises
+    InternalCheckError for an invariant outside K."""
+    inv_list = [(o.invariant.h, o.invariant.v) for o in orbs
+                if min(o.invariant.v) >= min_mult]
+    k_sorted = tuple(sorted(k_set(ctx, n, min_mult)))
+    seen = Counter(inv_list)
+    extra = sorted(seen.keys() - set(k_sorted))
+    if extra:
+        raise InternalCheckError(f"orbit invariant outside K set: {extra[:3]}")
+    dups = tuple((hv, cnt) for hv, cnt in sorted(seen.items()) if cnt > 1)
+    missing = tuple(hv for hv in k_sorted if hv not in seen)
+    return StableBijectionEntry(
+        g_inf=g_inf, n=n, min_mult=min_mult,
+        orbit_invariants=tuple(sorted(inv_list)), k_set=k_sorted,
+        injective=not dups, surjective=not missing,
+        duplicate_witnesses=dups, missing_witnesses=missing)

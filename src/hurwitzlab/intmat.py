@@ -7,39 +7,36 @@ a lattice is worked as a submodule of (Z/m)^d: reducing an entry modulo m
 is an elementary operation against m*Z^d, so it leaves the quotient alone,
 keeps the entries bounded, and lets the work run on int64 numpy arrays.
 
-One engine, `_smith_mod`, brings a matrix to Smith form modulo m and can
-track the transforms (Storjohann and Mulders, "Fast algorithms for linear
-algebra modulo N", ESA 1998).  Quotient divisors, adapted representatives,
-solving and kernels are a few lines on top of it.  The cocycle systems it
-solves are tall and sparse (C5xC5:C2: 7,203 x 147, 7.6 nonzeros a row), so
-a step touches only the rows it changes: a row whose entry in the pivot
-column is 0 has quotient 0, and subtracting 0 times the pivot row from a
-row already reduced into [0, m) leaves it as it is, so U A V and the pivot
-sequence are those of the step applied to every row.
+There is one elimination per job:
 
-`quotient_divisors_mod` runs a sparse pre-pass ahead of the engine, for
-relation rows with a few nonzeros each (the degree-3 bar boundary).  An
-entry u of a row r that is a unit modulo m is a pivot that costs no gcd
-step: the row operations s -= (s_c / u) r clear its column c from every
-other row, and the column operations that clear the rest of r then touch
-no other row.  Row and column operations are invertible over Z/m, so the
-quotient is unchanged, and what is left is Z/(u) = Z/1, which drops, plus
-the quotient of the other rows on the other columns.  Only rows without a
-unit entry reach the engine, as a small dense block (Dumas, Saunders and
-Villard, "On efficient sparse integer matrix Smith normal form
-computations", J. Symbolic Comput. 2001).
+* `_smith_mod`, Smith form modulo m with the column transforms
+  (Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
+  ESA 1998), for adapted representatives, solving and kernels, and for
+  the small dense block of `quotient_divisors_mod`;
+* `_unit_pivots`, for the sparse relation rows of `h2` ahead of that
+  block;
+* the local-ring elimination: over each p^e dividing m, pivot on an entry
+  of least p-valuation, which divides its column, so a pivot step is the
+  same few array operations however the entries fall.  It gives the
+  divisors of a whole stack of small matrices (`_local_exponents`) and
+  the unique reduced Howell form, whose residues are canonical coset
+  labels (`_howell_local`, `howell_form_mod`).
 
-Two other reductions stay, each for a job the engine cannot do:
+The cocycle systems `_smith_mod` solves are tall and sparse (C5xC5:C2:
+7,203 x 147, 7.6 nonzeros a row), so a step touches only the rows it
+changes: a row whose entry in the pivot column is 0 has quotient 0, and
+subtracting 0 times the pivot row from a row already reduced into [0, m)
+leaves it as it is, so U A V and the pivot sequence are those of the step
+applied to every row.
 
-* `howell_form_mod` / `howell_residue`: the Howell form is unique, so its
-  residues are canonical coset labels;
-* `quotient_divisors_stack`: the quotient divisors of a whole (T, R, C)
-  stack of small matrices at once (the Monte Carlo trials of a block).  It
-  splits m into prime powers p^e and pivots on an entry of least
-  p-valuation in each matrix.  Over Z/p^e that entry divides every other,
-  so one pivot step is the same few array operations for every matrix of
-  the stack, where `_smith_mod`'s gcd steps take a different number of
-  rounds per matrix.
+In `quotient_divisors_mod`, an entry u of a relation row r that is a unit
+modulo m is a pivot that costs no gcd step: the row operations
+s -= (s_c / u) r clear its column c from every other row, and the column
+operations that clear the rest of r then touch no other row.  They are
+invertible over Z/m, so the quotient is unchanged: it is Z/(u) = Z/1,
+which drops, plus the quotient of the other rows on the other columns.  Only rows without a unit entry reach `_smith_mod`, as
+a small dense block (Dumas, Saunders and Villard, "On efficient sparse
+integer matrix Smith normal form computations", J. Symbolic Comput. 2001).
 """
 
 from __future__ import annotations
@@ -77,15 +74,15 @@ def _mulmod(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
     return (A @ B) % m
 
 
-def _smith_mod(A: np.ndarray, m: int, transforms: bool = False):
-    """Diagonal of U A V == D (mod m), with U and V invertible modulo m.
+def _smith_mod(A: np.ndarray, m: int):
+    """(diag, V, V^-1) with U A V == D (mod m), U and V invertible modulo m.
 
     A is an int64 array and is overwritten.  The diagonal entries are
     nonzero residues in [1, m), at most min(A.shape) of them; Z^d over the
     row span of A plus m Z^d is the sum of Z/gcd(d_i, m), plus Z/m once for
-    each column past the diagonal.  With transforms=True the result is
-    (diag, V, V^-1), reduced modulo m.  U is not kept: it is square in the
-    rows, and the tall cocycle systems would make it the largest array.
+    each column past the diagonal.  V and V^-1 are reduced modulo m.  U is
+    not kept: it is square in the rows, and the tall cocycle systems would
+    make it the largest array.
 
     Each round pivots on the first least nonzero entry of the active block
     in row-major order: the first row whose least nonzero entry is least
@@ -103,9 +100,8 @@ def _smith_mod(A: np.ndarray, m: int, transforms: bool = False):
         raise InternalCheckError("modulus too large for int64 mod-SNF")
     nr, nc = A.shape
     A %= m
-    if transforms:
-        V = np.eye(nc, dtype=np.int64)
-        Vi = np.eye(nc, dtype=np.int64)
+    V = np.eye(nc, dtype=np.int64)
+    Vi = np.eye(nc, dtype=np.int64)
     # rows from r on are zero before column c, so the least nonzero entry of
     # a whole row is that of its part of the active block
     least = _least_nonzero(A, m)
@@ -123,9 +119,8 @@ def _smith_mod(A: np.ndarray, m: int, transforms: bool = False):
             least[[r, bi]] = least[[bi, r]]
         if bj != c:
             A[:, [c, bj]] = A[:, [bj, c]]
-            if transforms:
-                V[:, [c, bj]] = V[:, [bj, c]]
-                Vi[[c, bj]] = Vi[[bj, c]]
+            V[:, [c, bj]] = V[:, [bj, c]]
+            Vi[[c, bj]] = Vi[[bj, c]]
         p = int(A[r, c])
         rows = A[r + 1:, c].nonzero()[0]
         if len(rows):
@@ -141,11 +136,10 @@ def _smith_mod(A: np.ndarray, m: int, transforms: bool = False):
         q[c] = 0
         if q.any():
             A[r] -= p * q
-            if transforms:
-                # column j -= q_j column c; its inverse adds q @ V^-1 to row c
-                V[:, c:] -= V[:, c:c + 1] * q[c:]
-                V[:, c:] %= m
-                Vi[c] = (Vi[c] + _mulmod(q[None, c:], Vi[c:], m)[0]) % m
+            # column j -= q_j column c; its inverse adds q @ V^-1 to row c
+            V[:, c:] -= V[:, c:c + 1] * q[c:]
+            V[:, c:] %= m
+            Vi[c] = (Vi[c] + _mulmod(q[None, c:], Vi[c:], m)[0]) % m
             if np.count_nonzero(A[r]) > 1:
                 continue
         # divisibility of the remaining block
@@ -157,9 +151,7 @@ def _smith_mod(A: np.ndarray, m: int, transforms: bool = False):
         diag.append(p)
         r += 1
         c += 1
-    if transforms:
-        return diag, V, Vi
-    return diag
+    return diag, V, Vi
 
 
 def _least_nonzero(A: np.ndarray, m: int):
@@ -185,7 +177,7 @@ def quotient_divisors_mod(gens, dim: int, m: int):
     for i, r in enumerate(rest):
         for j, a in r.items():
             A[i, at[j]] = a
-    diag = _smith_mod(A, m)
+    diag, _, _ = _smith_mod(A, m)
     divisors = [math.gcd(d, m) for d in diag] + \
         [m] * (dim - pivots - len(diag))
     return sorted(d for d in divisors if d != 1)
@@ -249,10 +241,9 @@ def quotient_divisors_stack(A: np.ndarray, m: int) -> np.ndarray:
     upwards, ones first; the entries > 1 of row t are
     quotient_divisors_mod(A[t], C, m).
 
-    By CRT the quotient is the sum of its parts over Z/p^e for the prime
-    powers of m, and each part is brought to Smith form over that local
-    ring by `_local_exponents`.  Row t of the result multiplies the parts'
-    p^a, with each part's exponents sorted ascending.
+    By CRT the quotient is the sum of its parts over Z/p^e, each brought
+    to Smith form by `_local_exponents`; row t multiplies the parts' p^a,
+    each part's exponents sorted ascending.
     """
     if m > (1 << 30):
         raise InternalCheckError("modulus too large for int64 mod-SNF")
@@ -284,10 +275,7 @@ def _local_exponents(A: np.ndarray, p: int, e: int) -> np.ndarray:
     at = np.arange(T)
     for s in range(min(R, C)):
         r, c = A.shape[1:]
-        val = np.zeros(A.shape, dtype=np.int64)
-        for j in range(1, e + 1):
-            val += A % p ** j == 0
-        flat = val.reshape(T, r * c)
+        flat = _valuation(A, p, e).reshape(T, r * c)
         k = flat.argmin(axis=1)
         v = flat[at, k]
         out[:, s] = v
@@ -338,7 +326,7 @@ def kernel_mod(rows, nun: int, m: int):
     diagonal); zero columns are dropped.
     """
     A = _mod_array(rows, nun, m)
-    diag, V, _ = _smith_mod(A.copy(), m, transforms=True)
+    diag, V, _ = _smith_mod(A.copy(), m)
     scale = [m // math.gcd(d, m) for d in diag] + [1] * (nun - len(diag))
     K = V * np.array(scale, dtype=np.int64) % m
     K = K[:, K.any(axis=0)]
@@ -361,15 +349,14 @@ def quotient_with_reps_mod(sol_gens, sub_gens, dim: int, m: int):
     through w = g y and v = w V1^-1.  The diag rows with g_i = 1 are m,
     zero modulo m, and are left out.
     """
-    diag1, V1, V1i = _smith_mod(_mod_array(sol_gens, dim, m), m,
-                                transforms=True)
+    diag1, V1, V1i = _smith_mod(_mod_array(sol_gens, dim, m), m)
     g = np.array([math.gcd(d, m) for d in diag1] + [m] * (dim - len(diag1)),
                  dtype=np.int64)
     W = _mulmod(_mod_array(sub_gens, dim, m), V1, m)
     if (W % g).any():
         raise InternalCheckError("relation vector outside the ambient lattice")
     B = np.vstack([W // g, np.diag(m // g)[g > 1]])
-    diag2, _, V2i = _smith_mod(B, m, transforms=True)
+    diag2, _, V2i = _smith_mod(B, m)
     orders = [math.gcd(d, m) for d in diag2] + [m] * (dim - len(diag2))
     reps = _mulmod(V2i * g % m, V1i, m)
     return [(d, [int(x) for x in reps[j]])
@@ -381,68 +368,76 @@ def quotient_with_reps_mod(sol_gens, sub_gens, dim: int, m: int):
 # ---------------------------------------------------------------------------
 
 def howell_form_mod(gens, dim: int, m: int):
-    """Howell triangular form of the Z/m-module spanned by gens in (Z/m)^dim.
+    """The reduced Howell form of the Z/m-module spanned by gens in (Z/m)^dim.
 
     Returns a dim x dim row matrix H: row c has pivot H[c][c] dividing m at
     column c (m itself when the projection is free there), zeros below-left,
-    entries above each pivot reduced modulo it, and the row list closed under
-    annihilator multiples.  howell_residue(H, v, m) is then a canonical coset
-    representative: v, w are congruent mod the module iff their residues agree.
-    Rows are int64 arrays while the form is built (entries stay below m, so
-    q * y < m^2 < 2^63).
+    entries above each pivot reduced into [0, pivot), and the rows from c
+    on span every element of the module that is zero before column c.  Such
+    a form is unique (Howell 1986; Storjohann and Mulders, ESA 1998), so H
+    depends on the module only, and howell_residue(H, v, m) is a canonical
+    coset representative: v, w are congruent mod the module iff their
+    residues agree.
+
+    By CRT the module is the sum of its parts over Z/p^e for the prime
+    powers of m; each part is brought to Howell form by `_howell_local`.
+    Row c joins the parts' rows, each scaled by the unit that turns its
+    pivot p^v into d = prod p^v, so the joined pivot is d; the entries
+    above the pivots are then reduced from left to right, each step
+    leaving alone the columns before it.
     """
     if m > (1 << 30):
         raise InternalCheckError("modulus too large for int64 Howell form")
-    pending = [v for v in (np.array([int(x) % m for x in g], dtype=np.int64)
-                           .reshape(dim) for g in gens) if v.any()]
-    H = []
+    A = _mod_array(gens, dim, m)
+    parts = [(p ** e, *_howell_local(A % p ** e, p, e))
+             for p, e in factorize(m).items()]
+    d = np.ones(dim, dtype=np.int64)
+    for q, _, pv in parts:
+        d *= pv
+    H = np.zeros((dim, dim), dtype=np.int64)
+    for q, Hq, pv in parts:
+        crt = m // q * pow(m // q, -1, q)
+        H = (H + Hq * (d // pv % q)[:, None] % q * crt) % m
     for c in range(dim):
-        pool = [r for r in pending if r[c]]
-        rest = [r for r in pending if not r[c]]
-        if pool:
-            piv = pool[0]
-            for r in pool[1:]:
-                # integer gcd steps on representatives in [0, m)
-                a, b = piv, r
-                while b[c]:
-                    a = (a - a[c] // b[c] * b) % m
-                    a, b = b, a
-                piv = a
-                if b.any():
-                    rest.append(b)
-            g0 = math.gcd(int(piv[c]), m)
-            if piv[c] != g0:
-                piv = _unit_scale(int(piv[c]), g0, m) * piv % m
-            ann = m // g0
-            if ann > 1:
-                extra = ann * piv % m
-                if extra.any():
-                    rest.append(extra)
-            H.append(piv)
-        else:
-            row = np.zeros(dim, dtype=np.int64)
-            row[c] = m
-            H.append(row)
-        pending = rest
-    # reduce entries above each pivot
-    for c in range(dim - 1, -1, -1):
-        piv = H[c][c]
-        for r in range(c):
-            q = H[r][c] // piv
-            if q:
-                H[r] = (H[r] - q * H[c]) % m
-    return [[int(x) for x in r] for r in H]
+        H[:c] = (H[:c] - (H[:c, c] // d[c])[:, None] * H[c]) % m
+    np.fill_diagonal(H, d)
+    return H.tolist()
 
 
-def _unit_scale(a: int, g: int, m: int) -> int:
-    """A unit u mod m with u*a == g (mod m), where g = gcd(a, m)."""
-    a0, m0 = a // g, m // g
-    u = pow(a0, -1, m0) if m0 > 1 else 1
-    for t in range(m // m0 + 1):
-        cand = u + t * m0
-        if math.gcd(cand, m) == 1:
-            return cand % m
-    raise InternalCheckError("no unit lift found")
+def _howell_local(A: np.ndarray, p: int, e: int):
+    """Howell form over Z/p^e of the row span of A (entries in [0, p^e)):
+    the (dim, dim) rows and each row's pivot p^v (p^e where it is zero).
+
+    Column by column, a row of A whose entry p^v u (u a unit) has least
+    valuation in the column, scaled by u^-1, is the pivot row.  p^v
+    divides the column, so one array step clears it from every row of A,
+    the pivot row included, and that row's slot takes the annihilator
+    multiple p^(e-v) times the pivot row, zero in the column.  So A stays
+    zero before the next column, and A and the rows of H from the column
+    on span the elements of the module that are zero before it.
+    """
+    q = p ** e
+    dim = A.shape[1]
+    H = np.zeros((dim, dim), dtype=np.int64)
+    pv = np.full(dim, q, dtype=np.int64)
+    for c in range(dim):
+        if not A[:, c].any():
+            continue
+        val = _valuation(A[:, c], p, e)
+        i = int(val.argmin())
+        pv[c] = p ** int(val[i])
+        H[c] = A[i] * pow(int(A[i, c]) // int(pv[c]), -1, q) % q
+        A = (A - (A[:, c] // pv[c])[:, None] * H[c]) % q
+        A[i] = H[c] * (q // pv[c]) % q
+    return H, pv
+
+
+def _valuation(A: np.ndarray, p: int, e: int) -> np.ndarray:
+    """The p-adic valuation of each entry of A, capped at e (so e for 0)."""
+    val = np.zeros(A.shape, dtype=np.int64)
+    for j in range(1, e + 1):
+        val += A % p ** j == 0
+    return val
 
 
 def howell_residue(H, v, m: int):

@@ -187,8 +187,10 @@ class FreeAdmissible:
     def invariant_submodule(self, gamma_inf_members: Sequence[int]):
         """Howell rows (order, row) of the Gamma_inf-invariants plus N, rows
         of order 1 left out: the sums of c_i * row_i with 0 <= c_i < order_i
-        are the elements of that module, each once.  The rows are canonical,
-        so draws against them do not depend on elimination choices."""
+        are the elements of that module, each once.  The rows are those of
+        the module's reduced Howell form, which is unique, so they are
+        canonical: draws against them depend on the module only, not on
+        the order or choice of its generators."""
         key = tuple(sorted(gamma_inf_members))
         if key in self._inv_cache:
             return self._inv_cache[key]

@@ -63,7 +63,8 @@ def _fixtures_orbit():
 def suite_orbit_invariants(quick: bool = False) -> list:
     from .groups import Subgroup
     from .homology import build_u, validate_c
-    from .hurwitz import DEFAULT_TUPLE_BUDGET, _tuple_blocks, k_set, orbits
+    from .hurwitz import (DEFAULT_TUPLE_BUDGET, _tuple_blocks, orbits,
+                          stable_bijection_entry)
     results = []
     n_max = 6 if quick else 9
     for name, group, c, g_inf in _fixtures_orbit():
@@ -86,26 +87,18 @@ def suite_orbit_invariants(quick: bool = False) -> list:
                   sum(o.size for o in orbs) == total,
                   f"|E|={total} orbits={len(orbs)}")
         for m in (1, 2, 3):
-            n_req = 2 * nclasses * m + 2
-            if n_req > n_max:
-                continue
-            for n in range(n_req, n_max + 1):
-                ks = sorted(k_set(ctx, n, m))
-                ok = True
-                detail = []
-                nonempty = bool(ks)
-                for gi, orbs in orbs_by[n].items():
-                    invs = sorted((o.invariant.h, o.invariant.v) for o in orbs
-                                  if min(o.invariant.v) >= m)
-                    nonempty = nonempty or bool(invs)
-                    if invs != ks:
-                        ok = False
-                    detail.append(f"g_inf={gi} |orb|={len(invs)} |K|={len(ks)}")
-                if not nonempty:
+            for n in range(2 * nclasses * m + 2, n_max + 1):
+                entries = [stable_bijection_entry(ctx, gi, orbs, n, m)
+                           for gi, orbs in orbs_by[n].items()]
+                if not entries[0].k_set and \
+                        not any(e.orbit_invariants for e in entries):
                     continue
                 _emit(results, "orbit-invariants",
-                      f"{name} stable bijection n={n} M={m}", ok,
-                      "; ".join(detail))
+                      f"{name} stable bijection n={n} M={m}",
+                      all(e.bijective for e in entries),
+                      "; ".join(f"g_inf={e.g_inf} |orb|="
+                                f"{len(e.orbit_invariants)} |K|={len(e.k_set)}"
+                                for e in entries))
     return results
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import time
 
@@ -251,3 +252,20 @@ def test_ucontext_cache_roundtrip(tmp_path):
     assert ctx2.c == ctx.c
     assert ctx2.sc.total.table == ctx.sc.total.table
     assert ctx2.lifts == ctx.lifts
+
+
+def test_ucontext_cache_with_foreign_lifts_is_rebuilt(tmp_path):
+    """A cache file whose lifts lie over the wrong elements loads as a
+    group and a stem cover, but its lifts do not validate, so build_u
+    rebuilds it instead of returning them."""
+    c3 = cyclic(3)
+    ctx = build_u(c3, [1, 2], cache_dir=str(tmp_path))
+    assert ctx.lifts == {1: 1, 2: 2}
+    path, = tmp_path.iterdir()
+    payload = json.loads(path.read_text())
+    payload["lifts"] = [[1, 2], [2, 1]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InternalCheckError):
+        load_ucontext(path)
+    assert build_u(c3, [1, 2], cache_dir=str(tmp_path)).lifts == {1: 1, 2: 2}
+    assert load_ucontext(path).lifts == {1: 1, 2: 2}

@@ -46,13 +46,12 @@ def test_smith_mod_transforms():
         m = rng.choice([2, 4, 6, 8, 9, 12, 25, 27])
         A = np.array([[rng.randrange(m) for _ in range(nc)] for _ in range(nr)],
                      dtype=np.int64).reshape(nr, nc)
-        diag, V, Vi = _smith_mod(A.copy(), m, transforms=True)
+        diag, V, Vi = _smith_mod(A.copy(), m)
         assert ((V @ Vi) % m == np.eye(nc, dtype=np.int64)).all()
         # U A V == D with U invertible: A V and D span the same rows
         D = [[d if i == j else 0 for j in range(nc)] for i, d in enumerate(diag)]
         assert brute_span_mod((A @ V % m).tolist(), nc, m) == \
             brute_span_mod(D, nc, m)
-        assert _smith_mod(A.copy(), m) == diag
         size = math.prod(math.gcd(d, m) for d in diag) * m ** (nc - len(diag))
         assert size * len(brute_span_mod(A.tolist(), nc, m)) == m ** nc
 
@@ -71,9 +70,8 @@ def test_smith_mod_pinned():
             A = rng.integers(0, m, size=(nr, nc))
             A[rng.random(A.shape) >= density] = 0
             A[: nr // 3] = A[: nr // 3] * p % m
-            diag, V, Vi = _smith_mod(A.copy(), m, transforms=True)
+            diag, V, Vi = _smith_mod(A.copy(), m)
             assert ((V @ Vi) % m == np.eye(nc, dtype=np.int64)).all()
-            assert _smith_mod(A.copy(), m) == diag
             h.update(repr((m, diag, V.tolist(), Vi.tolist())).encode())
     assert h.hexdigest() == \
         "2106bbb5ee4c23164cf136a6915e1b5b7df44193afa10159b289cf5c7553ed03"
@@ -235,6 +233,43 @@ def test_howell_membership_and_canonical():
             s = rng.choice(list(span))
             w = [(a + b) % m for a, b in zip(v, s)]
             assert howell_residue(H, w, m) == r
+
+
+def test_howell_rows_canonical():
+    """howell_form_mod gives the reduced Howell form: the same rows for
+    shuffled generators and for the generators plus combinations of them,
+    every entry above a pivot below that pivot, and rows that span the
+    module; seeded modules with zero rows and rows of p-multiples."""
+    rng = random.Random(31)
+    for m in (4, 8, 9, 12, 18, 25, 27, 36, 60):
+        p = min(d for d in range(2, m + 1) if m % d == 0)
+        for _ in range(40):
+            dim = rng.randint(1, 6)
+            gens = []
+            for _ in range(rng.randint(0, 8)):
+                g = [rng.randrange(m) for _ in range(dim)]
+                kind = rng.random()
+                if kind < 0.15:
+                    g = [0] * dim
+                elif kind < 0.5:
+                    g = [x * p % m for x in g]
+                gens.append(g)
+            H = howell_form_mod(gens, dim, m)
+            for c, row in enumerate(H):
+                assert m % row[c] == 0 and not any(row[:c])
+                assert all(H[r][c] < row[c] for r in range(c))
+            shuffled = rng.sample(gens, len(gens))
+            assert howell_form_mod(shuffled, dim, m) == H
+            combos = []
+            for _ in range(rng.randint(1, 3)):
+                coef = [rng.randrange(m) for _ in gens]
+                combos.append([sum(a * g[j] for a, g in zip(coef, gens)) % m
+                               for j in range(dim)])
+            assert howell_form_mod(combos + gens, dim, m) == H
+            if m ** dim <= 20000:
+                rows = [r for c, r in enumerate(H) if r[c] != m]
+                assert brute_span_mod(rows, dim, m) == \
+                    brute_span_mod(gens, dim, m)
 
 
 def test_solve_linear_mod():

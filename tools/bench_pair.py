@@ -24,6 +24,10 @@ After the workloads, CRITERION2_PAIRS alternating pairs of fresh processes
 time the whole of criterion 2, `verify.suite_homology_oracle()` at full
 range with the oracle included, and record each run's wall time, peak RSS
 and number of failed checks under `criterion2`.
+
+Last, tier-1 (`python -m pytest -q --durations=15` over `tests/`) runs
+once per side, the base first; `tier1` records each side's pass, fail and
+error counts, its wall time and its slowest test phases.
 """
 
 from __future__ import annotations
@@ -32,11 +36,13 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +69,9 @@ print(json.dumps({"checks": len(results),
                   "metrics": {"wall_s": {"value": wall_s},
                               "peak_rss_mib": {"value": rss}}}))
 """
+
+TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", "--durations=15")
 
 
 def git(*args: str) -> str:
@@ -123,6 +132,26 @@ def criterion2_run(checkout: Path) -> dict:
         raise RuntimeError(f"criterion 2 run in {checkout} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def tier1_run(checkout: Path) -> dict:
+    """One tier-1 run: outcome counts, wall time and the slowest phases."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall_s = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    counts = dict.fromkeys(("passed", "failed", "error"), 0)
+    for n, what in re.findall(r"(\d+) (passed|failed|error)",
+                              lines[-1] if lines else ""):
+        counts[what] = int(n)
+    slowest = [{"s": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in map(re.compile(r"([\d.]+)s (\w+) +(\S+)$").match,
+                            lines) if m]
+    return {**counts, "exit": proc.returncode, "wall_s": wall_s,
+            "slowest": slowest}
 
 
 def machine() -> dict:
@@ -214,6 +243,9 @@ def main() -> int:
             "failed": {s: sum(r[s]["failed"] for r in runs)
                        for s in ("base", "change")},
             "metrics": summarize(runs), "runs": runs}
+        report["tier1"] = {
+            "command": "python3 " + " ".join(TIER1),
+            "base": tier1_run(base_dir), "change": tier1_run(ROOT)}
     if worktree_trees() != report["change"]["trees"]:
         raise RuntimeError("the working tree changed during the run")
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
