@@ -3,11 +3,14 @@
 Two computation paths live here:
 
 * homology of the (unnormalized) bar complex: `h2` reads H2 off the
-  cokernel of the sparse degree-3 boundary, for every group.  C2 / im d3
-  is H2 + Z^|G|, so modulo |G| it is H2 plus |G| copies of Z/|G|, which
-  are dropped (see `_coker_d3_divisors`).  Groups whose |G|^2 (|S| + 1)
-  d3 chains exceed `H2_CHAIN_CAP` raise CapacityError before any chain is
-  built;
+  cokernel of the sparse degree-3 boundary, for every group.  H2(G)_p
+  embeds in H2(P) for a Sylow P (restriction then corestriction is [G:P]),
+  which is 0 for a cyclic P; m is the product of the p^e || |G| with P not
+  cyclic (`_noncyclic_sylow_part`).  C2 / im d3 is H2 + Z^|G|, so modulo m
+  it is H2 plus |G| copies of Z/m, which are dropped (see
+  `_coker_d3_divisors`), and m = 1 answers at once.  Groups whose
+  |G|^2 (|S| + 1) d3 chains exceed `H2_CHAIN_CAP` raise CapacityError
+  before any chain is built, whatever m is;
 * a cocycle-space pipeline (generator-parametrized 2-cocycles, coboundaries
   and carry classes quotiented out) that produces explicit cocycles and is
   used to construct stem covers.  `_CocycleSpace` holds f(g, h) for every
@@ -16,9 +19,10 @@ Two computation paths live here:
   expressions.  The cover of G by prod Z/d_i puts (a, g) at index
   enc(a) n + g and is built with one broadcast per factor d_i.
 
-The cover construction is verified: the projection is a homomorphism (one
-gather over the cover table), and the kernel must be central, lie in the
-commutator subgroup, and have the order of the multiplier `h2` computes.
+The cover construction runs at the primes of m and is verified: the
+projection is a homomorphism (one gather over the cover table), and the
+kernel must be central, lie in the commutator subgroup, and equal `h2`'s
+multiplier at the primes of m (the others are zero by the theorem above).
 """
 
 from __future__ import annotations
@@ -52,16 +56,27 @@ _H2_CACHE: dict = {}
 # bar-complex homology
 # ---------------------------------------------------------------------------
 
+def _noncyclic_sylow_part(group: FiniteGroup) -> int:
+    """The product m of the p^e || |G| with no element of order p^e (a
+    non-cyclic Sylow p-subgroup): H2(G, Z) is zero at every other prime."""
+    orders = {group.element_order(g) for g in range(group.order)}
+    return math.prod(p ** e for p, e in factorize(group.order).items()
+                     if p ** e not in orders)
+
+
 def _coker_d3_divisors(group: FiniteGroup) -> list[int]:
     """Elementary divisors (> 1) of H2(G, Z), from the cokernel of d3.
 
     With n = |G|, C1 = Z^n and d1 = 0, so H1 = C1 / im d2 and im d2 is a
     subgroup of full rank n (H1 is finite); it is free, so the sequence
     0 -> H2 -> C2 / im d3 -> im d2 -> 0 splits and C2 / im d3 is
-    H2 + Z^n.  N = n kills H2, so Z^(n^2) / (im d3 + N Z^(n^2)) is
-    H2 + (Z/N)^n: its divisors are those of H2 and n copies of N, and
+    H2 + Z^n.  H2 is zero at the primes of cyclic Sylow subgroups, and
+    its p-part is killed by the p^e dividing n, so with
+    m = `_noncyclic_sylow_part`, Z^(n^2) / (im d3 + m Z^(n^2)) is
+    H2 + (Z/m)^n: its divisors are those of H2 and n copies of m, and
     they are read off the sparse d3 chains with no kernel basis of d2.
-    Fewer than n copies of N means the computation is wrong.
+    Fewer than n copies of m means the computation is wrong.  The chain
+    cap is checked first, and m = 1 returns at once.
     """
     n = group.order
     if n == 1:
@@ -71,10 +86,13 @@ def _coker_d3_divisors(group: FiniteGroup) -> list[int]:
         raise CapacityError(
             f"h2: {group.name} of order {n} needs {chains} d3 "
             f"chains, above the cap of {H2_CHAIN_CAP}")
-    divisors = quotient_divisors_mod(_d3_generator_chains(group), n * n, n)
-    if divisors[len(divisors) - n:] != [n] * n:
+    m = _noncyclic_sylow_part(group)
+    if m == 1:
+        return []
+    divisors = quotient_divisors_mod(_d3_generator_chains(group), n * n, m)
+    if divisors[len(divisors) - n:] != [m] * n:
         raise InternalCheckError(
-            f"coker d3 holds fewer than {n} copies of Z/{n}")
+            f"coker d3 holds fewer than {n} copies of Z/{m}")
     return divisors[:len(divisors) - n]
 
 
@@ -109,9 +127,11 @@ def _d3_generator_chains(group: FiniteGroup):
 def h2(group: FiniteGroup) -> AbelianStructure:
     """The Schur multiplier H2(G, Z) in divisor-chain form.
 
-    Read off the cokernel of d3 with the free part Z^|G| of C2 / im d3
-    dropped (`_coker_d3_divisors`).  Raises CapacityError at once when the
-    d3 chain count |G|^2 (|S| + 1) exceeds `H2_CHAIN_CAP`.
+    Read off the cokernel of d3 modulo the non-cyclic Sylow part m of |G|,
+    with the free part (Z/m)^|G| dropped (`_coker_d3_divisors`); a group
+    whose Sylow subgroups are all cyclic is trivial at once.  Raises
+    CapacityError at once when the d3 chain count |G|^2 (|S| + 1) exceeds
+    `H2_CHAIN_CAP`, whatever m is.
     """
     key = (group.content_key(), "h2")
     if key not in _H2_CACHE:
@@ -283,19 +303,23 @@ def _extension_from_factors(group: FiniteGroup, factors):
 def schur_cover(group: FiniteGroup) -> CentralExtension:
     """A Schur covering group: stem central extension by H2(G, Z).
 
-    For each prime power m = p^e of |G|, the kernel of the cocycle identity
-    rows modulo m, over the coboundaries and carries, gives adapted classes
-    of order d; each is scaled into Z/d and replaced by its Howell residue
-    modulo the coboundaries and carries there, and the cover table is built
-    from those cocycle tables.  The transgression is certified: the kernel
-    has the order of H2 (computed by `h2`, independently), and `verify`
-    checks that it is central and lies in [S, S].
+    For each p^e || |G| with a non-cyclic Sylow subgroup (the primes of
+    `_noncyclic_sylow_part`; H2 is zero at the others), the kernel of the
+    cocycle identity rows modulo m = p^e, over the coboundaries and
+    carries, gives adapted classes of order d; each is scaled into Z/d and
+    replaced by its Howell residue modulo the coboundaries and carries
+    there, and the cover table is built from those cocycle tables.  The
+    transgression is certified: the kernel equals H2 at those primes
+    (computed by `h2`, independently; the cyclic ones are zero by the
+    theorem), and `verify` checks that it is central and lies in [S, S].
     """
     expected = h2(group)
-    space = _CocycleSpace(group)
-    rows = space.constraint_rows()
+    sylow_part = _noncyclic_sylow_part(group)
+    if sylow_part > 1:
+        space = _CocycleSpace(group)
+        rows = space.constraint_rows()
     factors = []
-    for p, e in factorize(group.order).items():
+    for p, e in factorize(sylow_part).items():
         m = p ** e
         sub = space.relation_vectors(m)
         adapted = quotient_with_reps_mod(kernel_mod(rows, space.nun, m), sub,

@@ -87,7 +87,9 @@ def test_h2_coker_d3_matches_oracle():
     """h2, read off the cokernel of d3, equals the oracle's cocycle
     quotient on four groups past order 16, up to the oracle's direct cap,
     which the acceptance suite's comparison over groups_up_to_16() does
-    not reach."""
+    not reach.  Each has a cyclic Sylow subgroup beside a non-cyclic one,
+    so h2 works modulo a proper divisor m of |G|: C3xC6 gives m = 9, D10
+    gives 4, S4 and D12 give 8."""
     for g, chain in ((abelian([3, 6]), (3,)), (dihedral(10), (2,)),
                      (symmetric(4), (2,)), (dihedral(12), (2,))):
         assert h2(g) == oracle_h2(g) == AS(chain), g.name
@@ -103,6 +105,37 @@ def test_h2_coker_d3_self_check(monkeypatch):
                         lambda group: chains + killed)
     with pytest.raises(InternalCheckError):
         homology._coker_d3_divisors(g)
+
+
+# the 14 groups of the schur-covers workload whose Sylow subgroups are all
+# cyclic
+CYCLIC_SYLOW = ("C2", "C3", "C4", "C5", "C6", "S3", "C7", "C8", "C9", "C10",
+                "D5", "C11", "C12", "Dic3")
+
+
+def test_cyclic_sylow_groups_skip_the_bar_complex(monkeypatch):
+    """H2(G)_p embeds in H2 of a Sylow p-subgroup, which is zero when that
+    subgroup is cyclic.  For groups whose Sylow subgroups are all cyclic,
+    h2 is trivial and schur_cover returns G itself, without one d3 chain
+    or cocycle space; C273 takes well under a second from a fresh cache."""
+    def forbidden(*args):
+        raise AssertionError("bar complex or cocycle space built")
+
+    monkeypatch.setattr(homology, "_d3_generator_chains", forbidden)
+    monkeypatch.setattr(homology, "_CocycleSpace", forbidden)
+    monkeypatch.setattr(homology, "_H2_CACHE", {})
+    t0 = time.perf_counter()
+    schur_cover(cyclic(273))
+    assert time.perf_counter() - t0 < 1.0
+    cat = {g.name: g for g in groups_up_to_16()}
+    for g in [cat[name] for name in CYCLIC_SYLOW] + [cyclic(273),
+                                                      dihedral(33)]:
+        assert h2(g).is_trivial(), g.name
+        cov = schur_cover(g)
+        assert cov.total.order == g.order, g.name
+        assert cov.kernel_structure.is_trivial(), g.name
+        assert cov.kernel_members == (0,), g.name
+        cov.verify(g, stem=True)
 
 
 def test_schur_cover_extraspecial():

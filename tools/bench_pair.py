@@ -23,7 +23,11 @@ under `src/`.
 After the workloads, CRITERION2_PAIRS alternating pairs of fresh processes
 time the whole of criterion 2, `verify.suite_homology_oracle()` at full
 range with the oracle included, and record each run's wall time, peak RSS
-and number of failed checks under `criterion2`.
+and number of failed checks under `criterion2`.  Then CYCLIC_SYLOW_PAIRS
+alternating pairs of fresh processes time `h2` followed by `schur_cover`
+for each group of CYCLIC_SYLOW_GROUPS, from a cold start, and record each
+run's wall time, peak RSS, multiplier and cover order under
+`cyclic_sylow`.
 
 Last, tier-1 (`python -m pytest -q --durations=15` over `tests/`) runs
 once per side, the base first; `tier1` records each side's pass, fail and
@@ -66,6 +70,28 @@ wall_s = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"checks": len(results),
                   "failed": sum(not r.passed for r in results),
+                  "metrics": {"wall_s": {"value": wall_s},
+                              "peak_rss_mib": {"value": rss}}}))
+"""
+
+CYCLIC_SYLOW_PAIRS = 3
+# C273 and D33 have only cyclic Sylow subgroups; C5xC5:C2 has a cyclic
+# Sylow 2-subgroup beside a non-cyclic Sylow 5-subgroup
+CYCLIC_SYLOW_GROUPS = ("C273", "D33", "C5xC5:C2")
+CYCLIC_SYLOW_SCRIPT = """
+import json, resource, sys, time
+from hurwitzlab.groups import (abelian, cyclic, dihedral, inversion_action,
+                               semidirect)
+from hurwitzlab.homology import h2, schur_cover
+group = {"C273": lambda: cyclic(273), "D33": lambda: dihedral(33),
+         "C5xC5:C2": lambda: semidirect(
+             inversion_action(abelian([5, 5]))).group}[sys.argv[1]]()
+t0 = time.perf_counter()
+mult = h2(group)
+cover = schur_cover(group)
+wall_s = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"h2": list(mult.chain), "cover_order": cover.total.order,
                   "metrics": {"wall_s": {"value": wall_s},
                               "peak_rss_mib": {"value": rss}}}))
 """
@@ -121,17 +147,35 @@ def perfbench(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def criterion2_run(checkout: Path) -> dict:
+def script_run(checkout: Path, script: str, *args: str) -> dict:
+    """The JSON last line of `python -c script args` in a fresh process
+    on the checkout's `src`, single-threaded."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", CRITERION2_SCRIPT],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"criterion 2 run in {checkout} exited "
+        raise RuntimeError(f"script run {args} in {checkout} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def alternating(base_dir: Path, count: int, run, label: str) -> list:
+    """`count` pairs of run(checkout, i) on the base and on the working
+    tree, the base first in even pairs and the working tree first in odd
+    ones."""
+    runs = []
+    for i in range(count):
+        pair = {}
+        sides = [("base", base_dir), ("change", ROOT)]
+        for side, checkout in sides[::-1] if i % 2 else sides:
+            pair[side] = run(checkout, i)
+        print(label, {s: pair[s]["metrics"]["wall_s"]["value"]
+                      for s in ("base", "change")}, file=sys.stderr)
+        runs.append(pair)
+    return runs
 
 
 def tier1_run(checkout: Path) -> dict:
@@ -209,16 +253,11 @@ def main() -> int:
         export(args.base, base_dir)
         report["base"]["src_lines"] = src_lines(base_dir)
         for workload in WORKLOADS:
-            runs = []
-            for i, seed in enumerate(SEEDS):
-                pair = {"seed": seed}
-                sides = [("base", base_dir), ("change", ROOT)]
-                for side, checkout in sides[::-1] if i % 2 else sides:
-                    pair[side] = perfbench(checkout, workload, seed)
-                print(workload, seed,
-                      {s: pair[s]["metrics"]["wall_s"]["value"]
-                       for s in ("base", "change")}, file=sys.stderr)
-                runs.append(pair)
+            runs = alternating(
+                base_dir, PAIRS,
+                lambda c, i: perfbench(c, workload, SEEDS[i]), workload)
+            for seed, pair in zip(SEEDS, runs):
+                pair["seed"] = seed
             report["workloads"][workload] = {
                 "failed": {s: sum(r[s]["failed"] for r in runs)
                            for s in ("base", "change")},
@@ -227,22 +266,27 @@ def main() -> int:
                 "metrics": summarize(runs),
                 "runs": runs,
             }
-        runs = []
-        for i in range(CRITERION2_PAIRS):
-            pair = {}
-            sides = [("base", base_dir), ("change", ROOT)]
-            for side, checkout in sides[::-1] if i % 2 else sides:
-                pair[side] = criterion2_run(checkout)
-            print("criterion2",
-                  {s: pair[s]["metrics"]["wall_s"]["value"]
-                   for s in ("base", "change")}, file=sys.stderr)
-            runs.append(pair)
+        runs = alternating(
+            base_dir, CRITERION2_PAIRS,
+            lambda c, i: script_run(c, CRITERION2_SCRIPT), "criterion2")
         report["criterion2"] = {
             "command": "python3 -c CRITERION2_SCRIPT (tools/bench_pair.py)",
             "checks": {s: runs[0][s]["checks"] for s in ("base", "change")},
             "failed": {s: sum(r[s]["failed"] for r in runs)
                        for s in ("base", "change")},
             "metrics": summarize(runs), "runs": runs}
+        report["cyclic_sylow"] = {
+            "command": "python3 -c CYCLIC_SYLOW_SCRIPT GROUP "
+                       "(tools/bench_pair.py)", "groups": {}}
+        for name in CYCLIC_SYLOW_GROUPS:
+            runs = alternating(
+                base_dir, CYCLIC_SYLOW_PAIRS,
+                lambda c, i: script_run(c, CYCLIC_SYLOW_SCRIPT, name), name)
+            report["cyclic_sylow"]["groups"][name] = {
+                "h2": {s: runs[0][s]["h2"] for s in ("base", "change")},
+                "cover_order": {s: runs[0][s]["cover_order"]
+                                for s in ("base", "change")},
+                "metrics": summarize(runs), "runs": runs}
         report["tier1"] = {
             "command": "python3 " + " ".join(TIER1),
             "base": tier1_run(base_dir), "change": tier1_run(ROOT)}
