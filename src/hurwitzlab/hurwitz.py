@@ -185,7 +185,7 @@ class _SubgroupJoins:
 
     def extend(self, sub: np.ndarray) -> np.ndarray:
         """Ids of <H, x> for H in `sub` and x in c, in (H, x) lex order."""
-        for s in np.unique(sub).tolist():
+        for s in np.flatnonzero(np.bincount(sub)).tolist():
             if s not in self.steps:
                 self.steps[s] = [self._number(self.gens[s] + (x,))
                                  for x in self.cs]
@@ -199,7 +199,8 @@ class _SubgroupJoins:
         if self.whole is None:
             self.whole = np.full((len(self.gens),) * 2, -1, np.int8)
         w = self.whole
-        for code in np.unique((a * len(w) + b)[w[a, b] < 0]).tolist():
+        codes = (a * len(w) + b)[w[a, b] < 0]
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
             x, y = divmod(code, len(w))
             joined = self.group.subgroup_closure(self.gens[x] + self.gens[y])
             w[x, y] = len(joined) == self.group.order

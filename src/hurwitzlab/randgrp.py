@@ -306,10 +306,22 @@ def _chain(divisors: np.ndarray) -> tuple:
 
 def chain_counts(free: FreeAdmissible, X: np.ndarray) -> dict:
     """Divisor chain of the quotient -> number of witness stacks X[t] (a
-    (T, s, dim) array) giving it, in order of first appearance in X."""
-    uniq, first, cnt = np.unique(_quotient_divisors(free, X), axis=0,
-                                 return_index=True, return_counts=True)
-    return {_chain(uniq[k]): int(cnt[k]) for k in np.argsort(first)}
+    (T, s, dim) array) giving it, in order of first appearance in X.
+
+    The divisor rows are grouped by a 1-D key, each row's bytes as one
+    void scalar: on a block of 200 rows of 8 divisors `np.unique(axis=0)`
+    takes 133 us, the 1-D key 20 us.  Bytes order the keys differently
+    from numbers, but only equality matters: the chains come back in order
+    of their first row."""
+    div = np.ascontiguousarray(_quotient_divisors(free, X))
+    T, C = div.shape
+    if C == 0:                  # no bytes to key on: every quotient is 1
+        return {(): T} if T else {}
+    keys = div.view(np.dtype((np.void, div.itemsize * C)))
+    _, first, cnt = np.unique(keys.ravel(), return_index=True,
+                              return_counts=True)
+    return {_chain(div[f]): c
+            for f, c in sorted(zip(first.tolist(), cnt.tolist()))}
 
 
 def _label(free: FreeAdmissible, chain: tuple) -> tuple:

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+import random
+import re
 
+import numpy as np
 import pytest
 
 from hurwitzlab.abelian import structure_of_members
@@ -13,6 +16,7 @@ from hurwitzlab.groups import (ConjClassTable, FiniteGroup, GammaGroup,
                                groups_up_to_16, inversion_action, isomorphic,
                                parse_group_file, semidirect, symmetric,
                                trivial_action, trivial_group)
+from hurwitzlab.randgrp import abelian_exponent_variety
 
 
 def test_from_mult_table_examples():
@@ -177,6 +181,58 @@ def test_gamma_validation():
         GammaGroup(cyclic(3), cyclic(2), [[0, 1, 2], [0, 2, 1], [0, 1, 2]])
     with pytest.raises(ValidationError):
         GammaGroup(cyclic(4), cyclic(2), [[0, 1, 2, 3], [0, 2, 1, 3]])
+
+
+def _powers(p):
+    """The cyclic group <p> of a permutation, as (order, act) for cyclic(k)."""
+    act = [list(range(len(p)))]
+    while True:
+        nxt = [p[x] for x in act[-1]]
+        if nxt == act[0]:
+            return len(act), act
+        act.append(nxt)
+
+
+def test_gamma_validation_against_all_pairs():
+    """A bijection passes as an automorphism exactly when it is one on all
+    |G|^2 pairs, and a failure names a pair (a, s) where it breaks:
+    conjugations (automorphisms) and conjugations followed by a seeded swap
+    of two elements (mostly not), each acting through the cyclic group it
+    generates."""
+    rnd = random.Random(5)
+    passed = failed = 0
+    for g in groups_up_to_16():
+        t = g.array
+        for _ in range(6):
+            h = rnd.randrange(g.order)
+            p = [g.conj(x, h) for x in range(g.order)]
+            if rnd.random() < 0.7 and g.order > 2:
+                i, j = rnd.sample(range(1, g.order), 2)
+                p[i], p[j] = p[j], p[i]
+            pa = np.array(p)
+            ok = bool((pa[t] == t[pa[:, None], pa]).all())
+            k, act = _powers(p)
+            if ok:
+                GammaGroup(g, cyclic(k), act)
+                passed += 1
+                continue
+            with pytest.raises(ValidationError,
+                               match="not an automorphism") as err:
+                GammaGroup(g, cyclic(k), act)
+            gi, a, s = map(int, re.findall(r"\d+", str(err.value)))
+            q = act[gi]
+            assert q[t[a, s]] != t[q[a], q[s]]
+            failed += 1
+    assert passed > 20 and failed > 20
+
+
+def test_existing_actions_validate():
+    for g in groups_up_to_16():
+        trivial_action(g, cyclic(3))
+        if g.is_abelian() and g.exponent() > 2:
+            parse_group_file(format_group_file(g, inversion_action(g)))
+    for k, m in ((2, 3), (2, 9), (2, 15), (3, 5), (4, 3), (4, 7)):
+        abelian_exponent_variety(cyclic(k), m)
 
 
 def test_group_file_roundtrip(tmp_path):

@@ -255,6 +255,30 @@ def test_orbit_memory_budget_bounds_rss():
     assert got["growth_kib"] <= (12 + 8) * 1024
 
 
+def test_orbits_and_monte_carlo_leave_numpy_ma_unimported():
+    # numpy.ma costs a fresh process about 6 ms to import; the 1-D
+    # np.unique without return_index imports it
+    script = textwrap.dedent("""
+        import sys
+        from hurwitzlab.groups import cyclic, dihedral
+        from hurwitzlab.hurwitz import orbits
+        from hurwitzlab.randgrp import (FreeAdmissible,
+                                        abelian_exponent_variety, monte_carlo)
+        d5 = dihedral(5)
+        c = list(range(1, 10))
+        g_inf = next(g for g in c if d5.element_order(g) == 2)
+        orbits(d5, c, g_inf, 5)
+        free = FreeAdmissible(8, abelian_exponent_variety(cyclic(2), 3))
+        monte_carlo(free, [0, 1], 200, seed=1)
+        print("numpy.ma" in sys.modules)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_key_width():
     # one element in c packs into 0 bits per entry, so any n fits
     orbs = orbits(cyclic(2), [1], 1, 70)

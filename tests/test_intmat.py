@@ -7,10 +7,11 @@ import numpy as np
 
 from hurwitzlab.homology_oracle import (_kernel_mod, _quotient_divisors,
                                         _span_order)
-from hurwitzlab.intmat import (_smith_mod, divisor_chain, howell_form_mod,
-                               howell_residue, kernel_mod,
+from hurwitzlab.intmat import (_mod, _smith_mod, divisor_chain,
+                               howell_form_mod, howell_residue, kernel_mod,
                                quotient_divisors_mod, quotient_divisors_stack,
                                quotient_with_reps_mod, solve_linear_mod)
+from hurwitzlab.ntheory import factorize
 
 
 def brute_span_mod(gens, dim, m, cap=30000):
@@ -89,6 +90,42 @@ def test_quotient_divisors_stack_per_slice():
             A[:5] = 0
             D = quotient_divisors_stack(A, m)
             assert D.shape == (60, C)
+            for t in range(len(A)):
+                assert [int(d) for d in D[t] if d > 1] == \
+                    quotient_divisors_mod(A[t].tolist(), C, m)
+
+
+def test_mod_is_remainder():
+    """The floor-division reduction equals % on int32 and int64 arrays,
+    negative entries and the ends of the range included, for m up to 2^30,
+    and keeps the dtype."""
+    rng = np.random.default_rng(7)
+    for dtype in (np.int32, np.int64):
+        info = np.iinfo(dtype)
+        A = rng.integers(info.min, info.max, size=2000, dtype=dtype,
+                         endpoint=True)
+        A[:6] = [info.min, info.min + 1, -1, 0, 1, info.max]
+        A[6:1000] //= 1 << 20        # small entries of both signs
+        for m in [1, 2, 3, 7, 46337, (1 << 30) - 35, 1 << 30,
+                  *rng.integers(2, 1 << 30, size=8).tolist()]:
+            got = _mod(A, m)
+            assert got.dtype == dtype
+            assert np.array_equal(got, A % m)
+
+
+def test_quotient_divisors_stack_int32_switch():
+    """Moduli on both sides of the int32 block rule (q^2 < 2^31), with
+    entries outside [0, m), negative ones among them, and pivots of every
+    valuation: each slice gives the divisors of quotient_divisors_mod."""
+    rng = np.random.default_rng(23)
+    for m in (19683, 32768, 46337, 46349, 78125):
+        p = min(factorize(m))
+        for R, C in ((3, 3), (6, 4), (4, 6)):
+            A = rng.integers(-3 * m, 3 * m, size=(40, R, C))
+            A[:25] *= p ** rng.integers(0, 9, size=(25, R, 1))
+            A[:8] *= m // p
+            A[:2] = 0
+            D = quotient_divisors_stack(A, m)
             for t in range(len(A)):
                 assert [int(d) for d in D[t] if d > 1] == \
                     quotient_divisors_mod(A[t].tolist(), C, m)

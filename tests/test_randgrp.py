@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hurwitzlab import randgrp, rng
@@ -362,6 +363,23 @@ def test_friedman_washington_degeneration():
             quotient_divisors_mod([list(x1), list(x2)], 2, 3)))
         counts_coker[divs] = counts_coker.get(divs, 0) + 1
     assert counts_model == counts_coker
+
+
+@pytest.mark.parametrize("k, m, n", [(2, 3, 1), (2, 3, 8), (2, 9, 2),
+                                     (2, 15, 2), (4, 3, 1), (1, 3, 2)])
+def test_chain_counts_match_unique_rows(k, m, n):
+    """chain_counts groups the divisor rows as np.unique(axis=0) does, with
+    the same counts in the same order of first appearance, on stacks where
+    most outcomes repeat, and on dim = 0 (trivial Gamma)."""
+    free = FreeAdmissible(n, abelian_exponent_variety(cyclic(k), m))
+    gen = np.random.default_rng(m * 100 + n)
+    X = gen.integers(0, m, size=(3000, n + 1, free.dim))
+    div = randgrp._quotient_divisors(free, X)
+    uniq, first, cnt = np.unique(div, axis=0, return_index=True,
+                                 return_counts=True)
+    ref = [(randgrp._chain(uniq[i]), int(cnt[i])) for i in np.argsort(first)]
+    assert len(ref) < len(X) // 10
+    assert list(randgrp.chain_counts(free, X).items()) == ref
 
 
 def test_monte_carlo_deterministic():

@@ -27,7 +27,11 @@ and number of failed checks under `criterion2`.  Then CYCLIC_SYLOW_PAIRS
 alternating pairs of fresh processes time `h2` followed by `schur_cover`
 for each group of CYCLIC_SYLOW_GROUPS, from a cold start, and record each
 run's wall time, peak RSS, multiplier and cover order under
-`cyclic_sylow`.
+`cyclic_sylow`.  Then MONTE_CARLO_PAIRS alternating pairs of fresh
+processes time one `monte_carlo` call of MONTE_CARLO_TRIALS trials for
+each modulus of MONTE_CARLO_MODULI, and record each run's wall time, peak
+RSS and the sha256 of its counts under `monte_carlo`; `counts_equal` says
+whether every run of both sides gave the same counts.
 
 Last, tier-1 (`python -m pytest -q --durations=15` over `tests/`) runs
 once per side, the base first; `tier1` records each side's pass, fail and
@@ -92,6 +96,29 @@ cover = schur_cover(group)
 wall_s = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"h2": list(mult.chain), "cover_order": cover.total.order,
+                  "metrics": {"wall_s": {"value": wall_s},
+                              "peak_rss_mib": {"value": rss}}}))
+"""
+
+MONTE_CARLO_PAIRS = 3
+MONTE_CARLO_MODULI = (3, 9, 25)
+MONTE_CARLO_TRIALS = 10_000
+# the free object on 8 generators of the variety of (Z/m)[C2]-modules,
+# Gamma_inf = Gamma; the counts are hashed in their order of first
+# appearance, which monte_carlo also fixes
+MONTE_CARLO_SCRIPT = """
+import hashlib, json, resource, sys, time
+from hurwitzlab.groups import cyclic
+from hurwitzlab.randgrp import (FreeAdmissible, abelian_exponent_variety,
+                                monte_carlo)
+m, trials = int(sys.argv[1]), int(sys.argv[2])
+free = FreeAdmissible(8, abelian_exponent_variety(cyclic(2), m))
+t0 = time.perf_counter()
+report = monte_carlo(free, [0, 1], trials, seed=1)
+wall_s = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+counts = repr(list(report.counts.items())).encode()
+print(json.dumps({"counts_sha256": hashlib.sha256(counts).hexdigest(),
                   "metrics": {"wall_s": {"value": wall_s},
                               "peak_rss_mib": {"value": rss}}}))
 """
@@ -286,6 +313,22 @@ def main() -> int:
                 "h2": {s: runs[0][s]["h2"] for s in ("base", "change")},
                 "cover_order": {s: runs[0][s]["cover_order"]
                                 for s in ("base", "change")},
+                "metrics": summarize(runs), "runs": runs}
+        report["monte_carlo"] = {
+            "command": "python3 -c MONTE_CARLO_SCRIPT M "
+                       f"{MONTE_CARLO_TRIALS} (tools/bench_pair.py)",
+            "moduli": {}}
+        for m in MONTE_CARLO_MODULI:
+            runs = alternating(
+                base_dir, MONTE_CARLO_PAIRS,
+                lambda c, i: script_run(c, MONTE_CARLO_SCRIPT, str(m),
+                                        str(MONTE_CARLO_TRIALS)), f"m={m}")
+            hashes = {r[s]["counts_sha256"] for r in runs
+                      for s in ("base", "change")}
+            report["monte_carlo"]["moduli"][str(m)] = {
+                "counts_sha256": {s: runs[0][s]["counts_sha256"]
+                                  for s in ("base", "change")},
+                "counts_equal": len(hashes) == 1,
                 "metrics": summarize(runs), "runs": runs}
         report["tier1"] = {
             "command": "python3 " + " ".join(TIER1),
