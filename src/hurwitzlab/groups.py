@@ -366,11 +366,20 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 def abelian(orders: Sequence[int]) -> FiniteGroup:
-    g = trivial_group()
+    """prod Z/d_i with the digits of an index in mixed radix, the first
+    factor the most significant: the table of chained `direct_product`s
+    of cyclic groups, built on arrays with one broadcast per factor and
+    made a group once."""
+    if any(d < 1 for d in orders):
+        raise ValidationError("cyclic group order must be positive")
+    table = np.zeros((1, 1), dtype=np.int64)
     for d in orders:
-        g = direct_product(g, cyclic(d)) if g.order > 1 else cyclic(d)
-    g.name = "x".join(f"C{d}" for d in orders) or "C1"
-    return g
+        r = np.arange(d)
+        table = (table[:, None, :, None] * d
+                 + (np.add.outer(r, r) % d)[None, :, None, :]).reshape(
+                     len(table) * d, -1)
+    return FiniteGroup(table, name="x".join(f"C{d}" for d in orders) or "C1",
+                       _validated=True)
 
 
 def _metacyclic(m: int, s: int, k: int, t: int, name: str) -> FiniteGroup:

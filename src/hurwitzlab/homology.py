@@ -2,15 +2,16 @@
 
 Two computation paths live here:
 
-* homology of the (unnormalized) bar complex: `h2` reads H2 off the
-  cokernel of the sparse degree-3 boundary, for every group.  H2(G)_p
-  embeds in H2(P) for a Sylow P (restriction then corestriction is [G:P]),
-  which is 0 for a cyclic P; m is the product of the p^e || |G| with P not
-  cyclic (`_noncyclic_sylow_part`).  C2 / im d3 is H2 + Z^|G|, so modulo m
-  it is H2 plus |G| copies of Z/m, which are dropped (see
-  `_coker_d3_divisors`), and m = 1 answers at once.  Groups whose
-  |G|^2 (|S| + 1) d3 chains exceed `H2_CHAIN_CAP` raise CapacityError
-  before any chain is built, whatever m is;
+* Hopf's formula on the Cayley graph: `h2` reads H2 off R/[F, R], the
+  cycle space of the Cayley graph of a generating set of k elements
+  modulo left translation, for every group.  H2(G)_p embeds in H2(P) for
+  a Sylow P (restriction then corestriction is [G:P]), which is 0 for a
+  cyclic P; m is the product of the p^e || |G| with P not cyclic
+  (`_noncyclic_sylow_part`).  R/[F, R] is H2 + Z^k, so modulo m it is H2
+  plus k copies of Z/m, which are dropped (see `_hopf_divisors`), and
+  m = 1 answers at once.  Groups whose k (|G|(k - 1) + 1) relation rows
+  exceed `H2_CHAIN_CAP` raise CapacityError before any row is built,
+  whatever m is;
 * a cocycle-space pipeline (generator-parametrized 2-cocycles, coboundaries
   and carry classes quotiented out) that produces explicit cocycles and is
   used to construct stem covers.  `_CocycleSpace` holds f(g, h) for every
@@ -19,10 +20,10 @@ Two computation paths live here:
   expressions.  The cover of G by prod Z/d_i puts (a, g) at index
   enc(a) n + g and is built with one broadcast per factor d_i.
 
-The cover construction runs at the primes of m and is verified: the
-projection is a homomorphism (one gather over the cover table), and the
-kernel must be central, lie in the commutator subgroup, and equal `h2`'s
-multiplier at the primes of m (the others are zero by the theorem above).
+The cover construction runs at the primes of `h2`'s multiplier and is
+verified: the projection is a homomorphism (one gather over the cover
+table), and the kernel must be central, lie in the commutator subgroup,
+and equal that multiplier.
 """
 
 from __future__ import annotations
@@ -39,21 +40,22 @@ import numpy as np
 
 from .abelian import AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError, ValidationError
-from .groups import FiniteGroup, _small_generating_set
+from .groups import FiniteGroup, _generating_set, _small_generating_set
 from .intmat import (howell_form_mod, howell_residue, kernel_mod,
                      quotient_divisors_mod, quotient_with_reps_mod,
                      solve_linear_mod)
 from .ntheory import factorize, is_power_of
 
-# |G|^2 (|S| + 1) d3 chains: C2^7 (131,072) and D100 (120,000) run in at
-# most 11 s and 650 MiB; C5^3:C2 (312,500) would take about 42 s and 2 GiB
-H2_CHAIN_CAP = 150_000
+# k (|G|(k - 1) + 1) Hopf relation rows for k generators: C2^9 (36,873)
+# runs in 0.6 s and 96 MiB, C3^5:C2 (14,586) in 0.23 s; C2^10 (92,170)
+# would take 1.8 s and 230 MiB (2-core Xeon, numpy 2.4.6)
+H2_CHAIN_CAP = 50_000
 
 _H2_CACHE: dict = {}
 
 
 # ---------------------------------------------------------------------------
-# bar-complex homology
+# H2 from Hopf's formula
 # ---------------------------------------------------------------------------
 
 def _noncyclic_sylow_part(group: FiniteGroup) -> int:
@@ -64,79 +66,106 @@ def _noncyclic_sylow_part(group: FiniteGroup) -> int:
                      if p ** e not in orders)
 
 
-def _coker_d3_divisors(group: FiniteGroup) -> list[int]:
-    """Elementary divisors (> 1) of H2(G, Z), from the cokernel of d3.
+def _hopf_divisors(group: FiniteGroup) -> list[int]:
+    """Elementary divisors (> 1) of H2(G, Z), from Hopf's formula.
 
-    With n = |G|, C1 = Z^n and d1 = 0, so H1 = C1 / im d2 and im d2 is a
-    subgroup of full rank n (H1 is finite); it is free, so the sequence
-    0 -> H2 -> C2 / im d3 -> im d2 -> 0 splits and C2 / im d3 is
-    H2 + Z^n.  H2 is zero at the primes of cyclic Sylow subgroups, and
-    its p-part is killed by the p^e dividing n, so with
-    m = `_noncyclic_sylow_part`, Z^(n^2) / (im d3 + m Z^(n^2)) is
-    H2 + (Z/m)^n: its divisors are those of H2 and n copies of m, and
-    they are read off the sparse d3 chains with no kernel basis of d2.
-    Fewer than n copies of m means the computation is wrong.  The chain
-    cap is checked first, and m = 1 returns at once.
+    With F free on a generating set S of k elements and R = ker(F -> G),
+    H2 is the intersection of R and [F, F] modulo [F, R] (Hopf, Comment.
+    Math. Helv. 1942), and R / [F, R] is H2 + Z^k (Brown, Cohomology of
+    Groups, II.5).  R / [F, R] is the coinvariants
+    of R^ab, the cycle space of the Cayley graph with G acting by left
+    translation: Z^N over the k N rows of `_hopf_rows`.  H2 is zero at the
+    primes of cyclic Sylow subgroups, and its p-part is killed by the p^e
+    dividing |G|, so with m = `_noncyclic_sylow_part` the quotient modulo
+    m is H2 + (Z/m)^k: its divisors are those of H2 and k copies of m.
+    Fewer than k copies of m means the computation is wrong.  The row cap
+    is checked first, and m = 1 returns at once.
     """
     n = group.order
     if n == 1:
         return []
-    chains = n * n * (len(_small_generating_set(group)) + 1)
-    if chains > H2_CHAIN_CAP:
+    gens = _generating_set(group)
+    k = len(gens)
+    ncycles = n * (k - 1) + 1
+    if k * ncycles > H2_CHAIN_CAP:
         raise CapacityError(
-            f"h2: {group.name} of order {n} needs {chains} d3 "
-            f"chains, above the cap of {H2_CHAIN_CAP}")
+            f"h2: {group.name} of order {n} needs {k * ncycles} Hopf "
+            f"relation rows, above the cap of {H2_CHAIN_CAP}")
     m = _noncyclic_sylow_part(group)
     if m == 1:
         return []
-    divisors = quotient_divisors_mod(_d3_generator_chains(group), n * n, m)
-    if divisors[len(divisors) - n:] != [m] * n:
+    divisors = quotient_divisors_mod(_hopf_rows(group, gens), ncycles, m)
+    if divisors[len(divisors) - k:] != [m] * k:
         raise InternalCheckError(
-            f"coker d3 holds fewer than {n} copies of Z/{m}")
-    return divisors[:len(divisors) - n]
+            f"R/[F,R] holds fewer than {k} copies of Z/{m}")
+    return divisors[:len(divisors) - k]
 
 
-def _d3_generator_chains(group: FiniteGroup):
-    """Sparse spanning chains of the image of the degree-3 bar boundary.
+def _hopf_rows(group: FiniteGroup, gens: list[int]) -> list[dict]:
+    """The rows (s - 1) z_e of R/[F, R], sparse, for s in gens and z_e the
+    fundamental cycles of the Cayley graph (edges g -> g t, t in gens).
 
-    Columns with third slot restricted to a generating set (plus the
-    identity) span the full boundary image: expanding the third slot of
-    d3[g|h|kl] via the vanishing coboundary-of-coboundary identity rewrites
-    any column as an integer combination of restricted ones.
+    A breadth-first spanning tree leaves N = |G|(k - 1) + 1 non-tree
+    edges; z_e is the tree path to g, then e = (g, t), then back along the
+    tree path to g t, and a cycle is its coefficients on the non-tree
+    edges.  s z_e is the translate s path(g) + (s g, t) - s path(g t), and
+    the non-tree edges of s path(g) fill in breadth-first order: those of
+    s path(u), for g = u t' a tree edge, and (s u, t') if it is not one.
     """
-    n = group.order
-    t = group.table
-    S = _small_generating_set(group) if n > 1 else []
-    chains = []
+    n, k, tab = group.order, len(gens), group.table
+    parent: list = [None] * n
+    order = [0]
+    for u in order:
+        for i, t in enumerate(gens):
+            g = tab[u][t]
+            if g and parent[g] is None:
+                parent[g] = (u, i)
+                order.append(g)
+    col = [[None] * k for _ in range(n)]
+    ncol = 0
     for g in range(n):
-        row_g = t[g]
-        for h in range(n):
-            gh = row_g[h]
-            row_h = t[h]
-            for k in S + [0]:
-                ch: dict[int, int] = {}
-                for key, val in ((h * n + k, 1), (gh * n + k, -1),
-                                 (g * n + row_h[k], 1), (g * n + h, -1)):
-                    ch[key] = ch.get(key, 0) + val
-                ch = {kk: vv for kk, vv in ch.items() if vv}
-                if ch:
-                    chains.append(ch)
-    return chains
+        for i, t in enumerate(gens):
+            if parent[tab[g][t]] != (g, i):
+                col[g][i] = ncol
+                ncol += 1
+    rows = []
+    for s in gens:
+        path: list = [()] * n
+        for g in order[1:]:
+            u, i = parent[g]
+            c = col[tab[s][u]][i]
+            path[g] = path[u] if c is None else path[u] + (c,)
+        for g in range(n):
+            sg = tab[s][g]
+            for i, t in enumerate(gens):
+                c = col[g][i]
+                if c is None:
+                    continue
+                row = dict.fromkeys(path[g], 1)
+                for j in path[tab[g][t]] + (c,):
+                    row[j] = row.get(j, 0) - 1
+                j = col[sg][i]
+                if j is not None:
+                    row[j] = row.get(j, 0) + 1
+                rows.append(row)
+    return rows
 
 
 def h2(group: FiniteGroup) -> AbelianStructure:
     """The Schur multiplier H2(G, Z) in divisor-chain form.
 
-    Read off the cokernel of d3 modulo the non-cyclic Sylow part m of |G|,
-    with the free part (Z/m)^|G| dropped (`_coker_d3_divisors`); a group
-    whose Sylow subgroups are all cyclic is trivial at once.  Raises
-    CapacityError at once when the d3 chain count |G|^2 (|S| + 1) exceeds
-    `H2_CHAIN_CAP`, whatever m is.
+    Read off R/[F, R] = H2 + Z^k (Hopf's formula, on the cycle space of
+    the Cayley graph) modulo the non-cyclic Sylow part m of |G|, with the
+    free part (Z/m)^k dropped (`_hopf_divisors`); a group whose Sylow
+    subgroups are all cyclic is trivial at once.  Raises CapacityError at
+    once when the k (|G|(k - 1) + 1) relation rows of the fast generating
+    set (k elements) exceed `H2_CHAIN_CAP`, whatever m is.  H2 does not
+    depend on the generating set, so this one need not be small.
     """
     key = (group.content_key(), "h2")
     if key not in _H2_CACHE:
         _H2_CACHE[key] = AbelianStructure.from_cyclic_orders(
-            _coker_d3_divisors(group))
+            _hopf_divisors(group))
     return _H2_CACHE[key]
 
 
@@ -303,24 +332,22 @@ def _extension_from_factors(group: FiniteGroup, factors):
 def schur_cover(group: FiniteGroup) -> CentralExtension:
     """A Schur covering group: stem central extension by H2(G, Z).
 
-    For each p^e || |G| with a non-cyclic Sylow subgroup (the primes of
-    `_noncyclic_sylow_part`; H2 is zero at the others), the kernel of the
-    cocycle identity rows modulo m = p^e, over the coboundaries and
+    For each prime p of H2 (computed by `h2`) and p^e || |G|, the kernel
+    of the cocycle identity rows modulo m = p^e, over the coboundaries and
     carries, gives adapted classes of order d; each is scaled into Z/d and
     replaced by its Howell residue modulo the coboundaries and carries
-    there, and the cover table is built from those cocycle tables.  The
-    transgression is certified: the kernel equals H2 at those primes
-    (computed by `h2`, independently; the cyclic ones are zero by the
-    theorem), and `verify` checks that it is central and lies in [S, S].
+    there, and the cover table is built from those cocycle tables.  A
+    trivial H2 gives G itself, with no cocycle space.  The transgression
+    is certified: the kernel equals H2, which `h2` reads off another
+    lattice, and `verify` checks that it is central and lies in [S, S].
     """
     expected = h2(group)
-    sylow_part = _noncyclic_sylow_part(group)
-    if sylow_part > 1:
+    if not expected.is_trivial():
         space = _CocycleSpace(group)
         rows = space.constraint_rows()
     factors = []
-    for p, e in factorize(sylow_part).items():
-        m = p ** e
+    for p in factorize(expected.order):
+        m = p ** factorize(group.order)[p]
         sub = space.relation_vectors(m)
         adapted = quotient_with_reps_mod(kernel_mod(rows, space.nun, m), sub,
                                          space.nun, m)

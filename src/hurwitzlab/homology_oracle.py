@@ -1,10 +1,10 @@
 """Independent cross-check path for the multiplier computations.
 
-The default h2 runs bar-complex homology; this oracle instead solves the
-full two-variable cocycle space mod m = p^e (one unknown per pair of
-nontrivial elements, no generator parametrization) and reads every answer
-off a quotient A/B of two spans in (Z/m)^dim, with B the coboundaries and
-the carry classes:
+The default h2 runs Hopf's formula on the Cayley graph; this oracle
+instead solves the full two-variable cocycle space mod m = p^e (one
+unknown per pair of nontrivial elements, no generator parametrization)
+and reads every answer off a quotient A/B of two spans in (Z/m)^dim, with
+B the coboundaries and the carry classes:
 
 - the p-part of H2(G) is dual to A/B, A the cocycles;
 - the p-part of H2(G, c) is dual to A'/B, A' the cocycles whose

@@ -1,8 +1,9 @@
 """Exact integer matrix machinery for lattices that contain m*Z^d.
 
-Every lattice on the main path contains m*Z^d for a known m: bar-complex
-cycles modulo boundaries (m = |G|), cocycles modulo coboundaries
-(m = p^e) and free Gamma-modules modulo relations (m = the exponent).  Such
+Every lattice on the main path contains m*Z^d for a known m: Cayley graph
+cycles modulo Hopf relations (m = the non-cyclic Sylow part of |G|),
+cocycles modulo coboundaries (m = p^e) and free Gamma-modules modulo
+relations (m = the exponent).  Such
 a lattice is worked as a submodule of (Z/m)^d: reducing an entry modulo m
 is an elementary operation against m*Z^d, so it leaves the quotient alone,
 keeps the entries bounded, and lets the work run on int64 numpy arrays.

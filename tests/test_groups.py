@@ -305,3 +305,18 @@ def test_tables_and_abelian_coordinates_pinned():
         abelian(o) for o in ([3, 9], [5, 5], [3, 3, 3, 3], [2, 4, 8])]
     assert _sha256(row(g) for g in groups) == \
         "78c0646d6e9fc0e1ab2cd093fb90bf0757b46d2b3e6938b59f888dcfb1d049d2"
+
+
+def test_abelian_equals_chained_direct_products():
+    """`abelian` builds its mixed-radix table in one pass; it is the table
+    and name of the cyclic factors chained through `direct_product`, the
+    first factor the most significant."""
+    for orders in ([2] * 7, [4, 4, 2], [5, 5, 5], [3, 9], []):
+        g = trivial_group()
+        for d in orders:
+            g = direct_product(g, cyclic(d)) if g.order > 1 else cyclic(d)
+        built = abelian(orders)
+        assert built.table == g.table, orders
+        assert built.name == g.name, orders
+    with pytest.raises(ValidationError):
+        abelian([2, 0])

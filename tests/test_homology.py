@@ -9,9 +9,9 @@ from hurwitzlab import homology
 from hurwitzlab.abelian import AbelianStructure
 from hurwitzlab.errors import (CapacityError, InternalCheckError,
                                ValidationError)
-from hurwitzlab.groups import (abelian, alternating4, cyclic, dihedral,
-                               dicyclic, groups_up_to_16, inversion_action,
-                               semidirect, symmetric)
+from hurwitzlab.groups import (GammaGroup, abelian, alternating4, cyclic,
+                               dihedral, dicyclic, groups_up_to_16,
+                               inversion_action, semidirect, symmetric)
 from hurwitzlab.homology import (UContext, build_u, h2,
                                  load_ucontext, reduce_cover, save_ucontext,
                                  schur_cover, validate_c)
@@ -63,14 +63,29 @@ def test_h2_sylow_path():
     assert h2(inversion_semidirect([3, 3, 3])) == AS([3, 3, 3])
 
 
-def test_h2_chain_cap_raises_before_building(monkeypatch):
-    """C5^3:C2 has more d3 chains than the cap: h2 refuses it at once,
-    before a single chain is built."""
-    def forbidden(group):
-        raise AssertionError("d3 chains built above the cap")
+def test_h2_reach_past_the_bar_complex():
+    """Groups whose bar complex was too large for h2 answer in well under
+    2 s each: H2 of A:C2 with inversion on A of odd order is the wedge
+    square of A, and H2 of C2^7 is (Z/2)^21."""
+    for orders, chain in (([5, 5, 5], [5] * 3), ([11, 11], [11]),
+                          ([3] * 5, [3] * 10)):
+        g = inversion_semidirect(orders)
+        t0 = time.perf_counter()
+        assert h2(g) == AS(chain), g.name
+        assert time.perf_counter() - t0 < 2.0, g.name
+    t0 = time.perf_counter()
+    assert h2(abelian([2] * 7)) == AS([2] * 21)
+    assert time.perf_counter() - t0 < 2.0
 
-    g = inversion_semidirect([5, 5, 5])
-    monkeypatch.setattr(homology, "_d3_generator_chains", forbidden)
+
+def test_h2_chain_cap_raises_before_building(monkeypatch):
+    """C2^10 has more Hopf relation rows than the cap (92,170): h2
+    refuses it at once, before a single row is built."""
+    def forbidden(group, gens):
+        raise AssertionError("Hopf rows built above the cap")
+
+    g = abelian([2] * 10)
+    monkeypatch.setattr(homology, "_hopf_rows", forbidden)
     t0 = time.perf_counter()
     with pytest.raises(CapacityError):
         h2(g)
@@ -84,27 +99,28 @@ def test_oracle_agreement_sample():
 
 
 def test_h2_coker_d3_matches_oracle():
-    """h2, read off the cokernel of d3, equals the oracle's cocycle
-    quotient on four groups past order 16, up to the oracle's direct cap,
-    which the acceptance suite's comparison over groups_up_to_16() does
-    not reach.  Each has a cyclic Sylow subgroup beside a non-cyclic one,
-    so h2 works modulo a proper divisor m of |G|: C3xC6 gives m = 9, D10
-    gives 4, S4 and D12 give 8."""
+    """h2, read off Hopf's R/[F, R] on the Cayley graph, equals the
+    oracle's cocycle quotient on four groups past order 16, up to the
+    oracle's direct cap, which the acceptance suite's comparison over
+    groups_up_to_16() does not reach.  Each has a cyclic Sylow subgroup
+    beside a non-cyclic one, so h2 works modulo a proper divisor m of |G|:
+    C3xC6 gives m = 9, D10 gives 4, S4 and D12 give 8."""
     for g, chain in ((abelian([3, 6]), (3,)), (dihedral(10), (2,)),
                      (symmetric(4), (2,)), (dihedral(12), (2,))):
         assert h2(g) == oracle_h2(g) == AS(chain), g.name
 
 
 def test_h2_coker_d3_self_check(monkeypatch):
-    """Relations that kill the free summand Z^|G| of C2 / im d3 leave
-    fewer than |G| copies of Z/|G|, and the direct path says so."""
+    """Relations that kill the free summand Z^k of R/[F, R] leave fewer
+    than k copies of Z/m, and h2 says so."""
     g = dihedral(4)
-    chains = homology._d3_generator_chains(g)
-    killed = [{j: 1} for j in range(g.order ** 2)]
-    monkeypatch.setattr(homology, "_d3_generator_chains",
-                        lambda group: chains + killed)
+    rows = homology._hopf_rows
+    k = len(homology._generating_set(g))
+    killed = [{j: 1} for j in range(g.order * (k - 1) + 1)]
+    monkeypatch.setattr(homology, "_hopf_rows",
+                        lambda group, gens: rows(group, gens) + killed)
     with pytest.raises(InternalCheckError):
-        homology._coker_d3_divisors(g)
+        homology._hopf_divisors(g)
 
 
 # the 14 groups of the schur-covers workload whose Sylow subgroups are all
@@ -116,12 +132,13 @@ CYCLIC_SYLOW = ("C2", "C3", "C4", "C5", "C6", "S3", "C7", "C8", "C9", "C10",
 def test_cyclic_sylow_groups_skip_the_bar_complex(monkeypatch):
     """H2(G)_p embeds in H2 of a Sylow p-subgroup, which is zero when that
     subgroup is cyclic.  For groups whose Sylow subgroups are all cyclic,
-    h2 is trivial and schur_cover returns G itself, without one d3 chain
-    or cocycle space; C273 takes well under a second from a fresh cache."""
+    h2 is trivial and schur_cover returns G itself, without one Hopf
+    relation row or cocycle space; C273 takes well under a second from a
+    fresh cache."""
     def forbidden(*args):
-        raise AssertionError("bar complex or cocycle space built")
+        raise AssertionError("Hopf rows or cocycle space built")
 
-    monkeypatch.setattr(homology, "_d3_generator_chains", forbidden)
+    monkeypatch.setattr(homology, "_hopf_rows", forbidden)
     monkeypatch.setattr(homology, "_CocycleSpace", forbidden)
     monkeypatch.setattr(homology, "_H2_CACHE", {})
     t0 = time.perf_counter()
@@ -136,6 +153,43 @@ def test_cyclic_sylow_groups_skip_the_bar_complex(monkeypatch):
         assert cov.kernel_structure.is_trivial(), g.name
         assert cov.kernel_members == (0,), g.name
         cov.verify(g, stem=True)
+
+
+def _forbid_cocycle_space(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("cocycle space built")
+
+    monkeypatch.setattr(homology, "_CocycleSpace", forbidden)
+    monkeypatch.setattr(homology, "_H2_CACHE", {})
+
+
+def test_trivial_multiplier_cover_skips_the_cocycle_space(monkeypatch):
+    """Dic2 has a non-cyclic Sylow 2-subgroup but H2 = 1: its Schur cover
+    is G itself, table for table, built without a cocycle space."""
+    g = dicyclic(2)
+    _forbid_cocycle_space(monkeypatch)
+    cov = schur_cover(g)
+    ref = homology._extension_from_factors(g, [])
+    assert cov.total.table == ref.total.table
+    assert (cov.proj, cov.kernel_members, cov.kernel_coords) == \
+        (ref.proj, ref.kernel_members, ref.kernel_coords)
+
+
+def test_build_u_on_a_trivial_multiplier_of_order_147(monkeypatch):
+    """(Z/7)^2 : C3, C3 acting by x -> 2x, has H2 = 1 though its Sylow
+    7-subgroup is not cyclic; U(G, c) for c the elements of order 3 is
+    built in well under 2 s, without a cocycle space."""
+    base = abelian([7, 7])
+    act = [[base.power(x, 2 ** j) for x in range(base.order)]
+           for j in range(3)]
+    g = semidirect(GammaGroup(base, cyclic(3), act)).group
+    c = [x for x in range(g.order) if g.element_order(x) == 3]
+    assert homology._noncyclic_sylow_part(g) == 49
+    _forbid_cocycle_space(monkeypatch)
+    t0 = time.perf_counter()
+    ctx = build_u(g, c)
+    assert time.perf_counter() - t0 < 2.0
+    assert ctx.h2c.is_trivial() and ctx.sc.total.order == g.order
 
 
 def test_schur_cover_extraspecial():

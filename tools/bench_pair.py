@@ -27,7 +27,11 @@ and number of failed checks under `criterion2`.  Then CYCLIC_SYLOW_PAIRS
 alternating pairs of fresh processes time `h2` followed by `schur_cover`
 for each group of CYCLIC_SYLOW_GROUPS, from a cold start, and record each
 run's wall time, peak RSS, multiplier and cover order under
-`cyclic_sylow`.  Then MONTE_CARLO_PAIRS alternating pairs of fresh
+`cyclic_sylow`.  Then H2_PAIRS alternating pairs of fresh processes time
+`h2` alone, from a cold start, for each group of H2_GROUPS, and record
+each run's wall time, peak RSS and multiplier under `h2`; a side that
+refuses a group records "CapacityError" as its multiplier.  Then
+MONTE_CARLO_PAIRS alternating pairs of fresh
 processes time one `monte_carlo` call of MONTE_CARLO_TRIALS trials for
 each modulus of MONTE_CARLO_MODULI, and record each run's wall time, peak
 RSS and the sha256 of its counts under `monte_carlo`; `counts_equal` says
@@ -96,6 +100,33 @@ cover = schur_cover(group)
 wall_s = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"h2": list(mult.chain), "cover_order": cover.total.order,
+                  "metrics": {"wall_s": {"value": wall_s},
+                              "peak_rss_mib": {"value": rss}}}))
+"""
+
+H2_PAIRS = 3
+# up to C2^7 the bar complex's reach; C5^3:C2 of order 250 is past it
+H2_GROUPS = ("C5xC5:C2", "S5", "D100", "C2^7", "C5^3:C2")
+H2_SCRIPT = """
+import json, resource, sys, time
+from hurwitzlab.errors import CapacityError
+from hurwitzlab.groups import (abelian, dihedral, inversion_action,
+                               semidirect, symmetric)
+from hurwitzlab.homology import h2
+group = {"C5xC5:C2": lambda: semidirect(
+             inversion_action(abelian([5, 5]))).group,
+         "S5": lambda: symmetric(5), "D100": lambda: dihedral(100),
+         "C2^7": lambda: abelian([2] * 7),
+         "C5^3:C2": lambda: semidirect(
+             inversion_action(abelian([5, 5, 5]))).group}[sys.argv[1]]()
+t0 = time.perf_counter()
+try:
+    mult = list(h2(group).chain)
+except CapacityError:
+    mult = "CapacityError"
+wall_s = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"h2": mult,
                   "metrics": {"wall_s": {"value": wall_s},
                               "peak_rss_mib": {"value": rss}}}))
 """
@@ -313,6 +344,16 @@ def main() -> int:
                 "h2": {s: runs[0][s]["h2"] for s in ("base", "change")},
                 "cover_order": {s: runs[0][s]["cover_order"]
                                 for s in ("base", "change")},
+                "metrics": summarize(runs), "runs": runs}
+        report["h2"] = {
+            "command": "python3 -c H2_SCRIPT GROUP (tools/bench_pair.py)",
+            "groups": {}}
+        for name in H2_GROUPS:
+            runs = alternating(
+                base_dir, H2_PAIRS,
+                lambda c, i: script_run(c, H2_SCRIPT, name), name)
+            report["h2"]["groups"][name] = {
+                "h2": {s: runs[0][s]["h2"] for s in ("base", "change")},
                 "metrics": summarize(runs), "runs": runs}
         report["monte_carlo"] = {
             "command": "python3 -c MONTE_CARLO_SCRIPT M "
