@@ -258,8 +258,9 @@ def structure_of_members(group, members) -> AbelianGroupData:
     """AbelianGroupData for a subgroup (given by member indices) of a
     FiniteGroup; the subgroup must be abelian."""
     mem = sorted(set(members))
-    sub = group.array[np.ix_(mem, mem)]
-    t = group.table
+    # the whole group's table is not copied
+    sub = group.array if mem == list(range(group.order)) else \
+        group.array[np.ix_(mem, mem)]
     if not np.array_equal(sub, sub.T):
         raise ValidationError("subgroup is not abelian")
-    return AbelianGroupData(mem, lambda a, b: t[a][b], 0)
+    return AbelianGroupData(mem, group.array.item, 0)

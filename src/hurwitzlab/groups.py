@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .abelian import _element_orders
 from .errors import CapacityError, InternalCheckError, ValidationError
 
 DEFAULT_CLOSURE_CAP = 100_000
@@ -26,13 +27,13 @@ ASSOC_FULL_CHECK_CAP = 1000    # exhaustive associativity below this order
 class FiniteGroup:
     """A finite group as a validated multiplication table.
 
-    Identity is element 0.  `table[a][b]` is the product a*b; `array` is
-    the same table as one read-only int64 array, built once, for the
-    whole-table passes.
+    Identity is element 0.  `array` is the table, one read-only int64 array
+    built once: `array[a, b]` is the product a*b.  The scalar methods read
+    it and return Python ints; a walk over many products reads the columns
+    or rows it needs, and no whole-table list is kept.
     """
 
-    __slots__ = ("order", "table", "array", "inv", "_orders", "_hash",
-                 "name")
+    __slots__ = ("order", "array", "inv", "_orders", "_key", "name")
 
     def __init__(self, table, name: str = "", _validated: bool = False):
         arr = _table_array(table)
@@ -42,7 +43,6 @@ class FiniteGroup:
         n = len(arr)
         self.order = n
         self.array = arr
-        self.table = arr.tolist()
         self.name = name or f"group{n}"
         has = arr == 0
         found = has.any(axis=1)
@@ -51,51 +51,40 @@ class FiniteGroup:
                 f"element {int(np.argmin(found))} has no inverse")
         self.inv = has.argmax(axis=1).tolist()
         self._orders = None
-        self._hash = None
+        self._key = None
 
     # -- basics ------------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return self.array.item(a, b)
 
     def inverse(self, a: int) -> int:
         return self.inv[a]
 
     def conj(self, g: int, h: int) -> int:
         """h g h^{-1}."""
-        t = self.table
-        return t[t[h][g]][self.inv[h]]
+        t = self.array
+        return t.item(t.item(h, g), self.inv[h])
 
     def power(self, g: int, k: int) -> int:
         if k < 0:
             g, k = self.inv[g], -k
         r = 0
-        t = self.table
+        t = self.array
         while k:
             if k & 1:
-                r = t[r][g]
-            g = t[g][g]
+                r = t.item(r, g)
+            g = t.item(g, g)
             k >>= 1
         return r
 
     def element_order(self, g: int) -> int:
         if self._orders is None:
-            orders = [1] * self.order
-            t = self.table
-            for x in range(1, self.order):
-                y, k = x, 1
-                while y != 0:
-                    y = t[y][x]
-                    k += 1
-                orders[x] = k
-            self._orders = orders
+            self._orders = _element_orders(range(self.order), self.mul, 0)
         return self._orders[g]
 
     def exponent(self) -> int:
-        e = 1
-        for g in range(self.order):
-            e = e * self.element_order(g) // math.gcd(e, self.element_order(g))
-        return e
+        return math.lcm(*map(self.element_order, range(self.order)))
 
     def elements(self) -> range:
         return range(self.order)
@@ -104,47 +93,51 @@ class FiniteGroup:
         return bool((self.array == self.array.T).all())
 
     def commutator(self, a: int, b: int) -> int:
-        t = self.table
-        return t[t[t[a][b]][self.inv[a]]][self.inv[b]]
+        t, inv = self.array, self.inv
+        return t.item(t.item(t.item(a, b), inv[a]), inv[b])
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)
                 and np.array_equal(self.array, other.array))
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(tuple(r) for r in self.table))
-        return self._hash
+        return int.from_bytes(self.content_key()[:8], "big")
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
     def content_key(self) -> bytes:
-        """Stable bytes identifying the table (used for cache keys)."""
-        import hashlib
-        h = hashlib.sha256()
-        h.update(str(self.order).encode())
-        for row in self.table:
-            h.update(b",".join(str(x).encode() for x in row))
-        return h.digest()
+        """Stable bytes identifying the table (used for cache keys): the
+        sha256 of the order, then each row's entries joined by commas."""
+        if self._key is None:
+            import hashlib
+            h = hashlib.sha256()
+            h.update(str(self.order).encode())
+            for row in self.array:
+                h.update(",".join(map(str, row.tolist())).encode())
+            self._key = h.digest()
+        return self._key
 
     # -- subgroup machinery --------------------------------------------------
 
     def subgroup_closure(self, gens: Iterable[int]) -> tuple:
-        t = self.table
-        seen = {0}
-        frontier = [0]
-        gens = set(gens)
         # right multiplication alone reaches every word: in a finite group
-        # each inverse is a positive power
-        while frontier:
-            x = frontier.pop()
-            row = t[x]
-            for s in gens:
-                y = row[s]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
+        # each inverse is a positive power; a generator outside the closure
+        # so far adds its column x -> x s and extends the walk
+        seen = {0}
+        cols = []
+        for s in sorted(set(gens)):
+            if s in seen:
+                continue
+            cols.append(self.array[:, s].tolist())
+            frontier = list(seen)
+            while frontier:
+                x = frontier.pop()
+                for col in cols:
+                    y = col[x]
+                    if y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
         return tuple(sorted(seen))
 
     def normal_closure(self, gens: Iterable[int]) -> tuple:
@@ -181,19 +174,18 @@ class FiniteGroup:
         member = np.zeros(self.order, dtype=bool)
         member[mem] = True
         t = self.array
-        if not member[t[t[:, mem], np.asarray(self.inv)[:, None]]].all():
+        gn = t[:, mem]
+        if not member[t[gn, np.asarray(self.inv)[:, None]]].all():
             raise ValidationError("subgroup is not normal")
-        coset_of = [-1] * self.order
-        reps = []
-        for g in range(self.order):
-            if coset_of[g] == -1:
-                idx = len(reps)
-                reps.append(g)
-                for x in mem:
-                    coset_of[self.table[g][x]] = idx
-        qt = np.asarray(coset_of)[t[np.ix_(reps, reps)]]
+        # the least member of each coset gN, and the cosets numbered in
+        # the order of their least members
+        least = gn.min(axis=1)
+        is_rep = least == np.arange(self.order)
+        coset_of = (np.cumsum(is_rep) - 1)[least]
+        reps = np.flatnonzero(is_rep)
+        qt = coset_of[t[np.ix_(reps, reps)]]
         q = FiniteGroup(qt, name=f"{self.name}/N", _validated=True)
-        return q, coset_of
+        return q, coset_of.tolist()
 
     def subgroup_as_group(self, members: Sequence[int]):
         """The subgroup on `members` as a standalone group.
@@ -501,19 +493,18 @@ class ConjClassTable:
     def __init__(self, group: FiniteGroup):
         self.group = group
         n = group.order
-        class_of = [-1] * n
-        reps = []
+        t, inv = group.array, np.asarray(group.inv)
+        class_of = np.full(n, -1)
         members = []
         for g in range(n):
             if class_of[g] == -1:
-                cid = len(reps)
-                orbit = sorted({group.conj(g, h) for h in range(n)})
-                for x in orbit:
-                    class_of[x] = cid
-                reps.append(min(orbit))
-                members.append(tuple(orbit))
-        self.class_of = class_of
-        self.reps = reps
+                # the conjugates h g h^-1 of g, one gather over every h
+                orbit = np.zeros(n, dtype=bool)
+                orbit[t[t[:, g], inv]] = True
+                class_of[orbit] = len(members)
+                members.append(tuple(np.flatnonzero(orbit).tolist()))
+        self.class_of = class_of.tolist()
+        self.reps = [m[0] for m in members]
         self.members = members
 
     def __len__(self):
@@ -543,13 +534,10 @@ class Subgroup:
         object.__setattr__(self, "members", mem)
         if 0 not in mem:
             raise ValidationError("subgroup must contain the identity")
-        s = set(mem)
-        for a in mem:
-            if self.parent.inv[a] not in s:
-                raise ValidationError("subgroup not closed under inverse")
-            for b in mem:
-                if self.parent.table[a][b] not in s:
-                    raise ValidationError("subgroup not closed under product")
+        # a finite set closed under products holds the inverses too, and
+        # is the subgroup it generates
+        if self.parent.subgroup_closure(mem) != mem:
+            raise ValidationError("subgroup not closed under product")
 
     def __len__(self):
         return len(self.members)
@@ -623,9 +611,8 @@ class GammaGroup:
 
     def y_map(self, g: int) -> tuple:
         """The Gamma-indexed tuple of g^{-1} * gamma(g)."""
-        b = self.base
-        gi = b.inv[g]
-        return tuple(b.table[gi][self.act[ge][g]] for ge in range(self.gamma.order))
+        return tuple(self.base.array[self.base.inv[g],
+                                     [p[g] for p in self.act]].tolist())
 
     def invariants(self, d_members: Sequence[int]) -> Subgroup:
         """Fixed-point subgroup of the action of a subgroup D <= Gamma."""
@@ -777,17 +764,23 @@ def _generating_set(g: FiniteGroup) -> list[int]:
 
 
 def _small_generating_set(g: FiniteGroup) -> list[int]:
+    """Greedy generators: each the least x giving the largest <H, x>, H the
+    subgroup the ones before it generate.  <H, x h> = <H, x> for h in H,
+    so only the least element of each left coset x H is tried."""
     gens: list[int] = []
-    have = {0}
+    have = [0]
     while len(have) < g.order:
+        seen = np.zeros(g.order, dtype=bool)
+        seen[have] = True
         best = None
         for x in range(1, g.order):
-            if x not in have:
+            if not seen[x]:
+                seen[g.array[x, have]] = True
                 new = g.subgroup_closure(gens + [x])
-                if best is None or len(new) > best[0]:
-                    best = (len(new), x, new)
-        gens.append(best[1])
-        have = set(best[2])
+                if best is None or len(new) > len(best[1]):
+                    best = (x, new)
+        gens.append(best[0])
+        have = list(best[1])
     return gens
 
 
@@ -800,11 +793,13 @@ def _hom_from_generators(src: FiniteGroup, dst: FiniteGroup,
     phi = {0: 0}
     frontier = [0]
     gi = dict(zip(gens, images))
+    edges = list(zip(src.array[:, list(gi)].T.tolist(),
+                     dst.array[:, list(gi.values())].T.tolist()))
     while frontier:
         x = frontier.pop()
-        for g, im in gi.items():
-            y = src.table[x][g]
-            img = dst.table[phi[x]][im]
+        for scol, dcol in edges:
+            y = scol[x]
+            img = dcol[phi[x]]
             if y in phi:
                 if phi[y] != img:
                     return None
@@ -837,7 +832,7 @@ def _gamma_isomorphisms(h1: GammaGroup, h2: GammaGroup):
 
 def gamma_isomorphic(h1: GammaGroup, h2: GammaGroup) -> bool:
     """Gamma-equivariant isomorphism test (same gamma group required)."""
-    if h1.gamma.table != h2.gamma.table:
+    if h1.gamma != h2.gamma:
         raise ValidationError("Gamma groups differ")
     a, b = h1.base, h2.base
     if a.order != b.order:
@@ -988,8 +983,8 @@ def _parse_cycles(line: str, degree: int) -> list[int]:
 
 def format_group_file(group: FiniteGroup, gamma: Optional[GammaGroup] = None) -> str:
     lines = [f"order {group.order}"]
-    for row in group.table:
-        lines.append(" ".join(str(x) for x in row))
+    for row in group.array.tolist():
+        lines.append(" ".join(map(str, row)))
     if gamma is not None:
         lines.append("gamma")
         for p in gamma.act:

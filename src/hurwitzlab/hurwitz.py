@@ -121,11 +121,11 @@ class _StateSpace:
             raise CapacityError(
                 f"{self.length} entries of {bits} bits overflow a 64-bit key")
         self.dtype = np.min_scalar_type(k - 1)
-        pos = {x: i for i, x in enumerate(cs)}
-        t, inv = group.table, group.inv
+        t, c = group.array, np.array(cs)
+        pos = np.zeros(group.order, self.dtype)
+        pos[c] = np.arange(k)
         # conj_pair[a, b] = index of c[a] c[b] c[a]^{-1}
-        self.conj_pair = np.array(
-            [[pos[t[t[a][b]][inv[a]]] for b in cs] for a in cs], self.dtype)
+        self.conj_pair = pos[t[t[c[:, None], c], np.array(group.inv)[c, None]]]
         self.order = group.element_order(g_inf)
         conj = np.array([[pos[group.conj(x, group.power(g_inf, j))]
                           for x in cs] for j in range(self.order)], np.uint64)
@@ -340,9 +340,9 @@ def lifting_invariant(ctx: UContext, tup: NielsenTuple) -> LiftingInvariant:
     for x in tup.entries:
         if x not in ctx.lifts:
             raise ValidationError(f"entry {x} not in c")
-        s = S.table[s][ctx.lifts[x]]
+        s = S.mul(s, ctx.lifts[x])
         v[ctx.class_of[x]] += 1
-    s = S.table[s][ctx.lifts[tup.g_inf]]
+    s = S.mul(s, ctx.lifts[tup.g_inf])
     v[ctx.class_of[tup.g_inf]] += 1
     u = UElement(ctx, s, tuple(v), _checked=True)
     h, vv = ctx.k_decompose(u)

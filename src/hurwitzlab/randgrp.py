@@ -49,7 +49,7 @@ class VarietySpec:
             raise ValidationError("variety needs at least one generator")
         gam = self.generators[0].gamma
         for g in self.generators:
-            if g.gamma.table != gam.table:
+            if g.gamma != gam:
                 raise ValidationError("variety generators share one Gamma")
             if math.gcd(g.base.order, 2 * gam.order) != 1:
                 raise ValidationError(
@@ -510,8 +510,7 @@ def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup,
     m, dim = free.m, free.dim
     td = _TargetData(h)
     # the map sends b_{i,g} to the coordinates of h_i^-1 g(h_i)
-    ys = [h.base.table[h.base.inv[x]][h.act[g][x]]
-          for x in tup for g in range(1, free.gamma.order)]
+    ys = [y for x in tup for y in h.y_map(x)[1:]]
     images = td.coords[ys].reshape(dim, len(td.orders))
     rows = images.T * (m // td.orders)[:, None] % m
     if (free._nrows @ rows.T % m).any():

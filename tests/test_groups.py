@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from hurwitzlab.abelian import structure_of_members
 from hurwitzlab.errors import CapacityError, ValidationError
 from hurwitzlab.groups import (ConjClassTable, FiniteGroup, GammaGroup,
+                               _small_generating_set,
                                Subgroup, abelian, alternating4, cyclic,
                                dicyclic, dihedral, direct_product,
                                format_group_file, from_mult_table,
@@ -239,7 +242,7 @@ def test_group_file_roundtrip(tmp_path):
     s3 = symmetric(3)
     text = format_group_file(s3)
     g = parse_group_file(text)
-    assert g.table == s3.table
+    assert g == s3
     z3 = inversion_action(cyclic(3))
     gg = parse_group_file(format_group_file(cyclic(3), z3))
     assert isinstance(gg, GammaGroup)
@@ -293,7 +296,7 @@ def test_tables_and_abelian_coordinates_pinned():
     catalog = groups_up_to_16()
     groups = (catalog + [dihedral(n) for n in range(1, 13)]
               + [dicyclic(n) for n in range(1, 7)])
-    assert _sha256((g.name, g.table) for g in groups) == \
+    assert _sha256((g.name, g.array.tolist()) for g in groups) == \
         "7d6dbfccf29443225665ea0cd03d7a8b7e38c9daff9f7488f912bf2127da31bc"
 
     def row(g):
@@ -316,7 +319,67 @@ def test_abelian_equals_chained_direct_products():
         for d in orders:
             g = direct_product(g, cyclic(d)) if g.order > 1 else cyclic(d)
         built = abelian(orders)
-        assert built.table == g.table, orders
+        assert built == g, orders
         assert built.name == g.name, orders
     with pytest.raises(ValidationError):
         abelian([2, 0])
+
+
+def test_content_keys_pinned():
+    """`content_key` names the UContext cache files: its bytes are pinned
+    for every group of order <= 16."""
+    h = hashlib.sha256()
+    for g in groups_up_to_16():
+        h.update(g.content_key())
+    assert h.hexdigest() == \
+        "5a6d826a7ca2f94bccef935c880095deeaf78ba4e9bb4f99370f90cf40740ee5"
+
+
+def test_group_holds_one_table():
+    """A group keeps its table once, as the int64 array: building the
+    2,401-element (Z/7)^4 from its table stays far below the size of a
+    list-of-lists copy (about 200 MiB)."""
+    table = abelian([7] * 4).array
+    tracemalloc.start()
+    try:
+        g = FiniteGroup(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+    assert g.order == 2401 and not hasattr(g, "table")
+
+
+def _greedy_generators_reference(g):
+    """Each generator the least x of the largest <gens, x>, every element
+    outside the closure tried."""
+    gens, have = [], {0}
+    while len(have) < g.order:
+        best = None
+        for x in range(1, g.order):
+            if x not in have:
+                new = g.subgroup_closure(gens + [x])
+                if best is None or len(new) > best[0]:
+                    best = (len(new), x, new)
+        gens.append(best[1])
+        have = set(best[2])
+    return gens
+
+
+def test_small_generating_set_matches_the_greedy_reference():
+    """Trying one element per left coset of the subgroup so far picks the
+    same generators as trying every element, and (Z/7)^4 takes well under
+    a second."""
+    a5 = from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5)
+    groups = groups_up_to_16() + [
+        symmetric(4), dihedral(12), symmetric(5), a5] + [
+        semidirect(inversion_action(abelian(o))).group
+        for o in ([3, 3], [5, 5], [3, 3, 3])]
+    assert len(groups) == 49 and a5.order == 60
+    for g in groups:
+        assert _small_generating_set(g) == \
+            _greedy_generators_reference(g), g.name
+    g = abelian([7] * 4)
+    t0 = time.perf_counter()
+    assert _small_generating_set(g) == [1, 7, 49, 343]
+    assert time.perf_counter() - t0 < 0.5

@@ -170,7 +170,7 @@ def test_trivial_multiplier_cover_skips_the_cocycle_space(monkeypatch):
     _forbid_cocycle_space(monkeypatch)
     cov = schur_cover(g)
     ref = homology._extension_from_factors(g, [])
-    assert cov.total.table == ref.total.table
+    assert cov.total == ref.total
     assert (cov.proj, cov.kernel_members, cov.kernel_coords) == \
         (ref.proj, ref.kernel_members, ref.kernel_coords)
 
@@ -190,6 +190,16 @@ def test_build_u_on_a_trivial_multiplier_of_order_147(monkeypatch):
     ctx = build_u(g, c)
     assert time.perf_counter() - t0 < 2.0
     assert ctx.h2c.is_trivial() and ctx.sc.total.order == g.order
+
+
+def test_cover_cap_raises_before_the_cocycle_space(monkeypatch):
+    """C2^6 has H2 = C2^15, so its Schur cover would have order 2^21: it
+    is refused as soon as h2 returns, without a cocycle space."""
+    _forbid_cocycle_space(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="2097152"):
+        schur_cover(abelian([2] * 6))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_schur_cover_extraspecial():
@@ -216,7 +226,8 @@ def test_schur_covers_pinned():
                                   inversion_semidirect([5, 5])]
 
     def row(ext):
-        return (ext.total.table, ext.proj, sorted(ext.kernel_coords.items()))
+        return (ext.total.array.tolist(), ext.proj,
+                sorted(ext.kernel_coords.items()))
 
     h_cover, h_reduced = hashlib.sha256(), hashlib.sha256()
     for g in groups:
@@ -305,7 +316,7 @@ def test_k_centrality():
     S = ctx.sc.total
     for k in ctx.sc.kernel_members:
         for u in range(S.order):
-            assert S.table[k][u] == S.table[u][k]
+            assert S.mul(k, u) == S.mul(u, k)
 
 
 def test_k_decompose_roundtrip():
@@ -337,7 +348,7 @@ def test_ucontext_cache_roundtrip(tmp_path):
     assert len(files) == 1
     ctx2 = build_u(s3, transp, cache_dir=str(tmp_path))
     assert ctx2.c == ctx.c
-    assert ctx2.sc.total.table == ctx.sc.total.table
+    assert ctx2.sc.total == ctx.sc.total
     assert ctx2.lifts == ctx.lifts
 
 

@@ -33,7 +33,7 @@ def test_enumerate_s3_example():
     for t in tups:
         prod = 0
         for x in t.entries:
-            prod = S3.table[prod][x]
+            prod = S3.mul(prod, x)
         assert prod == S3.inv[TRANSP[0]]
 
 
@@ -178,7 +178,7 @@ def test_braid_preserves_structure():
         m = braid_act(i, t, S3)
         prod0 = 0
         for x in m.entries:
-            prod0 = S3.table[prod0][x]
+            prod0 = S3.mul(prod0, x)
         assert prod0 == S3.inv[t.g_inf]
         assert sorted(ctx.class_of[x] for x in m.entries) == \
             sorted(ctx.class_of[x] for x in t.entries)
@@ -296,7 +296,7 @@ def _brute_force_tuples(group, c, g_inf, n):
     for entries in itertools.product(sorted(c), repeat=n - 1):
         prod = 0
         for x in entries:
-            prod = group.table[prod][x]
+            prod = group.mul(prod, x)
         if prod == target and \
                 len(group.subgroup_closure(entries + (g_inf,))) == group.order:
             out.append(NielsenTuple(entries, g_inf))
@@ -377,7 +377,7 @@ def test_verify_invariants_catches_a_corrupted_member():
     assert ctx.h2c.factors == (2,)
     orbits(a4, c, c[0], 5, ctx=ctx, verify_invariants=True)
     z = next(s for s, h in ctx.sc.kernel_coords.items() if any(h))
-    ctx.lifts[c[1]] = ctx.sc.total.table[ctx.lifts[c[1]]][z]
+    ctx.lifts[c[1]] = ctx.sc.total.mul(ctx.lifts[c[1]], z)
     with pytest.raises(InternalCheckError):
         orbits(a4, c, c[0], 5, ctx=ctx, verify_invariants=True)
     orbits(a4, c, c[0], 5, ctx=ctx)

@@ -65,7 +65,7 @@ def test_action_array_is_the_augmentation_action():
                 off = blk * (k - 1) - 1
                 for h in range(1, k):
                     want = [0] * free.dim
-                    gh, g1 = gamma.table[g][h], gamma.table[g][0]
+                    gh, g1 = gamma.mul(g, h), gamma.mul(g, 0)
                     if gh:
                         want[off + gh] += 1
                     if g1:

@@ -35,7 +35,10 @@ MONTE_CARLO_PAIRS alternating pairs of fresh
 processes time one `monte_carlo` call of MONTE_CARLO_TRIALS trials for
 each modulus of MONTE_CARLO_MODULI, and record each run's wall time, peak
 RSS and the sha256 of its counts under `monte_carlo`; `counts_equal` says
-whether every run of both sides gave the same counts.
+whether every run of both sides gave the same counts.  Then
+LARGE_GROUPS_PAIRS alternating pairs of fresh processes time each case of
+LARGE_GROUPS on groups of order 2,401, and record each run's wall time,
+peak RSS and result under `large_groups`.
 
 Last, tier-1 (`python -m pytest -q --durations=15` over `tests/`) runs
 once per side, the base first; `tier1` records each side's pass, fail and
@@ -150,6 +153,32 @@ wall_s = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 counts = repr(list(report.counts.items())).encode()
 print(json.dumps({"counts_sha256": hashlib.sha256(counts).hexdigest(),
+                  "metrics": {"wall_s": {"value": wall_s},
+                              "peak_rss_mib": {"value": rss}}}))
+"""
+
+LARGE_GROUPS_PAIRS = 5
+# (Z/7)^4 built from nothing; the regular (Z/7)[C4]-module and the free
+# object on one generator of its variety; the greedy generating set of
+# (Z/7)^4, the group built before the clock starts
+LARGE_GROUPS = ("(Z/7)^4", "FreeAdmissible(1, (Z/7)[C4])",
+                "_small_generating_set((Z/7)^4)")
+LARGE_GROUPS_SCRIPT = """
+import json, resource, sys, time
+from hurwitzlab.groups import _small_generating_set, abelian, cyclic
+from hurwitzlab.randgrp import FreeAdmissible, abelian_exponent_variety
+case = sys.argv[1]
+group = abelian([7] * 4) if case.startswith("_small") else None
+t0 = time.perf_counter()
+if case == "(Z/7)^4":
+    result = abelian([7] * 4).order
+elif case.startswith("FreeAdmissible"):
+    result = FreeAdmissible(1, abelian_exponent_variety(cyclic(4), 7)).order
+else:
+    result = _small_generating_set(group)
+wall_s = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"result": result,
                   "metrics": {"wall_s": {"value": wall_s},
                               "peak_rss_mib": {"value": rss}}}))
 """
@@ -370,6 +399,17 @@ def main() -> int:
                 "counts_sha256": {s: runs[0][s]["counts_sha256"]
                                   for s in ("base", "change")},
                 "counts_equal": len(hashes) == 1,
+                "metrics": summarize(runs), "runs": runs}
+        report["large_groups"] = {
+            "command": "python3 -c LARGE_GROUPS_SCRIPT CASE "
+                       "(tools/bench_pair.py)", "cases": {}}
+        for case in LARGE_GROUPS:
+            runs = alternating(
+                base_dir, LARGE_GROUPS_PAIRS,
+                lambda c, i: script_run(c, LARGE_GROUPS_SCRIPT, case), case)
+            report["large_groups"]["cases"][case] = {
+                "result": {s: runs[0][s]["result"]
+                           for s in ("base", "change")},
                 "metrics": summarize(runs), "runs": runs}
         report["tier1"] = {
             "command": "python3 " + " ".join(TIER1),
