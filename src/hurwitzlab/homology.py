@@ -11,19 +11,22 @@ Two computation paths live here:
   plus k copies of Z/m, which are dropped (see `_hopf_divisors`), and
   m = 1 answers at once.  Groups whose k (|G|(k - 1) + 1) relation rows
   exceed `H2_CHAIN_CAP` raise CapacityError before any row is built,
-  whatever m is;
-* a cocycle-space pipeline (generator-parametrized 2-cocycles, coboundaries
-  and carry classes quotiented out) that produces explicit cocycles and is
-  used to construct stem covers.  `_CocycleSpace` holds f(g, h) for every
-  pair as one (n, n, unknowns) integer array, so the cocycle identity
-  rows, the coboundaries, the carries and a cocycle's full table are array
-  expressions.  The cover of G by prod Z/d_i puts (a, g) at index
-  enc(a) n + g and is built with one broadcast per factor d_i.
+  whatever m is.  The same lattice, modulo each p^e in turn, gives the
+  cocycles of a Schur cover (`_hopf_cocycles`): the dual of H2_p, summed
+  along the tree paths of the Cayley graph;
+* a cocycle space (generator-parametrized 2-cochains, coboundaries and
+  carry classes) that puts each cover cocycle into a canonical form.
+  `_CocycleSpace` holds f(g, h) for every pair as one (n, n, unknowns)
+  integer array, so the cocycle identity rows, the coboundaries, the
+  carries and a cocycle's full table are array expressions.  The cover of
+  G by prod Z/d_i puts (a, g) at index enc(a) n + g and is built with one
+  broadcast per factor d_i.
 
 The cover construction runs at the primes of `h2`'s multiplier and is
-verified: the projection is a homomorphism (one gather over the cover
-table), and the kernel must be central, lie in the commutator subgroup,
-and equal that multiplier.
+certified: each factor table satisfies the cocycle identity, the
+projection is a homomorphism (one gather over the cover table), and the
+kernel must be central, lie in the commutator subgroup, and equal that
+multiplier.
 """
 
 from __future__ import annotations
@@ -41,10 +44,9 @@ import numpy as np
 from .abelian import AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .groups import FiniteGroup, _generating_set, _small_generating_set
-from .intmat import (howell_form_mod, howell_residue, kernel_mod,
-                     quotient_divisors_mod, quotient_with_reps_mod,
-                     solve_linear_mod)
-from .ntheory import factorize, is_power_of
+from .intmat import (_smith_mod, howell_form_mod, howell_residue,
+                     quotient_divisors_mod)
+from .ntheory import factorize
 
 # k (|G|(k - 1) + 1) Hopf relation rows for k generators: C2^9 (36,873)
 # runs in 0.6 s and 96 MiB, C3^5:C2 (14,586) in 0.23 s; C2^10 (92,170)
@@ -102,21 +104,14 @@ def _hopf_divisors(group: FiniteGroup) -> list[int]:
     return divisors[:len(divisors) - k]
 
 
-def _hopf_rows(group: FiniteGroup, gens: list[int]) -> list[dict]:
-    """The rows (s - 1) z_e of R/[F, R], sparse, for s in gens and z_e the
-    fundamental cycles of the Cayley graph (edges g -> g t, t in gens).
-
-    A breadth-first spanning tree leaves N = |G|(k - 1) + 1 non-tree
-    edges; z_e is the tree path to g, then e = (g, t), then back along the
-    tree path to g t, and a cycle is its coefficients on the non-tree
-    edges.  s z_e is the translate s path(g) + (s g, t) - s path(g t), and
-    the non-tree edges of s path(g) fill in breadth-first order: those of
-    s path(u), for g = u t' a tree edge, and (s u, t') if it is not one.
-    """
-    n, k = group.order, len(gens)
-    # right[g][i] = g gens[i] and left[i][g] = gens[i] g
+def _cayley_tree(group: FiniteGroup, gens: list[int]):
+    """A breadth-first spanning tree of the Cayley graph (edges g -> g t,
+    t in gens): right[g][i] = g gens[i], the vertices in breadth-first
+    order, parent[g] = (u, i) for the tree edge u -> u gens[i] = g, and
+    col[g][i] the index of the non-tree edge (g, gens[i]), -1 for a tree
+    edge.  The N = |G|(k - 1) + 1 non-tree edges are numbered by (g, i)."""
+    n = group.order
     right = group.array[:, gens].tolist()
-    left = group.array[gens].tolist()
     parent: list = [None] * n
     order = [0]
     for u in order:
@@ -124,31 +119,49 @@ def _hopf_rows(group: FiniteGroup, gens: list[int]) -> list[dict]:
             if g and parent[g] is None:
                 parent[g] = (u, i)
                 order.append(g)
-    col = [[None] * k for _ in range(n)]
+    col = [[-1] * len(gens) for _ in range(n)]
     ncol = 0
     for g in range(n):
         for i, gt in enumerate(right[g]):
             if parent[gt] != (g, i):
                 col[g][i] = ncol
                 ncol += 1
+    return right, order, parent, col
+
+
+def _hopf_rows(group: FiniteGroup, gens: list[int]) -> list[dict]:
+    """The rows (s - 1) z_e of R/[F, R], sparse, for s in gens and z_e the
+    fundamental cycles of the Cayley graph (edges g -> g t, t in gens).
+
+    The spanning tree of `_cayley_tree` leaves N = |G|(k - 1) + 1 non-tree
+    edges; z_e is the tree path to g, then e = (g, t), then back along the
+    tree path to g t, and a cycle is its coefficients on the non-tree
+    edges.  s z_e is the translate s path(g) + (s g, t) - s path(g t), and
+    the non-tree edges of s path(g) fill in breadth-first order: those of
+    s path(u), for g = u t' a tree edge, and (s u, t') if it is not one.
+    """
+    n = group.order
+    right, order, parent, col = _cayley_tree(group, gens)
+    # left[i][g] = gens[i] g
+    left = group.array[gens].tolist()
     rows = []
     for sleft in left:
         path: list = [()] * n
         for g in order[1:]:
             u, i = parent[g]
             c = col[sleft[u]][i]
-            path[g] = path[u] if c is None else path[u] + (c,)
+            path[g] = path[u] if c < 0 else path[u] + (c,)
         for g in range(n):
             sg = sleft[g]
             for i, gt in enumerate(right[g]):
                 c = col[g][i]
-                if c is None:
+                if c < 0:
                     continue
                 row = dict.fromkeys(path[g], 1)
                 for j in path[gt] + (c,):
                     row[j] = row.get(j, 0) - 1
                 j = col[sg][i]
-                if j is not None:
+                if j >= 0:
                     row[j] = row.get(j, 0) + 1
                 rows.append(row)
     return rows
@@ -258,6 +271,18 @@ class _CocycleSpace:
         """The (n, n) table of f(g, h) mod m for the given unknowns."""
         return self.expr @ np.asarray(unknowns, dtype=np.int64) % m
 
+    def check_cocycle(self, table: np.ndarray, m: int) -> None:
+        """Raise InternalCheckError unless the (n, n) table satisfies
+        f(g, h) + f(g h, s) == f(h, s) + f(g, h s) mod m over G x G x S.
+        That gives every triple: by delta delta f = 0, delta f(g, h, x s)
+        is delta f(g, h, x), and h = 1 makes f(g, 1) constant."""
+        t, S = self.group.array, np.array(self.S, dtype=np.int64)
+        g = np.arange(self.group.order)[:, None, None]
+        h = g.reshape(1, -1, 1)
+        if ((table[g, h] + table[t[g, h], S] - table[h, S]
+             - table[g, t[h, S]]) % m).any():
+            raise InternalCheckError("cover factor table is not a 2-cocycle")
+
 
 @dataclass
 class CentralExtension:
@@ -330,18 +355,60 @@ def _extension_from_factors(group: FiniteGroup, factors):
         kernel_from_coords={v: k for k, v in coords.items()})
 
 
+def _hopf_cocycles(group: FiniteGroup, q: int) -> list:
+    """Cocycle tables (d, f), f(g, h) in Z/d, of a Schur cover's p-part,
+    for q = p^e || |G| with H2(G)_p != 0.
+
+    `_smith_mod` of the reduced Howell form of the Hopf rows modulo q,
+    which depends on their span only, gives U H V = D: R/[F, R] modulo q
+    is the sum of the Z/g_i, g_i = gcd(d_i, q), in the coordinates v V.
+    It is H2_p + (Z/q)^k, and the exponent of H2_p is below q (its square
+    divides |G|), so exactly k of the g_i are q; column i of V modulo each
+    other g_i > 1 is a G-invariant phi_i: R -> Z/g_i, and together they
+    map H2_p isomorphically onto the sum.  With sigma(g) the tree path to
+    g, the loop sigma(g) sigma(h) sigma(g h)^-1 has the non-tree edges of
+    g path(h) only, so f(g, h) = phi_i(g path(h)), filled in breadth-first
+    order of h = u t as f(g, u) + phi_i(g u, t).
+    """
+    gens = _generating_set(group)
+    n, k = group.order, len(gens)
+    ncycles = n * (k - 1) + 1
+    rows = _hopf_rows(group, gens)
+    A = np.zeros((len(rows), ncycles), dtype=np.int64)
+    for i, row in enumerate(rows):
+        A[i, list(row)] = list(row.values())
+    diag, V = _smith_mod(np.array(howell_form_mod(A, ncycles, q)), q)
+    g = [math.gcd(d, q) for d in diag] + [q] * (ncycles - len(diag))
+    if g.count(q) != k:
+        raise InternalCheckError(
+            f"R/[F,R] holds {g.count(q)} copies of Z/{q}, not {k}")
+    keep = [i for i, d in enumerate(g) if 1 < d < q]
+    # phi[c] on non-tree edge c; the last row, read for col -1, is zero
+    phi = np.zeros((ncycles + 1, len(keep)), dtype=np.int64)
+    phi[:-1] = V[:, keep]
+    _, order, parent, col = _cayley_tree(group, gens)
+    col, t = np.array(col), group.array
+    f = np.zeros((n, n, len(keep)), dtype=np.int64)
+    for h in order[1:]:
+        u, i = parent[h]
+        f[:, h] = f[:, u] + phi[col[t[:, u], i]]
+    return [(g[i], f[:, :, j] % g[i]) for j, i in enumerate(keep)]
+
+
 def schur_cover(group: FiniteGroup) -> CentralExtension:
     """A Schur covering group: stem central extension by H2(G, Z).
 
-    For each prime p of H2 (computed by `h2`) and p^e || |G|, the kernel
-    of the cocycle identity rows modulo m = p^e, over the coboundaries and
-    carries, gives adapted classes of order d; each is scaled into Z/d and
-    replaced by its Howell residue modulo the coboundaries and carries
-    there, and the cover table is built from those cocycle tables.  A
-    trivial H2 gives G itself, with no cocycle space; a cover above
-    `COVER_CAP` raises CapacityError before any.  The transgression
-    is certified: the kernel equals H2, which `h2` reads off another
-    lattice, and `verify` checks that it is central and lies in [S, S].
+    For each prime p of H2 (computed by `h2`) and p^e || |G|, the cocycles
+    of `_hopf_cocycles` read off the Hopf lattice give the factors Z/d of
+    H2_p; each is replaced by the Howell residue of its values on G x S
+    modulo the coboundaries and carries, and the cover table is built from
+    those cocycle tables.  A trivial H2 gives G itself, with no cocycle
+    space; a cover above `COVER_CAP` raises CapacityError before any.  The
+    cover is certified: each factor table satisfies the cocycle identity,
+    so the cover is a group; its kernel has the order of H2, which `h2`
+    reads off the Hopf lattice modulo the non-cyclic Sylow part of |G|;
+    and `verify` checks that the kernel is central and lies in [S, S].  A
+    stem extension whose kernel has the order of H2 is a Schur cover.
     """
     expected = h2(group)
     if group.order * expected.order > COVER_CAP:
@@ -349,33 +416,17 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
                             f" exceeds the construction cap of {COVER_CAP}")
     if not expected.is_trivial():
         space = _CocycleSpace(group)
-        rows = space.constraint_rows()
     factors = []
     for p in factorize(expected.order):
-        m = p ** factorize(group.order)[p]
-        sub = space.relation_vectors(m)
-        adapted = quotient_with_reps_mod(kernel_mod(rows, space.nun, m), sub,
-                                         space.nun, m)
-        for d, repv in adapted:
-            if not is_power_of(d, p):
-                raise InternalCheckError("non-p-power divisor in p-part")
-            v = np.array(repv, dtype=np.int64)
-            scale = m // d
-            if scale > 1:
-                x = solve_linear_mod(sub.T % scale, -v % scale, len(sub),
-                                     scale)
-                if x is None:
-                    raise InternalCheckError("cocycle scaling solve failed")
-                v = (v + np.array(x, dtype=np.int64) @ sub) % m
-            if (v % scale).any():
-                raise InternalCheckError("representative not divisible for scaling")
-            # the Howell residue of v / scale modulo coboundaries and
-            # carries: one fixed member of the coset, not the engine's (for
-            # C3xC3 that is the exponent-3 Heisenberg cover, not the
-            # exponent-9 one)
+        for d, f in _hopf_cocycles(group, p ** factorize(group.order)[p]):
+            # the Howell residue modulo coboundaries and carries: one fixed
+            # member of the coset, not the lattice's (for C3xC3 that is the
+            # exponent-3 Heisenberg cover, not the exponent-9 one)
             H = howell_form_mod(space.relation_vectors(d), space.nun, d)
-            w = howell_residue(H, v // scale % d, d)
-            factors.append((d, space.full_table(w, d)))
+            w = howell_residue(H, f[space._g, space._s], d)
+            table = space.full_table(w, d)
+            space.check_cocycle(table, d)
+            factors.append((d, table))
     ext = _extension_from_factors(group, factors)
     if ext.kernel_structure != expected:
         raise InternalCheckError(
@@ -693,7 +744,7 @@ def build_u(group: FiniteGroup, c: Sequence[int],
     return ctx
 
 
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 
 
 def save_ucontext(ctx: UContext, path) -> None:

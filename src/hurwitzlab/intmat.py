@@ -10,10 +10,10 @@ keeps the entries bounded, and lets the work run on int64 numpy arrays.
 
 There is one elimination per job:
 
-* `_smith_mod`, Smith form modulo m with the column transforms
+* `_smith_mod`, Smith form modulo m with the column transform
   (Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
-  ESA 1998), for adapted representatives, solving and kernels, and for
-  the small dense block of `quotient_divisors_mod`;
+  ESA 1998), for kernels and the dual basis of a quotient, and for the
+  small dense block of `quotient_divisors_mod`;
 * `_unit_pivots`, for the sparse relation rows of `h2` ahead of that
   block;
 * the local-ring elimination: over each p^e dividing m, pivot on an entry
@@ -29,12 +29,12 @@ There is one elimination per job:
   step takes 7 us, whenever q^2 < 2^31 for q = p^e, since every entry of
   a pivot step is then below 2^31 in magnitude.
 
-The cocycle systems `_smith_mod` solves are tall and sparse (C5xC5:C2:
-7,203 x 147, 7.6 nonzeros a row), so a step touches only the rows it
-changes: a row whose entry in the pivot column is 0 has quotient 0, and
-subtracting 0 times the pivot row from a row already reduced into [0, m)
-leaves it as it is, so U A V and the pivot sequence are those of the step
-applied to every row.
+A system handed to `_smith_mod` can be tall and sparse (the Gamma-module
+equations of `randgrp` hold one block of rows per generator), so a step
+touches only the rows it changes: a row whose entry in the pivot column
+is 0 has quotient 0, and subtracting 0 times the pivot row from a row
+already reduced into [0, m) leaves it as it is, so U A V and the pivot
+sequence are those of the step applied to every row.
 
 In `quotient_divisors_mod`, an entry u of a relation row r that is a unit
 modulo m is a pivot that costs no gcd step: the row operations
@@ -55,7 +55,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InternalCheckError
-from .ntheory import factorize, xgcd
+from .ntheory import factorize
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +82,14 @@ def _mulmod(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
 
 
 def _smith_mod(A: np.ndarray, m: int):
-    """(diag, V, V^-1) with U A V == D (mod m), U and V invertible modulo m.
+    """(diag, V) with U A V == D (mod m), U and V invertible modulo m.
 
     A is an int64 array and is overwritten.  The diagonal entries are
     nonzero residues in [1, m), at most min(A.shape) of them; Z^d over the
     row span of A plus m Z^d is the sum of Z/gcd(d_i, m), plus Z/m once for
-    each column past the diagonal.  V and V^-1 are reduced modulo m.  U is
-    not kept: it is square in the rows, and the tall cocycle systems would
-    make it the largest array.
+    each column past the diagonal.  V is reduced modulo m.  U is not kept:
+    it is square in the rows, and for a tall system it would be the largest
+    array.
 
     Each round pivots on the first least nonzero entry of the active block
     in row-major order: the first row whose least nonzero entry is least
@@ -108,7 +108,6 @@ def _smith_mod(A: np.ndarray, m: int):
     nr, nc = A.shape
     A %= m
     V = np.eye(nc, dtype=np.int64)
-    Vi = np.eye(nc, dtype=np.int64)
     # rows from r on are zero before column c, so the least nonzero entry of
     # a whole row is that of its part of the active block
     least = _least_nonzero(A, m)
@@ -127,7 +126,6 @@ def _smith_mod(A: np.ndarray, m: int):
         if bj != c:
             A[:, [c, bj]] = A[:, [bj, c]]
             V[:, [c, bj]] = V[:, [bj, c]]
-            Vi[[c, bj]] = Vi[[bj, c]]
         p = int(A[r, c])
         rows = A[r + 1:, c].nonzero()[0]
         if len(rows):
@@ -143,10 +141,9 @@ def _smith_mod(A: np.ndarray, m: int):
         q[c] = 0
         if q.any():
             A[r] -= p * q
-            # column j -= q_j column c; its inverse adds q @ V^-1 to row c
+            # column j -= q_j column c
             V[:, c:] -= V[:, c:c + 1] * q[c:]
             V[:, c:] %= m
-            Vi[c] = (Vi[c] + _mulmod(q[None, c:], Vi[c:], m)[0]) % m
             if np.count_nonzero(A[r]) > 1:
                 continue
         # divisibility of the remaining block
@@ -158,7 +155,7 @@ def _smith_mod(A: np.ndarray, m: int):
         diag.append(p)
         r += 1
         c += 1
-    return diag, V, Vi
+    return diag, V
 
 
 def _least_nonzero(A: np.ndarray, m: int):
@@ -184,7 +181,7 @@ def quotient_divisors_mod(gens, dim: int, m: int):
     for i, r in enumerate(rest):
         for j, a in r.items():
             A[i, at[j]] = a
-    diag, _, _ = _smith_mod(A, m)
+    diag, _ = _smith_mod(A, m)
     divisors = [math.gcd(d, m) for d in diag] + \
         [m] * (dim - pivots - len(diag))
     return sorted(d for d in divisors if d != 1)
@@ -312,28 +309,6 @@ def _mod(A: np.ndarray, m: int) -> np.ndarray:
     return A - m * (A // m)
 
 
-def solve_linear_mod(rows, rhs, nvars: int, m: int):
-    """One solution x of rows @ x == rhs (mod m), or None.
-
-    The kernel of [rows | -rhs] holds the (x, t) with rows @ x == t rhs;
-    a combination of its generators whose t is a unit gives x / t.
-    """
-    if not len(rows):
-        return [0] * nvars
-    aug = [list(r) + [-int(b)] for r, b in zip(rows, rhs)]
-    acc, t = [0] * (nvars + 1), 0
-    for k in kernel_mod(aug, nvars + 1, m):
-        g, s, u = xgcd(t, k[-1])
-        acc, t = [(s * a + u * b) % m for a, b in zip(acc, k)], g
-    if math.gcd(t, m) != 1:
-        return None
-    x = [a * pow(t, -1, m) % m for a in acc[:nvars]]
-    if any((sum(a * b for a, b in zip(r, x)) - int(c)) % m
-           for r, c in zip(rows, rhs)):
-        raise InternalCheckError("solve_linear_mod: A x != rhs (mod m)")
-    return x
-
-
 def kernel_mod(rows, nun: int, m: int):
     """Generators of {x in (Z/m)^nun : rows @ x == 0 (mod m)}.
 
@@ -342,41 +317,13 @@ def kernel_mod(rows, nun: int, m: int):
     diagonal); zero columns are dropped.
     """
     A = _mod_array(rows, nun, m)
-    diag, V, _ = _smith_mod(A.copy(), m)
+    diag, V = _smith_mod(A.copy(), m)
     scale = [m // math.gcd(d, m) for d in diag] + [1] * (nun - len(diag))
     K = V * np.array(scale, dtype=np.int64) % m
     K = K[:, K.any(axis=0)]
     if _mulmod(A, K, m).any():
         raise InternalCheckError("kernel_mod: A K != 0 (mod m)")
     return [[int(x) for x in col] for col in K.T]
-
-
-def quotient_with_reps_mod(sol_gens, sub_gens, dim: int, m: int):
-    """Adapted generators of (span(sol)+mZ^dim)/(span(sub)+mZ^dim).
-
-    Requires span(sub) + mZ^dim to be contained in span(sol) + mZ^dim.
-    Returns a list of (order, representative_vector) with order > 1 and the
-    cyclic subgroups generated by the representatives summing directly.
-
-    The first Smith form, of sol, gives M1 = (+) g_i Z/m in the coordinates
-    w = v V1.  In y_i = w_i / g_i, M1 is (+) Z/(m/g_i), so the quotient is
-    Z^dim over the rows [sub V1 / g; diag(m/g)]; the second Smith form
-    splits it, its generators are the rows of V2^-1, and they map back
-    through w = g y and v = w V1^-1.  The diag rows with g_i = 1 are m,
-    zero modulo m, and are left out.
-    """
-    diag1, V1, V1i = _smith_mod(_mod_array(sol_gens, dim, m), m)
-    g = np.array([math.gcd(d, m) for d in diag1] + [m] * (dim - len(diag1)),
-                 dtype=np.int64)
-    W = _mulmod(_mod_array(sub_gens, dim, m), V1, m)
-    if (W % g).any():
-        raise InternalCheckError("relation vector outside the ambient lattice")
-    B = np.vstack([W // g, np.diag(m // g)[g > 1]])
-    diag2, _, V2i = _smith_mod(B, m)
-    orders = [math.gcd(d, m) for d in diag2] + [m] * (dim - len(diag2))
-    reps = _mulmod(V2i * g % m, V1i, m)
-    return [(d, [int(x) for x in reps[j]])
-            for j, d in enumerate(orders) if d > 1]
 
 
 # ---------------------------------------------------------------------------

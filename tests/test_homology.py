@@ -3,9 +3,10 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
-from hurwitzlab import homology
+from hurwitzlab import homology, intmat
 from hurwitzlab.abelian import AbelianStructure
 from hurwitzlab.errors import (CapacityError, InternalCheckError,
                                ValidationError)
@@ -219,9 +220,10 @@ def test_schur_cover_trivial_multiplier():
 
 def test_schur_covers_pinned():
     """Cover tables, projections and kernel coordinates of the Schur cover
-    and of the reduced cover with c = all hash to the values recorded
-    before the cover path moved to arrays: every lifting invariant and
-    report is read in these coordinates."""
+    and of the reduced cover with c = all hash to recorded values: every
+    lifting invariant and report is read in these coordinates.  The
+    reduced covers' value was recorded before the cover path moved to
+    arrays, the covers' when they came to be read off the Hopf lattice."""
     groups = groups_up_to_16() + [symmetric(4), dihedral(12),
                                   inversion_semidirect([5, 5])]
 
@@ -236,9 +238,84 @@ def test_schur_covers_pinned():
         red = reduce_cover(ext, g, list(range(1, g.order)))
         h_reduced.update(repr((g.name, row(red))).encode())
     assert h_cover.hexdigest() == \
-        "b185893262d57cc53981a2796ca12c5aa68806d031aee197a47ad168cd8f288b"
+        "1473ba061658d2d85bef8e8e0d94ffbf703cb1374dd74b1832e1dffe73a22446"
     assert h_reduced.hexdigest() == \
         "1c07d567f7909aeae0f3852b206cbffc60342305b66c98d9043545c06c12c140"
+
+
+def _shuffled(method, seed):
+    """method with the rows it returns in a seeded random order, a new
+    order on each call."""
+    rng = np.random.default_rng(seed)
+
+    def wrapper(*args):
+        rows = method(*args)
+        perm = rng.permutation(len(rows))
+        return [rows[i] for i in perm] if isinstance(rows, list) \
+            else rows[perm]
+    return wrapper
+
+
+def test_schur_covers_ignore_row_order(monkeypatch):
+    """The cover is read off reduced Howell forms, which depend on the span
+    of their rows only: with the Hopf rows, the coboundary and carry rows
+    and the cocycle identity rows shuffled, every cover table is
+    byte-identical to the one built from them in order."""
+    groups = groups_up_to_16() + [symmetric(4), dihedral(12),
+                                  inversion_semidirect([5, 5])]
+    space = homology._CocycleSpace
+    originals = [(homology, "_hopf_rows", homology._hopf_rows),
+                 (space, "relation_vectors", space.relation_vectors),
+                 (space, "constraint_rows", space.constraint_rows)]
+    expected = [schur_cover(g).total.array.tobytes() for g in groups]
+    for seed in (1, 2):
+        for i, (owner, name, method) in enumerate(originals):
+            monkeypatch.setattr(owner, name, _shuffled(method, 10 * seed + i))
+        for g, table in zip(groups, expected):
+            assert schur_cover(g).total.array.tobytes() == table, g.name
+
+
+def _path_groups():
+    return [abelian([2] * 4), abelian([3, 3]), symmetric(4),
+            inversion_semidirect([5, 5])]
+
+
+def test_schur_cover_solves_no_cocycle_identity_rows(monkeypatch):
+    """The cover is read off the Hopf lattice that h2 already builds: no
+    cocycle identity rows and no kernel of them."""
+    def forbidden(*args):
+        raise AssertionError("cocycle identity rows or their kernel built")
+
+    monkeypatch.setattr(intmat, "kernel_mod", forbidden)
+    monkeypatch.setattr(homology._CocycleSpace, "constraint_rows", forbidden)
+    for g in _path_groups():
+        cov = schur_cover(g)
+        assert cov.kernel_structure == h2(g), g.name
+
+
+def test_schur_cover_certificate_catches_bad_cocycles(monkeypatch):
+    """A cocycle off by one in a single value f(g, s), s a generator of
+    the cocycle space, fails the cocycle identity; the zero cocycle gives
+    the split extension, whose kernel is not in [S, S]."""
+    build = homology._hopf_cocycles
+
+    def off_by_one(group, q):
+        (d, f), *rest = build(group, q)
+        f = f.copy()
+        s = homology._small_generating_set(group)[0]
+        f[1, s] = (f[1, s] + 1) % d
+        return [(d, f)] + rest
+
+    def zero(group, q):
+        return [(d, np.zeros_like(f)) for d, f in build(group, q)]
+
+    for g in _path_groups():
+        monkeypatch.setattr(homology, "_hopf_cocycles", off_by_one)
+        with pytest.raises(InternalCheckError, match="not a 2-cocycle"):
+            schur_cover(g)
+        monkeypatch.setattr(homology, "_hopf_cocycles", zero)
+        with pytest.raises(InternalCheckError, match="kernel|stem"):
+            schur_cover(g)
 
 
 def test_reduce_cover_examples():
@@ -367,3 +444,32 @@ def test_ucontext_cache_with_foreign_lifts_is_rebuilt(tmp_path):
         load_ucontext(path)
     assert build_u(c3, [1, 2], cache_dir=str(tmp_path)).lifts == {1: 1, 2: 2}
     assert load_ucontext(path).lifts == {1: 1, 2: 2}
+
+
+def test_ucontext_cache_of_another_version_is_rebuilt(tmp_path):
+    """A cache file of an earlier version can hold another cover of G that
+    still verifies, with its lifts: the version, not the content, tells it
+    apart, so build_u rebuilds it, and the context carries the cover a
+    fresh schur_cover gives."""
+    g = inversion_semidirect([5, 5])
+    c = [x for x in range(1, g.order) if g.element_order(x) == 2]
+    fresh = reduce_cover(schur_cover(g), g, c).total
+    assert build_u(g, c, cache_dir=str(tmp_path)).sc.total == fresh
+    path, = tmp_path.iterdir()
+    payload = json.loads(path.read_text())
+    # the same cover with two kernel elements swapped: it projects, and
+    # the lifts lie, as before
+    table = payload["sc_table"]
+    swap = list(range(len(table)))
+    k1, k2 = [k for k in payload["sc_kernel"] if k][:2]
+    swap[k1], swap[k2] = k2, k1
+    payload["sc_table"] = [[swap[table[x][y]] for y in swap] for x in swap]
+    path.write_text(json.dumps(payload))
+    assert load_ucontext(path).sc.total != fresh
+    payload["version"] = 3
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match="version"):
+        load_ucontext(path)
+    assert build_u(g, c, cache_dir=str(tmp_path)).sc.total == fresh
+    assert json.loads(path.read_text())["version"] == \
+        homology._CACHE_VERSION == 4

@@ -9,8 +9,7 @@ from hurwitzlab.homology_oracle import (_kernel_mod, _quotient_divisors,
                                         _span_order)
 from hurwitzlab.intmat import (_mod, _smith_mod, divisor_chain,
                                howell_form_mod, howell_residue, kernel_mod,
-                               quotient_divisors_mod, quotient_divisors_stack,
-                               quotient_with_reps_mod, solve_linear_mod)
+                               quotient_divisors_mod, quotient_divisors_stack)
 from hurwitzlab.ntheory import factorize
 
 
@@ -47,8 +46,9 @@ def test_smith_mod_transforms():
         m = rng.choice([2, 4, 6, 8, 9, 12, 25, 27])
         A = np.array([[rng.randrange(m) for _ in range(nc)] for _ in range(nr)],
                      dtype=np.int64).reshape(nr, nc)
-        diag, V, Vi = _smith_mod(A.copy(), m)
-        assert ((V @ Vi) % m == np.eye(nc, dtype=np.int64)).all()
+        diag, V = _smith_mod(A.copy(), m)
+        # V is invertible modulo m: its rows span (Z/m)^nc
+        assert len(brute_span_mod(V.tolist(), nc, m)) == m ** nc
         # U A V == D with U invertible: A V and D span the same rows
         D = [[d if i == j else 0 for j in range(nc)] for i, d in enumerate(diag)]
         assert brute_span_mod((A @ V % m).tolist(), nc, m) == \
@@ -58,10 +58,11 @@ def test_smith_mod_transforms():
 
 
 def test_smith_mod_pinned():
-    """The engine's pivot sequence is pinned: the diagonal and both
-    transforms on seeded tall sparse matrices, zero rows and rows of
-    p-multiples among them, hash to the values recorded before the row
-    steps were restricted to the rows they change."""
+    """The engine's pivot sequence is pinned: the diagonal and the column
+    transform on seeded tall sparse matrices, zero rows and rows of
+    p-multiples among them, hash to the value the engine gave before it
+    stopped keeping V^-1 (that engine's (diag, V, V^-1) hash was recorded
+    before the row steps were restricted to the rows they change)."""
     rng = np.random.default_rng(23)
     h = hashlib.sha256()
     for m in (4, 8, 9, 16, 25):
@@ -71,11 +72,10 @@ def test_smith_mod_pinned():
             A = rng.integers(0, m, size=(nr, nc))
             A[rng.random(A.shape) >= density] = 0
             A[: nr // 3] = A[: nr // 3] * p % m
-            diag, V, Vi = _smith_mod(A.copy(), m)
-            assert ((V @ Vi) % m == np.eye(nc, dtype=np.int64)).all()
-            h.update(repr((m, diag, V.tolist(), Vi.tolist())).encode())
+            diag, V = _smith_mod(A.copy(), m)
+            h.update(repr((m, diag, V.tolist())).encode())
     assert h.hexdigest() == \
-        "2106bbb5ee4c23164cf136a6915e1b5b7df44193afa10159b289cf5c7553ed03"
+        "53a41b94c743217fabc7cc714b9a454ff00746c6194648158f95c86a59e7f2a1"
 
 
 def test_quotient_divisors_stack_per_slice():
@@ -158,39 +158,6 @@ def test_quotient_divisors_sparse_rows():
                 if m ** C <= 30000:
                     span = brute_span_mod(dense, C, m)
                     assert math.prod(expect) * len(span) == m ** C
-
-
-def test_quotient_reps_random():
-    rng = random.Random(5)
-    for _ in range(150):
-        dim = rng.randint(1, 3)
-        m = rng.choice([4, 6, 8, 9, 12, 25, 27])
-        identity = rng.random() < 0.3
-        if identity:
-            sol = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        else:
-            sol = [[rng.randrange(m) for _ in range(dim)]
-                   for _ in range(rng.randint(1, 4))]
-        # sub inside span(sol): integer combinations of the sol generators
-        sub = []
-        for _ in range(rng.randint(0, 4)):
-            coef = [rng.randrange(-3, 4) for _ in sol]
-            sub.append([sum(c * g[j] for c, g in zip(coef, sol))
-                        for j in range(dim)])
-        reps = quotient_with_reps_mod(sol, sub, dim, m)
-        L1 = brute_span_mod(sol, dim, m)
-        L2 = brute_span_mod(sub, dim, m)
-        for d, rep in reps:
-            assert d > 1 and tuple(rep) in L1
-            ks = [k for k in range(1, d + 1)
-                  if tuple(k * v % m for v in rep) in L2]
-            assert ks[0] == d
-        # the reps and sub span L1 and the orders multiply to the index,
-        # so the cyclic subgroups sum directly
-        assert brute_span_mod([r for _, r in reps] + sub, dim, m) == L1
-        assert math.prod(d for d, _ in reps) * len(L2) == len(L1)
-        if identity:
-            assert sorted(d for d, _ in reps) == quotient_divisors_mod(sub, dim, m)
 
 
 def test_kernel_mod_brute_force():
@@ -308,21 +275,3 @@ def test_howell_rows_canonical():
                 assert brute_span_mod(rows, dim, m) == \
                     brute_span_mod(gens, dim, m)
 
-
-def test_solve_linear_mod():
-    rng = random.Random(4)
-    for _ in range(120):
-        nv = rng.randint(1, 5)
-        ne = rng.randint(1, 5)
-        m = rng.choice([4, 9, 8, 27, 5])
-        A = [[rng.randrange(m) for _ in range(nv)] for _ in range(ne)]
-        xt = [rng.randrange(m) for _ in range(nv)]
-        rhs = [sum(a * b for a, b in zip(row, xt)) % m for row in A]
-        x = solve_linear_mod(A, rhs, nv, m)
-        assert x is not None
-        for row, r in zip(A, rhs):
-            assert sum(a * b for a, b in zip(row, x)) % m == r
-
-
-def test_solve_linear_mod_unsolvable():
-    assert solve_linear_mod([[2]], [1], 1, 4) is None

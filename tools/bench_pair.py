@@ -31,7 +31,10 @@ run's wall time, peak RSS, multiplier and cover order under
 `h2` alone, from a cold start, for each group of H2_GROUPS, and record
 each run's wall time, peak RSS and multiplier under `h2`; a side that
 refuses a group records "CapacityError" as its multiplier.  Then
-MONTE_CARLO_PAIRS alternating pairs of fresh
+COVERS_PAIRS alternating pairs of fresh processes time `schur_cover`
+alone, after a warm `h2`, for each group of COVERS_GROUPS, and record
+each run's wall time, peak RSS, cover order and the sha256 of the cover
+table under `covers`.  Then MONTE_CARLO_PAIRS alternating pairs of fresh
 processes time one `monte_carlo` call of MONTE_CARLO_TRIALS trials for
 each modulus of MONTE_CARLO_MODULI, and record each run's wall time, peak
 RSS and the sha256 of its counts under `monte_carlo`; `counts_equal` says
@@ -130,6 +133,32 @@ except CapacityError:
 wall_s = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"h2": mult,
+                  "metrics": {"wall_s": {"value": wall_s},
+                              "peak_rss_mib": {"value": rss}}}))
+"""
+
+COVERS_PAIRS = 3
+COVERS_GROUPS = ("C5xC5:C2", "C7xC7:C2", "C3^3:C2", "S4", "C2^4")
+# the table is hashed as nested lists, whatever its dtype
+COVERS_SCRIPT = """
+import hashlib, json, resource, sys, time
+from hurwitzlab.groups import abelian, inversion_action, semidirect, symmetric
+from hurwitzlab.homology import h2, schur_cover
+def inversion(orders):
+    return semidirect(inversion_action(abelian(orders))).group
+group = {"C5xC5:C2": lambda: inversion([5, 5]),
+         "C7xC7:C2": lambda: inversion([7, 7]),
+         "C3^3:C2": lambda: inversion([3, 3, 3]),
+         "S4": lambda: symmetric(4),
+         "C2^4": lambda: abelian([2] * 4)}[sys.argv[1]]()
+h2(group)
+t0 = time.perf_counter()
+cover = schur_cover(group)
+wall_s = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+table = repr(cover.total.array.tolist()).encode()
+print(json.dumps({"cover_order": cover.total.order,
+                  "cover_sha256": hashlib.sha256(table).hexdigest(),
                   "metrics": {"wall_s": {"value": wall_s},
                               "peak_rss_mib": {"value": rss}}}))
 """
@@ -384,6 +413,18 @@ def main() -> int:
             report["h2"]["groups"][name] = {
                 "h2": {s: runs[0][s]["h2"] for s in ("base", "change")},
                 "metrics": summarize(runs), "runs": runs}
+        report["covers"] = {
+            "command": "python3 -c COVERS_SCRIPT GROUP (tools/bench_pair.py)",
+            "groups": {}}
+        for name in COVERS_GROUPS:
+            runs = alternating(
+                base_dir, COVERS_PAIRS,
+                lambda c, i: script_run(c, COVERS_SCRIPT, name), name)
+            report["covers"]["groups"][name] = {
+                key: {s: runs[0][s][key] for s in ("base", "change")}
+                for key in ("cover_order", "cover_sha256")}
+            report["covers"]["groups"][name].update(
+                metrics=summarize(runs), runs=runs)
         report["monte_carlo"] = {
             "command": "python3 -c MONTE_CARLO_SCRIPT M "
                        f"{MONTE_CARLO_TRIALS} (tools/bench_pair.py)",
