@@ -7,9 +7,13 @@ first, no trailing zeros).  v1 restricts to odd prime q and genus <= 3.
 
 Point counts over F_{q^k} code each element as the integer whose base-q
 digits are its coefficients over F_q, and multiply through exp/log tables
-to a primitive element, built once per (q, k) with O(q^k) entries: f is
-evaluated at all of F_{q^k} in one numpy Horner pass, and the quadratic
-character is the parity of the log.  Binary quadratic forms compose
+to a primitive element, built once per (q, k) with O(q^k) entries.  The
+L-polynomials of one degree's models are computed together: a block of
+coefficient rows is evaluated at all of F_{q^k} in one numpy Horner pass,
+the quadratic character is the parity of the log, and Newton's identities
+run on the columns of counts.  Each pass holds at most `_PASS_ENTRIES`
+(rows x field size) entries, and `empirical_moment` reads the models of a
+degree one pass at a time.  Binary quadratic forms compose
 directly (Dirichlet composition, Cohen GTM 138 Alg. 5.4.7) and are then
 reduced.  The structure of a class group, or of a Sylow subgroup of a
 Jacobian, is read off the orders of its elements
@@ -25,6 +29,7 @@ discriminant D come from a walk over b = D (mod 2) and the divisors a of
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,9 +45,16 @@ from .ntheory import (is_prime, is_squarefree, monic, padd, pdeg, pdivmod,
 from .rng import CounterRng, substream
 
 # models walked by one empirical_moment call: q = 7, d_max = 5 (29,400
-# models, 51 s at about 1.8 ms a genus-2 model) passes; q = 7, d_max = 7
-# (1.44 million, over 40 minutes at that rate) raises at once
+# models, 31.6 s at about 1.1 ms a genus-2 model on a 2-core Xeon, nearly
+# all of it the Sylow search) passes; q = 7, d_max = 7 (1.44 million, over
+# 25 minutes at that rate) raises at once
 FF_MODEL_CAP = 100_000
+
+# entries of one point-count pass (models x field size): the Horner pass
+# holds a few arrays of this many intp codes at once; at 2 ** 16 the peak
+# RSS of empirical_moment(7, 5, [3, 3]) rose by 2 MiB, at 2 ** 14 it does
+# not move
+_PASS_ENTRIES = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +75,6 @@ class ExtField:
     def _find_irreducible(p, k):
         if k == 1:
             return (0, 1)
-        import itertools
         for tail in itertools.product(range(p), repeat=k):
             f = pnorm(tuple(tail) + (1,))
             if pdeg(f) != k:
@@ -86,7 +97,6 @@ class ExtField:
         return psub(acc, x, p) == ()
 
     def elements(self):
-        import itertools
         for tup in itertools.product(range(self.p), repeat=self.k):
             yield pnorm(tup)
 
@@ -151,7 +161,6 @@ def enumerate_imaginary(q: int, d: int) -> Iterator[HyperellipticModel]:
         raise ValidationError("even degree is the real/inert case; not supported")
     if q % 2 == 0 or not is_prime(q):
         raise ValidationError("q must be an odd prime in v1")
-    import itertools
     ns = nonsquare(q)
     for tail in itertools.product(range(q), repeat=d):
         f = pnorm(tuple(tail) + (1,))
@@ -217,56 +226,122 @@ def _ext(p, k) -> _LogTables:
     return _EXT_CACHE[(p, k)]
 
 
-def curve_point_count(model: HyperellipticModel, i: int) -> int:
-    """Number of projective points over F_{q^i} (one point at infinity):
-    f evaluated at every x of F_{q^i} at once by Horner's rule on the
-    integer codes, then 1 + chi(f(x)) points above each x."""
-    fld = _ext(model.q, i)
-    q = model.q
-    logx = fld.log
-    acc = np.full(fld.size, model.f[-1] % q, dtype=np.intp)
-    for c in reversed(model.f[:-1]):
-        acc = fld.exp[fld.log[acc] + logx]
-        if c % q:
-            low = acc % q
-            acc += (low + c) % q - low
+def _point_counts(q: int, fs: np.ndarray, i: int) -> np.ndarray:
+    """Projective point counts over F_{q^i} (one point at infinity) of the
+    curves y^2 = f(x) whose coefficients, low degree first and all of one
+    degree, are the rows of `fs`: every f at every x of F_{q^i} in one
+    Horner pass on the integer codes, then 1 + chi(f(x)) points above each
+    x."""
+    fld = _ext(q, i)
+    fs = np.asarray(fs, dtype=np.intp) % q
+    # adding a constant of F_q changes digit 0 of the code only
+    digit0 = np.arange(fld.size) % q
+    wrap = np.arange(2 * q) % q
+    acc = np.repeat(fs[:, -1:], fld.size, axis=1)
+    for j in range(fs.shape[1] - 2, -1, -1):
+        t = fld.log[acc]
+        t += fld.log
+        acc = fld.exp[t]
+        low = digit0[acc]
+        acc -= low
+        low += fs[:, j:j + 1]
+        acc += wrap[low]
     # ramified place at infinity for odd degree
-    return 1 + fld.size + int(fld.chi[acc].sum())
+    return 1 + fld.size + fld.chi[acc].sum(axis=1)
+
+
+def curve_point_count(model: HyperellipticModel, i: int) -> int:
+    """Number of projective points over F_{q^i}: the one-row case of
+    `_point_counts`."""
+    return int(_point_counts(model.q, np.array([model.f]), i)[0])
+
+
+def _checked(q: int, g: int) -> bool:
+    """Whether the L-polynomial of genus g over F_q is checked against the
+    point count over F_{q^(g+1)}."""
+    return q ** (g + 1) <= 20000
+
+
+def _pass_rows(q: int, g: int) -> int:
+    """Models per point-count pass: rows times the largest field counted
+    over stays within `_PASS_ENTRIES`."""
+    top = g + 1 if _checked(q, g) else g
+    return max(1, _PASS_ENTRIES // q ** top)
+
+
+def l_polynomials(models: Sequence[HyperellipticModel],
+                  genus_cap: int = 3) -> list:
+    """Coefficients c_0..c_{2g} of L(T) for each model, all of one q and
+    one degree, in passes of `_pass_rows` models.
+
+    The point counts N_i over F_{q^i}, i <= g, give the power sums
+    a_i = q^i + 1 - N_i, Newton's identities the c_k for k <= g (an
+    inexact division raises), and the functional equation the rest.  Each
+    row must predict its point count over F_{q^(g+1)} (when that field has
+    at most 20,000 elements) and L(1) must lie in the Hasse-Weil interval;
+    either failure raises InternalCheckError."""
+    models = list(models)
+    if not models:
+        return []
+    q, d = models[0].q, len(models[0].f) - 1
+    if any(m.q != q or len(m.f) != d + 1 for m in models):
+        raise ValidationError("l_polynomials takes models of one q and one "
+                              "degree")
+    g = models[0].genus
+    if g > genus_cap:
+        raise CapacityError(f"genus {g} exceeds cap {genus_cap}")
+    if g == 0:
+        return [[1] for _ in models]
+    check = _checked(q, g)
+    step = _pass_rows(q, g)
+    out = []
+    for lo in range(0, len(models), step):
+        fs = np.array([m.f for m in models[lo:lo + step]], dtype=np.intp)
+        counts = [_point_counts(q, fs, i)
+                  for i in range(1, g + 2 if check else g + 1)]
+        a = [None] + [q ** i + 1 - counts[i - 1] for i in range(1, g + 1)]
+        # Newton's identities: c_k = -(1/k) sum_{i=1}^{k} a_i c_{k-i}
+        c = np.zeros((len(fs), 2 * g + 1), dtype=np.int64)
+        c[:, 0] = 1
+        for k in range(1, g + 1):
+            s = -sum(a[i] * c[:, k - i] for i in range(1, k + 1))
+            if (s % k).any():
+                raise InternalCheckError(
+                    "non-integer L-polynomial coefficient")
+            c[:, k] = s // k
+        for k in range(g + 1, 2 * g + 1):
+            c[:, k] = q ** (k - g) * c[:, 2 * g - k]
+        # independent check: the completed polynomial must predict the
+        # point count one level beyond the coefficients used to build it
+        if check:
+            ps = _power_sums_from_coeffs(c.T, g, q)
+            if (q ** (g + 1) + 1 - ps[g + 1] != counts[g]).any():
+                raise InternalCheckError(
+                    "functional equation check failed: L-polynomial does "
+                    "not reproduce the next point count")
+        h = c.sum(axis=1)
+        lo_exact = (q ** 0.5 - 1) ** (2 * g)
+        hi_exact = (q ** 0.5 + 1) ** (2 * g)
+        bad = (h < lo_exact - 1e-9) | (h > hi_exact + 1e-9)
+        if bad.any():
+            raise InternalCheckError(
+                f"Hasse-Weil bound violated: h={h[bad][0]} not in "
+                f"[{lo_exact:.2f}, {hi_exact:.2f}]")
+        if (h <= 0).any():
+            raise InternalCheckError("nonpositive class number")
+        out += c.tolist()
+    return out
 
 
 def l_polynomial(model: HyperellipticModel, genus_cap: int = 3) -> list:
-    """Coefficients c_0..c_{2g} of L(T); functional equation enforced."""
-    g = model.genus
-    if g > genus_cap:
-        raise CapacityError(f"genus {g} exceeds cap {genus_cap}")
-    q = model.q
-    if g == 0:
-        return [1]
-    a = [0] * (g + 1)  # power sums a_i = q^i + 1 - N_i
-    for i in range(1, g + 1):
-        a[i] = q ** i + 1 - curve_point_count(model, i)
-    # Newton's identities: c_k = -(1/k) sum_{i=1}^{k} a_i c_{k-i}
-    c = [1] + [0] * (2 * g)
-    for k in range(1, g + 1):
-        c[k], rem = divmod(-sum(a[i] * c[k - i] for i in range(1, k + 1)), k)
-        if rem:
-            raise InternalCheckError("non-integer L-polynomial coefficient")
-    for k in range(g + 1, 2 * g + 1):
-        c[k] = q ** (k - g) * c[2 * g - k]
-    # independent check: the completed polynomial must predict the point
-    # count one level beyond the coefficients used to build it
-    if q ** (g + 1) <= 20000:
-        ps = _power_sums_from_coeffs(c, g, q)
-        predicted = q ** (g + 1) + 1 - ps[g + 1]
-        if predicted != curve_point_count(model, g + 1):
-            raise InternalCheckError(
-                "functional equation check failed: L-polynomial does not "
-                "reproduce the next point count")
-    return c
+    """Coefficients c_0..c_{2g} of L(T): the one-row case of
+    `l_polynomials`, with its checks."""
+    return l_polynomials([model], genus_cap)[0]
 
 
 def _power_sums_from_coeffs(L, g, q):
-    """Power sums of the reciprocal roots from the coefficients (Newton)."""
+    """Power sums of the reciprocal roots from the coefficients (Newton);
+    the coefficients may be integers or arrays of them."""
     k = 2 * g
     ps = [0] * (g + 2)
     for i in range(1, g + 2):
@@ -278,19 +353,9 @@ def _power_sums_from_coeffs(L, g, q):
 
 
 def jacobian_order(model: HyperellipticModel) -> int:
-    """|Jac(C)(F_q)| = L(1), with Hasse-Weil bounds enforced."""
-    h = sum(l_polynomial(model))
-    g = model.genus
-    q = model.q
-    lo_exact = (q ** 0.5 - 1) ** (2 * g)
-    hi_exact = (q ** 0.5 + 1) ** (2 * g)
-    if not (lo_exact - 1e-9 <= h <= hi_exact + 1e-9):
-        raise InternalCheckError(
-            f"Hasse-Weil bound violated: h={h} not in "
-            f"[{lo_exact:.2f}, {hi_exact:.2f}]")
-    if h <= 0:
-        raise InternalCheckError("nonpositive class number")
-    return h
+    """|Jac(C)(F_q)| = L(1); `l_polynomials` enforces the Hasse-Weil
+    bounds."""
+    return sum(l_polynomial(model))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +454,6 @@ def enumerate_divisor_classes(model: HyperellipticModel) -> list:
     p = model.q
     g = model.genus
     out = [divisor_identity()]
-    import itertools
     for du in range(1, g + 1):
         for tail in itertools.product(range(p), repeat=du):
             u = pnorm(tuple(tail) + (1,))
@@ -474,7 +538,12 @@ def sylow_structure(model: HyperellipticModel, ell: int, seed: int = 0,
         raise ValidationError(f"ell must be prime, got {ell}")
     if ell == model.q:
         raise ValidationError("ell must differ from the field characteristic")
-    h = jacobian_order(model)
+    return _sylow_part(model, ell, jacobian_order(model), seed, max_batches)
+
+
+def _sylow_part(model: HyperellipticModel, ell: int, h: int, seed: int,
+                max_batches: int) -> SylowResult:
+    """`sylow_structure` for a prime ell other than q and h = L(1)."""
     e = valuation(h, ell)
     if e == 0:
         return SylowResult(prime=ell, structure=AbelianStructure(()),
@@ -597,41 +666,49 @@ def empirical_moment(q: int, d_max: int, target_orders: Sequence[int],
         excluded = 0
         sur_sum = 0
         idx = 0
-        for model in enumerate_imaginary(q, d):
-            idx += 1
-            syl = {}
-            ok = True
-            for ell in ells:
-                res = sylow_structure(model, ell, seed=seed + idx)
-                if not res.certified:
-                    ok = False
-                    break
-                syl[ell] = res.structure
-            if not ok:
-                excluded += 1
-                continue
-            fields += 1
-            if mode == "plain":
-                cl = AbelianStructure(tuple(f for s in syl.values()
-                                            for f in s.factors))
-                cnt = cl.sur_count(H)
-                sur_sum += cnt
-                total_sur += cnt
-                total_weight += 1
-                sq_acc += float(cnt) ** 2
-            else:
-                a2 = syl[2]
-                # H/2H is elementary of the same rank
-                h_mod = AbelianStructure.from_cyclic_orders(
-                    [2 for _ in H.chain])
-                w = a2.hom_count(h_mod) if a2.sur_count(h_mod) > 0 else 0
-                two_cl = AbelianStructure(tuple(f // 2 for f in a2.factors
-                                                if f // 2 > 1))
-                cnt = two_cl.sur_count(H)
-                sur_sum += w * cnt
-                total_sur += w * cnt
-                total_weight += w
-                sq_acc += float(cnt) ** 2
+        models = enumerate_imaginary(q, d)
+        # the class numbers of one pass at a time: never the whole degree
+        # (without ells none is needed and none is computed)
+        while chunk := list(itertools.islice(models, _pass_rows(q, d // 2))):
+            hs = ([sum(c) for c in l_polynomials(chunk)] if ells
+                  else [0] * len(chunk))
+            for model, h in zip(chunk, hs):
+                idx += 1
+                syl = {}
+                ok = True
+                for ell in ells:
+                    res = _sylow_part(model, ell, h, seed + idx,
+                                      max_batches=40)
+                    if not res.certified:
+                        ok = False
+                        break
+                    syl[ell] = res.structure
+                if not ok:
+                    excluded += 1
+                    continue
+                fields += 1
+                if mode == "plain":
+                    cl = AbelianStructure(tuple(f for s in syl.values()
+                                                for f in s.factors))
+                    cnt = cl.sur_count(H)
+                    sur_sum += cnt
+                    total_sur += cnt
+                    total_weight += 1
+                    sq_acc += float(cnt) ** 2
+                else:
+                    a2 = syl[2]
+                    # H/2H is elementary of the same rank
+                    h_mod = AbelianStructure.from_cyclic_orders(
+                        [2 for _ in H.chain])
+                    w = (a2.hom_count(h_mod) if a2.sur_count(h_mod) > 0
+                         else 0)
+                    two_cl = AbelianStructure(tuple(
+                        f // 2 for f in a2.factors if f // 2 > 1))
+                    cnt = two_cl.sur_count(H)
+                    sur_sum += w * cnt
+                    total_sur += w * cnt
+                    total_weight += w
+                    sq_acc += float(cnt) ** 2
         total_fields += fields
         if total_weight > 0:
             avg = total_sur / total_weight

@@ -766,21 +766,33 @@ def _generating_set(g: FiniteGroup) -> list[int]:
 def _small_generating_set(g: FiniteGroup) -> list[int]:
     """Greedy generators: each the least x giving the largest <H, x>, H the
     subgroup the ones before it generate.  <H, x h> = <H, x> for h in H,
-    so only the least element of each left coset x H is tried."""
+    so only the least element of each left coset x H is tried.  <H, x> is
+    the union of the left cosets z H reached from H by right
+    multiplication by x: it is closed under H and under x, so it is a
+    subgroup, and each member costs one entry of x's column."""
     gens: list[int] = []
-    have = [0]
+    have = np.zeros(1, dtype=np.int64)
     while len(have) < g.order:
         seen = np.zeros(g.order, dtype=bool)
         seen[have] = True
+        members = have.tolist()
         best = None
         for x in range(1, g.order):
-            if not seen[x]:
-                seen[g.array[x, have]] = True
-                new = g.subgroup_closure(gens + [x])
-                if best is None or len(new) > len(best[1]):
-                    best = (x, new)
+            if seen[x]:
+                continue
+            seen[g.array[x, have]] = True
+            join = set(members)
+            frontier = list(members)
+            while frontier:
+                z = g.array.item(frontier.pop(), x)
+                if z not in join:
+                    coset = g.array[z, have].tolist()
+                    join.update(coset)
+                    frontier += coset
+            if best is None or len(join) > len(best[1]):
+                best = (x, join)
         gens.append(best[0])
-        have = list(best[1])
+        have = np.array(sorted(best[1]), dtype=np.int64)
     return gens
 
 

@@ -417,13 +417,17 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
     if not expected.is_trivial():
         space = _CocycleSpace(group)
     factors = []
+    howell: dict = {}
     for p in factorize(expected.order):
         for d, f in _hopf_cocycles(group, p ** factorize(group.order)[p]):
             # the Howell residue modulo coboundaries and carries: one fixed
             # member of the coset, not the lattice's (for C3xC3 that is the
-            # exponent-3 Heisenberg cover, not the exponent-9 one)
-            H = howell_form_mod(space.relation_vectors(d), space.nun, d)
-            w = howell_residue(H, f[space._g, space._s], d)
+            # exponent-3 Heisenberg cover, not the exponent-9 one); the
+            # form depends on d alone
+            if d not in howell:
+                howell[d] = howell_form_mod(space.relation_vectors(d),
+                                            space.nun, d)
+            w = howell_residue(howell[d], f[space._g, space._s], d)
             table = space.full_table(w, d)
             space.check_cocycle(table, d)
             factors.append((d, table))

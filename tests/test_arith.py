@@ -13,6 +13,7 @@ from hurwitzlab.arith import (DivisorClass, ExtField, HyperellipticModel,
                               empirical_moment, enumerate_divisor_classes,
                               enumerate_imaginary, fundamental_discriminant,
                               is_squarefree, jacobian_order, l_polynomial,
+                              l_polynomials,
                               nf_class_group, nonsquare, pmul, pxgcd,
                               random_divisor, reduced_forms, sylow_structure)
 from hurwitzlab.errors import InternalCheckError, ValidationError
@@ -301,15 +302,33 @@ def test_identity_operand():
 
 
 def test_l_polynomial_rejects_wrong_point_counts(monkeypatch):
-    true_count = arith.curve_point_count
+    true_counts = arith._point_counts
     models = [HyperellipticModel(3, (1, 2, 0, 1)),
               HyperellipticModel(3, (1, 2, 0, 0, 0, 1)),
               HyperellipticModel(3, (1, 2, 0, 0, 0, 0, 0, 1))]
-    monkeypatch.setattr(arith, "curve_point_count",
-                        lambda model, i: true_count(model, i) + 1)
+    monkeypatch.setattr(arith, "_point_counts",
+                        lambda q, fs, i: true_counts(q, fs, i) + 1)
     for model in models:
         with pytest.raises(InternalCheckError):
             l_polynomial(model)
+
+
+def test_l_polynomials_match_one_model_at_a_time():
+    """A block of one degree gives each model the L-polynomial it gets
+    alone, also when the block spans several point-count passes."""
+    crossed = 0
+    for q, degrees in ((3, (3, 5, 7)), (5, (3, 5)), (7, (3,))):
+        for d in degrees:
+            models = list(enumerate_imaginary(q, d))
+            crossed += len(models) > arith._pass_rows(q, d // 2)
+            assert l_polynomials(models) == \
+                [l_polynomial(m) for m in models], (q, d)
+    assert crossed >= 1
+    assert l_polynomials([]) == []
+    assert l_polynomials([HyperellipticModel(3, (1, 1))]) == [[1]]
+    with pytest.raises(ValidationError):
+        l_polynomials([HyperellipticModel(3, (1, 2, 0, 1)),
+                       HyperellipticModel(3, (1, 2, 0, 0, 0, 1))])
 
 
 def test_prime_arguments_are_checked():

@@ -41,7 +41,12 @@ RSS and the sha256 of its counts under `monte_carlo`; `counts_equal` says
 whether every run of both sides gave the same counts.  Then
 LARGE_GROUPS_PAIRS alternating pairs of fresh processes time each case of
 LARGE_GROUPS on groups of order 2,401, and record each run's wall time,
-peak RSS and result under `large_groups`.
+peak RSS and result under `large_groups`.  Then FF_MOMENT_PAIRS
+alternating pairs of fresh processes time
+`empirical_moment(7, 5, [3, 3], seed=1)`, the 29,400 models of genus 1
+and 2 over F_7, and record each run's wall time, peak RSS, rows
+(degree, fields, excluded, sur_sum) and the sha256 of the rows under
+`ff_moment`.
 
 Last, tier-1 (`python -m pytest -q --durations=15` over `tests/`) runs
 once per side, the base first; `tier1` records each side's pass, fail and
@@ -208,6 +213,21 @@ else:
 wall_s = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"result": result,
+                  "metrics": {"wall_s": {"value": wall_s},
+                              "peak_rss_mib": {"value": rss}}}))
+"""
+
+FF_MOMENT_PAIRS = 3
+FF_MOMENT_SCRIPT = """
+import hashlib, json, resource, time
+from hurwitzlab.arith import empirical_moment
+t0 = time.perf_counter()
+report = empirical_moment(7, 5, [3, 3], seed=1)
+wall_s = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+rows = [(r.degree, r.fields, r.excluded, r.sur_sum) for r in report.rows]
+digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+print(json.dumps({"rows": rows, "rows_sha256": digest,
                   "metrics": {"wall_s": {"value": wall_s},
                               "peak_rss_mib": {"value": rss}}}))
 """
@@ -452,6 +472,16 @@ def main() -> int:
                 "result": {s: runs[0][s]["result"]
                            for s in ("base", "change")},
                 "metrics": summarize(runs), "runs": runs}
+        runs = alternating(
+            base_dir, FF_MOMENT_PAIRS,
+            lambda c, i: script_run(c, FF_MOMENT_SCRIPT), "ff_moment")
+        report["ff_moment"] = {
+            "command": "python3 -c FF_MOMENT_SCRIPT (tools/bench_pair.py)",
+            **{key: {s: runs[0][s][key] for s in ("base", "change")}
+               for key in ("rows", "rows_sha256")},
+            "rows_equal": len({r[s]["rows_sha256"] for r in runs
+                               for s in ("base", "change")}) == 1,
+            "metrics": summarize(runs), "runs": runs}
         report["tier1"] = {
             "command": "python3 " + " ".join(TIER1),
             "base": tier1_run(base_dir), "change": tier1_run(ROOT)}
