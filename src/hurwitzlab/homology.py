@@ -15,12 +15,12 @@ Two computation paths live here:
   cocycles of a Schur cover (`_hopf_cocycles`): the dual of H2_p, summed
   along the tree paths of the Cayley graph;
 * a cocycle space (generator-parametrized 2-cochains, coboundaries and
-  carry classes) that puts each cover cocycle into a canonical form.
-  `_CocycleSpace` holds f(g, h) for every pair as one (n, n, unknowns)
-  integer array, so the cocycle identity rows, the coboundaries, the
-  carries and a cocycle's full table are array expressions.  The cover of
-  G by prod Z/d_i puts (a, g) at index enc(a) n + g and is built with one
-  broadcast per factor d_i.
+  carry classes) that puts each cover cocycle into a canonical form: the
+  Howell residue of its values on G x S, expanded to the (n, n) table
+  along the spanning tree of `_cayley_tree`, the routine the Hopf rows
+  are built on.  A cover factor holds one such O(|G|^2) table.  The cover
+  of G by prod Z/d_i puts (a, g) at index enc(a) n + g and is built with
+  one broadcast per factor d_i.
 
 The cover construction runs at the primes of `h2`'s multiplier and is
 certified: each factor table satisfies the cocycle identity, the
@@ -193,12 +193,11 @@ class _CocycleSpace:
     """Generator-parametrized normalized 2-cochains of a finite group.
 
     A normalized 2-cocycle is determined by its values on G x S for a
-    generating set S.  Unknown j = (g - 1)|S| + i is f(g, S[i]), g != 1,
-    and the (n, n, nun) array `expr` holds f(g, h) as an integer
-    combination of the unknowns: h = u s with u one letter shorter in a
-    breadth-first word, and the cocycle identity gives
-    f(g, u s) = f(g, u) + f(g u, s) - f(u, s), so `expr` is filled in order
-    of word length."""
+    generating set S.  Unknown j = (g - 1)|S| + i is f(g, S[i]), g != 1.
+    `full_table` expands the unknowns to every pair along the breadth-first
+    tree of `_cayley_tree`: for a tree edge u -> h = u s the cocycle
+    identity gives f(g, u s) = f(g, u) + f(g u, s) - f(u, s), one column of
+    the (n, n) table per vertex."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
@@ -206,49 +205,16 @@ class _CocycleSpace:
         self.S = _small_generating_set(group) if n > 1 else []
         k = len(self.S)
         self.nun = (n - 1) * k
-        t = group.array
         # unknown j is f(g_j, s_j)
         self._g = np.repeat(np.arange(1, n), k)
         self._s = np.tile(np.array(self.S, dtype=np.int64), n - 1)
-        expr = np.zeros((n, n, self.nun), dtype=np.int64)
-        g = np.arange(1, n)
-        right = t[:, self.S].tolist()
-        seen, frontier = {0}, [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for si, h in enumerate(right[u]):
-                    if h in seen:
-                        continue
-                    seen.add(h)
-                    nxt.append(h)
-                    gu = t[g, u]
-                    live = gu != 0
-                    expr[g, h] = expr[g, u]
-                    expr[g[live], h, (gu[live] - 1) * k + si] += 1
-                    if u:
-                        expr[g, h, (u - 1) * k + si] -= 1
-            frontier = nxt
-        self.expr = expr
+        _, self._order, self._parent, _ = _cayley_tree(group, self.S)
         # Hom(G, Z/m) for every m: the coordinates of each element in G^ab
         ab, proj = group.abelianization()
         data = structure_of_members(ab, range(ab.order))
         self._ab_coords = np.array([data.coords[x] for x in proj],
                                    dtype=np.int64).reshape(n, -1)
         self._ab_orders = np.array(data.basis_orders, dtype=np.int64)
-
-    def constraint_rows(self) -> np.ndarray:
-        """Cocycle identity rows over G x G x S (they imply all triples),
-        one row per (g, h, s) with g, h != 1, in that order."""
-        n, t, E = self.group.order, self.group.array, self.expr
-        S = np.array(self.S, dtype=np.int64)
-        g = np.arange(1, n)[:, None, None]
-        h = g.reshape(1, -1, 1)
-        rows = E[t[g, h], S]
-        rows += E[g, h]
-        rows -= E[h, S]
-        rows -= E[g, t[h, S]]
-        return rows.reshape((n - 1) ** 2 * len(S), self.nun)
 
     def relation_vectors(self, m: int) -> np.ndarray:
         """The coboundaries delta(e_x), x != 1, then the carry cocycles
@@ -268,8 +234,17 @@ class _CocycleSpace:
         return np.vstack([cob[1:] % m, (tot // m % m).T])
 
     def full_table(self, unknowns, m: int) -> np.ndarray:
-        """The (n, n) table of f(g, h) mod m for the given unknowns."""
-        return self.expr @ np.asarray(unknowns, dtype=np.int64) % m
+        """The (n, n) table of f(g, h) mod m for the given unknowns: a
+        linear map of them, whether or not they make a cocycle."""
+        n, t = self.group.order, self.group.array
+        # W[x, i] = f(x, S[i]); row 0, x = 1, is zero
+        W = np.zeros((n, len(self.S)), dtype=np.int64)
+        W[1:] = np.asarray(unknowns, dtype=np.int64).reshape(n - 1, -1)
+        f = np.zeros((n, n), dtype=np.int64)
+        for h in self._order[1:]:
+            u, i = self._parent[h]
+            f[:, h] = f[:, u] + W[t[:, u], i] - W[u, i]
+        return f % m
 
     def check_cocycle(self, table: np.ndarray, m: int) -> None:
         """Raise InternalCheckError unless the (n, n) table satisfies

@@ -1,10 +1,12 @@
 """Independent cross-check path for the multiplier computations.
 
 The default h2 runs Hopf's formula on the Cayley graph; this oracle
-instead solves the full two-variable cocycle space mod m = p^e (one
-unknown per pair of nontrivial elements, no generator parametrization)
-and reads every answer off a quotient A/B of two spans in (Z/m)^dim, with
-B the coboundaries and the carry classes:
+instead solves a cocycle space mod m = p^e directly: up to the direct cap
+the full two-variable one (one unknown per pair of nontrivial elements),
+above it the values on G x S for a small generating set S, extended to
+every pair by the cocycle identity (`OracleCocycles`).  Every answer is
+read off a quotient A/B of two spans in (Z/m)^dim, with B the
+coboundaries and the carry classes:
 
 - the p-part of H2(G) is dual to A/B, A the cocycles;
 - the p-part of H2(G, c) is dual to A'/B, A' the cocycles whose
@@ -21,12 +23,11 @@ a span is the product of m / pivot over its echelon rows, a kernel is read
 off the echelon form of [E^T | I], and the invariant factors of A/B follow
 from the orders |p^j A + B|, j = 0..e.
 
-Shared with the main path are the group engine, the integer
-factorisation of `ntheory` and, above the direct cap, the
-generator-parametrized cocycle space `homology._CocycleSpace` (its rows,
-not their elimination).  The echelon, the kernels, the quotient counts and
-the Sylow search are the oracle's own, so criterion 2 shares no
-elimination with `h2`.
+Shared with the main path are only the group engine (with its small
+generating set) and the integer factorisation of `ntheory`.  The cochain
+space, the echelon, the kernels, the quotient counts and the Sylow search
+are the oracle's own, so criterion 2 shares no elimination and no cocycle
+code with `h2`.
 """
 
 from __future__ import annotations
@@ -156,15 +157,24 @@ def _sylow_subgroup(group: FiniteGroup, p: int) -> tuple:
 
 
 class OracleCocycles:
-    """Full-pair cocycle data of G mod m = p^e: generator rows of the
-    cocycles (`sol`) and of the coboundaries and carry classes (`sub`).
-    Unknown (g - 1)(n - 1) + (h - 1) is z(g, h), for g, h != 1."""
+    """Cocycle data of G mod m = p^e on the normalized 2-cochains whose
+    unknowns are z(g, t), g != 1 and t in T: T every nontrivial element up
+    to the direct cap (the full pair space), a small generating set of G
+    above it.  Unknown (g - 1)|T| + i is z(g, T[i]); `expr[x, y]` holds
+    z(x, y) as an integer combination of the unknowns (zero when x or y is
+    the identity).  Generator rows of the cocycles (`sol`) and of the
+    coboundaries and carry classes (`sub`)."""
 
     def __init__(self, group: FiniteGroup, m: int):
         self.group = group
         self.m = m
         n = group.order
-        self.dim = (n - 1) ** 2
+        T = (list(range(1, n)) if n <= ORACLE_DIRECT_CAP
+             else _small_generating_set(group))
+        self.dim = (n - 1) * len(T)
+        self._g = np.repeat(np.arange(1, n), len(T))
+        self._t = np.tile(np.array(T, dtype=np.int64), n - 1)
+        self.expr = self._expressions(T)
         t = group.array
         S = np.array(_small_generating_set(group), dtype=np.int64)
         g = np.arange(1, n)[:, None, None]
@@ -176,29 +186,47 @@ class OracleCocycles:
         self.sol = _kernel_mod(rows, m)
         self.sub = np.vstack([self._coboundaries(), self._carries()])
 
+    def _expressions(self, T) -> np.ndarray:
+        """The (n, n, dim) array of z(x, y) in the unknowns, filled in
+        breadth-first order of y in the Cayley graph of T: for y = u T[i]
+        first reached from u, z(x, u T[i]) = z(x, u) + z(x u, T[i])
+        - z(u, T[i]), the cocycle identity."""
+        n, t, k = self.group.order, self.group.array, len(T)
+        expr = np.zeros((n, n, self.dim), dtype=np.int64)
+        x = np.arange(1, n)
+        seen, queue = {0}, [0]
+        for u in queue:
+            for i, y in enumerate(t[u, T].tolist()):
+                if y in seen:
+                    continue
+                seen.add(y)
+                queue.append(y)
+                xu = t[x, u]
+                live = xu != 0
+                expr[x, y] = expr[x, u]
+                expr[x[live], y, (xu[live] - 1) * k + i] += 1
+                if u:
+                    expr[x, y, (u - 1) * k + i] -= 1
+        return expr
+
     def _rows(self, *terms) -> np.ndarray:
         """One row per entry of the broadcast (x, y, sign) terms: the sum of
-        sign * z(x, y), where z(x, y) = 0 when x or y is the identity."""
-        n = self.group.order
-        xy = [a.ravel() for a in
-              np.broadcast_arrays(*(a for x, y, _ in terms for a in (x, y)))]
-        rows = np.zeros((len(xy[0]), self.dim + 1), dtype=np.int64)
-        r = np.arange(len(rows))
+        sign * z(x, y) with sign = +-1, modulo m, accumulated in place."""
+        xy = np.broadcast_arrays(*(a for x, y, _ in terms for a in (x, y)))
+        rows = np.zeros(xy[0].shape + (self.dim,), dtype=np.int64)
         for x, y, (_, _, sign) in zip(xy[::2], xy[1::2], terms):
-            # column dim collects the identity terms and is dropped
-            col = np.where((x == 0) | (y == 0), self.dim,
-                           (x - 1) * (n - 1) + y - 1)
-            np.add.at(rows, (r, col), sign)
-        return rows[:, :self.dim] % self.m
+            (np.add if sign > 0 else np.subtract)(rows, self.expr[x, y],
+                                                  out=rows)
+        rows %= self.m
+        return rows.reshape(-1, self.dim)
 
     def alt_rows(self, x, y) -> np.ndarray:
         """Rows of z(x, y) - z(y, x), one per pair (x[i], y[i])."""
         return self._rows((x, y, 1), (y, x, -1))
 
     def _pairs(self):
-        """g, h and g h for every unknown z(g, h)."""
-        g, h = np.divmod(np.arange(self.dim), self.group.order - 1)
-        return g + 1, h + 1, self.group.array[g + 1, h + 1]
+        """g, t and g t for every unknown z(g, t)."""
+        return self._g, self._t, self.group.array[self._g, self._t]
 
     def _coboundaries(self) -> np.ndarray:
         g, h, gh = self._pairs()
@@ -224,10 +252,10 @@ class OracleCocycles:
         return (tot // m % m).T
 
 
-def oracle_h2(group: FiniteGroup, cap: int = ORACLE_DIRECT_CAP) -> AbelianStructure:
+def oracle_h2(group: FiniteGroup) -> AbelianStructure:
     """H2(G, Z) through the cocycle quotient, one prime power at a time."""
     factors = []
-    if group.order <= cap:
+    if group.order <= ORACLE_DIRECT_CAP:
         for p, e in factorize(group.order).items():
             oc = OracleCocycles(group, p ** e)
             factors.extend(_quotient_divisors(oc.sol, oc.sub, p ** e, p))
@@ -235,7 +263,7 @@ def oracle_h2(group: FiniteGroup, cap: int = ORACLE_DIRECT_CAP) -> AbelianStruct
     for p in prime_divisors(group.order):
         syl = _sylow_subgroup(group, p)
         psub, to_parent = group.subgroup_as_group(syl)
-        if psub.order > cap:
+        if psub.order > ORACLE_DIRECT_CAP:
             raise CapacityError("oracle: Sylow subgroup exceeds the cap")
         m = psub.order
         oc = OracleCocycles(psub, m)
@@ -275,43 +303,33 @@ def _invariant_pairing_rows(group: FiniteGroup, oc: OracleCocycles,
     return np.vstack(out) % oc.m
 
 
-def oracle_h2_reduced(group: FiniteGroup, c,
-                      cap: int = ORACLE_DIRECT_CAP) -> AbelianStructure:
+def oracle_h2_reduced(group: FiniteGroup, c) -> AbelianStructure:
     """H2(G, c) as the quotient A'/B of the module docstring: dual to it
     by finite abelian duality.  Above the direct cap the cocycles come
     from the generator-parametrized space instead of the full pair space.
     Raises ValidationError for an entry of c outside 1..|G| - 1."""
-    n = group.order
-    cset = sorted(set(int(v) for v in c))
-    if cset and (cset[0] < 1 or cset[-1] >= n):
-        raise ValidationError("c must hold non-identity element indices "
-                              f"in 1..{n - 1}")
-    t = group.array
-    x, y = np.nonzero(t == t.T)
-    meets = np.isin(x, cset) & (y != 0)
-    x, y = x[meets], y[meets]
-    if n > cap:
-        return _reduced_via_parametrized(group, x, y)
-    factors = []
+    return oracle_h2_reduced_many(group, [c])[0]
+
+
+def oracle_h2_reduced_many(group: FiniteGroup, cs) -> list:
+    """`oracle_h2_reduced` of each c in cs, in order, with the cocycle data
+    of each p^e || |G| built once for all of them.  Every c is checked
+    before any is computed."""
+    n, t = group.order, group.array
+    x, y = np.nonzero((t == t.T) & (np.arange(n) != 0))
+    pairs = []
+    for c in cs:
+        cset = sorted(set(int(v) for v in c))
+        if cset and (cset[0] < 1 or cset[-1] >= n):
+            raise ValidationError("c must hold non-identity element indices "
+                                  f"in 1..{n - 1}")
+        meets = np.isin(x, cset)
+        pairs.append((x[meets], y[meets]))
+    factors: list = [[] for _ in pairs]
     for p, e in factorize(n).items():
         m = p ** e
         oc = OracleCocycles(group, m)
-        factors.extend(_quotient_divisors(
-            _subspace(oc.sol, oc.alt_rows(x, y), m), oc.sub, m, p))
-    return AbelianStructure.from_cyclic_orders(factors)
-
-
-def _reduced_via_parametrized(group: FiniteGroup, x, y) -> AbelianStructure:
-    """The quotient A'/B on the generator-parametrized cocycle space (used
-    above the full-pair cap): the conditions are expr[x, y] - expr[y, x]."""
-    from .homology import _CocycleSpace
-    space = _CocycleSpace(group)
-    rows = space.constraint_rows()
-    alt = space.expr[x, y] - space.expr[y, x]
-    factors = []
-    for p, e in factorize(group.order).items():
-        m = p ** e
-        factors.extend(_quotient_divisors(
-            _subspace(_kernel_mod(rows, m), alt, m),
-            space.relation_vectors(m), m, p))
-    return AbelianStructure.from_cyclic_orders(factors)
+        for out, (cx, cy) in zip(factors, pairs):
+            out.extend(_quotient_divisors(
+                _subspace(oc.sol, oc.alt_rows(cx, cy), m), oc.sub, m, p))
+    return [AbelianStructure.from_cyclic_orders(f) for f in factors]

@@ -133,7 +133,8 @@ def _rational_class_unions(group) -> list:
 def suite_homology_oracle(quick: bool = False) -> list:
     from .groups import alternating4, from_permutations
     from .homology import h2, reduce_cover, schur_cover
-    from .homology_oracle import oracle_h2, oracle_h2_reduced
+    from .homology_oracle import (oracle_h2, oracle_h2_reduced,
+                                  oracle_h2_reduced_many)
     results = []
     groups = [g for g in groups_up_to_16() if g.order <= (12 if quick else 16)]
     extras = [abelian([3, 3]), symmetric(3), dihedral(5)]
@@ -153,14 +154,15 @@ def suite_homology_oracle(quick: bool = False) -> list:
             continue
         cov = schur_cover(g)
         red = reduce_cover(cov, g, list(range(1, g.order)))
-        orc = oracle_h2_reduced(g, list(range(1, g.order)))
+        cs = _rational_class_unions(g) if g.order <= 12 else []
+        orc, *orcs = oracle_h2_reduced_many(
+            g, [list(range(1, g.order))] + cs)
         _emit(results, "homology-oracle", f"h2({g.name}, all nontrivial)",
               red.kernel_structure == orc,
               f"primary={red.kernel_structure} oracle={orc}")
         if g.order <= 12:
-            cs = _rational_class_unions(g)
-            bad = [c for c in cs if reduce_cover(cov, g, c).kernel_structure
-                   != oracle_h2_reduced(g, c)]
+            bad = [c for c, o in zip(cs, orcs)
+                   if reduce_cover(cov, g, c).kernel_structure != o]
             _emit(results, "homology-oracle",
                   f"h2({g.name}, c) on {len(cs)} unions of rational classes",
                   not bad, f"disagree on {bad}" if bad else "")

@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hurwitzlab import homology, intmat
+from hurwitzlab import homology, homology_oracle, intmat
 from hurwitzlab.abelian import AbelianStructure
 from hurwitzlab.errors import (CapacityError, InternalCheckError,
                                ValidationError)
@@ -16,7 +17,9 @@ from hurwitzlab.groups import (GammaGroup, abelian, alternating4, cyclic,
 from hurwitzlab.homology import (UContext, build_u, h2,
                                  load_ucontext, reduce_cover, save_ucontext,
                                  schur_cover, validate_c)
-from hurwitzlab.homology_oracle import oracle_h2, oracle_h2_reduced
+from hurwitzlab.homology_oracle import (oracle_h2, oracle_h2_reduced,
+                                       oracle_h2_reduced_many)
+from hurwitzlab.ntheory import factorize
 
 
 def AS(orders):
@@ -258,15 +261,14 @@ def _shuffled(method, seed):
 
 def test_schur_covers_ignore_row_order(monkeypatch):
     """The cover is read off reduced Howell forms, which depend on the span
-    of their rows only: with the Hopf rows, the coboundary and carry rows
-    and the cocycle identity rows shuffled, every cover table is
-    byte-identical to the one built from them in order."""
+    of their rows only: with the Hopf rows and the coboundary and carry
+    rows shuffled, every cover table is byte-identical to the one built
+    from them in order."""
     groups = groups_up_to_16() + [symmetric(4), dihedral(12),
                                   inversion_semidirect([5, 5])]
     space = homology._CocycleSpace
     originals = [(homology, "_hopf_rows", homology._hopf_rows),
-                 (space, "relation_vectors", space.relation_vectors),
-                 (space, "constraint_rows", space.constraint_rows)]
+                 (space, "relation_vectors", space.relation_vectors)]
     expected = [schur_cover(g).total.array.tobytes() for g in groups]
     for seed in (1, 2):
         for i, (owner, name, method) in enumerate(originals):
@@ -282,15 +284,32 @@ def _path_groups():
 
 def test_schur_cover_solves_no_cocycle_identity_rows(monkeypatch):
     """The cover is read off the Hopf lattice that h2 already builds: no
-    cocycle identity rows and no kernel of them."""
+    kernel of cocycle identity rows is taken, and `homology` no longer has
+    a method that builds such rows."""
     def forbidden(*args):
         raise AssertionError("cocycle identity rows or their kernel built")
 
     monkeypatch.setattr(intmat, "kernel_mod", forbidden)
-    monkeypatch.setattr(homology._CocycleSpace, "constraint_rows", forbidden)
+    assert not hasattr(homology._CocycleSpace, "constraint_rows")
     for g in _path_groups():
         cov = schur_cover(g)
         assert cov.kernel_structure == h2(g), g.name
+
+
+def test_schur_cover_holds_no_cubic_array():
+    """A cover factor's table is expanded along the Cayley tree, O(|G|^2):
+    the cover of D100 (order 200, H2 = C2) peaks far below the 121 MiB of
+    an (n, n, (n - 1) k) array of its cochain space."""
+    g = dihedral(100)
+    assert h2(g) == AS([2])
+    tracemalloc.start()
+    try:
+        cov = schur_cover(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
+    assert cov.total.order == 400
 
 
 def test_schur_cover_certificate_catches_bad_cocycles(monkeypatch):
@@ -339,6 +358,30 @@ def test_reduced_oracle_agreement():
     d4 = dihedral(4)
     red4 = reduce_cover(schur_cover(d4), d4, list(range(1, 8)))
     assert red4.kernel_structure == oracle_h2_reduced(d4, list(range(1, 8)))
+
+
+def test_reduced_oracle_builds_once_per_prime_power(monkeypatch):
+    """oracle_h2_reduced_many gives what oracle_h2_reduced gives for each
+    c alone, building the cocycle data once per p^e || |G| for all of the
+    c: for 4 and 3 on D6 (order 12), for 2 and 25 on C5xC5:C2 (order 50,
+    past the direct cap)."""
+    built = []
+    cls = homology_oracle.OracleCocycles
+
+    def counting(group, m):
+        built.append(m)
+        return cls(group, m)
+
+    monkeypatch.setattr(homology_oracle, "OracleCocycles", counting)
+    for g in (dihedral(6), inversion_semidirect([5, 5])):
+        cs = [list(range(1, g.order))] + [
+            [x for x in range(1, g.order) if g.element_order(x) == k]
+            for k in (2, 3, 5, 6) if g.order % k == 0]
+        single = [oracle_h2_reduced(g, c) for c in cs]
+        built.clear()
+        assert oracle_h2_reduced_many(g, cs) == single, g.name
+        assert sorted(built) == sorted(
+            p ** e for p, e in factorize(g.order).items()), g.name
 
 
 def test_reduced_rejects_out_of_range_c():

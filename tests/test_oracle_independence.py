@@ -1,13 +1,13 @@
-"""`homology_oracle` cross-checks h2 and the reduced multiplier, so it may
-share with the main path only what its docstring names: above its direct
-cap, the generator-parametrized cocycle space.  Nothing from `intmat`: no
-elimination of any kind."""
+"""`homology_oracle` cross-checks h2 and the reduced multiplier, so it
+shares with the main path only the group engine and `ntheory`: nothing
+from `homology` (its cochain space is its own) and nothing from `intmat`
+(no elimination of any kind)."""
 import ast
 from pathlib import Path
 
 import hurwitzlab
 
-ALLOWED = {"homology": {"_CocycleSpace"}}
+ALLOWED: dict = {}
 # main-path modules from which the oracle may import only the names in
 # ALLOWED (none, for a module ALLOWED leaves out)
 CHECKED = ("homology", "intmat")

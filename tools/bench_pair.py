@@ -143,11 +143,14 @@ print(json.dumps({"h2": mult,
 """
 
 COVERS_PAIRS = 3
-COVERS_GROUPS = ("C5xC5:C2", "C7xC7:C2", "C3^3:C2", "S4", "C2^4")
+# D100 (order 200): an (n, n, (n - 1) k) cochain array would be 121 MiB
+# there, so its peak RSS shows whether a cover factor stays O(|G|^2)
+COVERS_GROUPS = ("C5xC5:C2", "C7xC7:C2", "C3^3:C2", "S4", "C2^4", "D100")
 # the table is hashed as nested lists, whatever its dtype
 COVERS_SCRIPT = """
 import hashlib, json, resource, sys, time
-from hurwitzlab.groups import abelian, inversion_action, semidirect, symmetric
+from hurwitzlab.groups import (abelian, dihedral, inversion_action,
+                               semidirect, symmetric)
 from hurwitzlab.homology import h2, schur_cover
 def inversion(orders):
     return semidirect(inversion_action(abelian(orders))).group
@@ -155,7 +158,8 @@ group = {"C5xC5:C2": lambda: inversion([5, 5]),
          "C7xC7:C2": lambda: inversion([7, 7]),
          "C3^3:C2": lambda: inversion([3, 3, 3]),
          "S4": lambda: symmetric(4),
-         "C2^4": lambda: abelian([2] * 4)}[sys.argv[1]]()
+         "C2^4": lambda: abelian([2] * 4),
+         "D100": lambda: dihedral(100)}[sys.argv[1]]()
 h2(group)
 t0 = time.perf_counter()
 cover = schur_cover(group)
