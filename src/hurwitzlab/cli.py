@@ -171,8 +171,7 @@ def resolve_gamma_inf(gamma: FiniteGroup, spec: str) -> list:
 
 class Report:
     def __init__(self, config: dict, rows: list, columns: list):
-        # where the cover cache lives does not change the result
-        self.config = {k: config[k] for k in sorted(config) if k != "cache_dir"}
+        self.config = {k: config[k] for k in sorted(config)}
         self.version = __version__
         self.rows = rows
         self.columns = columns
@@ -220,7 +219,7 @@ def run_orbits(cfg: dict) -> Report:
     group = resolve_group(cfg["group"])
     c = resolve_c(group, cfg["c"])
     g_inf = resolve_g_inf(group, cfg["g_inf"], c)
-    ctx = build_u(group, c, cache_dir=cfg.get("cache_dir"))
+    ctx = build_u(group, c)
     orbs = orbits(group, c, g_inf, cfg["n"], ctx=ctx)
     rows = []
     for i, o in enumerate(orbs):
@@ -240,7 +239,7 @@ def run_frob_count(cfg: dict) -> Report:
     c = resolve_c(group, cfg["c"])
     g_inf = resolve_g_inf(group, cfg["g_inf"], c)
     q = cfg["q"]
-    ctx = build_u(group, c, cache_dir=cfg.get("cache_dir"))
+    ctx = build_u(group, c)
     ginf_members = group.subgroup_closure([g_inf])
     rows = []
     for n in range(cfg["n_min"], cfg["n_max"] + 1):
@@ -351,15 +350,14 @@ def run_verify(cfg: dict) -> Report:
 
 _GROUP_C = (Param("group", str), Param("c", str, "all"),
             Param("g_inf", str, "auto"))
-_CACHE_DIR = Param("cache_dir", str, None)
 
 # A kind "<group>-<leaf>" with <group> in GROUPS is `hurwitzlab <group> <leaf>`.
 KINDS = {
     "orbits": Kind(run_orbits, "braid orbits with invariants", (
-        *_GROUP_C, Param("n", int), _CACHE_DIR)),
+        *_GROUP_C, Param("n", int))),
     "frob-count": Kind(run_frob_count, "Frobenius-fixed component counts", (
         *_GROUP_C, Param("q", int), Param("n_min", int, 2),
-        Param("n_max", int, 6), _CACHE_DIR)),
+        Param("n_max", int, 6))),
     # q stays a string: "limit" or a prime power
     "predict-moment": Kind(run_predict_moment, "moment predictions", (
         Param("h", str), Param("gamma", str, "inversion"),

@@ -107,14 +107,13 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
     def content_key(self) -> bytes:
-        """Stable bytes identifying the table (used for cache keys): the
-        sha256 of the order, then each row's entries joined by commas."""
+        """Bytes identifying the table (the key of `h2`'s memo and of
+        `__hash__`): the sha256 of the order, then of the int64 table's
+        bytes in little-endian row-major order."""
         if self._key is None:
             import hashlib
-            h = hashlib.sha256()
-            h.update(str(self.order).encode())
-            for row in self.array:
-                h.update(",".join(map(str, row.tolist())).encode())
+            h = hashlib.sha256(str(self.order).encode())
+            h.update(self.array.astype("<i8", copy=False).tobytes())
             self._key = h.digest()
         return self._key
 
@@ -186,22 +185,6 @@ class FiniteGroup:
         qt = coset_of[t[np.ix_(reps, reps)]]
         q = FiniteGroup(qt, name=f"{self.name}/N", _validated=True)
         return q, coset_of.tolist()
-
-    def subgroup_as_group(self, members: Sequence[int]):
-        """The subgroup on `members` as a standalone group.
-
-        Returns (FiniteGroup, to_parent) with to_parent[i] the parent index
-        of subgroup element i; element 0 stays the identity.
-        """
-        mem = sorted(set(members))
-        if mem[0] != 0:
-            raise ValidationError("subgroup must contain the identity")
-        pos = np.full(self.order, -1)
-        pos[mem] = np.arange(len(mem))
-        sub = pos[self.array[np.ix_(mem, mem)]]
-        if (sub < 0).any():
-            raise ValidationError("member set is not closed under multiplication")
-        return FiniteGroup(sub, name=f"{self.name}|sub{len(mem)}", _validated=True), mem
 
     def all_subgroups(self, cap: int = 20000) -> list:
         """All subgroups as sorted member tuples (BFS over generated closures)."""

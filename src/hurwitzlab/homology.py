@@ -12,8 +12,10 @@ Two computation paths live here:
   m = 1 answers at once.  Groups whose k (|G|(k - 1) + 1) relation rows
   exceed `H2_CHAIN_CAP` raise CapacityError before any row is built,
   whatever m is.  The same lattice, modulo each p^e in turn, gives the
-  cocycles of a Schur cover (`_hopf_cocycles`): the dual of H2_p, summed
-  along the tree paths of the Cayley graph;
+  cocycles of a Schur cover (`_hopf_cocycles`): the dual of H2_p, read
+  off the reduced Howell form of the sparse Hopf rows (a sweep whose
+  steps touch only the rows holding their column) and summed along the
+  tree paths of the Cayley graph;
 * a cocycle space (generator-parametrized 2-cochains, coboundaries and
   carry classes) that puts each cover cocycle into a canonical form: the
   Howell residue of its values on G x S, expanded to the (n, n) table
@@ -31,13 +33,9 @@ multiplier.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -335,7 +333,8 @@ def _hopf_cocycles(group: FiniteGroup, q: int) -> list:
     for q = p^e || |G| with H2(G)_p != 0.
 
     `_smith_mod` of the reduced Howell form of the Hopf rows modulo q,
-    which depends on their span only, gives U H V = D: R/[F, R] modulo q
+    which depends on their span only and is swept on the sparse rows as
+    `_hopf_rows` gives them, gives U H V = D: R/[F, R] modulo q
     is the sum of the Z/g_i, g_i = gcd(d_i, q), in the coordinates v V.
     It is H2_p + (Z/q)^k, and the exponent of H2_p is below q (its square
     divides |G|), so exactly k of the g_i are q; column i of V modulo each
@@ -348,11 +347,8 @@ def _hopf_cocycles(group: FiniteGroup, q: int) -> list:
     gens = _generating_set(group)
     n, k = group.order, len(gens)
     ncycles = n * (k - 1) + 1
-    rows = _hopf_rows(group, gens)
-    A = np.zeros((len(rows), ncycles), dtype=np.int64)
-    for i, row in enumerate(rows):
-        A[i, list(row)] = list(row.values())
-    diag, V = _smith_mod(np.array(howell_form_mod(A, ncycles, q)), q)
+    H = howell_form_mod(_hopf_rows(group, gens), ncycles, q)
+    diag, V = _smith_mod(np.array(H), q)
     g = [math.gcd(d, q) for d in diag] + [q] * (ncycles - len(diag))
     if g.count(q) != k:
         raise InternalCheckError(
@@ -484,40 +480,18 @@ class UContext:
     Immutable and shareable; build once per (G, c) pair (see build_u)."""
 
     def __init__(self, group: FiniteGroup, c: Sequence[int]):
-        self._init_common(group, c)
-        cover = schur_cover(group)
-        self.sc = reduce_cover(cover, group, self.c)
-        self.h2c = self.sc.kernel_structure
-        self._build_lifts()
-        self._finish()
-
-    @classmethod
-    def _from_parts(cls, group, c, sc: CentralExtension, lifts: dict):
-        self = cls.__new__(cls)
-        self._init_common(group, c)
-        self.sc = sc
-        self.h2c = sc.kernel_structure
-        self.lifts = lifts
-        self._finish()
-        return self
-
-    def _init_common(self, group: FiniteGroup, c: Sequence[int]):
         self.group = group
         self.c = validate_c(group, c)
         cc = group.conjugacy_classes()
         class_ids = sorted({cc.class_of[x] for x in self.c},
                            key=lambda cid: cc.reps[cid])
-        self.class_list = class_ids           # global class id per c-class slot
         self.nclasses = len(class_ids)
-        self.class_slot = {cid: i for i, cid in enumerate(class_ids)}
-        self.class_of = {x: self.class_slot[cc.class_of[x]] for x in self.c}
+        slot = {cid: i for i, cid in enumerate(class_ids)}
+        self.class_of = {x: slot[cc.class_of[x]] for x in self.c}
         self.class_reps = [cc.reps[cid] for cid in class_ids]
-        self.class_members = [tuple(m for m in cc.members[cid])
-                              for cid in class_ids]
-        self._conj_table = cc
-
-    def _finish(self):
-        group = self.group
+        self.sc = reduce_cover(schur_cover(group), group, self.c)
+        self.h2c = self.sc.kernel_structure
+        self._build_lifts()
         ab, ab_proj = group.abelianization()
         ab_data = structure_of_members(ab, range(ab.order))
         self._ab_orders = tuple(ab_data.basis_orders)
@@ -634,12 +608,6 @@ class UContext:
         h = self.sc.kernel_coords[u.s] if self.h2c.factors else ()
         return tuple(h), u.v
 
-    def content_key(self) -> bytes:
-        h = hashlib.sha256()
-        h.update(self.group.content_key())
-        h.update(b"|c:" + b",".join(str(x).encode() for x in self.c))
-        return h.digest()
-
 
 class UElement:
     """Element of U(G,c): a pair (s in S_c, v in Z^{c/G}) with matching
@@ -697,73 +665,6 @@ class UElement:
         return f"UElement(s={self.s}, v={self.v})"
 
 
-def build_u(group: FiniteGroup, c: Sequence[int],
-            cache_dir: Optional[str] = None) -> UContext:
-    """Build (or load from the JSON cache) the UContext for (G, c).
-
-    A cache file that cannot be decoded, does not validate, or holds
-    another (G, c) is rebuilt and overwritten, never trusted."""
-    if cache_dir is None:
-        return UContext(group, c)
-    cdir = Path(cache_dir)
-    cdir.mkdir(parents=True, exist_ok=True)
-    h = hashlib.sha256()
-    h.update(group.content_key())
-    h.update(b"|c:" + b",".join(str(x).encode() for x in sorted(set(int(x) for x in c))))
-    path = cdir / (h.hexdigest()[:32] + ".ucontext")
-    if path.exists():
-        try:
-            ctx = load_ucontext(path)
-            if ctx.group == group and ctx.c == tuple(sorted(set(c))):
-                return ctx
-        except (ValidationError, InternalCheckError):
-            pass
-    ctx = UContext(group, c)
-    save_ucontext(ctx, path)
-    return ctx
-
-
-_CACHE_VERSION = 4
-
-
-def save_ucontext(ctx: UContext, path) -> None:
-    """Write the cover and lifts as JSON, atomically (write, then rename)."""
-    payload = {
-        "version": _CACHE_VERSION,
-        "group_table": ctx.group.array.tolist(),
-        "group_name": ctx.group.name,
-        "c": list(ctx.c),
-        "sc_table": ctx.sc.total.array.tolist(),
-        "sc_proj": list(ctx.sc.proj),
-        "sc_kernel": list(ctx.sc.kernel_members),
-        "lifts": sorted(ctx.lifts.items()),
-    }
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload))
-    os.replace(tmp, path)
-
-
-def load_ucontext(path) -> UContext:
-    """Rebuild a UContext from the serialized cover, skipping cover
-    construction.  Both tables are validated as groups, the cover is
-    verified as a stem central extension and the lifts by UContext; a
-    file that fails to decode or to validate raises ValidationError or
-    InternalCheckError."""
-    try:
-        payload = json.loads(Path(path).read_bytes())
-        if payload["version"] != _CACHE_VERSION:
-            raise ValidationError("unsupported ucontext cache version")
-        group = FiniteGroup(payload["group_table"], name=str(payload["group_name"]))
-        total = FiniteGroup(payload["sc_table"], name="cached-cover")
-        kernel_members = tuple(int(x) for x in payload["sc_kernel"])
-        data = structure_of_members(total, kernel_members)
-        sc = CentralExtension(
-            total=total, proj=tuple(int(x) for x in payload["sc_proj"]),
-            kernel_members=kernel_members, kernel_structure=data.structure,
-            kernel_coords=dict(data.coords),
-            kernel_from_coords={v: k for k, v in data.coords.items()})
-        sc.verify(group, stem=True)
-        lifts = {int(x): int(y) for x, y in payload["lifts"]}
-        return UContext._from_parts(group, payload["c"], sc, lifts)
-    except (ValueError, TypeError, KeyError, IndexError) as e:
-        raise ValidationError(f"unusable ucontext cache: {e!r}") from e
+def build_u(group: FiniteGroup, c: Sequence[int]) -> UContext:
+    """The UContext for (G, c): the reduced Schur cover and its lifts."""
+    return UContext(group, c)

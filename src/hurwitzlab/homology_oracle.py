@@ -11,11 +11,11 @@ coboundaries and the carry classes:
 - the p-part of H2(G) is dual to A/B, A the cocycles;
 - the p-part of H2(G, c) is dual to A'/B, A' the cocycles whose
   antisymmetrization z(x, y) - z(y, x) vanishes on every commuting pair
-  meeting c (the annihilator of those pairs under the commutator pairing);
-- above a direct cap, h2 takes each p-part from a normal abelian Sylow P:
-  there the antisymmetrization is a faithful class invariant, and the
-  p-part is dual to A''/B, A'' the cocycles of P whose antisymmetrization
-  is invariant under conjugation by G.
+  meeting c (the annihilator of those pairs under the commutator pairing).
+
+`oracle_multipliers` builds the cocycle data once per p^e || |G| and reads
+H2 and every H2(G, c) asked for off it; `oracle_h2` and
+`oracle_h2_reduced` are its single cases.
 
 Every quotient is counted through one echelon routine, `_echelon_mod`, a
 Howell form (Howell 1986; Storjohann and Mulders, ESA 1998): the order of
@@ -25,9 +25,8 @@ from the orders |p^j A + B|, j = 0..e.
 
 Shared with the main path are only the group engine (with its small
 generating set) and the integer factorisation of `ntheory`.  The cochain
-space, the echelon, the kernels, the quotient counts and the Sylow search
-are the oracle's own, so criterion 2 shares no elimination and no cocycle
-code with `h2`.
+space, the echelon, the kernels and the quotient counts are the oracle's
+own, so criterion 2 shares no elimination and no cocycle code with `h2`.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ import math
 import numpy as np
 
 from .abelian import AbelianStructure, structure_of_members
-from .errors import CapacityError, InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .groups import FiniteGroup, _small_generating_set
-from .ntheory import factorize, is_power_of, prime_divisors, valuation
+from .ntheory import factorize, valuation
 
 ORACLE_DIRECT_CAP = 25
 
@@ -130,30 +129,6 @@ def _quotient_divisors(A: np.ndarray, B: np.ndarray, m: int, p: int) -> list:
     at_least = [valuation(a // b, p) for a, b in zip(sizes, sizes[1:])] + [0]
     return [p ** j for j in range(1, len(at_least))
             for _ in range(at_least[j - 1] - at_least[j])]
-
-
-def _sylow_subgroup(group: FiniteGroup, p: int) -> tuple:
-    """Members of a Sylow p-subgroup (grown through normalizers)."""
-    target = p ** valuation(group.order, p)
-    members = (0,)
-    while len(members) < target:
-        mset = set(members)
-        grown = None
-        for g in range(group.order):
-            if g in mset:
-                continue
-            if not is_power_of(group.element_order(g), p):
-                continue
-            if not all(group.conj(x, g) in mset for x in members):
-                continue
-            cand = group.subgroup_closure(list(members) + [g])
-            if is_power_of(len(cand), p):
-                grown = cand
-                break
-        if grown is None:
-            raise InternalCheckError("Sylow growth stalled")
-        members = grown
-    return members
 
 
 class OracleCocycles:
@@ -254,53 +229,7 @@ class OracleCocycles:
 
 def oracle_h2(group: FiniteGroup) -> AbelianStructure:
     """H2(G, Z) through the cocycle quotient, one prime power at a time."""
-    factors = []
-    if group.order <= ORACLE_DIRECT_CAP:
-        for p, e in factorize(group.order).items():
-            oc = OracleCocycles(group, p ** e)
-            factors.extend(_quotient_divisors(oc.sol, oc.sub, p ** e, p))
-        return AbelianStructure.from_cyclic_orders(factors)
-    for p in prime_divisors(group.order):
-        syl = _sylow_subgroup(group, p)
-        psub, to_parent = group.subgroup_as_group(syl)
-        if psub.order > ORACLE_DIRECT_CAP:
-            raise CapacityError("oracle: Sylow subgroup exceeds the cap")
-        m = psub.order
-        oc = OracleCocycles(psub, m)
-        if not _quotient_divisors(oc.sol, oc.sub, m, p):
-            continue
-        sset = set(syl)
-        normal = all(group.conj(x, g) in sset
-                     for g in range(group.order) for x in syl)
-        if not (normal and psub.is_abelian()):
-            raise CapacityError(
-                "oracle: reduction needs a normal abelian Sylow subgroup")
-        x, y = (a.ravel() for a in np.mgrid[1:m, 1:m])
-        if _quotient_divisors(_subspace(oc.sol, oc.alt_rows(x, y), m),
-                              oc.sub, m, p):
-            raise InternalCheckError(
-                "pairing does not separate classes of the abelian Sylow")
-        rows = _invariant_pairing_rows(group, oc, to_parent)
-        factors.extend(_quotient_divisors(_subspace(oc.sol, rows, m),
-                                          oc.sub, m, p))
-    return AbelianStructure.from_cyclic_orders(factors)
-
-
-def _invariant_pairing_rows(group: FiniteGroup, oc: OracleCocycles,
-                            to_parent) -> np.ndarray:
-    """Rows of alt(z)(x^g, y^g) - alt(z)(x, y), alt(z) the
-    antisymmetrization of a cocycle z of the Sylow subgroup, over all its
-    pairs x, y and every g in a generating set of G."""
-    n = oc.group.order
-    pos = np.zeros(group.order, dtype=np.int64)
-    pos[list(to_parent)] = np.arange(n)
-    x, y = (a.ravel() for a in np.mgrid[1:n, 1:n])
-    base = oc.alt_rows(x, y)
-    out = []
-    for g in _small_generating_set(group):
-        conj = pos[[group.conj(v, g) for v in to_parent]]
-        out.append(oc.alt_rows(conj[x], conj[y]) - base)
-    return np.vstack(out) % oc.m
+    return oracle_multipliers(group, [])[0]
 
 
 def oracle_h2_reduced(group: FiniteGroup, c) -> AbelianStructure:
@@ -308,13 +237,13 @@ def oracle_h2_reduced(group: FiniteGroup, c) -> AbelianStructure:
     by finite abelian duality.  Above the direct cap the cocycles come
     from the generator-parametrized space instead of the full pair space.
     Raises ValidationError for an entry of c outside 1..|G| - 1."""
-    return oracle_h2_reduced_many(group, [c])[0]
+    return oracle_multipliers(group, [c])[1][0]
 
 
-def oracle_h2_reduced_many(group: FiniteGroup, cs) -> list:
-    """`oracle_h2_reduced` of each c in cs, in order, with the cocycle data
-    of each p^e || |G| built once for all of them.  Every c is checked
-    before any is computed."""
+def oracle_multipliers(group: FiniteGroup, cs) -> tuple:
+    """(H2(G, Z), [H2(G, c) for c in cs]): A/B and each A'/B of the module
+    docstring, with the cocycle data of each p^e || |G| built once for all
+    of them.  Every c is checked before any is computed."""
     n, t = group.order, group.array
     x, y = np.nonzero((t == t.T) & (np.arange(n) != 0))
     pairs = []
@@ -325,11 +254,14 @@ def oracle_h2_reduced_many(group: FiniteGroup, cs) -> list:
                                   f"in 1..{n - 1}")
         meets = np.isin(x, cset)
         pairs.append((x[meets], y[meets]))
+    full: list = []
     factors: list = [[] for _ in pairs]
     for p, e in factorize(n).items():
         m = p ** e
         oc = OracleCocycles(group, m)
+        full.extend(_quotient_divisors(oc.sol, oc.sub, m, p))
         for out, (cx, cy) in zip(factors, pairs):
             out.extend(_quotient_divisors(
                 _subspace(oc.sol, oc.alt_rows(cx, cy), m), oc.sub, m, p))
-    return [AbelianStructure.from_cyclic_orders(f) for f in factors]
+    return (AbelianStructure.from_cyclic_orders(full),
+            [AbelianStructure.from_cyclic_orders(f) for f in factors])

@@ -17,17 +17,22 @@ There is one elimination per job:
 * `_unit_pivots`, for the sparse relation rows of `h2` ahead of that
   block;
 * the local-ring elimination: over each p^e dividing m, pivot on an entry
-  of least p-valuation, which divides its column, so a pivot step is the
-  same few array operations however the entries fall.  It gives the
-  divisors of a whole stack of small matrices (`_local_exponents`) and
-  the unique reduced Howell form, whose residues are canonical coset
-  labels (`_howell_local`, `howell_form_mod`).  Its reductions modulo p^j
-  are `_mod`, A - m * (A // m): numpy 2.4 divides an integer array by a
-  scalar through libdivide but takes a slow path for the remainder, so on
-  a (200, 9, 8) int64 block A % 3 takes 78 us and the floor-division form
+  of least p-valuation, which divides its column, so no gcd step is
+  needed.  On a whole stack of small matrices (`_local_exponents`) a
+  pivot step is the same few array operations however the entries fall,
+  and gives the divisors of each.  Its reductions modulo p^j are `_mod`,
+  A - m * (A // m): numpy 2.4 divides an integer array by a scalar
+  through libdivide but takes a slow path for the remainder, so on a
+  (200, 9, 8) int64 block A % 3 takes 78 us and the floor-division form
   15 us (2-core Xeon, numpy 2.4.6).  The stack runs in int32, where that
   step takes 7 us, whenever q^2 < 2^31 for q = p^e, since every entry of
-  a pivot step is then below 2^31 in magnitude.
+  a pivot step is then below 2^31 in magnitude.  On one module given by
+  sparse {column: value} rows the same pivots, taken column by column,
+  give the unique reduced Howell form, whose residues are canonical coset
+  labels (`_howell_local`, `howell_form_mod`); a step there touches only
+  the rows that hold its column, so the Howell form of the Hopf rows of
+  D250 (1,002 rows over 501 columns, a handful of nonzeros each) costs
+  their fill-in, not rows x columns^2.
 
 A system handed to `_smith_mod` can be tall and sparse (the Gamma-module
 equations of `randgrp` hold one block of rows per generator), so a step
@@ -171,10 +176,7 @@ def quotient_divisors_mod(gens, dim: int, m: int):
     left, none of which holds a unit, go to `_smith_mod` as a dense block
     over the columns they touch.
     """
-    rows = [{j: a % m for j, a in (g.items() if isinstance(g, dict)
-                                   else enumerate(g)) if a % m}
-            for g in gens]
-    rest, pivots = _unit_pivots(rows, m)
+    rest, pivots = _unit_pivots(_sparse_rows(gens, m), m)
     cols = sorted({j for r in rest for j in r})
     at = {j: k for k, j in enumerate(cols)}
     A = np.zeros((len(rest), len(cols)), dtype=np.int64)
@@ -185,6 +187,19 @@ def quotient_divisors_mod(gens, dim: int, m: int):
     divisors = [math.gcd(d, m) for d in diag] + \
         [m] * (dim - pivots - len(diag))
     return sorted(d for d in divisors if d != 1)
+
+
+def _sparse_rows(gens, m: int) -> list:
+    """The generators, each a sequence of integers or a sparse {column:
+    value} dict (or the rows of a 2-d array), as {column: value} dicts of
+    their entries reduced into [1, m)."""
+    if isinstance(gens, np.ndarray):
+        A = gens % m
+        return [dict(zip(nz.tolist(), row[nz].tolist()))
+                for row in A for nz in [row.nonzero()[0]]]
+    return [{j: a % m for j, a in (g.items() if isinstance(g, dict)
+                                   else enumerate(g)) if a % m}
+            for g in gens]
 
 
 def _unit_pivots(rows: list, m: int):
@@ -333,27 +348,34 @@ def kernel_mod(rows, nun: int, m: int):
 def howell_form_mod(gens, dim: int, m: int):
     """The reduced Howell form of the Z/m-module spanned by gens in (Z/m)^dim.
 
-    Returns a dim x dim row matrix H: row c has pivot H[c][c] dividing m at
-    column c (m itself when the projection is free there), zeros below-left,
-    entries above each pivot reduced into [0, pivot), and the rows from c
-    on span every element of the module that is zero before column c.  Such
-    a form is unique (Howell 1986; Storjohann and Mulders, ESA 1998), so H
-    depends on the module only, and howell_residue(H, v, m) is a canonical
-    coset representative: v, w are congruent mod the module iff their
-    residues agree.
+    A generator is a sequence of dim integers or a sparse {column: value}
+    dict, as in `quotient_divisors_mod`.  Returns a dim x dim row matrix
+    H: row c has pivot H[c][c] dividing m at column c (m itself when the
+    projection is free there), zeros below-left, entries above each pivot
+    reduced into [0, pivot), and the rows from c on span every element of
+    the module that is zero before column c.  Such a form is unique
+    (Howell 1986; Storjohann and Mulders, ESA 1998), so H depends on the
+    module only, and howell_residue(H, v, m) is a canonical coset
+    representative: v, w are congruent mod the module iff their residues
+    agree.
 
     By CRT the module is the sum of its parts over Z/p^e for the prime
     powers of m; each part is brought to Howell form by `_howell_local`.
     Row c joins the parts' rows, each scaled by the unit that turns its
     pivot p^v into d = prod p^v, so the joined pivot is d; the entries
     above the pivots are then reduced from left to right, each step
-    leaving alone the columns before it.
+    touching only the rows whose entry in its column is at least that
+    pivot (the others have quotient 0) and leaving alone the columns
+    before it.
     """
     if m > (1 << 30):
         raise InternalCheckError("modulus too large for int64 Howell form")
-    A = _mod_array(gens, dim, m)
-    parts = [(p ** e, *_howell_local(A % p ** e, p, e))
-             for p, e in factorize(m).items()]
+    rows = _sparse_rows(gens, m)
+    parts = []
+    for p, e in factorize(m).items():
+        q = p ** e
+        local = [{j: a % q for j, a in r.items() if a % q} for r in rows]
+        parts.append((q, *_howell_local(local, dim, p, e)))
     d = np.ones(dim, dtype=np.int64)
     for q, _, pv in parts:
         d *= pv
@@ -362,36 +384,79 @@ def howell_form_mod(gens, dim: int, m: int):
         crt = m // q * pow(m // q, -1, q)
         H = (H + Hq * (d // pv % q)[:, None] % q * crt) % m
     for c in range(dim):
-        H[:c] = (H[:c] - (H[:c, c] // d[c])[:, None] * H[c]) % m
+        above = np.flatnonzero(H[:c, c] >= d[c])
+        if len(above):
+            B = H[above, c:]
+            B -= B[:, :1] // d[c] * H[c, c:]
+            H[above, c:] = B % m
     np.fill_diagonal(H, d)
     return H.tolist()
 
 
-def _howell_local(A: np.ndarray, p: int, e: int):
-    """Howell form over Z/p^e of the row span of A (entries in [0, p^e)):
-    the (dim, dim) rows and each row's pivot p^v (p^e where it is zero).
+def _howell_local(rows: list, dim: int, p: int, e: int):
+    """Howell form over Z/p^e of the span of sparse {column: value} rows
+    (values in [1, p^e)): the (dim, dim) rows and each row's pivot p^v
+    (p^e where it is zero).  The rows are consumed.
 
-    Column by column, a row of A whose entry p^v u (u a unit) has least
-    valuation in the column, scaled by u^-1, is the pivot row.  p^v
-    divides the column, so one array step clears it from every row of A,
-    the pivot row included, and that row's slot takes the annihilator
-    multiple p^(e-v) times the pivot row, zero in the column.  So A stays
-    zero before the next column, and A and the rows of H from the column
-    on span the elements of the module that are zero before it.
+    Column by column, of the rows holding the column, the first whose
+    entry p^v u (u a unit) has least valuation, scaled by u^-1, is the
+    pivot row.  p^v divides the column, so subtracting multiples of the
+    pivot row clears it from every row that holds it, the pivot row
+    included, and that row's slot takes the annihilator multiple
+    p^(e-v) times the pivot row, zero in the column.  A row without the
+    column is left as it is, so each step costs the rows holding the
+    column times the length of the pivot row, not the whole array.  The
+    rows stay zero before the next column, and they and the rows of H
+    from the column on span the elements of the module that are zero
+    before it.
     """
     q = p ** e
-    dim = A.shape[1]
+    holders: dict = {}          # column -> the rows holding it
+    for i, r in enumerate(rows):
+        for j in r:
+            holders.setdefault(j, set()).add(i)
     H = np.zeros((dim, dim), dtype=np.int64)
     pv = np.full(dim, q, dtype=np.int64)
     for c in range(dim):
-        if not A[:, c].any():
+        at = sorted(holders.pop(c, ()))
+        if not at:
             continue
-        val = _valuation(A[:, c], p, e)
-        i = int(val.argmin())
-        pv[c] = p ** int(val[i])
-        H[c] = A[i] * pow(int(A[i, c]) // int(pv[c]), -1, q) % q
-        A = (A - (A[:, c] // pv[c])[:, None] * H[c]) % q
-        A[i] = H[c] * (q // pv[c]) % q
+        i, v = at[0], e
+        for k in at:
+            a, w = rows[k][c], 0
+            while a % p == 0:
+                a //= p
+                w += 1
+            if w < v:
+                i, v = k, w
+                if not v:
+                    break
+        pc = p ** v
+        piv = rows[i]
+        u = pow(piv[c] // pc, -1, q)
+        h = {j: a * u % q for j, a in piv.items()}
+        H[c, list(h)] = list(h.values())
+        pv[c] = pc
+        for k in at:
+            r = rows[k]
+            f = r.pop(c) // pc
+            for j, a in h.items():
+                if j == c:
+                    continue
+                x = (r.get(j, 0) - f * a) % q
+                if x:
+                    if j not in r:
+                        holders.setdefault(j, set()).add(k)
+                    r[j] = x
+                elif j in r:
+                    del r[j]
+                    holders[j].discard(k)
+        # the pivot row is now zero: its slot takes p^(e-v) times H[c]
+        for j, a in h.items():
+            x = a * (q // pc) % q
+            if x:
+                piv[j] = x
+                holders[j].add(i)
     return H, pv
 
 

@@ -80,8 +80,7 @@ def test_config_takes_the_subcommand_parameters():
     # defaults filled in, values typed, None dropped: the echo of a config
     # is the echo of the subcommand
     assert normalize_config({"kind": "frob-count", "group": "D5",
-                             "c": "involutions", "q": "3",
-                             "cache_dir": None}) == {
+                             "c": "involutions", "q": "3"}) == {
         "kind": "frob-count", "group": "D5", "c": "involutions",
         "g_inf": "auto", "q": 3, "n_min": 2, "n_max": 6}
     assert normalize_config({"kind": "verify", "quick": "yes"}) == {
@@ -188,49 +187,22 @@ def test_workers_config_key_exits_3(tmp_path, capsys):
     assert main(["run", str(path)]) == EXIT_VALIDATION
 
 
-def test_cache_dir_outside_fingerprint(tmp_path, capsys):
-    argv = ["orbits", "--group", "S3", "--c", "involutions", "--n", "4",
-            "--format", "json"]
-    cache = ["--cache-dir", str(tmp_path / "cache")]
-    prints = []
-    # without the cache, then building it, then loading from it
-    for k, extra in enumerate(([], cache, cache)):
-        out = tmp_path / f"r{k}.json"
-        assert main(argv + extra + ["--out", str(out)]) == EXIT_OK
-        data = json.loads(out.read_text())
-        assert "cache_dir" not in data["config"]
-        prints.append(data["fingerprint"])
-    assert len(set(prints)) == 1
-
-
-def test_unusable_cache_file_is_rebuilt(tmp_path, capsys):
-    argv = ["orbits", "--group", "S3", "--c", "involutions", "--n", "4",
-            "--format", "json"]
-
-    def fingerprint(extra):
-        out = tmp_path / "report.json"
-        assert main(argv + extra + ["--out", str(out)]) == EXIT_OK
-        return json.loads(out.read_text())["fingerprint"]
-
-    plain = fingerprint([])
-    cache = tmp_path / "cache"
-    assert fingerprint(["--cache-dir", str(cache)]) == plain
-    (path,) = cache.iterdir()
-    good = path.read_bytes()
-    # a well-formed cache file of another (G, c)
-    other = tmp_path / "other"
-    assert main(["orbits", "--group", "D4", "--n", "3", "--cache-dir",
-                 str(other), "--out", str(tmp_path / "d4.csv")]) == EXIT_OK
-    (foreign,) = other.iterdir()
-    # this (G, c), but with the cover's projection moved
-    tampered = json.loads(good)
-    tampered["sc_proj"] = tampered["sc_proj"][1:] + tampered["sc_proj"][:1]
-    for content in (b"\x80\x04garbage, not JSON", foreign.read_bytes(),
-                    json.dumps(tampered).encode()):
-        path.write_bytes(content)
-        assert fingerprint(["--cache-dir", str(cache)]) == plain
-        assert path.read_bytes() == good
-    assert list(cache.iterdir()) == [path]
+@pytest.mark.parametrize("name, text", [
+    ("cfg.ini", "kind = orbits\ngroup = S3\nn = 3\ncache_dir = cache\n"),
+    ("cfg.json", '{"kind": "orbits", "group": "S3", "n": 3, '
+                 '"cache_dir": "cache"}'),
+])
+def test_cache_dir_config_key_exits_3(name, text, tmp_path, capsys):
+    """The cover cache is gone: its key is unknown in a config file, and
+    its flag is refused by the parser."""
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    assert "cache_dir" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["orbits", "--group", "S3", "--n", "3",
+                                   "--cache-dir", str(tmp_path)])
+    assert not (tmp_path / "cache").exists()
 
 
 def test_randgrp_measure_needs_gamma_of_order_2(capsys):

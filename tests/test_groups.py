@@ -326,13 +326,17 @@ def test_abelian_equals_chained_direct_products():
 
 
 def test_content_keys_pinned():
-    """`content_key` names the UContext cache files: its bytes are pinned
-    for every group of order <= 16."""
+    """`content_key` keys `h2`'s memo and `FiniteGroup.__hash__`: its bytes
+    (the sha256 of the order and the table's int64 bytes) are pinned for
+    every group of order <= 16, and no two of those 42 groups share one."""
     h = hashlib.sha256()
-    for g in groups_up_to_16():
+    groups = groups_up_to_16()
+    for g in groups:
         h.update(g.content_key())
     assert h.hexdigest() == \
-        "5a6d826a7ca2f94bccef935c880095deeaf78ba4e9bb4f99370f90cf40740ee5"
+        "352b1b29484da30b4f3d57bd2b92fc001e01011e0bd44f5dbf0775eb9f08a215"
+    assert len(groups) == 42
+    assert len({g.content_key() for g in groups}) == 42
 
 
 def test_group_holds_one_table():

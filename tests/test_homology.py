@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import time
 import tracemalloc
@@ -14,11 +13,10 @@ from hurwitzlab.errors import (CapacityError, InternalCheckError,
 from hurwitzlab.groups import (GammaGroup, abelian, alternating4, cyclic,
                                dihedral, dicyclic, groups_up_to_16,
                                inversion_action, semidirect, symmetric)
-from hurwitzlab.homology import (UContext, build_u, h2,
-                                 load_ucontext, reduce_cover, save_ucontext,
+from hurwitzlab.homology import (UContext, build_u, h2, reduce_cover,
                                  schur_cover, validate_c)
 from hurwitzlab.homology_oracle import (oracle_h2, oracle_h2_reduced,
-                                       oracle_h2_reduced_many)
+                                       oracle_multipliers)
 from hurwitzlab.ntheory import factorize
 
 
@@ -361,10 +359,10 @@ def test_reduced_oracle_agreement():
 
 
 def test_reduced_oracle_builds_once_per_prime_power(monkeypatch):
-    """oracle_h2_reduced_many gives what oracle_h2_reduced gives for each
-    c alone, building the cocycle data once per p^e || |G| for all of the
-    c: for 4 and 3 on D6 (order 12), for 2 and 25 on C5xC5:C2 (order 50,
-    past the direct cap)."""
+    """oracle_multipliers gives what oracle_h2 gives and what
+    oracle_h2_reduced gives for each c alone, building the cocycle data
+    once per p^e || |G| for H2 and all of the c: for 4 and 3 on D6 (order
+    12), for 2 and 25 on C5xC5:C2 (order 50, past the direct cap)."""
     built = []
     cls = homology_oracle.OracleCocycles
 
@@ -378,8 +376,10 @@ def test_reduced_oracle_builds_once_per_prime_power(monkeypatch):
             [x for x in range(1, g.order) if g.element_order(x) == k]
             for k in (2, 3, 5, 6) if g.order % k == 0]
         single = [oracle_h2_reduced(g, c) for c in cs]
+        alone = oracle_h2(g)
         built.clear()
-        assert oracle_h2_reduced_many(g, cs) == single, g.name
+        assert oracle_multipliers(g, cs) == (alone, single), g.name
+        assert alone == h2(g), g.name
         assert sorted(built) == sorted(
             p ** e for p, e in factorize(g.order).items()), g.name
 
@@ -460,59 +460,12 @@ def test_h2c_divides_h2():
         assert full.order % red.kernel_structure.order == 0
 
 
-def test_ucontext_cache_roundtrip(tmp_path):
-    s3 = symmetric(3)
-    transp = [g for g in range(1, 6) if s3.element_order(g) == 2]
-    ctx = build_u(s3, transp, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    ctx2 = build_u(s3, transp, cache_dir=str(tmp_path))
-    assert ctx2.c == ctx.c
-    assert ctx2.sc.total == ctx.sc.total
-    assert ctx2.lifts == ctx.lifts
-
-
-def test_ucontext_cache_with_foreign_lifts_is_rebuilt(tmp_path):
-    """A cache file whose lifts lie over the wrong elements loads as a
-    group and a stem cover, but its lifts do not validate, so build_u
-    rebuilds it instead of returning them."""
-    c3 = cyclic(3)
-    ctx = build_u(c3, [1, 2], cache_dir=str(tmp_path))
+def test_validate_lifts_rejects_foreign_lifts():
+    """Lifts that lie over the wrong elements of c fail `_validate_lifts`,
+    which every build of a UContext runs."""
+    ctx = build_u(cyclic(3), [1, 2])
     assert ctx.lifts == {1: 1, 2: 2}
-    path, = tmp_path.iterdir()
-    payload = json.loads(path.read_text())
-    payload["lifts"] = [[1, 2], [2, 1]]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(InternalCheckError):
-        load_ucontext(path)
-    assert build_u(c3, [1, 2], cache_dir=str(tmp_path)).lifts == {1: 1, 2: 2}
-    assert load_ucontext(path).lifts == {1: 1, 2: 2}
-
-
-def test_ucontext_cache_of_another_version_is_rebuilt(tmp_path):
-    """A cache file of an earlier version can hold another cover of G that
-    still verifies, with its lifts: the version, not the content, tells it
-    apart, so build_u rebuilds it, and the context carries the cover a
-    fresh schur_cover gives."""
-    g = inversion_semidirect([5, 5])
-    c = [x for x in range(1, g.order) if g.element_order(x) == 2]
-    fresh = reduce_cover(schur_cover(g), g, c).total
-    assert build_u(g, c, cache_dir=str(tmp_path)).sc.total == fresh
-    path, = tmp_path.iterdir()
-    payload = json.loads(path.read_text())
-    # the same cover with two kernel elements swapped: it projects, and
-    # the lifts lie, as before
-    table = payload["sc_table"]
-    swap = list(range(len(table)))
-    k1, k2 = [k for k in payload["sc_kernel"] if k][:2]
-    swap[k1], swap[k2] = k2, k1
-    payload["sc_table"] = [[swap[table[x][y]] for y in swap] for x in swap]
-    path.write_text(json.dumps(payload))
-    assert load_ucontext(path).sc.total != fresh
-    payload["version"] = 3
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValidationError, match="version"):
-        load_ucontext(path)
-    assert build_u(g, c, cache_dir=str(tmp_path)).sc.total == fresh
-    assert json.loads(path.read_text())["version"] == \
-        homology._CACHE_VERSION == 4
+    ctx._validate_lifts()
+    ctx.lifts = {1: 2, 2: 1}
+    with pytest.raises(InternalCheckError, match="project"):
+        ctx._validate_lifts()

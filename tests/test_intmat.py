@@ -5,6 +5,9 @@ import random
 
 import numpy as np
 
+from hurwitzlab.groups import abelian, dihedral, inversion_action, semidirect
+from hurwitzlab.homology import (_CocycleSpace, _generating_set, _hopf_rows,
+                                 h2)
 from hurwitzlab.homology_oracle import (_kernel_mod, _quotient_divisors,
                                         _span_order)
 from hurwitzlab.intmat import (_mod, _smith_mod, divisor_chain,
@@ -275,3 +278,62 @@ def test_howell_rows_canonical():
                 assert brute_span_mod(rows, dim, m) == \
                     brute_span_mod(gens, dim, m)
 
+
+def test_howell_sparse_rows():
+    """{column: value} rows, the same rows as dense lists and as an array
+    give one reduced Howell form, whose rows span the module the
+    brute-force span gives and whose residues test membership in it;
+    seeded sparse modules with zero rows, rows of p-multiples and entries
+    outside [0, m)."""
+    rng = np.random.default_rng(37)
+    for m in (4, 6, 8, 9, 12, 27, 36, 121):
+        p = min(d for d in range(2, m + 1) if m % d == 0)
+        for _ in range(30):
+            dim = int(rng.integers(1, 7))
+            A = rng.integers(0, m, size=(int(rng.integers(0, 9)), dim))
+            A[rng.random(A.shape) < 0.6] = 0
+            A[rng.random(len(A)) < 0.3] *= p
+            A += m * rng.integers(-2, 3, size=A.shape)
+            dense = A.tolist()
+            sparse = [{j: a for j, a in enumerate(row) if a} for row in dense]
+            H = howell_form_mod(dense, dim, m)
+            assert howell_form_mod(sparse, dim, m) == H
+            assert howell_form_mod(A, dim, m) == H
+            if m ** dim <= 20000:
+                span = brute_span_mod(dense, dim, m)
+                rows = [r for c, r in enumerate(H) if r[c] != m]
+                assert brute_span_mod(rows, dim, m) == span
+                for v in itertools.islice(
+                        itertools.product(range(m), repeat=dim), 0, None, 7):
+                    assert (v in span) == (not any(howell_residue(H, v, m)))
+
+
+def _inversion(orders):
+    return semidirect(inversion_action(abelian(orders))).group
+
+
+def test_howell_forms_of_covers_pinned():
+    """The reduced Howell forms a Schur cover is read off: of the Hopf rows
+    modulo p^e || |G| and of the coboundary and carry relations modulo the
+    factor d, for D50, C7xC7:C2 and C3^3:C2.  The form is unique, so the
+    sha256 of its rows is the one the dense sweep gave."""
+    pinned = [  # group, p^e, d, then the digests of the two forms
+        (dihedral(50), 4, 2,
+         "88ba4fb583c7beb4a3b936bce09c8c89f902eceff6bd5ecfe80b4c55aa69bbb1",
+         "9cde6c19ad419b593857a847e9fe14816c9f84d84d5204173b7049055ee4b647"),
+        (_inversion([7, 7]), 49, 7,
+         "73cddafbafe42083b79dfc5b4dbec067fcca9a5cd1a69394f4a94b954e035713",
+         "30d683f4b4e0bac9e8e6fee2c0e18408ca054ec92d225470418f9d16a03561a5"),
+        (_inversion([3, 3, 3]), 27, 3,
+         "0fca13a3f3ef495afd0a175b0a925aa889a497d81254785ced01df389982b1bb",
+         "ccef73611318b8c851d192603fd6696eedcc25cdd6813bec31a1b199c5a09a46"),
+    ]
+    for g, q, d, hopf, rel in pinned:
+        assert h2(g).exponent == d and math.gcd(g.order // q, q) == 1
+        gens = _generating_set(g)
+        ncycles = g.order * (len(gens) - 1) + 1
+        H = howell_form_mod(_hopf_rows(g, gens), ncycles, q)
+        assert hashlib.sha256(repr(H).encode()).hexdigest() == hopf, g.name
+        space = _CocycleSpace(g)
+        R = howell_form_mod(space.relation_vectors(d), space.nun, d)
+        assert hashlib.sha256(repr(R).encode()).hexdigest() == rel, g.name

@@ -34,7 +34,13 @@ refuses a group records "CapacityError" as its multiplier.  Then
 COVERS_PAIRS alternating pairs of fresh processes time `schur_cover`
 alone, after a warm `h2`, for each group of COVERS_GROUPS, and record
 each run's wall time, peak RSS, cover order and the sha256 of the cover
-table under `covers`.  Then MONTE_CARLO_PAIRS alternating pairs of fresh
+table under `covers`.  Then BUILD_U_PAIRS alternating pairs of fresh
+processes time a cold `build_u(G, c)`, c the involutions, for each group
+of BUILD_U_GROUPS, and record each run's wall time, peak RSS, reduced
+multiplier and the sha256 of the reduced cover table under `build_u`; a
+side whose `build_u` still takes `cache_dir` also records, after one
+untimed run that writes the cache file, BUILD_U_PAIRS timed loads of it
+under `warm`.  Then MONTE_CARLO_PAIRS alternating pairs of fresh
 processes time one `monte_carlo` call of MONTE_CARLO_TRIALS trials for
 each modulus of MONTE_CARLO_MODULI, and record each run's wall time, peak
 RSS and the sha256 of its counts under `monte_carlo`; `counts_equal` says
@@ -144,8 +150,10 @@ print(json.dumps({"h2": mult,
 
 COVERS_PAIRS = 3
 # D100 (order 200): an (n, n, (n - 1) k) cochain array would be 121 MiB
-# there, so its peak RSS shows whether a cover factor stays O(|G|^2)
-COVERS_GROUPS = ("C5xC5:C2", "C7xC7:C2", "C3^3:C2", "S4", "C2^4", "D100")
+# there, so its peak RSS shows whether a cover factor stays O(|G|^2);
+# D250 and C11xC11:C2 are the covers whose Howell forms are largest
+COVERS_GROUPS = ("C5xC5:C2", "C7xC7:C2", "C3^3:C2", "S4", "C2^4", "D100",
+                 "D250", "C11xC11:C2")
 # the table is hashed as nested lists, whatever its dtype
 COVERS_SCRIPT = """
 import hashlib, json, resource, sys, time
@@ -159,7 +167,9 @@ group = {"C5xC5:C2": lambda: inversion([5, 5]),
          "C3^3:C2": lambda: inversion([3, 3, 3]),
          "S4": lambda: symmetric(4),
          "C2^4": lambda: abelian([2] * 4),
-         "D100": lambda: dihedral(100)}[sys.argv[1]]()
+         "D100": lambda: dihedral(100),
+         "D250": lambda: dihedral(250),
+         "C11xC11:C2": lambda: inversion([11, 11])}[sys.argv[1]]()
 h2(group)
 t0 = time.perf_counter()
 cover = schur_cover(group)
@@ -168,6 +178,36 @@ rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 table = repr(cover.total.array.tolist()).encode()
 print(json.dumps({"cover_order": cover.total.order,
                   "cover_sha256": hashlib.sha256(table).hexdigest(),
+                  "metrics": {"wall_s": {"value": wall_s},
+                              "peak_rss_mib": {"value": rss}}}))
+"""
+
+BUILD_U_PAIRS = 5
+BUILD_U_GROUPS = ("C7xC7:C2", "C3^3:C2", "C11xC11:C2")
+# build_u(G, c) with c the involutions, in a fresh process: "cold" builds
+# it; on a revision whose build_u still takes cache_dir, "fill" writes the
+# cache file into argv[3] untimed and "warm" loads it from there, timed;
+# "probe" says whether build_u takes cache_dir
+BUILD_U_SCRIPT = """
+import hashlib, inspect, json, resource, sys, time
+from hurwitzlab.groups import abelian, inversion_action, semidirect
+from hurwitzlab.homology import build_u
+if sys.argv[2] == "probe":
+    print(json.dumps({"takes_cache_dir":
+                      "cache_dir" in inspect.signature(build_u).parameters}))
+    sys.exit()
+orders = {"C7xC7:C2": [7, 7], "C3^3:C2": [3, 3, 3],
+          "C11xC11:C2": [11, 11]}[sys.argv[1]]
+group = semidirect(inversion_action(abelian(orders))).group
+c = [x for x in range(1, group.order) if group.element_order(x) == 2]
+kw = {} if sys.argv[2] == "cold" else {"cache_dir": sys.argv[3]}
+t0 = time.perf_counter()
+ctx = build_u(group, c, **kw)
+wall_s = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+table = repr(ctx.sc.total.array.tolist()).encode()
+print(json.dumps({"h2c": list(ctx.h2c.chain),
+                  "sc_sha256": hashlib.sha256(table).hexdigest(),
                   "metrics": {"wall_s": {"value": wall_s},
                               "peak_rss_mib": {"value": rss}}}))
 """
@@ -338,6 +378,48 @@ def tier1_run(checkout: Path) -> dict:
             "slowest": slowest}
 
 
+def build_u_section(base_dir: Path, tmp: Path) -> dict:
+    """BUILD_U_PAIRS alternating pairs of cold `build_u` runs per group of
+    BUILD_U_GROUPS, then, on each side whose build_u takes cache_dir, one
+    untimed run that writes the cache file and BUILD_U_PAIRS timed loads
+    of it, each in a fresh process."""
+    sides = {"base": base_dir, "change": ROOT}
+    takes = {s: script_run(d, BUILD_U_SCRIPT, "-", "probe")["takes_cache_dir"]
+             for s, d in sides.items()}
+    out = {"command": "python3 -c BUILD_U_SCRIPT GROUP cold|warm "
+                      "(tools/bench_pair.py)",
+           "takes_cache_dir": takes, "groups": {}}
+    for name in BUILD_U_GROUPS:
+        runs = alternating(
+            base_dir, BUILD_U_PAIRS,
+            lambda c, i: script_run(c, BUILD_U_SCRIPT, name, "cold"), name)
+        entry = {key: {s: runs[0][s][key] for s in sides}
+                 for key in ("h2c", "sc_sha256")}
+        entry.update(cold=summarize(runs), runs=runs, warm={})
+        for side, checkout in sides.items():
+            if not takes[side]:
+                continue
+            cache = tmp / f"cache-{side}-{name}"
+            script_run(checkout, BUILD_U_SCRIPT, name, "fill", str(cache))
+            warm = [script_run(checkout, BUILD_U_SCRIPT, name, "warm",
+                               str(cache)) for _ in range(BUILD_U_PAIRS)]
+            print(name, "warm", side,
+                  [r["metrics"]["wall_s"]["value"] for r in warm],
+                  file=sys.stderr)
+            entry["warm"][side] = {
+                "sc_sha256": warm[0]["sc_sha256"],
+                "cache_bytes": sum(f.stat().st_size for f in cache.iterdir()),
+                "metrics": {metric: {
+                    "median": statistics.median(vals),
+                    "quartiles": quartiles(vals)}
+                    for metric in warm[0]["metrics"]
+                    for vals in [[r["metrics"][metric]["value"]
+                                  for r in warm]]},
+                "runs": warm}
+        out["groups"][name] = entry
+    return out
+
+
 def machine() -> dict:
     model = ""
     cpuinfo = Path("/proc/cpuinfo")
@@ -449,6 +531,7 @@ def main() -> int:
                 for key in ("cover_order", "cover_sha256")}
             report["covers"]["groups"][name].update(
                 metrics=summarize(runs), runs=runs)
+        report["build_u"] = build_u_section(base_dir, Path(tmp))
         report["monte_carlo"] = {
             "command": "python3 -c MONTE_CARLO_SCRIPT M "
                        f"{MONTE_CARLO_TRIALS} (tools/bench_pair.py)",
