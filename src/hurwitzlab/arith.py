@@ -163,11 +163,12 @@ def enumerate_imaginary(q: int, d: int) -> Iterator[HyperellipticModel]:
         raise ValidationError("q must be an odd prime in v1")
     ns = nonsquare(q)
     for tail in itertools.product(range(q), repeat=d):
-        f = pnorm(tuple(tail) + (1,))
-        if pdeg(f) != d or not is_squarefree(f, q):
+        try:
+            model = HyperellipticModel(q, tuple(tail) + (1,))
+        except ValidationError:  # f is not squarefree
             continue
-        yield HyperellipticModel(q, f)
-        yield HyperellipticModel(q, pscale(f, ns, q))
+        yield model
+        yield HyperellipticModel(q, pscale(model.f, ns, q))
 
 
 def count_imaginary(q: int, d: int) -> int:

@@ -26,9 +26,9 @@ Two computation paths live here:
 
 The cover construction runs at the primes of `h2`'s multiplier and is
 certified: each factor table satisfies the cocycle identity, the
-projection is a homomorphism (one gather over the cover table), and the
-kernel must be central, lie in the commutator subgroup, and equal that
-multiplier.
+projection is a homomorphism (checked on a generating set of the cover),
+and the kernel must be central, lie in the commutator subgroup (both read
+off that generating set too), and equal that multiplier.
 """
 
 from __future__ import annotations
@@ -267,24 +267,24 @@ class CentralExtension:
     kernel_coords: dict      # kernel member -> coordinate tuple
     kernel_from_coords: dict  # coordinate tuple -> kernel member
 
-    def verify(self, group: FiniteGroup, stem: bool = True):
-        """Check that proj is a surjective homomorphism whose kernel is
-        kernel_members and central, and with stem=True inside [S, S]."""
+    def verify(self, group: FiniteGroup):
+        """Check that proj is a surjective homomorphism (p(a t) = p(a) p(t)
+        for every a and every generator t of S gives every pair, by
+        induction on words) whose kernel is kernel_members, central and
+        inside [S, S]: a stem extension."""
         S = self.total
         if len(self.proj) != S.order or \
                 sorted(set(self.proj)) != list(range(group.order)):
             raise InternalCheckError("projection not surjective")
-        # gathered in the least dtype that holds an index of G
-        P = np.asarray(self.proj, dtype=np.min_scalar_type(group.order))
-        gt = group.array.astype(P.dtype)
-        if (P[S.array] != gt[P[:, None], P[None, :]]).any():
+        P, gens = np.asarray(self.proj), _generating_set(S)
+        if (P[S.array[:, gens]] != group.array[P[:, None], P[gens]]).any():
             raise InternalCheckError("projection not a homomorphism")
         ker = set(np.flatnonzero(P == 0).tolist())
         if sorted(ker) != sorted(self.kernel_members):
             raise InternalCheckError("kernel mismatch")
         if not ker <= set(S.center()):
             raise InternalCheckError("kernel not central")
-        if stem and not ker <= set(S.commutator_subgroup()):
+        if not ker <= set(S.commutator_subgroup()):
             raise InternalCheckError("stem condition failed: kernel outside [S,S]")
 
 
@@ -406,7 +406,7 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
     if ext.kernel_structure != expected:
         raise InternalCheckError(
             f"cover kernel {ext.kernel_structure} != H2 {expected}")
-    ext.verify(group, stem=True)
+    ext.verify(group)
     return ext
 
 
@@ -424,7 +424,9 @@ def reduce_cover(ext: CentralExtension, group: FiniteGroup, c: Sequence[int]):
     xh, yh = lift[cset[gx]], lift[gy]
     st, sinv = S.array, np.asarray(S.inv)
     comm = st[st[st[xh, yh], sinv[xh]], sinv[yh]]
-    M = S.normal_closure(comm.tolist())
+    # they lie in the kernel, which `verify` certifies central: the
+    # subgroup they generate is normal
+    M = S.subgroup_closure(comm.tolist())
     q, coset_of = S.quotient(M)
     proj = [None] * q.order
     for x in range(S.order):
@@ -458,12 +460,14 @@ def validate_c(group: FiniteGroup, c: Sequence[int]) -> tuple:
         raise ValidationError("c must be nonempty")
     s = np.zeros(group.order, dtype=bool)
     s[cset] = True
-    t, inv = group.array, np.asarray(group.inv)
+    # the h with h c h^-1 in c are closed under products: check generators
+    t, h = group.array, np.array(_generating_set(group))[:, None]
+    bad = np.argwhere(~s[t[t[h, cset], np.asarray(group.inv)[h]]])
+    if len(bad):
+        g, x = int(h[bad[0, 0], 0]), cset[bad[0, 1]]
+        raise ValidationError(
+            f"c not closed under conjugation: {g}*{x}*{g}^-1 missing")
     for x in cset:
-        g = np.flatnonzero(~s[t[t[:, x], inv]])[:1].tolist()
-        if g:
-            raise ValidationError(f"c not closed under conjugation: "
-                                  f"{g[0]}*{x}*{g[0]}^-1 missing")
         ox = group.element_order(x)
         for k in range(1, ox):
             if math.gcd(k, ox) == 1 and not s[group.power(x, k)]:
@@ -503,37 +507,28 @@ class UContext:
     # -- construction helpers ------------------------------------------------
 
     def _build_lifts(self):
-        S = self.sc.total
-        proj = self.sc.proj
-        g_of = [[] for _ in range(self.group.order)]
-        for x in range(S.order):
-            g_of[proj[x]].append(x)
+        """A class representative lifts to its least preimage in S_c, and
+        h rep h^-1 to the conjugate of that by the least preimage of the
+        first such h: another preimage differs by a central element, and
+        another h by one commuting with rep, whose lifts commute with
+        rep's in S_c (`_validate_lifts` checks it)."""
+        S, t, inv = self.sc.total, self.group.array, self.group.inv
+        least: dict = {}
+        for x, g in enumerate(self.sc.proj):
+            least.setdefault(g, x)
         lifts = {}
-        t, inv = self.group.array, self.group.inv
-        for slot, rep in enumerate(self.class_reps):
-            lifts[rep] = min(g_of[rep])
-            # BFS across the class recording a conjugator for each member
-            conj_by = {rep: 0}
-            frontier = [rep]
-            while frontier:
-                x = frontier.pop()
-                # g x g^-1 and g conj_by[x] for every g
-                conj = t[t[:, x], inv].tolist()
-                by = t[:, conj_by[x]].tolist()
-                for y, gh in zip(conj, by):
-                    if y not in conj_by:
-                        conj_by[y] = gh
-                        frontier.append(y)
-            for y, g in conj_by.items():
-                if y == rep:
-                    continue
-                lifts[y] = S.conj(lifts[rep], min(g_of[g]))
+        for rep in self.class_reps:
+            lifts[rep] = least[rep]
+            for h, y in enumerate(t[t[:, rep], inv].tolist()):
+                lifts.setdefault(y, S.conj(lifts[rep], least[h]))
         self.lifts = lifts
 
     def _validate_lifts(self):
         """Each lift lies over its element of c, and for every (u, x) in
         S_c x c, u lift(x) u^-1 = lift(proj(u) x proj(u)^-1); where proj(u)
-        commutes with x, that says the lifts of the pair commute."""
+        commutes with x, that says the lifts of the pair commute, as they
+        must in S_c.  The u for which it holds at every x are closed under
+        products, so it is checked for the generators of S_c."""
         S, G = self.sc.total, self.group
         c = np.array(self.c)
         if sorted(self.lifts) != list(self.c) or not all(
@@ -543,13 +538,9 @@ class UContext:
         P = np.asarray(self.sc.proj)
         if (P[L] != c).any():
             raise InternalCheckError("lift does not project to its element")
-        u = np.arange(S.order)[:, None]
+        u = np.array(_generating_set(S))[:, None]
         conj = S.array[S.array[u, L], np.asarray(S.inv)[u]]
         g = P[u]
-        commuting = G.array[g, c] == G.array[c, g]
-        if (conj != L)[commuting].any():
-            raise InternalCheckError(
-                "reduced cover defect: commuting pair with non-commuting lifts")
         lift_of = np.zeros(G.order, dtype=np.int64)
         lift_of[c] = L
         if (conj != lift_of[G.array[G.array[g, c], np.asarray(G.inv)[g]]]).any():

@@ -37,6 +37,35 @@ def test_from_mult_table_rejects_bad_tables():
         from_mult_table([[0, 1], [1, 2]])          # out of range
 
 
+def _one_wrong_entry(g):
+    """g's table with the entry at (5, 7) moved to the next element: row
+    and column 0 and a 0 in every row stay, so only associativity fails."""
+    t = g.array.copy()
+    t[5, 7] = (t[5, 7] + 1) % g.order
+    return t
+
+
+def test_associativity_is_checked_at_every_order():
+    """Light's test on a generating set proves associativity exactly, also
+    above order 1,000, where random triples were sampled before; a loop of
+    order 5 (every row and column a permutation, so it has an identity and
+    inverses) is refused too, and so is its product with C2, numbered so
+    that the first generator is the C2 element, which passes."""
+    for g in (cyclic(1009), abelian([7] * 4)):
+        assert FiniteGroup(g.array.copy()).order == g.order
+        with pytest.raises(ValidationError, match="non-associative"):
+            FiniteGroup(_one_wrong_entry(g))
+    loop = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                     [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    with pytest.raises(ValidationError, match="non-associative"):
+        from_mult_table(loop.tolist())
+    c2 = cyclic(2).array
+    with pytest.raises(ValidationError,
+                       match=r"non-associative: \(\d+\*2\)"):
+        FiniteGroup((loop[:, None, :, None] * 2
+                     + c2[None, :, None, :]).reshape(10, 10))
+
+
 def test_from_permutations():
     s3 = from_permutations([(1, 0, 2), (1, 2, 0)], 3)
     assert s3.order == 6

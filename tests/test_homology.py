@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import time
@@ -154,7 +155,7 @@ def test_cyclic_sylow_groups_skip_the_bar_complex(monkeypatch):
         assert cov.total.order == g.order, g.name
         assert cov.kernel_structure.is_trivial(), g.name
         assert cov.kernel_members == (0,), g.name
-        cov.verify(g, stem=True)
+        cov.verify(g)
 
 
 def _forbid_cocycle_space(monkeypatch):
@@ -208,7 +209,7 @@ def test_schur_cover_extraspecial():
     cov = schur_cover(abelian([3, 3]))
     assert cov.total.order == 27
     assert cov.total.exponent() == 3
-    cov.verify(abelian([3, 3]), stem=True)
+    cov.verify(abelian([3, 3]))
 
 
 def test_schur_cover_trivial_multiplier():
@@ -469,3 +470,70 @@ def test_validate_lifts_rejects_foreign_lifts():
     ctx.lifts = {1: 2, 2: 1}
     with pytest.raises(InternalCheckError, match="project"):
         ctx._validate_lifts()
+
+
+def test_center_and_commutator_subgroup_match_all_pairs():
+    """`center` and `commutator_subgroup`, read off a generating set, give
+    the members that the all-pairs definitions give, on every group of
+    order <= 16, S4, and the Schur covers with a nontrivial kernel."""
+    groups = groups_up_to_16() + [symmetric(4)]
+    groups += [schur_cover(g).total for g in groups if not h2(g).is_trivial()]
+    for g in groups:
+        t, inv = g.array, np.asarray(g.inv)
+        center = np.flatnonzero((t == t.T).all(axis=1)).tolist()
+        seen = np.zeros(g.order, dtype=bool)
+        seen[t[t[t, inv[:, None]], inv[None, :]]] = True
+        derived = g.subgroup_closure(np.flatnonzero(seen).tolist())
+        assert g.center() == tuple(center), g.name
+        assert g.commutator_subgroup() == derived, g.name
+
+
+def test_verify_rejects_a_non_homomorphism_and_a_non_central_kernel():
+    """The certificate checks the projection on a generating set of the
+    cover, which is enough: two swapped projection entries are caught, and
+    so is a projection that swaps two left cosets of the first generator
+    t, which keeps p(a t) = p(a) p(t) for every a.  The sign map S3 -> C2
+    is a homomorphism whose kernel is not central."""
+    g = abelian([3, 3])
+    cov = schur_cover(g)
+    cov.verify(g)
+    S, t = cov.total, homology._generating_set(cov.total)[0]
+    swapped = list(cov.proj)
+    x = next(x for x in range(S.order) if swapped[x] != swapped[1])
+    swapped[1], swapped[x] = swapped[x], swapped[1]
+
+    def coset(x):
+        return [S.mul(x, S.power(t, k)) for k in range(S.element_order(t))]
+
+    assert len(set(coset(0) + coset(3) + coset(4))) == 3 * len(coset(0))
+    phi = list(range(S.order))
+    for a, b in zip(coset(3), coset(4)):
+        phi[a], phi[b] = b, a
+    for proj in (swapped, [cov.proj[y] for y in phi]):
+        with pytest.raises(InternalCheckError, match="not a homomorphism"):
+            dataclasses.replace(cov, proj=tuple(proj)).verify(g)
+    s3 = symmetric(3)
+    sign = tuple(int(s3.element_order(x) == 2) for x in range(6))
+    a3 = tuple(x for x in range(6) if not sign[x])
+    ext = homology.CentralExtension(s3, sign, a3, AS([3]), {}, {})
+    with pytest.raises(InternalCheckError, match="kernel not central"):
+        ext.verify(cyclic(2))
+
+
+def test_validate_lifts_rejects_a_lift_shifted_by_the_kernel():
+    """The lift of any 3-cycle of A4 outside the class representatives,
+    moved by the central element of the kernel, still projects to its
+    element and commutes where it did, but conjugation no longer carries
+    the representative's lift to it; checking the generators of S_c
+    finds that."""
+    g = alternating4()
+    ctx = build_u(g, [x for x in range(g.order) if g.element_order(x) == 3])
+    assert ctx.h2c == AS([2])
+    z = next(k for k in ctx.sc.kernel_members if k)
+    lifts = dict(ctx.lifts)
+    for y in set(ctx.c) - set(ctx.class_reps):
+        ctx.lifts = dict(lifts)
+        ctx.lifts[y] = ctx.sc.total.mul(lifts[y], z)
+        with pytest.raises(InternalCheckError,
+                           match="conjugation coherence failed"):
+            ctx._validate_lifts()

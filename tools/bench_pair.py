@@ -37,10 +37,13 @@ each run's wall time, peak RSS, cover order and the sha256 of the cover
 table under `covers`.  Then BUILD_U_PAIRS alternating pairs of fresh
 processes time a cold `build_u(G, c)`, c the involutions, for each group
 of BUILD_U_GROUPS, and record each run's wall time, peak RSS, reduced
-multiplier and the sha256 of the reduced cover table under `build_u`; a
-side whose `build_u` still takes `cache_dir` also records, after one
-untimed run that writes the cache file, BUILD_U_PAIRS timed loads of it
-under `warm`.  Then MONTE_CARLO_PAIRS alternating pairs of fresh
+multiplier and the sha256 of the reduced cover table under `build_u`.
+Then TABLES_PAIRS alternating pairs of fresh processes time each case of
+TABLES: `dihedral(250)`, whose table the constructor validates, and
+`FiniteGroup(t)` on the tables of Z/1009 and (Z/7)^4, valid and with one
+wrong entry; each run records its wall time, peak RSS and result (the
+order, or the error that refused the table) under `tables`.  Then
+MONTE_CARLO_PAIRS alternating pairs of fresh
 processes time one `monte_carlo` call of MONTE_CARLO_TRIALS trials for
 each modulus of MONTE_CARLO_MODULI, and record each run's wall time, peak
 RSS and the sha256 of its counts under `monte_carlo`; `counts_equal` says
@@ -184,30 +187,51 @@ print(json.dumps({"cover_order": cover.total.order,
 
 BUILD_U_PAIRS = 5
 BUILD_U_GROUPS = ("C7xC7:C2", "C3^3:C2", "C11xC11:C2")
-# build_u(G, c) with c the involutions, in a fresh process: "cold" builds
-# it; on a revision whose build_u still takes cache_dir, "fill" writes the
-# cache file into argv[3] untimed and "warm" loads it from there, timed;
-# "probe" says whether build_u takes cache_dir
+# build_u(G, c) with c the involutions, in a fresh process
 BUILD_U_SCRIPT = """
-import hashlib, inspect, json, resource, sys, time
+import hashlib, json, resource, sys, time
 from hurwitzlab.groups import abelian, inversion_action, semidirect
 from hurwitzlab.homology import build_u
-if sys.argv[2] == "probe":
-    print(json.dumps({"takes_cache_dir":
-                      "cache_dir" in inspect.signature(build_u).parameters}))
-    sys.exit()
 orders = {"C7xC7:C2": [7, 7], "C3^3:C2": [3, 3, 3],
           "C11xC11:C2": [11, 11]}[sys.argv[1]]
 group = semidirect(inversion_action(abelian(orders))).group
 c = [x for x in range(1, group.order) if group.element_order(x) == 2]
-kw = {} if sys.argv[2] == "cold" else {"cache_dir": sys.argv[3]}
 t0 = time.perf_counter()
-ctx = build_u(group, c, **kw)
+ctx = build_u(group, c)
 wall_s = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 table = repr(ctx.sc.total.array.tolist()).encode()
 print(json.dumps({"h2c": list(ctx.h2c.chain),
                   "sc_sha256": hashlib.sha256(table).hexdigest(),
+                  "metrics": {"wall_s": {"value": wall_s},
+                              "peak_rss_mib": {"value": rss}}}))
+"""
+
+TABLES_PAIRS = 5
+TABLES = ("dihedral(250)", "Z/1009", "(Z/7)^4", "Z/1009 one wrong entry",
+          "(Z/7)^4 one wrong entry")
+# the tables are built before the clock starts; a wrong entry moves
+# (5, 7) to the next element, which keeps the identity and an inverse
+# for every element, so only associativity fails
+TABLES_SCRIPT = """
+import json, resource, sys, time
+from hurwitzlab.errors import ValidationError
+from hurwitzlab.groups import FiniteGroup, abelian, cyclic, dihedral
+case = sys.argv[1]
+if case != "dihedral(250)":
+    g = cyclic(1009) if case.startswith("Z/1009") else abelian([7] * 4)
+    table = g.array.copy()
+    if case.endswith("wrong entry"):
+        table[5, 7] = (table[5, 7] + 1) % g.order
+t0 = time.perf_counter()
+try:
+    result = (dihedral(250) if case == "dihedral(250)"
+              else FiniteGroup(table)).order
+except ValidationError as err:
+    result = f"rejected: {err}"
+wall_s = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"result": result,
                   "metrics": {"wall_s": {"value": wall_s},
                               "peak_rss_mib": {"value": rss}}}))
 """
@@ -378,45 +402,18 @@ def tier1_run(checkout: Path) -> dict:
             "slowest": slowest}
 
 
-def build_u_section(base_dir: Path, tmp: Path) -> dict:
-    """BUILD_U_PAIRS alternating pairs of cold `build_u` runs per group of
-    BUILD_U_GROUPS, then, on each side whose build_u takes cache_dir, one
-    untimed run that writes the cache file and BUILD_U_PAIRS timed loads
-    of it, each in a fresh process."""
-    sides = {"base": base_dir, "change": ROOT}
-    takes = {s: script_run(d, BUILD_U_SCRIPT, "-", "probe")["takes_cache_dir"]
-             for s, d in sides.items()}
-    out = {"command": "python3 -c BUILD_U_SCRIPT GROUP cold|warm "
-                      "(tools/bench_pair.py)",
-           "takes_cache_dir": takes, "groups": {}}
-    for name in BUILD_U_GROUPS:
-        runs = alternating(
-            base_dir, BUILD_U_PAIRS,
-            lambda c, i: script_run(c, BUILD_U_SCRIPT, name, "cold"), name)
-        entry = {key: {s: runs[0][s][key] for s in sides}
-                 for key in ("h2c", "sc_sha256")}
-        entry.update(cold=summarize(runs), runs=runs, warm={})
-        for side, checkout in sides.items():
-            if not takes[side]:
-                continue
-            cache = tmp / f"cache-{side}-{name}"
-            script_run(checkout, BUILD_U_SCRIPT, name, "fill", str(cache))
-            warm = [script_run(checkout, BUILD_U_SCRIPT, name, "warm",
-                               str(cache)) for _ in range(BUILD_U_PAIRS)]
-            print(name, "warm", side,
-                  [r["metrics"]["wall_s"]["value"] for r in warm],
-                  file=sys.stderr)
-            entry["warm"][side] = {
-                "sc_sha256": warm[0]["sc_sha256"],
-                "cache_bytes": sum(f.stat().st_size for f in cache.iterdir()),
-                "metrics": {metric: {
-                    "median": statistics.median(vals),
-                    "quartiles": quartiles(vals)}
-                    for metric in warm[0]["metrics"]
-                    for vals in [[r["metrics"][metric]["value"]
-                                  for r in warm]]},
-                "runs": warm}
-        out["groups"][name] = entry
+def script_section(base_dir: Path, script: str, pairs: int, names,
+                   keys) -> dict:
+    """Per name, `pairs` alternating pairs of fresh-process runs of
+    `script name`: each side's `keys` from the first pair, the summary
+    and every run."""
+    out = {}
+    for name in names:
+        runs = alternating(base_dir, pairs,
+                           lambda c, i: script_run(c, script, name), name)
+        out[name] = {key: {s: runs[0][s][key] for s in ("base", "change")}
+                     for key in keys}
+        out[name].update(metrics=summarize(runs), runs=runs)
     return out
 
 
@@ -499,39 +496,27 @@ def main() -> int:
             "metrics": summarize(runs), "runs": runs}
         report["cyclic_sylow"] = {
             "command": "python3 -c CYCLIC_SYLOW_SCRIPT GROUP "
-                       "(tools/bench_pair.py)", "groups": {}}
-        for name in CYCLIC_SYLOW_GROUPS:
-            runs = alternating(
-                base_dir, CYCLIC_SYLOW_PAIRS,
-                lambda c, i: script_run(c, CYCLIC_SYLOW_SCRIPT, name), name)
-            report["cyclic_sylow"]["groups"][name] = {
-                "h2": {s: runs[0][s]["h2"] for s in ("base", "change")},
-                "cover_order": {s: runs[0][s]["cover_order"]
-                                for s in ("base", "change")},
-                "metrics": summarize(runs), "runs": runs}
+                       "(tools/bench_pair.py)",
+            "groups": script_section(base_dir, CYCLIC_SYLOW_SCRIPT,
+                                     CYCLIC_SYLOW_PAIRS, CYCLIC_SYLOW_GROUPS,
+                                     ("h2", "cover_order"))}
         report["h2"] = {
             "command": "python3 -c H2_SCRIPT GROUP (tools/bench_pair.py)",
-            "groups": {}}
-        for name in H2_GROUPS:
-            runs = alternating(
-                base_dir, H2_PAIRS,
-                lambda c, i: script_run(c, H2_SCRIPT, name), name)
-            report["h2"]["groups"][name] = {
-                "h2": {s: runs[0][s]["h2"] for s in ("base", "change")},
-                "metrics": summarize(runs), "runs": runs}
+            "groups": script_section(base_dir, H2_SCRIPT, H2_PAIRS,
+                                     H2_GROUPS, ("h2",))}
         report["covers"] = {
             "command": "python3 -c COVERS_SCRIPT GROUP (tools/bench_pair.py)",
-            "groups": {}}
-        for name in COVERS_GROUPS:
-            runs = alternating(
-                base_dir, COVERS_PAIRS,
-                lambda c, i: script_run(c, COVERS_SCRIPT, name), name)
-            report["covers"]["groups"][name] = {
-                key: {s: runs[0][s][key] for s in ("base", "change")}
-                for key in ("cover_order", "cover_sha256")}
-            report["covers"]["groups"][name].update(
-                metrics=summarize(runs), runs=runs)
-        report["build_u"] = build_u_section(base_dir, Path(tmp))
+            "groups": script_section(base_dir, COVERS_SCRIPT, COVERS_PAIRS,
+                                     COVERS_GROUPS,
+                                     ("cover_order", "cover_sha256"))}
+        report["build_u"] = {
+            "command": "python3 -c BUILD_U_SCRIPT GROUP (tools/bench_pair.py)",
+            "groups": script_section(base_dir, BUILD_U_SCRIPT, BUILD_U_PAIRS,
+                                     BUILD_U_GROUPS, ("h2c", "sc_sha256"))}
+        report["tables"] = {
+            "command": "python3 -c TABLES_SCRIPT CASE (tools/bench_pair.py)",
+            "cases": script_section(base_dir, TABLES_SCRIPT, TABLES_PAIRS,
+                                    TABLES, ("result",))}
         report["monte_carlo"] = {
             "command": "python3 -c MONTE_CARLO_SCRIPT M "
                        f"{MONTE_CARLO_TRIALS} (tools/bench_pair.py)",
@@ -550,15 +535,10 @@ def main() -> int:
                 "metrics": summarize(runs), "runs": runs}
         report["large_groups"] = {
             "command": "python3 -c LARGE_GROUPS_SCRIPT CASE "
-                       "(tools/bench_pair.py)", "cases": {}}
-        for case in LARGE_GROUPS:
-            runs = alternating(
-                base_dir, LARGE_GROUPS_PAIRS,
-                lambda c, i: script_run(c, LARGE_GROUPS_SCRIPT, case), case)
-            report["large_groups"]["cases"][case] = {
-                "result": {s: runs[0][s]["result"]
-                           for s in ("base", "change")},
-                "metrics": summarize(runs), "runs": runs}
+                       "(tools/bench_pair.py)",
+            "cases": script_section(base_dir, LARGE_GROUPS_SCRIPT,
+                                    LARGE_GROUPS_PAIRS, LARGE_GROUPS,
+                                    ("result",))}
         runs = alternating(
             base_dir, FF_MOMENT_PAIRS,
             lambda c, i: script_run(c, FF_MOMENT_SCRIPT), "ff_moment")
