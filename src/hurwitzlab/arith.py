@@ -56,6 +56,14 @@ FF_MODEL_CAP = 100_000
 # not move
 _PASS_ENTRIES = 2 ** 14
 
+# the largest genus with L-polynomials: past it the point counts run over
+# fields of q^4 and more elements
+GENUS_CAP = 3
+
+# random classes `sylow_structure` draws before it reports the ell-part
+# uncertified
+SYLOW_BATCHES = 40
+
 
 # ---------------------------------------------------------------------------
 # extension fields F_{p^k} (for point counts over F_{q^i})
@@ -270,8 +278,7 @@ def _pass_rows(q: int, g: int) -> int:
     return max(1, _PASS_ENTRIES // q ** top)
 
 
-def l_polynomials(models: Sequence[HyperellipticModel],
-                  genus_cap: int = 3) -> list:
+def l_polynomials(models: Sequence[HyperellipticModel]) -> list:
     """Coefficients c_0..c_{2g} of L(T) for each model, all of one q and
     one degree, in passes of `_pass_rows` models.
 
@@ -289,8 +296,8 @@ def l_polynomials(models: Sequence[HyperellipticModel],
         raise ValidationError("l_polynomials takes models of one q and one "
                               "degree")
     g = models[0].genus
-    if g > genus_cap:
-        raise CapacityError(f"genus {g} exceeds cap {genus_cap}")
+    if g > GENUS_CAP:
+        raise CapacityError(f"genus {g} exceeds cap {GENUS_CAP}")
     if g == 0:
         return [[1] for _ in models]
     check = _checked(q, g)
@@ -334,10 +341,10 @@ def l_polynomials(models: Sequence[HyperellipticModel],
     return out
 
 
-def l_polynomial(model: HyperellipticModel, genus_cap: int = 3) -> list:
+def l_polynomial(model: HyperellipticModel) -> list:
     """Coefficients c_0..c_{2g} of L(T): the one-row case of
     `l_polynomials`, with its checks."""
-    return l_polynomials([model], genus_cap)[0]
+    return l_polynomials([model])[0]
 
 
 def _power_sums_from_coeffs(L, g, q):
@@ -527,23 +534,23 @@ class SylowResult:
     attempts: int
 
 
-def sylow_structure(model: HyperellipticModel, ell: int, seed: int = 0,
-                    max_batches: int = 40) -> SylowResult:
+def sylow_structure(model: HyperellipticModel, ell: int,
+                    seed: int = 0) -> SylowResult:
     """Structure of the ell-part of the divisor class group.
 
     Random classes are pushed into the ell-Sylow subgroup and accumulated
     until the generated subgroup has the full ell-valuation of the class
-    number; failure to certify within the retry budget is flagged, never
-    guessed."""
+    number; failure to certify within `SYLOW_BATCHES` draws is flagged,
+    never guessed."""
     if not is_prime(ell):
         raise ValidationError(f"ell must be prime, got {ell}")
     if ell == model.q:
         raise ValidationError("ell must differ from the field characteristic")
-    return _sylow_part(model, ell, jacobian_order(model), seed, max_batches)
+    return _sylow_part(model, ell, jacobian_order(model), seed)
 
 
-def _sylow_part(model: HyperellipticModel, ell: int, h: int, seed: int,
-                max_batches: int) -> SylowResult:
+def _sylow_part(model: HyperellipticModel, ell: int, h: int,
+                seed: int) -> SylowResult:
     """`sylow_structure` for a prime ell other than q and h = L(1)."""
     e = valuation(h, ell)
     if e == 0:
@@ -555,7 +562,7 @@ def _sylow_part(model: HyperellipticModel, ell: int, h: int, seed: int,
     elements = {divisor_identity()}
     gens: list = []
     attempts = 0
-    for batch in range(max_batches):
+    for batch in range(SYLOW_BATCHES):
         attempts += 1
         pt = random_divisor(model, rng)
         s = divclass_mul(model, pt, cof)
@@ -678,8 +685,7 @@ def empirical_moment(q: int, d_max: int, target_orders: Sequence[int],
                 syl = {}
                 ok = True
                 for ell in ells:
-                    res = _sylow_part(model, ell, h, seed + idx,
-                                      max_batches=40)
+                    res = _sylow_part(model, ell, h, seed + idx)
                     if not res.certified:
                         ok = False
                         break

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .errors import InternalCheckError, ValidationError
 from .groups import GammaGroup, Subgroup, semidirect
 from .homology import UContext, h2
-from .hurwitz import LiftingInvariant, _vectors_with_sum
+from .hurwitz import LiftingInvariant, k_set
 from .ntheory import is_prime_power
 
 
@@ -150,10 +150,11 @@ def fixed_counts(ctx: UContext, ginf_members: Sequence[int], q: int,
                  n: int) -> FixedCount:
     """b and d for (G, c, q, n), computed two ways and cross-asserted.
 
-    Closed form: degree-n nonnegative vectors constant on q-powering orbits
-    with trivial abelianized image, each contributing the number of torsion
-    solutions h of (q-1) h = h_D(v).  Brute force: step every (h, v) of the
-    degree-n K-set through the Frobenius map and count fixed points.  The
+    Closed form: the vectors of the degree-n K-set (nonnegative, with
+    trivial abelianized image) constant on q-powering orbits, each
+    contributing its torsion solutions h of (q-1) h = h_D(v).  Brute
+    force: step every (h, v) of the K-set through the Frobenius map and
+    count fixed points.  The
     delta table is built once per call and shared by both halves; every
     brute-force step still checks divisibility by q and the degree."""
     sub = Subgroup(ctx.group, tuple(ginf_members))
@@ -187,40 +188,24 @@ def fixed_counts(ctx: UContext, ginf_members: Sequence[int], q: int,
                     acc[i] = (acc[i] + mult * dh[i]) % horders[i]
         return tuple(acc)
 
-    def torsion_solutions(target) -> int:
-        cnt = 1
-        for t, dd in zip(target, horders):
-            g = math.gcd(q - 1, dd)
-            if t % g:
-                return 0
-            cnt *= g
-        return cnt
-
-    vectors = [v for v in _vectors_with_sum(ctx.nclasses, n, 0)
-               if not any(ctx.ab_image_of_vector(v))]
+    kset = k_set(ctx, n, 0)
     refinement_closed: dict = {}
     b_closed = 0
-    for v in vectors:
+    for v in dict.fromkeys(v for _, v in kset):
         if any(v[i] != v[perm[i]] for i in range(ctx.nclasses)):
             continue
-        hd = h_d_of(v)
-        cnt = torsion_solutions(hd)
-        if cnt == 0:
-            continue
-        b_closed += cnt
         # the solutions h themselves refine the count
-        for h in _torsion_solution_list(hd, horders, q):
+        for h in _torsion_solution_list(h_d_of(v), horders, q):
+            b_closed += 1
             refinement_closed[h] = refinement_closed.get(h, 0) + 1
     # brute force
-    hs = list(itertools.product(*(range(dd) for dd in horders)))
     b_brute = 0
     refinement_brute: dict = {}
-    for v in vectors:
-        for h in hs:
-            inv = LiftingInvariant(h=h, v=v, g_inf=g_inf)
-            if _frobenius_step(ctx, deltas, inv, q) == inv:
-                b_brute += 1
-                refinement_brute[h] = refinement_brute.get(h, 0) + 1
+    for h, v in kset:
+        inv = LiftingInvariant(h=h, v=v, g_inf=g_inf)
+        if _frobenius_step(ctx, deltas, inv, q) == inv:
+            b_brute += 1
+            refinement_brute[h] = refinement_brute.get(h, 0) + 1
     if b_closed != b_brute or refinement_closed != refinement_brute:
         raise InternalCheckError(
             f"fixed-count cross-validation failed: closed={b_closed} "

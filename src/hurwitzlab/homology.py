@@ -14,15 +14,16 @@ Two computation paths live here:
   whatever m is.  The same lattice, modulo each p^e in turn, gives the
   cocycles of a Schur cover (`_hopf_cocycles`): the dual of H2_p, read
   off the reduced Howell form of the sparse Hopf rows (a sweep whose
-  steps touch only the rows holding their column) and summed along the
-  tree paths of the Cayley graph;
+  steps touch only the rows holding their column), as their values on
+  G x S;
 * a cocycle space (generator-parametrized 2-cochains, coboundaries and
   carry classes) that puts each cover cocycle into a canonical form: the
   Howell residue of its values on G x S, expanded to the (n, n) table
-  along the spanning tree of `_cayley_tree`, the routine the Hopf rows
-  are built on.  A cover factor holds one such O(|G|^2) table.  The cover
-  of G by prod Z/d_i puts (a, g) at index enc(a) n + g and is built with
-  one broadcast per factor d_i.
+  along the Cayley tree.  S is the generating set of `h2`, and one tree
+  of `_cayley_tree` on it serves the Hopf rows, the dual and the table.
+  A cover factor holds one such O(|G|^2) table.  The cover of G by
+  prod Z/d_i puts (a, g) at index enc(a) n + g and is built with one
+  broadcast per factor d_i.
 
 The cover construction runs at the primes of `h2`'s multiplier and is
 certified: each factor table satisfies the cocycle identity, the
@@ -41,7 +42,7 @@ import numpy as np
 
 from .abelian import AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError, ValidationError
-from .groups import FiniteGroup, _generating_set, _small_generating_set
+from .groups import FiniteGroup, _generating_set
 from .intmat import (_smith_mod, howell_form_mod, howell_residue,
                      quotient_divisors_mod)
 from .ntheory import factorize
@@ -95,7 +96,8 @@ def _hopf_divisors(group: FiniteGroup) -> list[int]:
     m = _noncyclic_sylow_part(group)
     if m == 1:
         return []
-    divisors = quotient_divisors_mod(_hopf_rows(group, gens), ncycles, m)
+    divisors = quotient_divisors_mod(
+        _hopf_rows(group, gens, _cayley_tree(group, gens)), ncycles, m)
     if divisors[len(divisors) - k:] != [m] * k:
         raise InternalCheckError(
             f"R/[F,R] holds fewer than {k} copies of Z/{m}")
@@ -127,19 +129,19 @@ def _cayley_tree(group: FiniteGroup, gens: list[int]):
     return right, order, parent, col
 
 
-def _hopf_rows(group: FiniteGroup, gens: list[int]) -> list[dict]:
+def _hopf_rows(group: FiniteGroup, gens: list[int], tree) -> list[dict]:
     """The rows (s - 1) z_e of R/[F, R], sparse, for s in gens and z_e the
     fundamental cycles of the Cayley graph (edges g -> g t, t in gens).
 
-    The spanning tree of `_cayley_tree` leaves N = |G|(k - 1) + 1 non-tree
-    edges; z_e is the tree path to g, then e = (g, t), then back along the
-    tree path to g t, and a cycle is its coefficients on the non-tree
-    edges.  s z_e is the translate s path(g) + (s g, t) - s path(g t), and
+    The spanning tree, `tree` = `_cayley_tree(group, gens)`, leaves
+    N = |G|(k - 1) + 1 non-tree edges; z_e is the tree path to g, then
+    e = (g, t), then back along the tree path to g t, and a cycle is its
+    coefficients on the non-tree edges.  s z_e is the translate s path(g) + (s g, t) - s path(g t), and
     the non-tree edges of s path(g) fill in breadth-first order: those of
     s path(u), for g = u t' a tree edge, and (s u, t') if it is not one.
     """
     n = group.order
-    right, order, parent, col = _cayley_tree(group, gens)
+    right, order, parent, col = tree
     # left[i][g] = gens[i] g
     left = group.array[gens].tolist()
     rows = []
@@ -191,22 +193,24 @@ class _CocycleSpace:
     """Generator-parametrized normalized 2-cochains of a finite group.
 
     A normalized 2-cocycle is determined by its values on G x S for a
-    generating set S.  Unknown j = (g - 1)|S| + i is f(g, S[i]), g != 1.
-    `full_table` expands the unknowns to every pair along the breadth-first
-    tree of `_cayley_tree`: for a tree edge u -> h = u s the cocycle
-    identity gives f(g, u s) = f(g, u) + f(g u, s) - f(u, s), one column of
-    the (n, n) table per vertex."""
+    generating set S, here `_generating_set(G)`, the set `h2` reads the
+    Hopf rows on.  Unknown j = (g - 1)|S| + i is f(g, S[i]), g != 1.
+    `tree` is the breadth-first tree of `_cayley_tree` on S, which serves
+    the Hopf rows and the dual read off them too; `full_table` expands the
+    unknowns to every pair along it: for a tree edge u -> h = u s the
+    cocycle identity gives f(g, u s) = f(g, u) + f(g u, s) - f(u, s), one
+    column of the (n, n) table per vertex."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         n = group.order
-        self.S = _small_generating_set(group) if n > 1 else []
+        self.S = _generating_set(group)
         k = len(self.S)
         self.nun = (n - 1) * k
         # unknown j is f(g_j, s_j)
         self._g = np.repeat(np.arange(1, n), k)
         self._s = np.tile(np.array(self.S, dtype=np.int64), n - 1)
-        _, self._order, self._parent, _ = _cayley_tree(group, self.S)
+        self.tree = _cayley_tree(group, self.S)
         # Hom(G, Z/m) for every m: the coordinates of each element in G^ab
         ab, proj = group.abelianization()
         data = structure_of_members(ab, range(ab.order))
@@ -238,9 +242,10 @@ class _CocycleSpace:
         # W[x, i] = f(x, S[i]); row 0, x = 1, is zero
         W = np.zeros((n, len(self.S)), dtype=np.int64)
         W[1:] = np.asarray(unknowns, dtype=np.int64).reshape(n - 1, -1)
+        _, order, parent, _ = self.tree
         f = np.zeros((n, n), dtype=np.int64)
-        for h in self._order[1:]:
-            u, i = self._parent[h]
+        for h in order[1:]:
+            u, i = parent[h]
             f[:, h] = f[:, u] + W[t[:, u], i] - W[u, i]
         return f % m
 
@@ -328,9 +333,10 @@ def _extension_from_factors(group: FiniteGroup, factors):
         kernel_from_coords={v: k for k, v in coords.items()})
 
 
-def _hopf_cocycles(group: FiniteGroup, q: int) -> list:
-    """Cocycle tables (d, f), f(g, h) in Z/d, of a Schur cover's p-part,
-    for q = p^e || |G| with H2(G)_p != 0.
+def _hopf_cocycles(space: _CocycleSpace, q: int) -> list:
+    """Cocycles (d, w) of a Schur cover's p-part, w the values f(g, S[i])
+    in Z/d of the unknowns of `space`, for q = p^e || |G| with
+    H2(G)_p != 0.
 
     `_smith_mod` of the reduced Howell form of the Hopf rows modulo q,
     which depends on their span only and is swept on the sparse rows as
@@ -340,14 +346,15 @@ def _hopf_cocycles(group: FiniteGroup, q: int) -> list:
     divides |G|), so exactly k of the g_i are q; column i of V modulo each
     other g_i > 1 is a G-invariant phi_i: R -> Z/g_i, and together they
     map H2_p isomorphically onto the sum.  With sigma(g) the tree path to
-    g, the loop sigma(g) sigma(h) sigma(g h)^-1 has the non-tree edges of
-    g path(h) only, so f(g, h) = phi_i(g path(h)), filled in breadth-first
-    order of h = u t as f(g, u) + phi_i(g u, t).
+    g, f(g, h) = phi_i(g sigma(h)), the loop sigma(g) sigma(h)
+    sigma(g h)^-1 having the non-tree edges of g sigma(h) only.  Each S[i]
+    hangs off the identity by its own tree edge, so f(g, S[i]) is phi_i
+    on the edge (g, S[i]), 0 where that is a tree edge: one gather.
     """
-    gens = _generating_set(group)
-    n, k = group.order, len(gens)
+    group, S, (_, _, _, col) = space.group, space.S, space.tree
+    n, k = group.order, len(S)
     ncycles = n * (k - 1) + 1
-    H = howell_form_mod(_hopf_rows(group, gens), ncycles, q)
+    H = howell_form_mod(_hopf_rows(group, S, space.tree), ncycles, q)
     diag, V = _smith_mod(np.array(H), q)
     g = [math.gcd(d, q) for d in diag] + [q] * (ncycles - len(diag))
     if g.count(q) != k:
@@ -357,13 +364,8 @@ def _hopf_cocycles(group: FiniteGroup, q: int) -> list:
     # phi[c] on non-tree edge c; the last row, read for col -1, is zero
     phi = np.zeros((ncycles + 1, len(keep)), dtype=np.int64)
     phi[:-1] = V[:, keep]
-    _, order, parent, col = _cayley_tree(group, gens)
-    col, t = np.array(col), group.array
-    f = np.zeros((n, n, len(keep)), dtype=np.int64)
-    for h in order[1:]:
-        u, i = parent[h]
-        f[:, h] = f[:, u] + phi[col[t[:, u], i]]
-    return [(g[i], f[:, :, j] % g[i]) for j, i in enumerate(keep)]
+    w = phi[np.array(col[1:], dtype=np.int64)].reshape(space.nun, len(keep))
+    return [(g[i], w[:, j] % g[i]) for j, i in enumerate(keep)]
 
 
 def schur_cover(group: FiniteGroup) -> CentralExtension:
@@ -371,9 +373,9 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
 
     For each prime p of H2 (computed by `h2`) and p^e || |G|, the cocycles
     of `_hopf_cocycles` read off the Hopf lattice give the factors Z/d of
-    H2_p; each is replaced by the Howell residue of its values on G x S
-    modulo the coboundaries and carries, and the cover table is built from
-    those cocycle tables.  A trivial H2 gives G itself, with no cocycle
+    H2_p as their values on G x S; each is replaced by its Howell residue
+    modulo the coboundaries and carries, and expanded to the table the
+    cover is built from.  A trivial H2 gives G itself, with no cocycle
     space; a cover above `COVER_CAP` raises CapacityError before any.  The
     cover is certified: each factor table satisfies the cocycle identity,
     so the cover is a group; its kernel has the order of H2, which `h2`
@@ -390,7 +392,7 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
     factors = []
     howell: dict = {}
     for p in factorize(expected.order):
-        for d, f in _hopf_cocycles(group, p ** factorize(group.order)[p]):
+        for d, w in _hopf_cocycles(space, p ** factorize(group.order)[p]):
             # the Howell residue modulo coboundaries and carries: one fixed
             # member of the coset, not the lattice's (for C3xC3 that is the
             # exponent-3 Heisenberg cover, not the exponent-9 one); the
@@ -398,8 +400,7 @@ def schur_cover(group: FiniteGroup) -> CentralExtension:
             if d not in howell:
                 howell[d] = howell_form_mod(space.relation_vectors(d),
                                             space.nun, d)
-            w = howell_residue(howell[d], f[space._g, space._s], d)
-            table = space.full_table(w, d)
+            table = space.full_table(howell_residue(howell[d], w, d), d)
             space.check_cocycle(table, d)
             factors.append((d, table))
     ext = _extension_from_factors(group, factors)
@@ -425,9 +426,9 @@ def reduce_cover(ext: CentralExtension, group: FiniteGroup, c: Sequence[int]):
     st, sinv = S.array, np.asarray(S.inv)
     comm = st[st[st[xh, yh], sinv[xh]], sinv[yh]]
     # they lie in the kernel, which `verify` certifies central: the
-    # subgroup they generate is normal
+    # subgroup they generate is normal; when it is trivial S_c is S
     M = S.subgroup_closure(comm.tolist())
-    q, coset_of = S.quotient(M)
+    q, coset_of = (S, range(S.order)) if len(M) == 1 else S.quotient(M)
     proj = [None] * q.order
     for x in range(S.order):
         proj[coset_of[x]] = ext.proj[x]

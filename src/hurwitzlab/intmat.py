@@ -3,52 +3,41 @@
 Every lattice on the main path contains m*Z^d for a known m: Cayley graph
 cycles modulo Hopf relations (m = the non-cyclic Sylow part of |G|),
 cocycles modulo coboundaries (m = p^e) and free Gamma-modules modulo
-relations (m = the exponent).  Such
-a lattice is worked as a submodule of (Z/m)^d: reducing an entry modulo m
-is an elementary operation against m*Z^d, so it leaves the quotient alone,
-keeps the entries bounded, and lets the work run on int64 numpy arrays.
+relations (m = the exponent).  Such a lattice is worked as a submodule of
+(Z/m)^d: reducing an entry modulo m is an elementary operation against
+m*Z^d, so it leaves the quotient alone, keeps the entries bounded, and
+lets the work run on int64 numpy arrays.
 
-There is one elimination per job:
+Each job has one route, and the Howell and divisor routes run the
+local-ring pivot: over each p^e dividing m, pivot on an entry of least
+p-valuation, which divides its column, so no gcd step is needed.
 
-* `_smith_mod`, Smith form modulo m with the column transform
+* Submodules are reduced Howell forms (`howell_form_mod`, swept by
+  `_howell_local` on sparse {column: value} rows).  The form is unique,
+  so its residues are canonical coset labels (`howell_residue`).  A step
+  touches only the rows that hold its column, so the Howell form of the
+  Hopf rows of D250 (1,002 rows over 501 columns, a handful of nonzeros
+  each) costs their fill-in, not rows x columns^2.  Kernels and preimages
+  are read off one such form (`preimage_mod`): the Howell rows of the
+  span of (A[:, j], e_j) and (s, 0) that are zero on A's side
   (Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
-  ESA 1998), for kernels and the dual basis of a quotient, and for the
-  small dense block of `quotient_divisors_mod`;
-* `_unit_pivots`, for the sparse relation rows of `h2` ahead of that
-  block;
-* the local-ring elimination: over each p^e dividing m, pivot on an entry
-  of least p-valuation, which divides its column, so no gcd step is
-  needed.  On a whole stack of small matrices (`_local_exponents`) a
-  pivot step is the same few array operations however the entries fall,
-  and gives the divisors of each.  Its reductions modulo p^j are `_mod`,
-  A - m * (A // m): numpy 2.4 divides an integer array by a scalar
-  through libdivide but takes a slow path for the remainder, so on a
-  (200, 9, 8) int64 block A % 3 takes 78 us and the floor-division form
-  15 us (2-core Xeon, numpy 2.4.6).  The stack runs in int32, where that
-  step takes 7 us, whenever q^2 < 2^31 for q = p^e, since every entry of
-  a pivot step is then below 2^31 in magnitude.  On one module given by
-  sparse {column: value} rows the same pivots, taken column by column,
-  give the unique reduced Howell form, whose residues are canonical coset
-  labels (`_howell_local`, `howell_form_mod`); a step there touches only
-  the rows that hold its column, so the Howell form of the Hopf rows of
-  D250 (1,002 rows over 501 columns, a handful of nonzeros each) costs
-  their fill-in, not rows x columns^2.
-
-A system handed to `_smith_mod` can be tall and sparse (the Gamma-module
-equations of `randgrp` hold one block of rows per generator), so a step
-touches only the rows it changes: a row whose entry in the pivot column
-is 0 has quotient 0, and subtracting 0 times the pivot row from a row
-already reduced into [0, m) leaves it as it is, so U A V and the pivot
-sequence are those of the step applied to every row.
-
-In `quotient_divisors_mod`, an entry u of a relation row r that is a unit
-modulo m is a pivot that costs no gcd step: the row operations
-s -= (s_c / u) r clear its column c from every other row, and the column
-operations that clear the rest of r then touch no other row.  They are
-invertible over Z/m, so the quotient is unchanged: it is Z/(u) = Z/1,
-which drops, plus the quotient of the other rows on the other columns.  Only rows without a unit entry reach `_smith_mod`, as
-a small dense block (Dumas, Saunders and Villard, "On efficient sparse
-integer matrix Smith normal form computations", J. Symbolic Comput. 2001).
+  ESA 1998).
+* Divisors of a quotient come from the local-ring stack
+  (`quotient_divisors_stack`, `_local_exponents`): on a whole stack of
+  small matrices a pivot step is the same few array operations however
+  the entries fall.  `quotient_divisors_mod` first eliminates the unit
+  pivots of sparse rows (`_unit_pivots`), which cost no gcd step, and
+  sends the dense block left as one slice (Dumas, Saunders and Villard,
+  "On efficient sparse integer matrix Smith normal form computations",
+  J. Symbolic Comput. 2001).  The stack's reductions modulo p^j are
+  `_mod`, A - m * (A // m): numpy 2.4 divides an integer array by a
+  scalar through libdivide but takes a slow path for the remainder, so
+  on a (200, 9, 8) int64 block A % 3 takes 78 us and the floor-division
+  form 15 us (2-core Xeon, numpy 2.4.6).  The stack runs in int32, where
+  that step takes 7 us, whenever q^2 < 2^31 for q = p^e, since every
+  entry of a pivot step is then below 2^31 in magnitude.
+* `_smith_mod`, Smith form modulo m with the column transform V, gives
+  the dual basis of the Hopf quotient that Schur covers are read off.
 """
 
 from __future__ import annotations
@@ -64,128 +53,27 @@ from .ntheory import factorize
 
 
 # ---------------------------------------------------------------------------
-# the mod-m Smith engine
+# divisors: unit pivots, then the local-ring stack
 # ---------------------------------------------------------------------------
-
-def _mod_array(rows, ncols: int, m: int) -> np.ndarray:
-    """The integer rows as an int64 array reduced into [0, m)."""
-    if not isinstance(rows, np.ndarray):
-        rows = list(rows)
-    try:
-        A = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-    except OverflowError:
-        A = np.array([[int(x) % m for x in r] for r in rows],
-                     dtype=np.int64).reshape(len(rows), ncols)
-    return A % m
-
-
-def _mulmod(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
-    """A @ B mod m for arrays with entries in [0, m), free of int64 overflow."""
-    if (m - 1) ** 2 * A.shape[1] >= 1 << 63:
-        A, B = A.astype(object), B.astype(object)
-    return (A @ B) % m
-
-
-def _smith_mod(A: np.ndarray, m: int):
-    """(diag, V) with U A V == D (mod m), U and V invertible modulo m.
-
-    A is an int64 array and is overwritten.  The diagonal entries are
-    nonzero residues in [1, m), at most min(A.shape) of them; Z^d over the
-    row span of A plus m Z^d is the sum of Z/gcd(d_i, m), plus Z/m once for
-    each column past the diagonal.  V is reduced modulo m.  U is not kept:
-    it is square in the rows, and for a tall system it would be the largest
-    array.
-
-    Each round pivots on the first least nonzero entry of the active block
-    in row-major order: the first row whose least nonzero entry is least
-    (kept per row, and updated for the rows a step changes), and in it the
-    first column holding that entry.  Rows and columns before the active
-    block are zero off the diagonal, and entries stay in [0, m), so a row
-    whose pivot column entry is 0 has quotient 0 and is left as it is: a
-    row step touches only the rows with a nonzero in the pivot column.  The
-    column step runs only once that column is clear below the pivot, so of
-    A it changes the pivot row alone, and of V the columns from the pivot
-    on.  U A V and the pivot sequence are those of the steps applied to
-    every row and column.
-    """
-    if m > (1 << 30):
-        raise InternalCheckError("modulus too large for int64 mod-SNF")
-    nr, nc = A.shape
-    A %= m
-    V = np.eye(nc, dtype=np.int64)
-    # rows from r on are zero before column c, so the least nonzero entry of
-    # a whole row is that of its part of the active block
-    least = _least_nonzero(A, m)
-    r = c = 0
-    diag = []
-    while r < nr and c < nc:
-        least[r] = _least_nonzero(A[r], m)
-        bi = r + int(least[r:].argmin())
-        v = least[bi]
-        if v == m:
-            break
-        bj = c + int((A[bi, c:] == v).argmax())
-        if bi != r:
-            A[[r, bi]] = A[[bi, r]]
-            least[[r, bi]] = least[[bi, r]]
-        if bj != c:
-            A[:, [c, bj]] = A[:, [bj, c]]
-            V[:, [c, bj]] = V[:, [bj, c]]
-        p = int(A[r, c])
-        rows = A[r + 1:, c].nonzero()[0]
-        if len(rows):
-            rows += r + 1
-            B = A[rows, c:]
-            B -= B[:, :1] // p * A[r, c:]
-            B %= m
-            A[rows, c:] = B
-            least[rows] = _least_nonzero(B, m)
-            if B[:, 0].any():
-                continue
-        q = A[r] // p
-        q[c] = 0
-        if q.any():
-            A[r] -= p * q
-            # column j -= q_j column c
-            V[:, c:] -= V[:, c:c + 1] * q[c:]
-            V[:, c:] %= m
-            if np.count_nonzero(A[r]) > 1:
-                continue
-        # divisibility of the remaining block
-        if p > 1:
-            badrows = np.flatnonzero((A[r + 1:, c + 1:] % p).any(axis=1))
-            if len(badrows):
-                A[r] = (A[r] + A[r + 1 + int(badrows[0])]) % m
-                continue
-        diag.append(p)
-        r += 1
-        c += 1
-    return diag, V
-
-
-def _least_nonzero(A: np.ndarray, m: int):
-    """The least nonzero entry along the last axis, m where all are 0."""
-    return A.min(axis=-1, where=A != 0, initial=m)
-
 
 def quotient_divisors_mod(gens, dim: int, m: int):
     """Elementary divisors (> 1) of Z^dim / (span(gens) + m Z^dim).
 
     A generator is a sequence of dim integers or a sparse {column: value}
     dict.  Unit pivots are eliminated on the sparse rows first; the rows
-    left, none of which holds a unit, go to `_smith_mod` as a dense block
-    over the columns they touch.
+    left, none of which holds a unit, go to `quotient_divisors_stack` as
+    one dense slice over the columns they touch, and every other column
+    left over gives a Z/m.
     """
     rest, pivots = _unit_pivots(_sparse_rows(gens, m), m)
     cols = sorted({j for r in rest for j in r})
     at = {j: k for k, j in enumerate(cols)}
-    A = np.zeros((len(rest), len(cols)), dtype=np.int64)
+    A = np.zeros((1, len(rest), len(cols)), dtype=np.int64)
     for i, r in enumerate(rest):
         for j, a in r.items():
-            A[i, at[j]] = a
-    diag, _ = _smith_mod(A, m)
-    divisors = [math.gcd(d, m) for d in diag] + \
-        [m] * (dim - pivots - len(diag))
+            A[0, i, at[j]] = a
+    divisors = quotient_divisors_stack(A, m)[0].tolist() + \
+        [m] * (dim - pivots - len(cols))
     return sorted(d for d in divisors if d != 1)
 
 
@@ -324,25 +212,28 @@ def _mod(A: np.ndarray, m: int) -> np.ndarray:
     return A - m * (A // m)
 
 
-def kernel_mod(rows, nun: int, m: int):
-    """Generators of {x in (Z/m)^nun : rows @ x == 0 (mod m)}.
+def divisor_chain(factors: Iterable[int]):
+    """Canonical divisor chain d1 | d2 | ... from arbitrary cyclic factor orders.
 
-    With U A V == D, x = V y is a solution exactly when d_i y_i == 0, so the
-    columns (m / gcd(d_i, m)) V[:, i] generate the kernel (scale 1 past the
-    diagonal); zero columns are dropped.
+    Merges prime-power pieces so the output is the invariant-factor form.
     """
-    A = _mod_array(rows, nun, m)
-    diag, V = _smith_mod(A.copy(), m)
-    scale = [m // math.gcd(d, m) for d in diag] + [1] * (nun - len(diag))
-    K = V * np.array(scale, dtype=np.int64) % m
-    K = K[:, K.any(axis=0)]
-    if _mulmod(A, K, m).any():
-        raise InternalCheckError("kernel_mod: A K != 0 (mod m)")
-    return [[int(x) for x in col] for col in K.T]
+    ppow: dict[int, list[int]] = {}
+    for f in factors:
+        for p, e in factorize(int(f)).items():
+            ppow.setdefault(p, []).append(p ** e)
+    if not ppow:
+        return []
+    k = max(len(v) for v in ppow.values())
+    chain = [1] * k
+    for p, lst in ppow.items():
+        lst.sort(reverse=True)
+        for i, q in enumerate(lst):
+            chain[k - 1 - i] *= q
+    return [d for d in chain if d > 1]
 
 
 # ---------------------------------------------------------------------------
-# Howell form: canonical residues
+# Howell forms: canonical residues, kernels and preimages
 # ---------------------------------------------------------------------------
 
 def howell_form_mod(gens, dim: int, m: int):
@@ -483,21 +374,127 @@ def howell_residue(H, v, m: int):
     return tuple(v)
 
 
-def divisor_chain(factors: Iterable[int]):
-    """Canonical divisor chain d1 | d2 | ... from arbitrary cyclic factor orders.
+def _mulmod(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
+    """A @ B mod m for arrays with entries in [0, m), free of int64 overflow."""
+    if (m - 1) ** 2 * A.shape[1] >= 1 << 63:
+        A, B = A.astype(object), B.astype(object)
+    return (A @ B) % m
 
-    Merges prime-power pieces so the output is the invariant-factor form.
+
+def preimage_mod(rows, nun: int, m: int, sub=()):
+    """The reduced Howell form, as `howell_form_mod` gives it, of
+    {x in (Z/m)^nun : A x in span(sub)}, A the r x nun integer rows and
+    sub a sequence of vectors of length r: with no sub, the kernel of A.
+
+    The module spanned by (A[:, j], e_j), j < nun, and (s, 0), s in sub,
+    in (Z/m)^(r + nun) holds (A x - t, x) for every x and every t in
+    span(sub), so its elements that are zero in the first r coordinates
+    are the (0, x) with x in the preimage.  Its reduced Howell form spans
+    those with its rows from column r on, which are zero before it and
+    reduced among themselves: that block is the reduced Howell form of
+    the preimage (Storjohann and Mulders, ESA 1998).  Checked: A x == 0
+    (mod m) for each row x of the form or, given sub, A x has Howell
+    residue 0 against it.
     """
-    ppow: dict[int, list[int]] = {}
-    for f in factors:
-        for p, e in factorize(int(f)).items():
-            ppow.setdefault(p, []).append(p ** e)
-    if not ppow:
-        return []
-    k = max(len(v) for v in ppow.values())
-    chain = [1] * k
-    for p, lst in ppow.items():
-        lst.sort(reverse=True)
-        for i, q in enumerate(lst):
-            chain[k - 1 - i] *= q
-    return [d for d in chain if d > 1]
+    r = len(rows)
+    A = np.asarray(rows, dtype=np.int64).reshape(r, nun) % m
+    S = np.asarray(sub, dtype=np.int64).reshape(len(sub), r) % m
+    gens = np.block([[A.T, np.eye(nun, dtype=np.int64)],
+                     [S, np.zeros((len(S), nun), dtype=np.int64)]])
+    K = np.array(howell_form_mod(gens, r + nun, m),
+                 dtype=np.int64).reshape(r + nun, r + nun)[r:, r:]
+    AK = _mulmod(A, K.T % m, m)
+    if len(S):
+        H = howell_form_mod(S, r, m)
+        bad = any(any(howell_residue(H, v, m)) for v in AK.T.tolist())
+    else:
+        bad = AK.any()
+    if bad:
+        raise InternalCheckError("preimage_mod: A K not in span(sub)")
+    return K.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Smith form: the dual basis of the Hopf quotient
+# ---------------------------------------------------------------------------
+
+def _smith_mod(A: np.ndarray, m: int):
+    """(diag, V) with U A V == D (mod m), U and V invertible modulo m.
+
+    Its one job is the dual basis of the Hopf quotient (`homology.
+    _hopf_cocycles`): A is the reduced Howell form of the Hopf rows, an
+    int64 array, and is overwritten.  The diagonal entries are nonzero
+    residues in [1, m), at most min(A.shape) of them; Z^d over the row
+    span of A plus m Z^d is the sum of Z/gcd(d_i, m), plus Z/m once for
+    each column past the diagonal.  V is reduced modulo m; U is not kept.
+
+    Each round pivots on the first least nonzero entry of the active block
+    in row-major order: the first row whose least nonzero entry is least
+    (kept per row, and updated for the rows a step changes), and in it the
+    first column holding that entry.  Rows and columns before the active
+    block are zero off the diagonal, and entries stay in [0, m), so a row
+    whose pivot column entry is 0 has quotient 0 and is left as it is: a
+    row step touches only the rows with a nonzero in the pivot column.  The
+    column step runs only once that column is clear below the pivot, so of
+    A it changes the pivot row alone, and of V the columns from the pivot
+    on.  U A V and the pivot sequence are those of the steps applied to
+    every row and column, so the covers read off V do not move.
+    """
+    if m > (1 << 30):
+        raise InternalCheckError("modulus too large for int64 mod-SNF")
+    nr, nc = A.shape
+    A %= m
+    V = np.eye(nc, dtype=np.int64)
+    # rows from r on are zero before column c, so the least nonzero entry of
+    # a whole row is that of its part of the active block
+    least = _least_nonzero(A, m)
+    r = c = 0
+    diag = []
+    while r < nr and c < nc:
+        least[r] = _least_nonzero(A[r], m)
+        bi = r + int(least[r:].argmin())
+        v = least[bi]
+        if v == m:
+            break
+        bj = c + int((A[bi, c:] == v).argmax())
+        if bi != r:
+            A[[r, bi]] = A[[bi, r]]
+            least[[r, bi]] = least[[bi, r]]
+        if bj != c:
+            A[:, [c, bj]] = A[:, [bj, c]]
+            V[:, [c, bj]] = V[:, [bj, c]]
+        p = int(A[r, c])
+        rows = A[r + 1:, c].nonzero()[0]
+        if len(rows):
+            rows += r + 1
+            B = A[rows, c:]
+            B -= B[:, :1] // p * A[r, c:]
+            B %= m
+            A[rows, c:] = B
+            least[rows] = _least_nonzero(B, m)
+            if B[:, 0].any():
+                continue
+        q = A[r] // p
+        q[c] = 0
+        if q.any():
+            A[r] -= p * q
+            # column j -= q_j column c
+            V[:, c:] -= V[:, c:c + 1] * q[c:]
+            V[:, c:] %= m
+            if np.count_nonzero(A[r]) > 1:
+                continue
+        # divisibility of the remaining block
+        if p > 1:
+            badrows = np.flatnonzero((A[r + 1:, c + 1:] % p).any(axis=1))
+            if len(badrows):
+                A[r] = (A[r] + A[r + 1 + int(badrows[0])]) % m
+                continue
+        diag.append(p)
+        r += 1
+        c += 1
+    return diag, V
+
+
+def _least_nonzero(A: np.ndarray, m: int):
+    """The least nonzero entry along the last axis, m where all are 0."""
+    return A.min(axis=-1, where=A != 0, initial=m)

@@ -23,8 +23,8 @@ import numpy as np
 from .abelian import AbelianStructure, structure_of_members
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .groups import FiniteGroup, GammaGroup, Subgroup
-from .intmat import (divisor_chain, howell_form_mod, howell_residue,
-                     kernel_mod, quotient_divisors_stack)
+from .intmat import (divisor_chain, howell_residue, preimage_mod,
+                     quotient_divisors_stack)
 from .ntheory import pdivmod, pnorm, ppowmod, prime_divisors
 from .rng import CounterRng, randints, substream
 
@@ -163,8 +163,8 @@ class FreeAdmissible:
                         .reshape(phi.shape[0] * phi.shape[2], self.dim)
                         .tolist())
         # N = solution set {x : all rows . x == 0 mod m} (the whole module
-        # when there are no rows); store as Howell of its generator set
-        return howell_form_mod(kernel_mod(rows, self.dim, m), self.dim, m)
+        # when there are no rows), as its reduced Howell form
+        return preimage_mod(rows, self.dim, m)
 
     def canonical(self, v: Sequence[int]) -> tuple:
         return howell_residue(self._nhowell, list(v), self.m)
@@ -195,16 +195,13 @@ class FreeAdmissible:
         if key in self._inv_cache:
             return self._inv_cache[key]
         m, dim = self.m, self.dim
-        nrows = self._nrows
-        # a residue x is invariant iff (M_g - I) x = N^T t_g (mod m) for
-        # some t_g, for each g in Gamma_inf: the kernel of the blocks
-        # [M_g - I | -N^T], one set of unknowns t_g per g
+        # x + N is invariant iff (M_g - I) x lies in N for each g in
+        # Gamma_inf: the preimage of N in each block of the stacked M_g - I
         gens = [g for g in key if g]
-        eq = np.hstack([(self._act[gens] - np.eye(dim, dtype=np.int64))
-                        .reshape(len(gens) * dim, dim),
-                        np.kron(np.eye(len(gens), dtype=np.int64), -nrows.T)])
-        sol = [x[:dim] for x in kernel_mod(eq, eq.shape[1], m)]
-        H = howell_form_mod(sol + nrows.tolist(), dim, m)
+        H = preimage_mod(
+            (self._act[gens] - np.eye(dim, dtype=np.int64))
+            .reshape(len(gens) * dim, dim), dim, m,
+            np.kron(np.eye(len(gens), dtype=np.int64), self._nrows))
         reps = [(m // row[c], row) for c, row in enumerate(H) if row[c] != m]
         self._inv_cache[key] = reps
         return reps
@@ -254,7 +251,8 @@ def _module_hom_basis(free: FreeAdmissible, td: _TargetData) -> np.ndarray:
                   dtype=np.int64).reshape(-1, dim * tdim, dim * tdim)
     eq = (eq * np.tile(m // td.orders, dim)[:, None] % m).reshape(
         -1, dim * tdim)
-    sols = np.array(kernel_mod(eq, dim * tdim, m), dtype=np.int64)
+    sols = np.array(preimage_mod(eq, dim * tdim, m), dtype=np.int64) % m
+    sols = sols[sols.any(axis=1)]
     return sols.reshape(len(sols), dim, tdim) % td.orders
 
 
@@ -515,10 +513,8 @@ def _decompose_kernel_for_tuple(free: FreeAdmissible, h: GammaGroup, tup,
     rows = images.T * (m // td.orders)[:, None] % m
     if (free._nrows @ rows.T % m).any():
         return None
-    # R: the kernel rows, with N added (the model works modulo N)
-    R = kernel_mod(rows, dim, m)
-    R = np.concatenate([np.array(R, dtype=np.int64).reshape(len(R), dim),
-                        free._nrows])
+    # R: the kernel, which holds N (the model works modulo N)
+    R = np.array(preimage_mod(rows, dim, m), dtype=np.int64) % m
     act_t = free._act[gen].T
     out = []
     for p in prime_divisors(m):

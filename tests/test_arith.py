@@ -16,7 +16,8 @@ from hurwitzlab.arith import (DivisorClass, ExtField, HyperellipticModel,
                               l_polynomials,
                               nf_class_group, nonsquare, pmul, pxgcd,
                               random_divisor, reduced_forms, sylow_structure)
-from hurwitzlab.errors import InternalCheckError, ValidationError
+from hurwitzlab.errors import (CapacityError, InternalCheckError,
+                               ValidationError)
 from hurwitzlab.ntheory import (factorize, is_power_of, pscale, valuation,
                                xgcd)
 from hurwitzlab.rng import substream
@@ -311,6 +312,20 @@ def test_l_polynomial_rejects_wrong_point_counts(monkeypatch):
     for model in models:
         with pytest.raises(InternalCheckError):
             l_polynomial(model)
+
+
+def test_genus_past_the_cap_is_refused(monkeypatch):
+    """y^2 = x^9 - x + 1 over F_3 has genus 4, past `GENUS_CAP`: its
+    L-polynomial is refused before any point is counted."""
+    def forbidden(*args):
+        raise AssertionError("points counted past the genus cap")
+
+    model = HyperellipticModel(3, (1, 2, 0, 0, 0, 0, 0, 0, 0, 1))
+    assert model.genus == 4 > arith.GENUS_CAP
+    monkeypatch.setattr(arith, "_point_counts", forbidden)
+    for call in (l_polynomial, lambda m: l_polynomials([m]), jacobian_order):
+        with pytest.raises(CapacityError, match="genus 4"):
+            call(model)
 
 
 def test_l_polynomials_match_one_model_at_a_time():

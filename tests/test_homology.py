@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hurwitzlab import homology, homology_oracle, intmat
+from hurwitzlab import groups, homology, homology_oracle, intmat
 from hurwitzlab.abelian import AbelianStructure
 from hurwitzlab.errors import (CapacityError, InternalCheckError,
                                ValidationError)
@@ -84,7 +84,7 @@ def test_h2_reach_past_the_bar_complex():
 def test_h2_chain_cap_raises_before_building(monkeypatch):
     """C2^10 has more Hopf relation rows than the cap (92,170): h2
     refuses it at once, before a single row is built."""
-    def forbidden(group, gens):
+    def forbidden(*args):
         raise AssertionError("Hopf rows built above the cap")
 
     g = abelian([2] * 10)
@@ -121,7 +121,8 @@ def test_h2_coker_d3_self_check(monkeypatch):
     k = len(homology._generating_set(g))
     killed = [{j: 1} for j in range(g.order * (k - 1) + 1)]
     monkeypatch.setattr(homology, "_hopf_rows",
-                        lambda group, gens: rows(group, gens) + killed)
+                        lambda group, gens, tree: rows(group, gens, tree)
+                        + killed)
     with pytest.raises(InternalCheckError):
         homology._hopf_divisors(g)
 
@@ -225,7 +226,8 @@ def test_schur_covers_pinned():
     and of the reduced cover with c = all hash to recorded values: every
     lifting invariant and report is read in these coordinates.  The
     reduced covers' value was recorded before the cover path moved to
-    arrays, the covers' when they came to be read off the Hopf lattice."""
+    arrays, the covers' when the cocycle space moved to the generating set
+    of h2 (C22:C4's table moved to an isomorphic one)."""
     groups = groups_up_to_16() + [symmetric(4), dihedral(12),
                                   inversion_semidirect([5, 5])]
 
@@ -240,7 +242,7 @@ def test_schur_covers_pinned():
         red = reduce_cover(ext, g, list(range(1, g.order)))
         h_reduced.update(repr((g.name, row(red))).encode())
     assert h_cover.hexdigest() == \
-        "1473ba061658d2d85bef8e8e0d94ffbf703cb1374dd74b1832e1dffe73a22446"
+        "f7fd574a95a846ff5d12d1ced0f3f7b322451184a320ca7eb0e1fe53253c1652"
     assert h_reduced.hexdigest() == \
         "1c07d567f7909aeae0f3852b206cbffc60342305b66c98d9043545c06c12c140"
 
@@ -288,11 +290,41 @@ def test_schur_cover_solves_no_cocycle_identity_rows(monkeypatch):
     def forbidden(*args):
         raise AssertionError("cocycle identity rows or their kernel built")
 
-    monkeypatch.setattr(intmat, "kernel_mod", forbidden)
+    monkeypatch.setattr(intmat, "preimage_mod", forbidden)
+    assert not hasattr(homology, "preimage_mod")
     assert not hasattr(homology._CocycleSpace, "constraint_rows")
     for g in _path_groups():
         cov = schur_cover(g)
         assert cov.kernel_structure == h2(g), g.name
+
+
+def test_covers_use_one_generating_set(monkeypatch):
+    """schur_cover and build_u read the Hopf rows, the dual and the
+    cocycle space on the one memoised generating set of h2: the greedy
+    small generating set is never searched."""
+    def forbidden(*args):
+        raise AssertionError("_small_generating_set called")
+
+    monkeypatch.setattr(groups, "_small_generating_set", forbidden)
+    assert not hasattr(homology, "_small_generating_set")
+    for g in _path_groups():
+        assert schur_cover(g).kernel_structure == h2(g), g.name
+    g = inversion_semidirect([3, 3])
+    c = [x for x in range(1, g.order) if g.element_order(x) == 2]
+    assert build_u(g, c).h2c == AS([3])
+
+
+def test_reduce_cover_with_trivial_commutators_keeps_the_cover():
+    """For C3xC3:C2 with c its involutions, the commutators of lifted
+    commuting pairs are all trivial: S_c is the cover's own group object,
+    not a quotient rebuilt from it."""
+    g = inversion_semidirect([3, 3])
+    c = [x for x in range(1, g.order) if g.element_order(x) == 2]
+    cov = schur_cover(g)
+    red = reduce_cover(cov, g, c)
+    assert red.total is cov.total
+    assert red.proj == cov.proj and red.kernel_members == cov.kernel_members
+    assert red.kernel_structure == AS([3])
 
 
 def test_schur_cover_holds_no_cubic_array():
@@ -317,15 +349,14 @@ def test_schur_cover_certificate_catches_bad_cocycles(monkeypatch):
     the split extension, whose kernel is not in [S, S]."""
     build = homology._hopf_cocycles
 
-    def off_by_one(group, q):
-        (d, f), *rest = build(group, q)
-        f = f.copy()
-        s = homology._small_generating_set(group)[0]
-        f[1, s] = (f[1, s] + 1) % d
-        return [(d, f)] + rest
+    def off_by_one(space, q):
+        (d, w), *rest = build(space, q)
+        w = w.copy()
+        w[0] = (w[0] + 1) % d
+        return [(d, w)] + rest
 
-    def zero(group, q):
-        return [(d, np.zeros_like(f)) for d, f in build(group, q)]
+    def zero(space, q):
+        return [(d, np.zeros_like(w)) for d, w in build(space, q)]
 
     for g in _path_groups():
         monkeypatch.setattr(homology, "_hopf_cocycles", off_by_one)

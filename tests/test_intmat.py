@@ -6,12 +6,11 @@ import random
 import numpy as np
 
 from hurwitzlab.groups import abelian, dihedral, inversion_action, semidirect
-from hurwitzlab.homology import (_CocycleSpace, _generating_set, _hopf_rows,
-                                 h2)
+from hurwitzlab.homology import _CocycleSpace, _hopf_rows, h2
 from hurwitzlab.homology_oracle import (_kernel_mod, _quotient_divisors,
                                         _span_order)
 from hurwitzlab.intmat import (_mod, _smith_mod, divisor_chain,
-                               howell_form_mod, howell_residue, kernel_mod,
+                               howell_form_mod, howell_residue, preimage_mod,
                                quotient_divisors_mod, quotient_divisors_stack)
 from hurwitzlab.ntheory import factorize
 
@@ -163,15 +162,23 @@ def test_quotient_divisors_sparse_rows():
                     assert math.prod(expect) * len(span) == m ** C
 
 
-def test_kernel_mod_brute_force():
+def test_preimage_mod_brute_force():
+    """preimage_mod spans {x : A x in span(sub)}, the kernel of A when sub
+    is empty, and gives the reduced Howell form of that span."""
     rng = random.Random(7)
-    for _ in range(150):
+    for _ in range(300):
         nun, m = rng.randint(1, 3), rng.randint(2, 12)
-        A = [[rng.randrange(m) for _ in range(nun)]
-             for _ in range(rng.randint(0, 3))]
-        kern = {x for x in itertools.product(range(m), repeat=nun)
-                if all(sum(a * b for a, b in zip(row, x)) % m == 0 for row in A)}
-        assert brute_span_mod(kernel_mod(A, nun, m), nun, m) == kern
+        r = rng.randint(0, 3)
+        A = [[rng.randrange(m) for _ in range(nun)] for _ in range(r)]
+        sub = [[rng.randrange(m) for _ in range(r)]
+               for _ in range(rng.randint(0, 2) if r else 0)]
+        span = brute_span_mod(sub, r, m)
+        pre = {x for x in itertools.product(range(m), repeat=nun)
+               if tuple(sum(a * b for a, b in zip(row, x)) % m
+                        for row in A) in span}
+        K = preimage_mod(A, nun, m, sub)
+        assert brute_span_mod(K, nun, m) == pre
+        assert K == howell_form_mod(sorted(pre), nun, m)
 
 
 def brute_quotient_divisors(LA, LB, m, p):
@@ -316,24 +323,25 @@ def test_howell_forms_of_covers_pinned():
     """The reduced Howell forms a Schur cover is read off: of the Hopf rows
     modulo p^e || |G| and of the coboundary and carry relations modulo the
     factor d, for D50, C7xC7:C2 and C3^3:C2.  The form is unique, so the
-    sha256 of its rows is the one the dense sweep gave."""
+    sha256 of its rows is the one the dense sweep gave.  The relation
+    digests of C7xC7:C2 and C3^3:C2 were recorded when the cocycle space
+    moved to `_generating_set`, which orders their generators otherwise."""
     pinned = [  # group, p^e, d, then the digests of the two forms
         (dihedral(50), 4, 2,
          "88ba4fb583c7beb4a3b936bce09c8c89f902eceff6bd5ecfe80b4c55aa69bbb1",
          "9cde6c19ad419b593857a847e9fe14816c9f84d84d5204173b7049055ee4b647"),
         (_inversion([7, 7]), 49, 7,
          "73cddafbafe42083b79dfc5b4dbec067fcca9a5cd1a69394f4a94b954e035713",
-         "30d683f4b4e0bac9e8e6fee2c0e18408ca054ec92d225470418f9d16a03561a5"),
+         "2bb05db1166bf24c40b44d52aff2c2a16b245b90ab6268179242e6cedf2dc483"),
         (_inversion([3, 3, 3]), 27, 3,
          "0fca13a3f3ef495afd0a175b0a925aa889a497d81254785ced01df389982b1bb",
-         "ccef73611318b8c851d192603fd6696eedcc25cdd6813bec31a1b199c5a09a46"),
+         "6bacc6bd6bb6920a2ab56c36afa2100bb547ca8e412267d2edc2c668422b14d2"),
     ]
     for g, q, d, hopf, rel in pinned:
         assert h2(g).exponent == d and math.gcd(g.order // q, q) == 1
-        gens = _generating_set(g)
-        ncycles = g.order * (len(gens) - 1) + 1
-        H = howell_form_mod(_hopf_rows(g, gens), ncycles, q)
-        assert hashlib.sha256(repr(H).encode()).hexdigest() == hopf, g.name
         space = _CocycleSpace(g)
+        ncycles = g.order * (len(space.S) - 1) + 1
+        H = howell_form_mod(_hopf_rows(g, space.S, space.tree), ncycles, q)
+        assert hashlib.sha256(repr(H).encode()).hexdigest() == hopf, g.name
         R = howell_form_mod(space.relation_vectors(d), space.nun, d)
         assert hashlib.sha256(repr(R).encode()).hexdigest() == rel, g.name
