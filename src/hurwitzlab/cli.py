@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -67,7 +69,7 @@ def resolve_group(spec: str) -> FiniteGroup:
     """Builtin group names (C9, D5, S3, Q8, A4, C3xC3, ...) or @file."""
     spec = spec.strip()
     if spec.startswith("@"):
-        obj = parse_group_file(Path(spec[1:]).read_text())
+        obj = _group_file(spec[1:])
         return obj.base if isinstance(obj, GammaGroup) else obj
     parts = spec.split("x")
     if len(parts) > 1:
@@ -92,6 +94,15 @@ def resolve_group(spec: str) -> FiniteGroup:
             raise ValidationError("Q<n> needs n divisible by 4")
         return dicyclic(k // 4)
     raise ValidationError(f"unknown group spec {spec!r}")
+
+
+def _group_file(path: str):
+    """The group or Gamma-group in the group file at `path`."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read group file {path}: {e}") from None
+    return parse_group_file(text)
 
 
 def _int(spec: str, what: str, order: int | None = None) -> int:
@@ -149,7 +160,7 @@ def resolve_gamma_group(hspec: str, gamma_spec: str) -> GammaGroup:
     if gamma_spec.startswith("trivial:"):
         return trivial_action(base, resolve_group(gamma_spec.split(":")[1]))
     if gamma_spec.startswith("@"):
-        obj = parse_group_file(Path(gamma_spec[1:]).read_text())
+        obj = _group_file(gamma_spec[1:])
         if not isinstance(obj, GammaGroup):
             raise ValidationError("file does not define a gamma action")
         return obj
@@ -188,18 +199,25 @@ class Report:
                           sort_keys=True, indent=1) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["# config: " + json.dumps(self.config, sort_keys=True)]
-        lines.append("# version: " + self.version)
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(str(x) for x in row))
-        lines.append("# fingerprint: " + self.fingerprint)
-        return "\n".join(lines) + "\n"
+        """The rows as CSV (a field holding a comma or quote is quoted)
+        between `#` comment lines for the config, version and fingerprint."""
+        buf = io.StringIO()
+        buf.write("# config: " + json.dumps(self.config, sort_keys=True)
+                  + "\n# version: " + self.version + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows([str(x) for x in row] for row in self.rows)
+        buf.write("# fingerprint: " + self.fingerprint + "\n")
+        return buf.getvalue()
 
     def write(self, out: str | None, fmt: str) -> None:
         text = self.to_json() if fmt == "json" else self.to_csv()
         if out:
-            Path(out).write_text(text)
+            try:
+                Path(out).write_text(text)
+            except OSError as e:
+                raise ValidationError(f"cannot write report {out}: {e}") \
+                    from None
         else:
             sys.stdout.write(text)
 

@@ -125,17 +125,6 @@ def frobenius_order(ctx: UContext, q: int) -> int:
     return k
 
 
-def class_power_permutation(ctx: UContext, q: int) -> list[int]:
-    """Slot permutation induced by q-th powering on the classes in c."""
-    out = []
-    for rep in ctx.class_reps:
-        y = ctx.group.power(rep, q)
-        if y not in ctx.class_of:
-            raise InternalCheckError("c not closed under this powering")
-        out.append(ctx.class_of[y])
-    return out
-
-
 @dataclass(frozen=True)
 class FixedCount:
     """Frobenius-fixed invariant counts at degree n."""
@@ -165,7 +154,7 @@ def fixed_counts(ctx: UContext, ginf_members: Sequence[int], q: int,
         raise ValidationError("G_inf must be nontrivial")
     g_inf = min(gens)
     FrobeniusParams(q, ctx.group.order, len(sub))
-    perm = class_power_permutation(ctx, q)
+    perm = ctx.power_perm(q)
     # d: orbits of q-th powering on classes in c
     seen = set()
     d = 0

@@ -930,21 +930,32 @@ def parse_group_file(text: str):
         degree = int(m.group(1))
         gens = [_parse_cycles(ln, degree) for ln in lines[1:]]
         return from_permutations(gens, degree)
-    if head[0] != "order":
+    if head[0] != "order" or len(head) < 2:
         raise ValidationError("group file must start with 'order N' or 'perm degree=N'")
-    n = int(head[1])
+    n, = _file_ints(head[1], "order")
     if len(lines) < 1 + n:
         raise ValidationError(f"expected {n} table rows")
-    table = [[int(x) for x in lines[1 + i].split()] for i in range(n)]
+    table = [_file_ints(lines[1 + i], "table row") for i in range(n)]
     group = FiniteGroup(table)
     rest = lines[1 + n:]
     if not rest:
         return group
     if rest[0] != "gamma":
         raise ValidationError(f"unexpected line after table: {rest[0]!r}")
-    perms = [[int(x) for x in ln.split()] for ln in rest[1:]]
+    perms = [_file_ints(ln, "gamma permutation") for ln in rest[1:]]
+    if not perms or any(sorted(p) != list(range(n)) for p in perms):
+        raise ValidationError(
+            f"each gamma line must be a permutation of 0..{n - 1}")
     gamma = _gamma_from_perm_list(perms)
     return GammaGroup(group, gamma, perms)
+
+
+def _file_ints(line: str, what: str) -> list[int]:
+    """The integers of one line of a group file."""
+    try:
+        return [int(x) for x in line.split()]
+    except ValueError:
+        raise ValidationError(f"{what}: {line!r} holds a non-integer") from None
 
 
 def _gamma_from_perm_list(perms: list[list[int]]) -> FiniteGroup:
@@ -970,13 +981,16 @@ def _gamma_from_perm_list(perms: list[list[int]]) -> FiniteGroup:
 def _parse_cycles(line: str, degree: int) -> list[int]:
     perm = list(range(degree))
     for cyc in re.findall(r"\(([^()]*)\)", line):
-        pts = [int(x) for x in cyc.replace(",", " ").split()]
+        pts = _file_ints(cyc.replace(",", " "), "cycle")
+        if not all(0 <= p < degree for p in pts):
+            raise ValidationError(f"cycle ({cyc}) has a point outside "
+                                  f"0..{degree - 1}")
         if len(pts) < 2:
             continue
         for i, p in enumerate(pts):
             perm[p] = pts[(i + 1) % len(pts)]
     if line.strip() and not re.search(r"\(", line):
-        pts = [int(x) for x in line.split()]
+        pts = _file_ints(line, "permutation line")
         if sorted(pts) == list(range(degree)):
             perm = pts
         else:

@@ -503,7 +503,9 @@ class UContext:
         self._ab_of_elem = [ab_data.coords[ab_proj[g]] for g in range(group.order)]
         self._validate_lifts()
         # powering permutations of the c-class slots (for shape invariants)
-        self.power_perms = self._power_perms()
+        e = group.exponent()
+        self.power_perms = sorted({self.power_perm(k) for k in range(1, e + 1)
+                                   if math.gcd(k, e) == 1})
 
     # -- construction helpers ------------------------------------------------
 
@@ -547,17 +549,15 @@ class UContext:
         if (conj != lift_of[G.array[G.array[g, c], np.asarray(G.inv)[g]]]).any():
             raise InternalCheckError("conjugation coherence failed")
 
-    def _power_perms(self):
-        e = self.group.exponent()
-        perms = set()
-        for k in range(1, e + 1):
-            if math.gcd(k, e) == 1:
-                img = []
-                for rep in self.class_reps:
-                    y = self.group.power(rep, k)
-                    img.append(self.class_of[y])
-                perms.add(tuple(img))
-        return sorted(perms)
+    def power_perm(self, k: int) -> tuple:
+        """Slot permutation induced by k-th powering on the classes in c."""
+        out = []
+        for rep in self.class_reps:
+            y = self.group.power(rep, k)
+            if y not in self.class_of:
+                raise InternalCheckError("c not closed under this powering")
+            out.append(self.class_of[y])
+        return tuple(out)
 
     # -- the fiber product ----------------------------------------------------
 

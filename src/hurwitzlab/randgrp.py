@@ -645,8 +645,10 @@ class MonteCarloReport:
     n: int
 
     def probability(self, chain: tuple):
-        label = ("ab-inv", tuple(chain))
-        c = self.counts.get(label, 0)
+        """The share of trials whose group has invariant chain `chain`,
+        whichever label form (`_label`) the free object gives."""
+        c = sum(cnt for label, cnt in self.counts.items()
+                if label[1] == tuple(chain))
         p = Fraction(c, self.trials)
         se = math.sqrt(max(float(p) * (1 - float(p)), 1e-300) / self.trials)
         return p, se

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -160,6 +161,52 @@ def test_readme_examples_parse(tmp_path):
     path.write_text(ini)
     assert normalize_config(load_config(str(path)))["kind"] \
         == "arith-ff-moment"
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--group", "order\n0\n"),
+    ("--group", "order x\n0\n"),
+    ("--group", "order 2\n0 1\n1 a\n"),
+    ("--gamma", "order 2\n0 1\n1 0\ngamma\n0 1\n1 z\n"),
+    ("--gamma", "order 2\n0 1\n1 0\ngamma\n0 1\n1 5\n"),
+    ("--gamma", "order 2\n0 1\n1 0\ngamma\n"),
+    ("--group", "perm degree=3\n(0 5)\n"),
+    ("--group", None),
+    ("--gamma", None),
+    ("--out", None),
+], ids=["order-without-n", "order-x", "table-entry", "gamma-entry",
+        "gamma-point", "gamma-empty", "cycle-point", "missing-group",
+        "missing-gamma", "out-dir"])
+def test_bad_files_exit_3(flag, text, tmp_path, capsys):
+    """Malformed or missing group files, and a report path in a directory
+    that does not exist, are validation errors, never tracebacks."""
+    path = tmp_path / "group.txt"
+    if text is not None:
+        path.write_text(text)
+    if flag == "--group":
+        argv = ["orbits", "--group", f"@{path}", "--n", "2"]
+    elif flag == "--gamma":
+        argv = ["predict-moment", "--h", "C2", "--gamma", f"@{path}"]
+    else:
+        argv = ["orbits", "--group", "S3", "--n", "2",
+                "--out", str(tmp_path / "missing" / "r.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_csv_rows_round_trip(capsys):
+    """`randgrp sample` labels hold commas and quotes; csv.reader gives
+    back each row's two fields."""
+    assert main(["randgrp", "sample", "--n", "2", "--trials", "50",
+                 "--seed", "1"]) == EXIT_OK
+    text = capsys.readouterr().out
+    rows = list(csv.reader(ln for ln in text.splitlines()
+                           if not ln.startswith("#")))
+    report = run_config({"kind": "randgrp-sample", "n": 2, "trials": 50,
+                         "seed": 1})
+    assert rows == [report.columns] + [[str(x) for x in row]
+                                       for row in report.rows]
+    assert rows[1] == ['["ab-inv", []]', "25"]
 
 
 def test_seed_required_for_sampling():

@@ -394,6 +394,18 @@ def test_monte_carlo_deterministic():
         monte_carlo(free, [0, 1], 0, seed=1)
 
 
+def test_monte_carlo_probability_reads_every_label_form():
+    """A free object whose Gamma is not C2 labels its outcomes
+    ("ab", chain, |Gamma|); probability(chain) still counts them."""
+    free = FreeAdmissible(2, abelian_exponent_variety(cyclic(3), 7))
+    rep = monte_carlo(free, [0], 300, seed=1)
+    assert rep.counts[("ab", (), 3)] == 287
+    assert rep.probability(())[0] == Fraction(287, 300)
+    assert rep.probability((7,))[0] == Fraction(13, 300)
+    inv = monte_carlo(FreeAdmissible(2, SPEC3), [0, 1], 300, seed=1)
+    assert inv.probability(())[0] == Fraction(inv.counts[("ab-inv", ())], 300)
+
+
 def _sample_x_loop(free, ginf, trials, seed, track=()):
     """monte_carlo as a plain loop of sample_x, one substream per trial."""
     counts: dict = {}

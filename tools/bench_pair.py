@@ -1,5 +1,6 @@
 """Before/after benchmark of a change: perfbench on a base revision and on
-the working tree, in alternating pairs, for every workload.
+the working tree, in alternating pairs, for every workload, then every case
+of one case table, then tier-1.
 
     python3 tools/bench_pair.py --out BENCH_<n>.json
     python3 tools/bench_pair.py --base HEAD~1 --out B.json
@@ -20,42 +21,18 @@ measured working tree can be matched to a later commit with
 `git rev-parse <commit>:src`, and the line count of the Python files
 under `src/`.
 
-After the workloads, CRITERION2_PAIRS alternating pairs of fresh processes
-time the whole of criterion 2, `verify.suite_homology_oracle()` at full
-range with the oracle included, and record each run's wall time, peak RSS
-and number of failed checks under `criterion2`.  Then CYCLIC_SYLOW_PAIRS
-alternating pairs of fresh processes time `h2` followed by `schur_cover`
-for each group of CYCLIC_SYLOW_GROUPS, from a cold start, and record each
-run's wall time, peak RSS, multiplier and cover order under
-`cyclic_sylow`.  Then H2_PAIRS alternating pairs of fresh processes time
-`h2` alone, from a cold start, for each group of H2_GROUPS, and record
-each run's wall time, peak RSS and multiplier under `h2`; a side that
-refuses a group records "CapacityError" as its multiplier.  Then
-COVERS_PAIRS alternating pairs of fresh processes time `schur_cover`
-alone, after a warm `h2`, for each group of COVERS_GROUPS, and record
-each run's wall time, peak RSS, cover order and the sha256 of the cover
-table under `covers`.  Then BUILD_U_PAIRS alternating pairs of fresh
-processes time a cold `build_u(G, c)`, c the involutions, for each group
-of BUILD_U_GROUPS, and record each run's wall time, peak RSS, reduced
-multiplier and the sha256 of the reduced cover table under `build_u`.
-Then TABLES_PAIRS alternating pairs of fresh processes time each case of
-TABLES: `dihedral(250)`, whose table the constructor validates, and
-`FiniteGroup(t)` on the tables of Z/1009 and (Z/7)^4, valid and with one
-wrong entry; each run records its wall time, peak RSS and result (the
-order, or the error that refused the table) under `tables`.  Then
-MONTE_CARLO_PAIRS alternating pairs of fresh
-processes time one `monte_carlo` call of MONTE_CARLO_TRIALS trials for
-each modulus of MONTE_CARLO_MODULI, and record each run's wall time, peak
-RSS and the sha256 of its counts under `monte_carlo`; `counts_equal` says
-whether every run of both sides gave the same counts.  Then
-LARGE_GROUPS_PAIRS alternating pairs of fresh processes time each case of
-LARGE_GROUPS on groups of order 2,401, and record each run's wall time,
-peak RSS and result under `large_groups`.  Then FF_MOMENT_PAIRS
-alternating pairs of fresh processes time
-`empirical_moment(7, 5, [3, 3], seed=1)`, the 29,400 models of genus 1
-and 2 over F_7, and record each run's wall time, peak RSS, rows
-(degree, fields, excluded, sur_sum) and the sha256 of the rows under
-`ff_moment`.
+After the workloads, one harness measures every case of CASES, a map from
+section to (pairs, {case: (set-up, call, result)}).  Each run is a fresh,
+single-threaded process of HARNESS on one side's `src`: it runs the set-up
+untimed, times the call with stdout discarded, and records the wall time,
+the peak RSS and the value of the result expression, which reads the
+call's value as `out`.  A HurwitzLabError raised by the call is the result
+"<Type>: <message>"; any other exception stops the bench.  The cases go to
+the harness as JSON, so the base checkout runs the working tree's cases.
+Each case runs in `pairs` alternating pairs and gets one record under
+report[section][case]: the three strings (`case`), each side's `result`
+from the first pair, `result_equal` (every run of both sides gave the same
+result), the summary of its metrics and every run.
 
 Last, tier-1 (`python -m pytest -q --durations=15` over `tests/`) runs
 once per side, the base first; `tier1` records each side's pass, fail and
@@ -85,225 +62,143 @@ PAIRS = 10
 SECONDS = 20
 SEEDS = range(701, 701 + PAIRS)
 MEASURED = ("src", "perfbench")
-CRITERION2_PAIRS = 5
-# criterion 2 as tier-1 runs it: every check of the suite, oracle included,
-# with its pass/fail lines kept off the JSON line
-CRITERION2_SCRIPT = """
-import contextlib, io, json, resource, time
-from hurwitzlab.verify import suite_homology_oracle
-t0 = time.perf_counter()
-with contextlib.redirect_stdout(io.StringIO()):
-    results = suite_homology_oracle()
-wall_s = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"checks": len(results),
-                  "failed": sum(not r.passed for r in results),
-                  "metrics": {"wall_s": {"value": wall_s},
-                              "peak_rss_mib": {"value": rss}}}))
-"""
+SIDES = ("base", "change")
 
-CYCLIC_SYLOW_PAIRS = 3
-# C273 and D33 have only cyclic Sylow subgroups; C5xC5:C2 has a cyclic
-# Sylow 2-subgroup beside a non-cyclic Sylow 5-subgroup
-CYCLIC_SYLOW_GROUPS = ("C273", "D33", "C5xC5:C2")
-CYCLIC_SYLOW_SCRIPT = """
-import json, resource, sys, time
-from hurwitzlab.groups import (abelian, cyclic, dihedral, inversion_action,
-                               semidirect)
-from hurwitzlab.homology import h2, schur_cover
-group = {"C273": lambda: cyclic(273), "D33": lambda: dihedral(33),
-         "C5xC5:C2": lambda: semidirect(
-             inversion_action(abelian([5, 5]))).group}[sys.argv[1]]()
-t0 = time.perf_counter()
-mult = h2(group)
-cover = schur_cover(group)
-wall_s = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"h2": list(mult.chain), "cover_order": cover.total.order,
-                  "metrics": {"wall_s": {"value": wall_s},
-                              "peak_rss_mib": {"value": rss}}}))
-"""
+HARNESS = """
+import contextlib, io, json, resource, sys, time
+from hurwitzlab.errors import HurwitzLabError
 
-H2_PAIRS = 3
-# up to C2^7 the bar complex's reach; C5^3:C2 of order 250 is past it
-H2_GROUPS = ("C5xC5:C2", "S5", "D100", "C2^7", "C5^3:C2")
-H2_SCRIPT = """
-import json, resource, sys, time
-from hurwitzlab.errors import CapacityError
-from hurwitzlab.groups import (abelian, dihedral, inversion_action,
-                               semidirect, symmetric)
-from hurwitzlab.homology import h2
-group = {"C5xC5:C2": lambda: semidirect(
-             inversion_action(abelian([5, 5]))).group,
-         "S5": lambda: symmetric(5), "D100": lambda: dihedral(100),
-         "C2^7": lambda: abelian([2] * 7),
-         "C5^3:C2": lambda: semidirect(
-             inversion_action(abelian([5, 5, 5]))).group}[sys.argv[1]]()
+def inversion(*orders):
+    from hurwitzlab.groups import abelian, inversion_action, semidirect
+    return semidirect(inversion_action(abelian(list(orders)))).group
+
+def named(name):
+    from hurwitzlab.groups import groups_up_to_16
+    return next(g for g in groups_up_to_16() if g.name == name)
+
+def sha(value):
+    # hashlib loads here, after the peak RSS is read: imported up front it
+    # raised the peak of dihedral(250) by 3.6 MiB
+    import hashlib
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+setup, call, result = json.loads(sys.argv[1])
+exec(setup)
+error = None
 t0 = time.perf_counter()
 try:
-    mult = list(h2(group).chain)
-except CapacityError:
-    mult = "CapacityError"
+    with contextlib.redirect_stdout(io.StringIO()):
+        out = eval(call)
+except HurwitzLabError as err:
+    error = f"{type(err).__name__}: {err}"
 wall_s = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"h2": mult,
+print(json.dumps({"result": eval(result) if error is None else error,
                   "metrics": {"wall_s": {"value": wall_s},
                               "peak_rss_mib": {"value": rss}}}))
 """
 
-COVERS_PAIRS = 3
-# D100 (order 200): an (n, n, (n - 1) k) cochain array would be 121 MiB
-# there, so its peak RSS shows whether a cover factor stays O(|G|^2);
-# D250 and C11xC11:C2 are the covers whose Howell forms are largest;
-# C22:C4 (order 16) is the one group whose table moved, to an isomorphic
-# one, when the cocycle space moved to h2's generating set: a change of
-# that set shows there as base != change
-COVERS_GROUPS = ("C5xC5:C2", "C7xC7:C2", "C3^3:C2", "S4", "C2^4", "D100",
-                 "D250", "C11xC11:C2", "C22:C4")
-# the table is hashed as nested lists, whatever its dtype
-COVERS_SCRIPT = """
-import hashlib, json, resource, sys, time
-from hurwitzlab.groups import (abelian, dihedral, groups_up_to_16,
-                               inversion_action, semidirect, symmetric)
-from hurwitzlab.homology import h2, schur_cover
-def inversion(orders):
-    return semidirect(inversion_action(abelian(orders))).group
-group = {"C5xC5:C2": lambda: inversion([5, 5]),
-         "C7xC7:C2": lambda: inversion([7, 7]),
-         "C3^3:C2": lambda: inversion([3, 3, 3]),
-         "S4": lambda: symmetric(4),
-         "C2^4": lambda: abelian([2] * 4),
-         "D100": lambda: dihedral(100),
-         "D250": lambda: dihedral(250),
-         "C11xC11:C2": lambda: inversion([11, 11]),
-         "C22:C4": lambda: next(g for g in groups_up_to_16()
-                                if g.name == "C22:C4")}[sys.argv[1]]()
-h2(group)
-t0 = time.perf_counter()
-cover = schur_cover(group)
-wall_s = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-table = repr(cover.total.array.tolist()).encode()
-print(json.dumps({"cover_order": cover.total.order,
-                  "cover_sha256": hashlib.sha256(table).hexdigest(),
-                  "metrics": {"wall_s": {"value": wall_s},
-                              "peak_rss_mib": {"value": rss}}}))
-"""
+# Each set-up imports the modules its section's calls need and no others,
+# since every import counts in the peak RSS of a small case.
+GROUPS = ("from hurwitzlab.groups import (FiniteGroup, abelian, cyclic, "
+          "dihedral, symmetric)\n")
+HOMOLOGY = GROUPS + "from hurwitzlab.homology import build_u, h2, schur_cover\n"
 
-BUILD_U_PAIRS = 5
-BUILD_U_GROUPS = ("C7xC7:C2", "C3^3:C2", "C11xC11:C2")
-# build_u(G, c) with c the involutions, in a fresh process
-BUILD_U_SCRIPT = """
-import hashlib, json, resource, sys, time
-from hurwitzlab.groups import abelian, inversion_action, semidirect
-from hurwitzlab.homology import build_u
-orders = {"C7xC7:C2": [7, 7], "C3^3:C2": [3, 3, 3],
-          "C11xC11:C2": [11, 11]}[sys.argv[1]]
-group = semidirect(inversion_action(abelian(orders))).group
-c = [x for x in range(1, group.order) if group.element_order(x) == 2]
-t0 = time.perf_counter()
-ctx = build_u(group, c)
-wall_s = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-table = repr(ctx.sc.total.array.tolist()).encode()
-print(json.dumps({"h2c": list(ctx.h2c.chain),
-                  "sc_sha256": hashlib.sha256(table).hexdigest(),
-                  "metrics": {"wall_s": {"value": wall_s},
-                              "peak_rss_mib": {"value": rss}}}))
-"""
 
-TABLES_PAIRS = 5
-TABLES = ("dihedral(250)", "Z/1009", "(Z/7)^4", "Z/1009 one wrong entry",
-          "(Z/7)^4 one wrong entry")
-# the tables are built before the clock starts; a wrong entry moves
-# (5, 7) to the next element, which keeps the identity and an inverse
-# for every element, so only associativity fails
-TABLES_SCRIPT = """
-import json, resource, sys, time
-from hurwitzlab.errors import ValidationError
-from hurwitzlab.groups import FiniteGroup, abelian, cyclic, dihedral
-case = sys.argv[1]
-if case != "dihedral(250)":
-    g = cyclic(1009) if case.startswith("Z/1009") else abelian([7] * 4)
-    table = g.array.copy()
-    if case.endswith("wrong entry"):
-        table[5, 7] = (table[5, 7] + 1) % g.order
-t0 = time.perf_counter()
-try:
-    result = (dihedral(250) if case == "dihedral(250)"
-              else FiniteGroup(table)).order
-except ValidationError as err:
-    result = f"rejected: {err}"
-wall_s = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"result": result,
-                  "metrics": {"wall_s": {"value": wall_s},
-                              "peak_rss_mib": {"value": rss}}}))
-"""
+def with_imports(imports: str, cases: dict) -> dict:
+    """`cases` with `imports` first in each set-up."""
+    return {name: (imports + setup, call, result)
+            for name, (setup, call, result) in cases.items()}
 
-MONTE_CARLO_PAIRS = 3
-MONTE_CARLO_MODULI = (3, 9, 25)
-MONTE_CARLO_TRIALS = 10_000
-# the free object on 8 generators of the variety of (Z/m)[C2]-modules,
-# Gamma_inf = Gamma; the counts are hashed in their order of first
-# appearance, which monte_carlo also fixes
-MONTE_CARLO_SCRIPT = """
-import hashlib, json, resource, sys, time
-from hurwitzlab.groups import cyclic
-from hurwitzlab.randgrp import (FreeAdmissible, abelian_exponent_variety,
-                                monte_carlo)
-m, trials = int(sys.argv[1]), int(sys.argv[2])
-free = FreeAdmissible(8, abelian_exponent_variety(cyclic(2), m))
-t0 = time.perf_counter()
-report = monte_carlo(free, [0, 1], trials, seed=1)
-wall_s = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-counts = repr(list(report.counts.items())).encode()
-print(json.dumps({"counts_sha256": hashlib.sha256(counts).hexdigest(),
-                  "metrics": {"wall_s": {"value": wall_s},
-                              "peak_rss_mib": {"value": rss}}}))
-"""
 
-LARGE_GROUPS_PAIRS = 5
-# (Z/7)^4 built from nothing; the regular (Z/7)[C4]-module and the free
-# object on one generator of its variety; the greedy generating set of
-# (Z/7)^4, the group built before the clock starts
-LARGE_GROUPS = ("(Z/7)^4", "FreeAdmissible(1, (Z/7)[C4])",
-                "_small_generating_set((Z/7)^4)")
-LARGE_GROUPS_SCRIPT = """
-import json, resource, sys, time
-from hurwitzlab.groups import _small_generating_set, abelian, cyclic
-from hurwitzlab.randgrp import FreeAdmissible, abelian_exponent_variety
-case = sys.argv[1]
-group = abelian([7] * 4) if case.startswith("_small") else None
-t0 = time.perf_counter()
-if case == "(Z/7)^4":
-    result = abelian([7] * 4).order
-elif case.startswith("FreeAdmissible"):
-    result = FreeAdmissible(1, abelian_exponent_variety(cyclic(4), 7)).order
-else:
-    result = _small_generating_set(group)
-wall_s = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"result": result,
-                  "metrics": {"wall_s": {"value": wall_s},
-                              "peak_rss_mib": {"value": rss}}}))
-"""
+def on_groups(setup: str, call: str, result: str, groups: dict) -> dict:
+    """One case per group of `groups`, a map from name to the expression
+    that builds it as G before `setup` runs."""
+    return with_imports(HOMOLOGY, {name: (f"G = {expr}\n{setup}", call, result)
+                                   for name, expr in groups.items()})
 
-FF_MOMENT_PAIRS = 3
-FF_MOMENT_SCRIPT = """
-import hashlib, json, resource, time
-from hurwitzlab.arith import empirical_moment
-t0 = time.perf_counter()
-report = empirical_moment(7, 5, [3, 3], seed=1)
-wall_s = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-rows = [(r.degree, r.fields, r.excluded, r.sur_sum) for r in report.rows]
-digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-print(json.dumps({"rows": rows, "rows_sha256": digest,
-                  "metrics": {"wall_s": {"value": wall_s},
-                              "peak_rss_mib": {"value": rss}}}))
-"""
+
+CASES = {
+    # criterion 2 as tier-1 runs it: every check of the suite, oracle
+    # included
+    "criterion2": (5, {"suite_homology_oracle()": (
+        "from hurwitzlab.verify import suite_homology_oracle",
+        "suite_homology_oracle()",
+        "[len(out), sum(not r.passed for r in out)]")}),
+    # up to C2^7 the bar complex's reach; C5^3:C2 of order 250 is past it;
+    # C273 and D33 have only cyclic Sylow subgroups, C5xC5:C2 a cyclic
+    # Sylow 2-subgroup beside a non-cyclic Sylow 5-subgroup
+    "h2": (3, on_groups("", "h2(G)", "list(out.chain)", {
+        "C5xC5:C2": "inversion(5, 5)", "S5": "symmetric(5)",
+        "D100": "dihedral(100)", "C2^7": "abelian([2] * 7)",
+        "C5^3:C2": "inversion(5, 5, 5)", "C273": "cyclic(273)",
+        "D33": "dihedral(33)"})),
+    # after a warm h2; tables are hashed as nested lists, whatever their
+    # dtype.  D100 (order 200): an (n, n, (n - 1) k) cochain array would be
+    # 121 MiB there, so its peak RSS shows whether a cover factor stays
+    # O(|G|^2); D250 and C11xC11:C2 are the covers whose Howell forms are
+    # largest; C22:C4 (order 16) is a group whose two generating sets
+    # differ as sets, so a change of the cover's generating set shows there
+    # as base != change
+    "covers": (3, on_groups(
+        "h2(G)", "schur_cover(G)",
+        "[out.total.order, sha(out.total.array.tolist())]", {
+            "C5xC5:C2": "inversion(5, 5)", "C7xC7:C2": "inversion(7, 7)",
+            "C3^3:C2": "inversion(3, 3, 3)", "S4": "symmetric(4)",
+            "C2^4": "abelian([2] * 4)", "D100": "dihedral(100)",
+            "D250": "dihedral(250)", "C11xC11:C2": "inversion(11, 11)",
+            "C22:C4": "named('C22:C4')", "C273": "cyclic(273)",
+            "D33": "dihedral(33)"})),
+    # c the involutions
+    "build_u": (5, on_groups(
+        "c = [x for x in range(1, G.order) if G.element_order(x) == 2]",
+        "build_u(G, c)",
+        "[list(out.h2c.chain), sha(out.sc.total.array.tolist())]", {
+            "C7xC7:C2": "inversion(7, 7)", "C3^3:C2": "inversion(3, 3, 3)",
+            "C11xC11:C2": "inversion(11, 11)"})),
+    # dihedral(250), whose table the constructor validates, and
+    # FiniteGroup(t) on the tables of Z/1009 and (Z/7)^4, valid and with
+    # one wrong entry: it moves (5, 7) to the next element, which keeps the
+    # identity and an inverse for every element, so only associativity
+    # fails
+    "tables": (5, with_imports(GROUPS, {
+        "dihedral(250)": ("", "dihedral(250)", "out.order"),
+        **{name + wrong: (f"g = {expr}\ntable = g.array.copy()\n{fix}",
+                          "FiniteGroup(table)", "out.order")
+           for wrong, fix in (("", ""), (" one wrong entry", (
+               "table[5, 7] = (table[5, 7] + 1) % g.order")))
+           for name, expr in (("Z/1009", "cyclic(1009)"),
+                              ("(Z/7)^4", "abelian([7] * 4)"))}})),
+    # the free object on 8 generators of the variety of (Z/m)[C2]-modules,
+    # Gamma_inf = Gamma; the counts are hashed in their order of first
+    # appearance, which monte_carlo also fixes
+    "monte_carlo": (3, with_imports(
+        "from hurwitzlab.groups import cyclic\nfrom hurwitzlab.randgrp "
+        "import FreeAdmissible, abelian_exponent_variety, monte_carlo\n", {
+            f"m={m}": (f"free = FreeAdmissible(8, abelian_exponent_variety("
+                       f"cyclic(2), {m}))",
+                       "monte_carlo(free, [0, 1], 10_000, seed=1)",
+                       "sha(list(out.counts.items()))")
+            for m in (3, 9, 25)})),
+    # groups of order 2,401: (Z/7)^4 built from nothing; the regular
+    # (Z/7)[C4]-module and the free object on one generator of its
+    # variety; the greedy generating set of (Z/7)^4, built before the clock
+    "large_groups": (5, with_imports(
+        "from hurwitzlab.groups import _small_generating_set, abelian, "
+        "cyclic\nfrom hurwitzlab.randgrp import FreeAdmissible, "
+        "abelian_exponent_variety\n", {
+            "(Z/7)^4": ("", "abelian([7] * 4)", "out.order"),
+            "FreeAdmissible(1, (Z/7)[C4])": (
+                "", "FreeAdmissible(1, abelian_exponent_variety(cyclic(4), 7))",
+                "out.order"),
+            "_small_generating_set((Z/7)^4)": (
+                "G = abelian([7] * 4)", "_small_generating_set(G)", "out")})),
+    # the 29,400 models of genus 1 and 2 over F_7
+    "ff_moment": (3, {"empirical_moment(7, 5, [3, 3])": (
+        "from hurwitzlab.arith import empirical_moment",
+        "empirical_moment(7, 5, [3, 3], seed=1)",
+        "[(r.degree, r.fields, r.excluded, r.sur_sum) for r in out.rows]")}),
+}
 
 TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--durations=15")
@@ -356,17 +251,17 @@ def perfbench(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def script_run(checkout: Path, script: str, *args: str) -> dict:
-    """The JSON last line of `python -c script args` in a fresh process
-    on the checkout's `src`, single-threaded."""
+def case_run(checkout: Path, case: tuple) -> dict:
+    """The result and metrics of one HARNESS run of `case` in a fresh
+    process on the checkout's `src`, single-threaded."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", script, *args],
+    proc = subprocess.run([sys.executable, "-c", HARNESS, json.dumps(case)],
                           cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"script run {args} in {checkout} exited "
+        raise RuntimeError(f"case {case[1]!r} in {checkout} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -382,7 +277,7 @@ def alternating(base_dir: Path, count: int, run, label: str) -> list:
         for side, checkout in sides[::-1] if i % 2 else sides:
             pair[side] = run(checkout, i)
         print(label, {s: pair[s]["metrics"]["wall_s"]["value"]
-                      for s in ("base", "change")}, file=sys.stderr)
+                      for s in SIDES}, file=sys.stderr)
         runs.append(pair)
     return runs
 
@@ -405,21 +300,6 @@ def tier1_run(checkout: Path) -> dict:
                             lines) if m]
     return {**counts, "exit": proc.returncode, "wall_s": wall_s,
             "slowest": slowest}
-
-
-def script_section(base_dir: Path, script: str, pairs: int, names,
-                   keys) -> dict:
-    """Per name, `pairs` alternating pairs of fresh-process runs of
-    `script name`: each side's `keys` from the first pair, the summary
-    and every run."""
-    out = {}
-    for name in names:
-        runs = alternating(base_dir, pairs,
-                           lambda c, i: script_run(c, script, name), name)
-        out[name] = {key: {s: runs[0][s][key] for s in ("base", "change")}
-                     for key in keys}
-        out[name].update(metrics=summarize(runs), runs=runs)
-    return out
 
 
 def machine() -> dict:
@@ -471,6 +351,7 @@ def main() -> int:
                    f"--seconds {SECONDS} --trace 0",
         "seeds": list(SEEDS),
         "workloads": {},
+        "harness": "python3 -c HARNESS CASE_JSON:\n" + HARNESS,
     }
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = Path(tmp) / "base"
@@ -484,76 +365,25 @@ def main() -> int:
                 pair["seed"] = seed
             report["workloads"][workload] = {
                 "failed": {s: sum(r[s]["failed"] for r in runs)
-                           for s in ("base", "change")},
+                           for s in SIDES},
                 "correct": {s: all(r[s]["correct"] for r in runs)
-                            for s in ("base", "change")},
+                            for s in SIDES},
                 "metrics": summarize(runs),
                 "runs": runs,
             }
-        runs = alternating(
-            base_dir, CRITERION2_PAIRS,
-            lambda c, i: script_run(c, CRITERION2_SCRIPT), "criterion2")
-        report["criterion2"] = {
-            "command": "python3 -c CRITERION2_SCRIPT (tools/bench_pair.py)",
-            "checks": {s: runs[0][s]["checks"] for s in ("base", "change")},
-            "failed": {s: sum(r[s]["failed"] for r in runs)
-                       for s in ("base", "change")},
-            "metrics": summarize(runs), "runs": runs}
-        report["cyclic_sylow"] = {
-            "command": "python3 -c CYCLIC_SYLOW_SCRIPT GROUP "
-                       "(tools/bench_pair.py)",
-            "groups": script_section(base_dir, CYCLIC_SYLOW_SCRIPT,
-                                     CYCLIC_SYLOW_PAIRS, CYCLIC_SYLOW_GROUPS,
-                                     ("h2", "cover_order"))}
-        report["h2"] = {
-            "command": "python3 -c H2_SCRIPT GROUP (tools/bench_pair.py)",
-            "groups": script_section(base_dir, H2_SCRIPT, H2_PAIRS,
-                                     H2_GROUPS, ("h2",))}
-        report["covers"] = {
-            "command": "python3 -c COVERS_SCRIPT GROUP (tools/bench_pair.py)",
-            "groups": script_section(base_dir, COVERS_SCRIPT, COVERS_PAIRS,
-                                     COVERS_GROUPS,
-                                     ("cover_order", "cover_sha256"))}
-        report["build_u"] = {
-            "command": "python3 -c BUILD_U_SCRIPT GROUP (tools/bench_pair.py)",
-            "groups": script_section(base_dir, BUILD_U_SCRIPT, BUILD_U_PAIRS,
-                                     BUILD_U_GROUPS, ("h2c", "sc_sha256"))}
-        report["tables"] = {
-            "command": "python3 -c TABLES_SCRIPT CASE (tools/bench_pair.py)",
-            "cases": script_section(base_dir, TABLES_SCRIPT, TABLES_PAIRS,
-                                    TABLES, ("result",))}
-        report["monte_carlo"] = {
-            "command": "python3 -c MONTE_CARLO_SCRIPT M "
-                       f"{MONTE_CARLO_TRIALS} (tools/bench_pair.py)",
-            "moduli": {}}
-        for m in MONTE_CARLO_MODULI:
-            runs = alternating(
-                base_dir, MONTE_CARLO_PAIRS,
-                lambda c, i: script_run(c, MONTE_CARLO_SCRIPT, str(m),
-                                        str(MONTE_CARLO_TRIALS)), f"m={m}")
-            hashes = {r[s]["counts_sha256"] for r in runs
-                      for s in ("base", "change")}
-            report["monte_carlo"]["moduli"][str(m)] = {
-                "counts_sha256": {s: runs[0][s]["counts_sha256"]
-                                  for s in ("base", "change")},
-                "counts_equal": len(hashes) == 1,
-                "metrics": summarize(runs), "runs": runs}
-        report["large_groups"] = {
-            "command": "python3 -c LARGE_GROUPS_SCRIPT CASE "
-                       "(tools/bench_pair.py)",
-            "cases": script_section(base_dir, LARGE_GROUPS_SCRIPT,
-                                    LARGE_GROUPS_PAIRS, LARGE_GROUPS,
-                                    ("result",))}
-        runs = alternating(
-            base_dir, FF_MOMENT_PAIRS,
-            lambda c, i: script_run(c, FF_MOMENT_SCRIPT), "ff_moment")
-        report["ff_moment"] = {
-            "command": "python3 -c FF_MOMENT_SCRIPT (tools/bench_pair.py)",
-            **{key: {s: runs[0][s][key] for s in ("base", "change")}
-               for key in ("rows", "rows_sha256")},
-            "rows_equal": len({r[s]["rows_sha256"] for r in runs
-                               for s in ("base", "change")}) == 1,
-            "metrics": summarize(runs), "runs": runs}
+        for section, (pairs, cases) in CASES.items():
+            report[section] = {}
+            for name, case in cases.items():
+                runs = alternating(base_dir, pairs,
+                                   lambda c, i: case_run(c, case),
+                                   f"{section} {name}")
+                results = {json.dumps(r[s]["result"]) for r in runs
+                           for s in SIDES}
+                report[section][name] = {
+                    "case": dict(zip(("setup", "call", "result"), case)),
+                    "result": {s: runs[0][s]["result"] for s in SIDES},
+                    "result_equal": len(results) == 1,
+                    "metrics": summarize(runs), "runs": runs}
         report["tier1"] = {
             "command": "python3 " + " ".join(TIER1),
             "base": tier1_run(base_dir), "change": tier1_run(ROOT)}
