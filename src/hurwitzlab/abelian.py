@@ -9,6 +9,8 @@ An explicit basis is chosen greedily, one prime at a time, and one span
 map, element -> coordinate tuple, grows with each basis element: it answers
 membership, gives the coordinates that correct a new basis element, and
 ends as the coordinates of the whole group.
+Element orders come from walks that stop halfway (`cyclic_walk`), since
+the group's inverse comes with its law.
 """
 
 from __future__ import annotations
@@ -124,14 +126,14 @@ class AbelianGroupData:
     of exponents with x = sum coords[i] * basis[i].
     """
 
-    def __init__(self, elements, mul, identity):
+    def __init__(self, elements, mul, inv, identity):
         elems = list(elements)
         if identity not in elems:
             raise ValidationError("identity not among elements")
         self.mul = mul
         self.identity = identity
         n = len(elems)
-        orders = _element_orders(elems, mul, identity)
+        orders = _element_orders(elems, mul, inv, identity)
         self.basis: list = []
         self.basis_orders: list[int] = []
         # the span of the basis so far, element -> coordinates
@@ -187,36 +189,59 @@ class AbelianGroupData:
                     span[y] = co + (j,)
 
 
-def _element_orders(elems, mul, identity) -> dict:
-    """Order of every element, one cyclic subgroup at a time: walking
-    x, x^2, ..., x^k = 1 gives each power x^j its order k / gcd(j, k), so
-    no element that already appeared as a power starts a walk of its own."""
-    n = len(elems)
+def cyclic_walk(x, mul, inv, identity, bound) -> list:
+    """The powers x^0, ..., x^(k-1) of x, k its order, from a walk x, x^2,
+    ..., x^j that stops where x^j is its own inverse (k = 2j) or the
+    inverse of x^(j-1) (k = 2j - 1); one composition, x^j x^j or
+    x^j x^(j-1), must then give the identity, and the later powers are
+    inverses of those walked.  A walk that meets the identity (a law and an
+    inverse that disagree) or passes `bound` raises InternalCheckError."""
+    walk, back, y = [identity], [identity], x
+    while y != back[-1]:
+        if y == identity or len(walk) > bound:
+            raise InternalCheckError("a walk met the identity or passed the "
+                                     "group size")
+        walk.append(y)
+        back.append(inv(y))
+        if back[-1] == y:
+            last, tail = y, back[-2:0:-1]
+            break
+        y = mul(y, x)
+    else:
+        last, tail = walk[-1], back[:0:-1]
+    powers = walk + tail
+    if mul(y, last) != identity or len(powers) > bound:
+        raise InternalCheckError("the group law and its inverse disagree, "
+                                 "or an order passed the group size")
+    return powers
+
+
+def _element_orders(elems, mul, inv, identity) -> dict:
+    """Order of every element, one cyclic subgroup at a time: the halved
+    walk of x gives each power x^j its order k / gcd(j, k), so no element
+    that already appeared as a power starts a walk of its own."""
     orders = {identity: 1}
     for x in elems:
         if x in orders:
             continue
-        powers = [x]
-        while powers[-1] != identity:
-            if len(powers) > n:
-                raise InternalCheckError("element order exceeds the group size")
-            powers.append(mul(powers[-1], x))
+        powers = cyclic_walk(x, mul, inv, identity, len(elems))
         k = len(powers)
-        for j, y in enumerate(powers, 1):
+        for j, y in enumerate(powers):
             o = k // math.gcd(j, k)
             if orders.setdefault(y, o) != o:
                 raise InternalCheckError("element given two different orders")
     return orders
 
 
-def structure_from_orders(elements, mul, identity) -> AbelianStructure:
+def structure_from_orders(elements, mul, inv, identity) -> AbelianStructure:
     """Isomorphism type of a finite abelian group given by a multiplication
-    rule, read off its element orders: with r_j the number of cyclic
-    p-power factors of order >= p^j, |G[p^j]| = |G[p^(j-1)]| * p^(r_j)."""
+    rule and its inverse, read off its element orders: with r_j the number
+    of cyclic p-power factors of order >= p^j,
+    |G[p^j]| = |G[p^(j-1)]| * p^(r_j)."""
     elems = list(elements)
     if identity not in elems:
         raise ValidationError("identity not among elements")
-    orders = Counter(_element_orders(elems, mul, identity).values())
+    orders = Counter(_element_orders(elems, mul, inv, identity).values())
     n = len(elems)
     factors = []
     for p in prime_divisors(n):
@@ -263,4 +288,4 @@ def structure_of_members(group, members) -> AbelianGroupData:
         group.array[np.ix_(mem, mem)]
     if not np.array_equal(sub, sub.T):
         raise ValidationError("subgroup is not abelian")
-    return AbelianGroupData(mem, group.array.item, 0)
+    return AbelianGroupData(mem, group.array.item, group.inv.__getitem__, 0)

@@ -17,7 +17,9 @@ degree one pass at a time.  Binary quadratic forms compose
 directly (Dirichlet composition, Cohen GTM 138 Alg. 5.4.7) and are then
 reduced.  The structure of a class group, or of a Sylow subgroup of a
 Jacobian, is read off the orders of its elements
-(`abelian.structure_from_orders`); no basis is searched for.
+(`abelian.structure_from_orders`); no basis is searched for.  The Sylow
+search draws sums of prime divisors of every degree <= g, which reach
+every class.
 
 No group operation is spent on a known result: Cantor addition returns the
 other operand when one is the identity and the other is already in reduced
@@ -25,6 +27,10 @@ Mumford form, double-and-add stops after its last addition (popcount(k) +
 bitlen(k) - 1 additions for k >= 1), and the reduced forms of
 discriminant D come from a walk over b = D (mod 2) and the divisors a of
 (b^2 - D)/4 (Cohen GTM 138 Sec. 5.3) instead of a test of every (a, b).
+Element orders come from walks that stop halfway (`abelian.cyclic_walk`)
+with the inverse for free, (a, -b, c) for forms and `divclass_neg` for
+divisors, and a Sylow subgroup that one generator reaches is read off its
+walk.
 """
 
 from __future__ import annotations
@@ -33,14 +39,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .abelian import AbelianStructure, structure_from_orders
+from .abelian import AbelianStructure, cyclic_walk, structure_from_orders
 from .errors import CapacityError, InternalCheckError, ValidationError
 from .ntheory import (is_prime, is_squarefree, monic, padd, pdeg, pdivmod,
-                      peval, pmod, pmul, pnorm, ppowmod, prime_divisors,
+                      pmod, pmul, pnorm, ppowmod, prime_divisors,
                       pscale, psub, pxgcd, valuation, xgcd)
 from .rng import CounterRng, substream
 
@@ -475,51 +482,66 @@ def enumerate_divisor_classes(model: HyperellipticModel) -> list:
 
 
 def random_divisor(model: HyperellipticModel, rng: CounterRng) -> DivisorClass:
-    """Random class from sums of up to g random rational points (suitable
-    for generation; certified downstream by order checks)."""
-    p = model.q
+    """Random class: a sum of prime divisors of random degrees k that add
+    up to a random d, 1 <= d <= g, so every reduced divisor other than the
+    identity can be drawn (the draw is certified downstream by order
+    checks).
+
+    A prime divisor of degree k comes from an alpha of F_{q^k}, coded as in
+    `_LogTables(q, k)`, with f(alpha) a square: Horner on the codes gives
+    f(alpha), the log tables a random square root beta, and the coordinates
+    of alpha^k and beta in the basis 1, alpha, ..., alpha^(k-1) give u, the
+    minimal polynomial of alpha, and v with v(alpha) = beta.  An alpha of
+    lower degree (no such basis) or a nonsquare f(alpha) is drawn again, up
+    to 4q draws a summand, after which the summand is left out."""
+    p, g = model.q, model.genus
+    left = 1 + rng.randint(g) if g else 0
     acc = divisor_identity()
-    for _ in range(model.genus):
+    while left:
+        k = 1 + rng.randint(left)
+        left -= k
+        fld = _ext(p, k)
+        log, exp = fld.log.item, fld.exp.item
         for _attempt in range(4 * p):
-            x = rng.randint(p)
-            fx = peval(model.f, x, p)
-            if fx == 0:
-                pt = DivisorClass(u=pnorm(((-x) % p, 1)), v=())
-                acc = divclass_add(model, acc, pt)
-                break
-            if pow(fx, (p - 1) // 2, p) == 1:
-                y = _sqrt_mod(fx, p)
-                if rng.randint(2):
-                    y = (-y) % p
-                pt = DivisorClass(u=pnorm(((-x) % p, 1)), v=(y,))
-                acc = divclass_add(model, acc, pt)
+            la = log(rng.randint(fld.size))
+            y = 0
+            for c in reversed(model.f):
+                y = exp(log(y) + la)
+                # adding a constant of F_p changes digit 0 of a code only
+                y += (y + c) % p - y % p
+            if y:
+                if log(y) % 2:
+                    continue
+                y = exp(log(y) // 2 + rng.randint(2) * (fld.size - 1) // 2)
+            powers = [1]
+            for _ in range(k):
+                powers.append(exp(log(powers[-1]) + la))
+            if coords := _coordinates(powers[:k], powers[k:] + [y], p):
+                u, v = tuple((-c) % p for c in coords[0]) + (1,), coords[1]
+                acc = divclass_add(model, acc, DivisorClass(u, pnorm(v)))
                 break
     return acc
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """Square root mod odd prime (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    s, q = 0, p - 1
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = nonsquare(p)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+def _coordinates(basis: list, targets: list, p: int) -> Optional[list]:
+    """Coordinates over F_p of the codes `targets` in `basis`, k codes of
+    F_{p^k}, by Gauss-Jordan elimination on base-p digits; None when
+    `basis` is not a basis."""
+    k = len(basis)
+    if k == 1:  # F_p: the basis is (1) and a code is its own coordinate
+        return [[t] for t in targets]
+    rows = [[c // p ** i % p for c in basis + targets] for i in range(k)]
+    for j in range(k):
+        piv = next((r for r in range(j, k) if rows[r][j]), None)
+        if piv is None:
+            return None
+        rows[j], rows[piv] = rows[piv], rows[j]
+        inv = pow(rows[j][j], -1, p)
+        rows[j] = [x * inv % p for x in rows[j]]
+        for r in range(k):
+            if r != j and (m := rows[r][j]):
+                rows[r] = [(x - m * y) % p for x, y in zip(rows[r], rows[j])]
+    return [[row[k + t] for row in rows] for t in range(len(targets))]
 
 
 # ---------------------------------------------------------------------------
@@ -559,23 +581,29 @@ def _sylow_part(model: HyperellipticModel, ell: int, h: int,
     target = ell ** e
     cof = h // target
     rng = substream(seed, 0)
-    elements = {divisor_identity()}
+    ident = divisor_identity()
+    add, neg = partial(divclass_add, model), partial(divclass_neg, model)
+    elements = {ident}
     gens: list = []
-    attempts = 0
-    for batch in range(SYLOW_BATCHES):
-        attempts += 1
-        pt = random_divisor(model, rng)
-        s = divclass_mul(model, pt, cof)
+    for attempts in range(1, SYLOW_BATCHES + 1):
+        s = divclass_mul(model, random_divisor(model, rng), cof)
         if s in elements:
             continue
         gens.append(s)
+        if len(gens) == 1:
+            # the closure of one generator is its walk, and cyclic
+            elements = set(cyclic_walk(s, add, neg, ident, target))
+            if len(elements) == target:
+                return SylowResult(prime=ell, structure=AbelianStructure(
+                    (target,)), certified=True, attempts=attempts)
+            continue
         # regenerate the subgroup
-        elements = {divisor_identity()}
-        frontier = [divisor_identity()]
+        elements = {ident}
+        frontier = [ident]
         while frontier:
             x = frontier.pop()
             for gpt in gens:
-                y = divclass_add(model, x, gpt)
+                y = add(x, gpt)
                 if y not in elements:
                     elements.add(y)
                     frontier.append(y)
@@ -583,13 +611,12 @@ def _sylow_part(model: HyperellipticModel, ell: int, h: int,
                         raise InternalCheckError(
                             "Sylow subgroup exceeds the ell-valuation bound")
         if len(elements) == target:
-            structure = structure_from_orders(
-                elements, lambda x, y: divclass_add(model, x, y),
-                divisor_identity())
-            return SylowResult(prime=ell, structure=structure,
-                               certified=True, attempts=attempts)
-    # sampling failed (e.g. curves with almost no rational points); fall
-    # back to exhaustive class enumeration when it fits the budget
+            return SylowResult(
+                prime=ell, structure=structure_from_orders(
+                    elements, add, neg, ident),
+                certified=True, attempts=attempts)
+    # sampling failed; fall back to exhaustive class enumeration when it
+    # fits the budget
     if model.q ** (2 * model.genus) <= 1_000_000:
         classes = enumerate_divisor_classes(model)
         if len(classes) != h:
@@ -597,12 +624,11 @@ def _sylow_part(model: HyperellipticModel, ell: int, h: int,
         syl = {divclass_mul(model, x, cof) for x in classes}
         if len(syl) != target:
             raise InternalCheckError("exhaustive Sylow has wrong order")
-        structure = structure_from_orders(
-            syl, lambda x, y: divclass_add(model, x, y), divisor_identity())
-        return SylowResult(prime=ell, structure=structure,
-                           certified=True, attempts=attempts)
+        return SylowResult(
+            prime=ell, structure=structure_from_orders(syl, add, neg, ident),
+            certified=True, attempts=SYLOW_BATCHES)
     return SylowResult(prime=ell, structure=None, certified=False,
-                       attempts=attempts)
+                       attempts=SYLOW_BATCHES)
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +839,13 @@ def _form_reduce(a, b, c, D):
         return (a, b, c)
 
 
+def _form_inverse(f):
+    """Inverse of a reduced form (a, b, c): (a, -b, c), which reduces to
+    (a, b, c) itself when b = 0, b = a or a = c."""
+    a, b, c = f
+    return f if b in (0, a) or a == c else (a, -b, c)
+
+
 def compose_forms(f1, f2, D):
     """Dirichlet composition of primitive positive definite forms of
     discriminant D (Cohen, GTM 138, Alg. 5.4.7), reduced."""
@@ -848,7 +881,7 @@ def nf_class_group(d: int, ell_list: Sequence[int] = ()) -> ClassGroupStructure:
     forms = reduced_forms(D)
     ident = _form_reduce(1, D % 2, ((D % 2) ** 2 - D) // 4, D)
     structure = structure_from_orders(
-        forms, lambda x, y: compose_forms(x, y, D), ident)
+        forms, lambda x, y: compose_forms(x, y, D), _form_inverse, ident)
     per = {ell: structure.primary_part(ell) for ell in ell_list}
     return ClassGroupStructure(order=len(forms), structure=structure,
                                per_ell=per)

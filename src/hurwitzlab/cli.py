@@ -533,10 +533,14 @@ def main(argv=None) -> int:
         # out and format: a config file's own values win over the flags
         output = _typed(OUTPUT, {p.name: cfg.pop(p.name, args[p.name])
                                  for p in OUTPUT})
+        out = output.get("out")
+        # refused before the run, whose work a missing directory would waste
+        if out and not Path(out).parent.is_dir():
+            raise ValidationError(f"cannot write report {out}: no such dir")
         t0 = time.time()
         report = run_config(cfg)
         elapsed = time.time() - t0
-        report.write(output.get("out"), output["format"])
+        report.write(out, output["format"])
         print(f"# wall-clock {elapsed:.2f}s fingerprint {report.fingerprint}",
               file=sys.stderr)
         return 1 if report.failed else EXIT_OK

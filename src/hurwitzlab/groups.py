@@ -95,7 +95,8 @@ class FiniteGroup:
 
     def element_order(self, g: int) -> int:
         if self._orders is None:
-            self._orders = _element_orders(range(self.order), self.mul, 0)
+            self._orders = _element_orders(range(self.order), self.mul,
+                                           self.inv.__getitem__, 0)
         return self._orders[g]
 
     def exponent(self) -> int:

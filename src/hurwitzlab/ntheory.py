@@ -10,6 +10,8 @@ Polynomials over F_p are coefficient tuples, low degree first, normalized
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 
 # ---------------------------------------------------------------------------
 # integers
@@ -92,15 +94,11 @@ def pdeg(a) -> int:
 
 
 def padd(a, b, p):
-    n = max(len(a), len(b))
-    return pnorm([( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
+    return pnorm([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def psub(a, b, p):
-    n = max(len(a), len(b))
-    return pnorm([( (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
+    return pnorm([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def pmul(a, b, p):
@@ -122,19 +120,17 @@ def pdivmod(a, b, p):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
+    n = len(b) - 1
     binv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        s = (a[-1] * binv) % p
-        off = len(a) - len(b)
-        q[off] = s
-        for i in range(len(b)):
-            a[off + i] = (a[off + i] - s * b[i]) % p
-        a.pop()
-    return pnorm(q), pnorm(a)
+    q = [0] * max(0, len(a) - n)
+    # each step clears the top coefficient, so only the n below it change
+    for off in range(len(a) - 1 - n, -1, -1):
+        s = a[off + n] * binv % p
+        if s:
+            q[off] = s
+            for i in range(n):
+                a[off + i] = (a[off + i] - s * b[i]) % p
+    return pnorm(q), pnorm([x % p for x in a[:n]])
 
 
 def pmod(a, b, p):

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from hurwitzlab.abelian import (AbelianGroupData, AbelianStructure,
+                                _element_orders, cyclic_walk,
                                 structure_from_orders, structure_of_members)
 from hurwitzlab.errors import InternalCheckError, ValidationError
-from hurwitzlab.groups import abelian, dihedral, symmetric
+from hurwitzlab.groups import (abelian, cyclic, dihedral, groups_up_to_16,
+                               symmetric)
 
 
 def brute_hom_count(src_orders, dst_orders, surjective=False):
@@ -121,17 +123,65 @@ def test_structure_from_orders_matches_basis_search():
                   for _ in range(rng.randint(1, 3))]
         g = abelian(orders)
         mul = g.mul
-        want = AbelianGroupData(range(g.order), mul, 0).structure
+        want = AbelianGroupData(range(g.order), mul, g.inverse, 0).structure
         assert want == AbelianStructure.from_cyclic_orders(orders)
-        assert structure_from_orders(range(g.order), mul, 0) == want, orders
+        assert structure_from_orders(range(g.order), mul, g.inverse,
+                                     0) == want, orders
 
 
 def test_structure_from_orders_self_checks():
     s3 = symmetric(3)
     with pytest.raises(InternalCheckError):
-        structure_from_orders(range(6), s3.mul, 0)
+        structure_from_orders(range(6), s3.mul, s3.inverse, 0)
     # a rule that is not a group law: 1 + 1 = 1 never returns to 0
     with pytest.raises(InternalCheckError):
-        structure_from_orders(range(4), lambda a, b: max(a, b), 0)
+        structure_from_orders(range(4), lambda a, b: max(a, b),
+                              lambda a: a, 0)
     with pytest.raises(ValidationError):
-        structure_from_orders(range(1, 4), lambda a, b: a, 0)
+        structure_from_orders(range(1, 4), lambda a, b: a, lambda a: a, 0)
+
+
+def full_walk_orders(elems, mul, identity):
+    """Reference orders: a plain walk x, x^2, ..., x^k = 1 from every
+    element not yet met, each power x^j of it of order k / gcd(j, k)."""
+    orders = {identity: 1}
+    for x in elems:
+        if x in orders:
+            continue
+        powers = [x]
+        while powers[-1] != identity:
+            powers.append(mul(powers[-1], x))
+        k = len(powers)
+        for j, y in enumerate(powers, 1):
+            orders[y] = k // math.gcd(j, k)
+    return orders
+
+
+def test_halved_walk_gives_the_full_walk_orders():
+    for g in groups_up_to_16():
+        assert _element_orders(range(g.order), g.mul, g.inverse, 0) == \
+            full_walk_orders(range(g.order), g.mul, 0), g.name
+
+
+def test_halved_walk_composes_once_past_half_the_order():
+    for k in range(2, 40):
+        z = cyclic(k)
+        calls = []
+
+        def mul(a, b):
+            calls.append(1)
+            return z.mul(a, b)
+        assert cyclic_walk(1, mul, z.inverse, 0, k) == \
+            [z.power(1, j) for j in range(k)], k
+        assert len(calls) == (k + 1) // 2, k
+
+
+def test_inverse_that_disagrees_with_the_law_raises():
+    z5 = cyclic(5)
+    for inv in (lambda x: x, lambda x: z5.inverse(z5.mul(x, 1))):
+        with pytest.raises(InternalCheckError):
+            structure_from_orders(range(5), z5.mul, inv, 0)
+        with pytest.raises(InternalCheckError):
+            AbelianGroupData(range(5), z5.mul, inv, 0)
+    with pytest.raises(InternalCheckError):
+        cyclic_walk(1, z5.mul, z5.inverse, 0, 4)  # order above the bound

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzlab.abelian import AbelianGroupData, AbelianStructure
+from hurwitzlab.abelian import (AbelianGroupData, AbelianStructure,
+                                _element_orders)
 from hurwitzlab import arith
 from hurwitzlab.arith import (DivisorClass, ExtField, HyperellipticModel,
-                              _form_reduce, compose_forms, count_imaginary,
+                              _form_inverse, _form_reduce, compose_forms,
+                              count_imaginary,
                               curve_point_count, divclass_add, divclass_mul,
                               divclass_neg, divisor_identity,
                               empirical_moment, enumerate_divisor_classes,
@@ -18,9 +20,11 @@ from hurwitzlab.arith import (DivisorClass, ExtField, HyperellipticModel,
                               random_divisor, reduced_forms, sylow_structure)
 from hurwitzlab.errors import (CapacityError, InternalCheckError,
                                ValidationError)
-from hurwitzlab.ntheory import (factorize, is_power_of, pscale, valuation,
-                               xgcd)
+from hurwitzlab.ntheory import (factorize, is_power_of, peval, pmod, pnorm,
+                               prime_divisors, pscale, psub, valuation, xgcd)
 from hurwitzlab.rng import substream
+
+from test_abelian import full_walk_orders
 
 
 def AS(orders):
@@ -222,8 +226,9 @@ def test_nf_class_group_matches_basis_search():
         D = fundamental_discriminant(d)
         forms = reduced_forms(D)
         ident = _form_reduce(1, D % 2, (D % 2 - D) // 4, D)
-        data = AbelianGroupData(forms, lambda x, y: compose_forms(x, y, D),
-                                ident)
+        data = AbelianGroupData(
+            forms, lambda x, y: compose_forms(x, y, D),
+            lambda f: _form_reduce(f[0], -f[1], f[2], D), ident)
         assert nf_class_group(d).structure == data.structure, d
     assert nf_class_group(26).structure == AS([6])
     for d in (1, 2, 3, 7, 11, 19, 43, 67, 163):
@@ -384,3 +389,112 @@ def test_xgcd():
         for b in range(-30, 31):
             g, s, t = xgcd(a, b)
             assert g == math.gcd(a, b) and s * a + t * b == g
+
+
+def test_halved_walk_orders_on_form_class_groups():
+    for d in squarefree_up_to(3000):
+        D = fundamental_discriminant(d)
+        forms = reduced_forms(D)
+        ident = _form_reduce(1, D % 2, (D % 2 - D) // 4, D)
+        for f in forms:
+            assert _form_inverse(f) == _form_reduce(f[0], -f[1], f[2], D)
+
+        def law(x, y):
+            return compose_forms(x, y, D)
+        assert _element_orders(forms, law, _form_inverse, ident) == \
+            full_walk_orders(forms, law, ident), d
+
+
+def _no_enumeration(model):
+    pytest.fail(f"y^2 = {model.f} fell back to enumerating its classes")
+
+
+def test_sampler_certifies_every_sylow_part(monkeypatch):
+    """Every Sylow part of every genus-1 and genus-2 Jacobian over F_3 and
+    every genus-1 one over F_5 is certified from random draws, and equals
+    the one read off the exhaustive class list: its |G[ell^j]| are those
+    of the plain-walk orders of all classes."""
+    models = [*enumerate_imaginary(3, 3), *enumerate_imaginary(3, 5),
+              *enumerate_imaginary(5, 3)]
+    orders = {}
+    for model in models:
+        classes = enumerate_divisor_classes(model)
+        assert len(classes) == jacobian_order(model)
+        orders[model] = full_walk_orders(
+            classes, lambda x, y: divclass_add(model, x, y),
+            divisor_identity())
+    monkeypatch.setattr(arith, "enumerate_divisor_classes", _no_enumeration)
+    checked = 0
+    for model in models:
+        h = len(orders[model])
+        for ell in prime_divisors(h):
+            if ell == model.q:
+                continue
+            res = sylow_structure(model, ell, seed=checked)
+            assert res.certified and res.attempts < arith.SYLOW_BATCHES
+            e = valuation(h, ell)
+            assert res.structure.order == ell ** e
+            for j in range(1, e + 1):
+                assert res.structure.torsion_count(ell ** j) == sum(
+                    ell ** j % o == 0 for o in orders[model].values())
+            checked += 1
+    assert checked > 500
+
+
+# the models of the class-groups benchmark workload (q = 3, degree <= 5)
+# with 5 | h whose rational points generate a subgroup prime to 5
+NO_RATIONAL_5_PART = ((2, 2, 2, 2, 1, 2), (2, 2, 1, 2, 2, 2),
+                      (2, 1, 0, 0, 0, 2), (2, 1, 1, 1, 2, 1),
+                      (2, 1, 2, 1, 1, 1), (2, 2, 0, 0, 0, 1))
+
+
+def test_rational_points_miss_the_5_part_of_six_curves(monkeypatch):
+    miss = []
+    for model in [*enumerate_imaginary(3, 3), *enumerate_imaginary(3, 5)]:
+        h = jacobian_order(model)
+        if h % 5:
+            continue
+        points = [DivisorClass(u=((-x) % 3, 1), v=pnorm((y,)))
+                  for x in range(3) for y in range(3)
+                  if (y * y - peval(model.f, x, 3)) % 3 == 0]
+        span, frontier = {divisor_identity()}, [divisor_identity()]
+        while frontier:
+            x = frontier.pop()
+            for pt in points:
+                y = divclass_add(model, x, pt)
+                if y not in span:
+                    span.add(y)
+                    frontier.append(y)
+        if valuation(len(span) * 5, 5) <= valuation(h, 5):
+            miss.append(model)
+    assert tuple(m.f for m in miss) == NO_RATIONAL_5_PART
+    monkeypatch.setattr(arith, "enumerate_divisor_classes", _no_enumeration)
+    for model in miss:
+        for seed in range(20):
+            res = sylow_structure(model, 5, seed=seed)
+            assert res.certified and res.structure == AS([5])
+
+
+def test_prime_divisor_draws_of_every_degree(monkeypatch):
+    """On the genus-3 fixture of criterion 7 every summand (u, v) of a
+    draw has u monic irreducible of degree k <= 3, deg v < k and
+    v^2 = f (mod u), and every k occurs."""
+    model = HyperellipticModel(3, (1, 0, 2, 0, 0, 0, 0, 1))
+    summands = []
+
+    def recording_add(m, acc, pt):
+        summands.append(pt)
+        return divclass_add(m, acc, pt)
+
+    monkeypatch.setattr(arith, "divclass_add", recording_add)
+    rng = substream(7, 0)
+    for _ in range(300):
+        random_divisor(model, rng)
+    degrees = set()
+    for pt in summands:
+        k = len(pt.u) - 1
+        degrees.add(k)
+        assert 1 <= k <= 3 and pt.u[-1] == 1 and len(pt.v) <= k
+        assert k == 1 or ExtField._is_irreducible(pt.u, 3), pt
+        assert pmod(psub(pmul(pt.v, pt.v, 3), model.f, 3), pt.u, 3) == (), pt
+    assert degrees == {1, 2, 3}

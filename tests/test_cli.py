@@ -318,3 +318,26 @@ def test_verify_ff_moment_detail_has_no_run_time(capsys):
     assert first.passed
     assert re.fullmatch(r"average=\d+\.\d{4} prediction=1", first.detail)
     assert "took" in capsys.readouterr().err
+
+
+def test_out_in_a_missing_directory_exits_3_before_the_run(
+        tmp_path, monkeypatch, capsys):
+    """The report's directory is checked before any orbit is computed."""
+    import hurwitzlab.hurwitz
+
+    def orbits(*args, **kwargs):
+        pytest.fail("orbits ran although --out cannot be written")
+
+    monkeypatch.setattr(hurwitzlab.hurwitz, "orbits", orbits)
+    monkeypatch.chdir(tmp_path)
+    assert main(["orbits", "--group", "S3", "--n", "2",
+                 "--out", "nodir/x.csv"]) == EXIT_VALIDATION == 3
+    assert "validation error: cannot write report nodir/x.csv" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
+    # a bare file name goes to the working directory
+    monkeypatch.undo()
+    monkeypatch.chdir(tmp_path)
+    assert main(["orbits", "--group", "S3", "--n", "2",
+                 "--out", "x.csv"]) == EXIT_OK
+    assert (tmp_path / "x.csv").read_text().startswith("# config: ")

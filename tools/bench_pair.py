@@ -5,9 +5,12 @@ of one case table, then tier-1.
     python3 tools/bench_pair.py --out BENCH_<n>.json
     python3 tools/bench_pair.py --base HEAD~1 --out B.json
 
-Run from the root of a git checkout.  The base revision is exported with
-`git archive` into a temporary directory (a plain copy: nothing is added
-to the repository's worktree list and nothing is left behind).  For each
+Run from the root of a git checkout.  Both sides run from exports in one
+temporary directory (plain copies: nothing is added to the repository's
+worktree list and nothing is left behind), so nothing about the checkout's
+own directory favours either side: the base revision through `git archive`,
+the working tree through a scratch index that holds it as it stands
+(untracked files included, ignored ones not).  For each
 workload and each of the PAIRS seeds, `perfbench/run.py --workload W
 --seed S --seconds 20 --trace 0` runs on the base and on the working tree
 with the same seed, the base first in even pairs and the working tree
@@ -16,10 +19,10 @@ The output JSON holds the machine, the Python and numpy versions, both
 revisions, every run's metrics and failed-operation count, and per
 workload and metric each side's median and quartiles and the number of
 pairs where the change read lower.  Each side also records the git tree
-ids of the directories the benchmark runs (`src`, `perfbench`), so the
-measured working tree can be matched to a later commit with
-`git rev-parse <commit>:src`, and the line count of the Python files
-under `src/`.
+ids of the directories the benchmark runs (`src`, `perfbench`), read off
+the index its export came from, so the measured working tree can be
+matched to a later commit with `git rev-parse <commit>:src`, and the line
+count of the Python files under `src/`.
 
 After the workloads, one harness measures every case of CASES, a map from
 section to (pairs, {case: (set-up, call, result)}).  Each run is a fresh,
@@ -35,8 +38,8 @@ from the first pair, `result_equal` (every run of both sides gave the same
 result), the summary of its metrics and every run.
 
 Last, tier-1 (`python -m pytest -q --durations=15` over `tests/`) runs
-once per side, the base first; `tier1` records each side's pass, fail and
-error counts, its wall time and its slowest test phases.
+once per side in its export, the base first; `tier1` records each side's
+pass, fail and error counts, its wall time and its slowest test phases.
 """
 
 from __future__ import annotations
@@ -193,6 +196,13 @@ CASES = {
                 "out.order"),
             "_small_generating_set((Z/7)^4)": (
                 "G = abelian([7] * 4)", "_small_generating_set(G)", "out")})),
+    # the class groups of Q(sqrt(-d)) for the 6,083 squarefree d <= 10,000
+    "arith": (3, {"nf_class_group(d), squarefree d <= 10,000": (
+        "from hurwitzlab.arith import nf_class_group\n"
+        "from hurwitzlab.ntheory import factorize\n"
+        "ds = [d for d in range(1, 10_001)\n"
+        "      if max(factorize(d).values(), default=1) == 1]",
+        "[nf_class_group(d).structure for d in ds]", "sha(out)")}),
     # the 29,400 models of genus 1 and 2 over F_7
     "ff_moment": (3, {"empirical_moment(7, 5, [3, 3])": (
         "from hurwitzlab.arith import empirical_moment",
@@ -220,14 +230,15 @@ def export(rev: str, dest: Path) -> None:
     tar.unlink()
 
 
-def worktree_trees() -> dict:
-    """Git tree ids of MEASURED as they stand in the working tree
-    (untracked files included, ignored ones not), built in a scratch
-    index so the repository's own index is untouched."""
+def export_worktree(dest: Path) -> dict:
+    """The working tree as it stands (untracked files included, ignored
+    ones not) under `dest`, through a scratch index, so the repository's
+    own index is untouched; returns the git tree ids of MEASURED in it."""
     with tempfile.TemporaryDirectory() as tmp:
         env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
-        subprocess.run(["git", "add", "-A", "--", *MEASURED], cwd=ROOT,
-                       env=env, check=True)
+        subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True)
+        subprocess.run(["git", "checkout-index", "-a", f"--prefix={dest}/"],
+                       cwd=ROOT, env=env, check=True)
         return {d: subprocess.run(
             ["git", "write-tree", f"--prefix={d}/"], cwd=ROOT, env=env,
             check=True, capture_output=True, text=True).stdout.strip()
@@ -266,16 +277,15 @@ def case_run(checkout: Path, case: tuple) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def alternating(base_dir: Path, count: int, run, label: str) -> list:
-    """`count` pairs of run(checkout, i) on the base and on the working
-    tree, the base first in even pairs and the working tree first in odd
-    ones."""
+def alternating(checkouts: dict, count: int, run, label: str) -> list:
+    """`count` pairs of run(checkout, i) on the base and on the change, a
+    map from side to checkout, the base first in even pairs and the change
+    first in odd ones."""
     runs = []
     for i in range(count):
         pair = {}
-        sides = [("base", base_dir), ("change", ROOT)]
-        for side, checkout in sides[::-1] if i % 2 else sides:
-            pair[side] = run(checkout, i)
+        for side in SIDES[::-1] if i % 2 else SIDES:
+            pair[side] = run(checkouts[side], i)
         print(label, {s: pair[s]["metrics"]["wall_s"]["value"]
                       for s in SIDES}, file=sys.stderr)
         runs.append(pair)
@@ -345,8 +355,8 @@ def main() -> int:
         "base": {"rev": args.base, "sha": git("rev-parse", args.base),
                  "trees": {d: git("rev-parse", f"{args.base}:{d}")
                            for d in MEASURED}},
-        "change": {"rev": "working tree", "head_sha": git("rev-parse", "HEAD"),
-                   "trees": worktree_trees(), "src_lines": src_lines(ROOT)},
+        "change": {"rev": "working tree",
+                   "head_sha": git("rev-parse", "HEAD")},
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {SECONDS} --trace 0",
         "seeds": list(SEEDS),
@@ -354,12 +364,14 @@ def main() -> int:
         "harness": "python3 -c HARNESS CASE_JSON:\n" + HARNESS,
     }
     with tempfile.TemporaryDirectory() as tmp:
-        base_dir = Path(tmp) / "base"
-        export(args.base, base_dir)
-        report["base"]["src_lines"] = src_lines(base_dir)
+        checkouts = {side: Path(tmp) / side for side in SIDES}
+        export(args.base, checkouts["base"])
+        report["change"]["trees"] = export_worktree(checkouts["change"])
+        for side in SIDES:
+            report[side]["src_lines"] = src_lines(checkouts[side])
         for workload in WORKLOADS:
             runs = alternating(
-                base_dir, PAIRS,
+                checkouts, PAIRS,
                 lambda c, i: perfbench(c, workload, SEEDS[i]), workload)
             for seed, pair in zip(SEEDS, runs):
                 pair["seed"] = seed
@@ -374,7 +386,7 @@ def main() -> int:
         for section, (pairs, cases) in CASES.items():
             report[section] = {}
             for name, case in cases.items():
-                runs = alternating(base_dir, pairs,
+                runs = alternating(checkouts, pairs,
                                    lambda c, i: case_run(c, case),
                                    f"{section} {name}")
                 results = {json.dumps(r[s]["result"]) for r in runs
@@ -384,11 +396,9 @@ def main() -> int:
                     "result": {s: runs[0][s]["result"] for s in SIDES},
                     "result_equal": len(results) == 1,
                     "metrics": summarize(runs), "runs": runs}
-        report["tier1"] = {
-            "command": "python3 " + " ".join(TIER1),
-            "base": tier1_run(base_dir), "change": tier1_run(ROOT)}
-    if worktree_trees() != report["change"]["trees"]:
-        raise RuntimeError("the working tree changed during the run")
+        report["tier1"] = {"command": "python3 " + " ".join(TIER1),
+                           **{side: tier1_run(checkouts[side])
+                              for side in SIDES}}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
