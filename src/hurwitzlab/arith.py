@@ -19,7 +19,11 @@ reduced.  The structure of a class group, or of a Sylow subgroup of a
 Jacobian, is read off the orders of its elements
 (`abelian.structure_from_orders`); no basis is searched for.  The Sylow
 search draws sums of prime divisors of every degree <= g, which reach
-every class.
+every class.  In genus 1 and 2 Cantor addition runs in closed form
+(`_explicit`, after Cantor, Math. Comp. 1987, and Lange, AAECC 2005) for
+additions with Res(u1, u2) != 0, doublings and a + (-a); additions whose
+operands share a point, genus 3 and the identity take generic Cantor on
+coefficient tuples (`_cantor`).
 
 No group operation is spent on a known result: Cantor addition returns the
 other operand when one is the identity and the other is already in reduced
@@ -137,14 +141,15 @@ class ExtField:
 
 @dataclass(frozen=True)
 class HyperellipticModel:
-    """y^2 = f(x) over F_q, f squarefree of odd degree 2g+1 (imaginary)."""
+    """y^2 = f(x) over F_q, f squarefree of odd degree 2g+1 (imaginary).
+    The coefficients of f are stored, and checked, reduced mod q."""
     q: int
     f: tuple
 
     def __post_init__(self):
         if self.q % 2 == 0 or not is_prime(self.q):
             raise ValidationError("q must be an odd prime in v1")
-        f = pnorm(self.f)
+        f = pnorm(c % self.q for c in self.f)
         object.__setattr__(self, "f", f)
         if pdeg(f) % 2 == 0 or pdeg(f) < 1:
             raise ValidationError(
@@ -391,6 +396,141 @@ def divisor_identity() -> DivisorClass:
 
 def divclass_add(model: HyperellipticModel, a: DivisorClass,
                  b: DivisorClass) -> DivisorClass:
+    """a + b in reduced Mumford form.
+
+    In genus 1 and 2, two operands with u monic of degree 1..g and
+    deg v < deg u take the closed forms of `_explicit` when they cover the
+    pair: an addition with Res(u1, u2) != 0, a doubling (a 2-torsion point
+    in the support included) and a + (-a).  Every other input, the
+    identity, an addition whose operands share a point and all of genus 3
+    included, takes `_cantor`.  Both give the same class in the same normal
+    form."""
+    g = model.genus
+    if (g <= 2 and 1 < len(a.u) <= g + 1 and 1 < len(b.u) <= g + 1
+            and a.u[-1] == b.u[-1] == 1 and len(a.v) < len(a.u)
+            and len(b.v) < len(b.u)):
+        out = _explicit(model, a, b)
+        if out is not None:
+            return out
+    return _cantor(model, a, b)
+
+
+def _explicit(model: HyperellipticModel, a: DivisorClass,
+              b: DivisorClass) -> Optional[DivisorClass]:
+    """a + b in genus <= 2 for u1, u2 monic of degree 1..g, or None for a
+    pair it does not cover (u1 != u2 with Res(u1, u2) = 0, or u1 = u2 with
+    v1 != +-v2).  Cantor's composition in its d = 1 form, unrolled on the
+    coefficients: U = u1 u2 and V = v1 + u1 s with s = (v2 - v1) / u1 mod
+    u2, or U = u^2 and V = v + u s with s = ((f - v^2) / u) / 2v mod u for
+    a doubling, each inverse through one resultant; then, when deg U > g,
+    one reduction step U' = (f - V^2) / U, V' = -V mod U', which reaches
+    deg U' <= g.  Coefficients may lie outside 0..q-1 and f need not be
+    monic; the result is reduced mod q.  An inexact division by u or U
+    raises InternalCheckError, as in `_cantor`."""
+    p, g = model.q, model.genus
+    f0, f1, f2, f3, f4, f5 = model.f + (0,) * (6 - len(model.f))
+    if len(a.u) < len(b.u):
+        a, b = b, a
+    (a0, a1, a2), (w0, w1) = (a.u + (0, 0))[:3], (a.v + (0, 0))[:2]
+    (b0, b1, b2), (t0, t1) = (b.u + (0, 0))[:3], (b.v + (0, 0))[:2]
+    n = len(a.u) + len(b.u) - 2  # deg U
+    if (a0, a1, a2) == (b0, b1, b2):
+        if (w0 + t0) % p == 0 == (w1 + t1) % p:
+            return divisor_identity()
+        if (w0, w1) != (t0, t1):
+            return None
+        if a2:
+            res = (w0 * w0 - a1 * w0 * w1 + a0 * w1 * w1) % p  # Res(u, v)
+            if not res:
+                # v(x0) = 0 at a root x0 of u, so f(x0) must be 0: 2a is
+                # twice the other point (x1, v(x1)), a doubling of degree 1
+                x0 = -w0 * pow(w1, -1, p)
+                if (((((f5 * x0 + f4) * x0 + f3) * x0 + f2) * x0 + f1) * x0
+                        + f0) % p:
+                    raise InternalCheckError("Cantor: u does not divide "
+                                             "f - v^2")
+                a0, w0, n = a1 + x0, w0 - w1 * (a1 + x0), 2
+            else:
+                # k = (f - v^2) / u, then k mod u
+                k3 = f5
+                k2 = f4 - a1 * k3
+                k1 = f3 - a1 * k2 - a0 * k3
+                k0 = f2 - w1 * w1 - a1 * k1 - a0 * k2
+                if ((f1 - 2 * w0 * w1 - a1 * k0 - a0 * k1) % p
+                        or (f0 - w0 * w0 - a0 * k0) % p):
+                    raise InternalCheckError("Cantor: u does not divide "
+                                             "f - v^2")
+                k2 -= a1 * k3
+                k1 -= a0 * k3 + a1 * k2
+                k0 -= a0 * k2
+                inv = pow(2 * res, -1, p)
+                i0, i1 = (w0 - a1 * w1) * inv, -w1 * inv
+                s0 = k0 * i0 - a0 * k1 * i1
+                s1 = k0 * i1 + k1 * i0 - a1 * k1 * i1
+                U = (a0 * a0, 2 * a0 * a1, a1 * a1 + 2 * a0, 2 * a1, 1)
+                V = (w0 + a0 * s0, w1 + a0 * s1 + a1 * s0, s0 + a1 * s1, s1)
+        if n == 2:
+            # u = x + a0 with root r: k mod u = f'(r), since f(r) = v^2
+            r = -a0
+            fr = ((((f5 * r + f4) * r + f3) * r + f2) * r + f1) * r + f0
+            if (fr - w0 * w0) % p or not w0 % p:
+                raise InternalCheckError("Cantor: u does not divide f - v^2")
+            s = ((((5 * f5 * r + 4 * f4) * r + 3 * f3) * r + 2 * f2) * r
+                 + f1) * pow(2 * w0, -1, p)
+            U = (a0 * a0, 2 * a0, 1, 0, 0)
+            V = (w0 + a0 * s, s, 0, 0)
+    elif b2:
+        c0, c1 = a0 - b0, a1 - b1  # u1 mod u2
+        res = (c0 * c0 - b1 * c0 * c1 + b0 * c1 * c1) % p
+        if not res:
+            return None
+        inv = pow(res, -1, p)
+        i0, i1 = (c0 - b1 * c1) * inv, -c1 * inv
+        d0, d1 = t0 - w0, t1 - w1
+        s0 = d0 * i0 - b0 * d1 * i1
+        s1 = d0 * i1 + d1 * i0 - b1 * d1 * i1
+        U = (a0 * b0, a0 * b1 + a1 * b0, a0 + a1 * b1 + b0, a1 + b1, 1)
+        V = (w0 + a0 * s0, w1 + a0 * s1 + a1 * s0, s0 + a1 * s1, s1)
+    else:
+        # u2 = x + b0 with root r: s = (v2 - v1)(r) / u1(r)
+        r = -b0
+        e = (a0 + (a1 + a2 * r) * r) % p
+        if not e:
+            return None
+        s = (t0 - w0 - w1 * r) * pow(e, -1, p)
+        U = (a0 * b0, a0 + a1 * b0, a1 + a2 * b0, a2, 0)
+        V = (w0 + s * a0, w1 + s * a1, s * a2, 0)
+    V0, V1, V2, V3 = V
+    if n > g:
+        # U' = (f - V^2) / U: its quotient has degree <= 2, its remainder
+        # (the n coefficients below U's degree) must vanish
+        W = (f0 - V0 * V0, f1 - 2 * V0 * V1, f2 - 2 * V0 * V2 - V1 * V1,
+             f3 - 2 * (V0 * V3 + V1 * V2), f4 - 2 * V1 * V3 - V2 * V2,
+             f5 - 2 * V2 * V3, -V3 * V3)
+        q2 = W[n + 2]
+        q1 = W[n + 1] - q2 * U[n - 1]
+        q0 = W[n] - q2 * U[n - 2] - q1 * U[n - 1]
+        Ux = (0, 0) + U
+        if any((W[i] - q0 * Ux[i + 2] - q1 * Ux[i + 1] - q2 * Ux[i]) % p
+               for i in range(n)):
+            raise InternalCheckError("Cantor: reduction step not exact")
+        U, V0, V1, V2, V3 = (q0, q1, q2), -V0, -V1, -V2, -V3
+    # U made monic, of degree 2 or 1 (a sum is the identity only as
+    # a + (-a)), and V mod U
+    if U[2] % p:
+        inv = pow(U[2], -1, p)
+        c0, c1 = U[0] * inv % p, U[1] * inv % p
+        V2 -= c1 * V3
+        V1 -= c0 * V3 + c1 * V2
+        V0 -= c0 * V2
+        return DivisorClass((c0, c1, 1), pnorm((V0 % p, V1 % p)))
+    c0 = U[0] * pow(U[1], -1, p) % p
+    return DivisorClass((c0, 1), pnorm(
+        ((((V3 * -c0 + V2) * -c0 + V1) * -c0 + V0) % p,)))
+
+
+def _cantor(model: HyperellipticModel, a: DivisorClass,
+            b: DivisorClass) -> DivisorClass:
     """Cantor composition followed by reduction to deg u <= g.
 
     When one operand is the identity and the other is already reduced (u
@@ -667,7 +807,9 @@ def empirical_moment(q: int, d_max: int, target_orders: Sequence[int],
     groups, so plain surjection counts are exact.  Gerth mode weights by
     #Hom(Cl, H/2H) and counts surjections from 2 Cl.  Raises CapacityError
     before any model is walked when the model count, the sum of
-    count_imaginary(q, d) over the odd d <= d_max, exceeds `FF_MODEL_CAP`."""
+    count_imaginary(q, d) over the odd d <= d_max, exceeds `FF_MODEL_CAP`,
+    or when there are primes to search and the largest genus,
+    (d_max - 1) // 2, exceeds `GENUS_CAP`."""
     H = AbelianStructure.from_cyclic_orders(target_orders)
     if mode not in ("plain", "gerth"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -690,6 +832,9 @@ def empirical_moment(q: int, d_max: int, target_orders: Sequence[int],
             f"ff-moment: {models} models of degree <= {d_max} over F_{q}, "
             f"above the cap of {FF_MODEL_CAP}")
     ells = prime_divisors(H.order)
+    if ells and (d_max - 1) // 2 > GENUS_CAP:
+        raise CapacityError(f"ff-moment: genus {(d_max - 1) // 2} exceeds "
+                            f"cap {GENUS_CAP}")
     rows = []
     total_sur = Fraction(0)
     total_weight = Fraction(0)

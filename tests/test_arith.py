@@ -1,5 +1,8 @@
+import dis
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,8 +11,8 @@ from hurwitzlab.abelian import (AbelianGroupData, AbelianStructure,
                                 _element_orders)
 from hurwitzlab import arith
 from hurwitzlab.arith import (DivisorClass, ExtField, HyperellipticModel,
-                              _form_inverse, _form_reduce, compose_forms,
-                              count_imaginary,
+                              _cantor, _explicit, _form_inverse, _form_reduce,
+                              compose_forms, count_imaginary,
                               curve_point_count, divclass_add, divclass_mul,
                               divclass_neg, divisor_identity,
                               empirical_moment, enumerate_divisor_classes,
@@ -20,8 +23,9 @@ from hurwitzlab.arith import (DivisorClass, ExtField, HyperellipticModel,
                               random_divisor, reduced_forms, sylow_structure)
 from hurwitzlab.errors import (CapacityError, InternalCheckError,
                                ValidationError)
-from hurwitzlab.ntheory import (factorize, is_power_of, peval, pmod, pnorm,
-                               prime_divisors, pscale, psub, valuation, xgcd)
+from hurwitzlab.ntheory import (factorize, is_power_of, pdeg, peval, pgcd,
+                               pmod, pnorm, prime_divisors, pscale, psub,
+                               valuation, xgcd)
 from hurwitzlab.rng import substream
 
 from test_abelian import full_walk_orders
@@ -498,3 +502,185 @@ def test_prime_divisor_draws_of_every_degree(monkeypatch):
         assert k == 1 or ExtField._is_irreducible(pt.u, 3), pt
         assert pmod(psub(pmul(pt.v, pt.v, 3), model.f, 3), pt.u, 3) == (), pt
     assert degrees == {1, 2, 3}
+
+
+def test_model_coefficients_are_reduced_mod_q():
+    """f is read mod q before its degree, imaginary and squarefree checks."""
+    m = HyperellipticModel(3, (1, 2, 0, 3))  # 2x + 1 over F_3
+    assert m.f == (1, 2) and m.genus == 0 and jacobian_order(m) == 1
+    a = HyperellipticModel(3, (4, 2, 0, 1))
+    b = HyperellipticModel(3, (1, 2, 0, 1))
+    assert a == b and a.key() == b.key()
+    assert HyperellipticModel(3, (1, -1, 0, 1)).f == (1, 2, 0, 1)
+    with pytest.raises(ValidationError):
+        HyperellipticModel(3, (1, 0, 1, 3))  # x^2 + 1: even degree
+
+
+def test_empirical_moment_refuses_genus_past_the_cap_first(monkeypatch):
+    """Degree 9 is genus 4, past `GENUS_CAP`: refused before the models of
+    degree <= 7 are walked, in both modes."""
+    def forbidden(models):
+        raise AssertionError("a model was walked")
+
+    monkeypatch.setattr(arith, "l_polynomials", forbidden)
+    for target, mode in (([5], "plain"), ([2], "gerth")):
+        with pytest.raises(CapacityError, match="genus 4"):
+            empirical_moment(3, 9, target, mode=mode)
+
+
+def _cantor_table(model):
+    """The classes of `model` and `_cantor`'s sum of every ordered pair of
+    them, as indices: table[i][j] is the index of classes[i] + classes[j].
+    `_cantor` runs on every class and each of a few generators, picked
+    greedily; every other sum follows by associativity along a
+    breadth-first tree over those generators, so the table takes
+    |classes| x |generators| calls of `_cantor` instead of |classes|^2."""
+    classes = enumerate_divisor_classes(model)
+    index = {c: i for i, c in enumerate(classes)}
+    tree, order, gens, step = {0: None}, [0], [], {}
+    for c in range(1, len(classes)):
+        if c in tree:
+            continue
+        gens.append(c)
+        for x in order:  # order grows as the walk reaches new classes
+            for g in gens:
+                if (x, g) not in step:
+                    step[x, g] = y = index[_cantor(model, classes[x],
+                                                   classes[g])]
+                    if y not in tree:
+                        tree[y] = (x, g)
+                        order.append(y)
+    assert len(order) == len(classes)
+    table = []
+    for a in range(len(classes)):
+        row = [a] * len(classes)
+        for b in order[1:]:
+            x, g = tree[b]
+            row[b] = step[row[x], g]
+        table.append(row)
+    return classes, table
+
+
+def test_explicit_formulas_match_cantor_on_every_pair():
+    """`divclass_add` equals `_cantor` on every ordered pair of classes
+    (a = b included) of every genus-1 model over F_3, F_5 and F_7, every
+    genus-2 model over F_3 and 20 seeded genus-2 models over F_5, twists
+    (f not monic) included.  The closed forms decline exactly the
+    additions whose operands share a point (u1 and u2 have a common root,
+    b is neither a nor -a)."""
+    fives = list(enumerate_imaginary(5, 5))
+    rng = substream(32, 0)
+    models = [*enumerate_imaginary(3, 3), *enumerate_imaginary(5, 3),
+              *enumerate_imaginary(7, 3), *enumerate_imaginary(3, 5),
+              *(fives[rng.randint(len(fives))] for _ in range(20))]
+    declined = covered = 0
+    for model in models:
+        classes, table = _cantor_table(model)
+        coprime = {}
+        assert divclass_add(model, classes[0], classes[0]) == classes[0]
+        for i, a in enumerate(classes[1:], 1):
+            assert divclass_add(model, a, classes[0]) == a
+            neg = divclass_neg(model, a)
+            for j, b in enumerate(classes[1:], 1):
+                out = _explicit(model, a, b)
+                if out is not None:
+                    assert out == classes[table[i][j]], (model, a, b)
+                    covered += 1
+                    continue
+                if (a.u, b.u) not in coprime:
+                    coprime[a.u, b.u] = pdeg(pgcd(a.u, b.u, model.q)) == 0
+                assert not coprime[a.u, b.u] and b not in (a, neg), \
+                    (model, a, b)
+                declined += 1
+    assert covered > 3 * declined > 0
+
+
+def _non_divisors(model):
+    """Every (u, v) with u monic of degree 1..g, v != 0, deg v < deg u and
+    u not dividing v^2 - f."""
+    p = model.q
+    return [DivisorClass(tail + (1,), pnorm(v))
+            for k in range(1, model.genus + 1)
+            for tail in itertools.product(range(p), repeat=k)
+            for v in itertools.product(range(p), repeat=k)
+            if any(v) and pmod(psub(pmul(pnorm(v), pnorm(v), p), model.f, p),
+                               tail + (1,), p)]
+
+
+def test_non_divisor_operands_raise():
+    """Every degree-2 operand with v != 0 whose u does not divide v^2 - f
+    raises InternalCheckError when doubled, as in `_cantor`, and when
+    added to a divisor of degree 2 prime to it, where `_cantor` let a few
+    through; twists (f not monic) included."""
+    for f in ((1, 2, 0, 0, 0, 1), (2, 1, 0, 0, 0, 2), (1, 1, 0, 1, 0, 1)):
+        model = HyperellipticModel(3, f)
+        good = [c for c in enumerate_divisor_classes(model) if len(c.u) == 3]
+        bad = [x for x in _non_divisors(model) if len(x.u) == 3]
+        assert len(bad) >= 50
+        for x in bad:
+            c = next(c for c in good if pdeg(pgcd(c.u, x.u, 3)) == 0)
+            for fn, y in ((divclass_add, x), (_cantor, x),
+                          (divclass_add, c)):
+                with pytest.raises(InternalCheckError):
+                    fn(model, x, y)
+
+
+def _lines_run(fn, calls):
+    """The line numbers of `fn` that run while `calls()` runs."""
+    code, seen = fn.__code__, set()
+
+    def local(frame, event, arg):
+        seen.add(frame.f_lineno)
+        return local
+
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        calls()
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+def test_every_line_of_the_closed_forms_runs():
+    """All pairs of classes of the genus-1 models over F_3 and of ten
+    genus-2 models over F_3, with each non-divisor of the closed forms'
+    shape doubled and added to the first class, run every line of
+    `_explicit`: every branch is taken."""
+    models = [*enumerate_imaginary(3, 3),
+              *itertools.islice(enumerate_imaginary(3, 5), 10)]
+
+    def calls():
+        for model in models:
+            classes = enumerate_divisor_classes(model)[1:]
+            for a in _non_divisors(model):
+                for b in [a] + classes[:1]:
+                    try:
+                        _explicit(model, a, b)
+                    except InternalCheckError:
+                        pass
+            for a in classes:
+                for b in classes:
+                    _explicit(model, a, b)
+
+    code = _explicit.__code__
+    lines = {line for _, line in dis.findlinestarts(code)} - {
+        code.co_firstlineno, None}
+    assert lines - _lines_run(_explicit, calls) == set()
+
+
+def test_operands_off_the_normal_form():
+    """Operands of the closed forms' shape (u monic of degree 1..g,
+    deg v < deg u) with coefficients shifted by multiples of q, or with v
+    padded by zeros up to deg u - 1, give `_cantor`'s sum, in normal form,
+    also on a twist (f not monic)."""
+    for f in ((1, 2, 0, 1), (1, 2, 0, 0, 0, 1), (2, 1, 0, 0, 0, 2)):
+        model = HyperellipticModel(3, f)
+        classes = enumerate_divisor_classes(model)[1:]
+        for a, b in itertools.product(classes, repeat=2):
+            shifted = DivisorClass(tuple(c - 3 for c in a.u[:-1]) + (1,),
+                                   tuple(c + 6 for c in a.v))
+            padded = DivisorClass(b.u, b.v + (0,) * (len(b.u) - 1 - len(b.v)))
+            want = _cantor(model, a, b)
+            assert divclass_add(model, shifted, padded) == want, (f, a, b)
+            assert divclass_add(model, padded, shifted) == want, (f, a, b)

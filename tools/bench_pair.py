@@ -196,13 +196,31 @@ CASES = {
                 "out.order"),
             "_small_generating_set((Z/7)^4)": (
                 "G = abelian([7] * 4)", "_small_generating_set(G)", "out")})),
-    # the class groups of Q(sqrt(-d)) for the 6,083 squarefree d <= 10,000
-    "arith": (3, {"nf_class_group(d), squarefree d <= 10,000": (
-        "from hurwitzlab.arith import nf_class_group\n"
-        "from hurwitzlab.ntheory import factorize\n"
-        "ds = [d for d in range(1, 10_001)\n"
-        "      if max(factorize(d).values(), default=1) == 1]",
-        "[nf_class_group(d).structure for d in ds]", "sha(out)")}),
+    # the class groups of Q(sqrt(-d)) for the 6,083 squarefree d <= 10,000;
+    # criterion 7 as tier-1 runs it (10,000 triples a fixture); Cantor
+    # addition alone on 20,000 seeded random pairs of each of criterion 7's
+    # fixtures, drawn before the clock
+    "arith": (3, {
+        "nf_class_group(d), squarefree d <= 10,000": (
+            "from hurwitzlab.arith import nf_class_group\n"
+            "from hurwitzlab.ntheory import factorize\n"
+            "ds = [d for d in range(1, 10_001)\n"
+            "      if max(factorize(d).values(), default=1) == 1]",
+            "[nf_class_group(d).structure for d in ds]", "sha(out)"),
+        "suite_jacobian_groundtruth()": (
+            "from hurwitzlab.verify import suite_jacobian_groundtruth",
+            "suite_jacobian_groundtruth()",
+            "[len(out), sum(not r.passed for r in out)]"),
+        **{f"divclass_add, 20,000 pairs, genus {g} over F_{q}": (
+            "from hurwitzlab.arith import (HyperellipticModel, divclass_add, "
+            "random_divisor)\nfrom hurwitzlab.rng import substream\n"
+            f"m = HyperellipticModel({q}, {f})\nrng = substream(32, 0)\n"
+            "pairs = [(random_divisor(m, rng), random_divisor(m, rng))\n"
+            "         for _ in range(20_000)]",
+            "[divclass_add(m, a, b) for a, b in pairs]", "sha(out)")
+           for g, q, f in ((1, 3, (1, 2, 0, 1)), (2, 3, (1, 2, 0, 0, 0, 1)),
+                           (1, 5, (3, 1, 0, 1)),
+                           (3, 3, (1, 0, 2, 0, 0, 0, 0, 1)))}}),
     # the 29,400 models of genus 1 and 2 over F_7
     "ff_moment": (3, {"empirical_moment(7, 5, [3, 3])": (
         "from hurwitzlab.arith import empirical_moment",
